@@ -2,15 +2,16 @@
 
 The program under test is never edited.  :func:`install` wraps the public
 entry points of each layer with spans and reads the counters the program
-already keeps (``engine.stats``, ``engine.stage_seconds``, relation-cache
-lookups, ``SweepResult``, ``FleetResult``); the function it returns restores
-the originals, so one process can alternate traced and untraced repetitions.
+already keeps (``engine.stats``, ``engine.stage_seconds``,
+``RelationCache.stats()``, ``SweepResult``, ``FleetResult``); the function it
+returns restores the originals and adds the relation-cache deltas, so one
+process can alternate traced and untraced repetitions.
 
 Layers and the calls wrapped for them:
 
 =====================  ==================================================
 ``repro.dse``          ``pruned_candidates`` (each ``next()`` is a span)
-``repro.isl``          ``RelationMaterializer.relations``, ``RelationCache.get``
+``repro.isl``          ``RelationMaterializer.relations`` (+ cache stats)
 ``repro.core.engine``  ``EvaluationEngine.evaluate_batch`` (+ stats deltas)
 ``repro.sweep.session``  ``SweepSession.run``
 ``repro.sweep.sinks``  ``JsonlCheckpointSink.emit``, ``TopKSink.emit``
@@ -68,10 +69,22 @@ def median(values: Sequence[float]) -> float:
     return percentile(values, 50.0)
 
 
+def tail_quantile(n: int) -> float:
+    """The highest percentile, up to 95, with at least ten of ``n`` samples
+    beyond it: 95 from 200 samples on, the median for 20 or fewer."""
+    return min(95.0, max(50.0, 100.0 * (n - 10) / n))
+
+
 def latency_summary(values: Sequence[float]) -> dict:
-    """p50 and p95 of a sample, with its size (a percentile means little
-    without the count behind it)."""
-    return {"p50": percentile(values, 50.0), "p95": percentile(values, 95.0), "n": len(values)}
+    """p50 and the tail percentile (:func:`tail_quantile`) of a sample, with
+    its size (a percentile means little without the count behind it)."""
+    q = tail_quantile(len(values))
+    return {
+        "p50": percentile(values, 50.0),
+        "tail": percentile(values, q),
+        "tail_q": q,
+        "n": len(values),
+    }
 
 
 def failed_ratio(failed: int, attempted: int) -> float:
@@ -190,13 +203,31 @@ def cli_command(args: Sequence[str], traced: bool) -> list[str]:
     return [sys.executable, "-m", "repro.cli", *args]
 
 
-def spawn_server(
-    args: Sequence[str] = (),
+def start_server(
+    args: Sequence[str] = (), trace_dir: str | Path | None = None
+) -> tuple[subprocess.Popen, str, int, float]:
+    """Start ``tenet serve --listen 127.0.0.1:0 ARGS`` and wait for its announce:
+    ``(process, host, port, seconds from spawn to announce)``.
+
+    Untraced, this is the program's own ``launch_replica``; traced, the
+    benchmark's copy of it that starts the child through ``traced_cli.py``.
+    """
+    from repro.sweep.fleet import launch_replica
+
+    if trace_dir is not None:
+        return spawn_traced_server(args, trace_dir)
+    started = time.perf_counter()
+    process, host, port = launch_replica(args=list(args))
+    return process, host, port, time.perf_counter() - started
+
+
+def spawn_traced_server(
+    args: Sequence[str],
+    trace_dir: str | Path,
     *,
-    trace_dir: str | Path | None = None,
     announce_timeout: float = 120.0,
 ) -> tuple[subprocess.Popen, str, int, float]:
-    """Start ``tenet serve --listen 127.0.0.1:0 ARGS`` and wait for its announce.
+    """``repro.sweep.fleet.launch_replica`` through ``traced_cli.py``.
 
     Returns ``(process, host, port, seconds from spawn to announce)``.  The
     stderr pump keeps draining after the announce so the child never blocks
@@ -204,9 +235,7 @@ def spawn_server(
     """
     from repro.sweep.net import parse_announce
 
-    command = cli_command(
-        ["serve", "--listen", "127.0.0.1:0", *args], traced=trace_dir is not None
-    )
+    command = cli_command(["serve", "--listen", "127.0.0.1:0", *args], traced=True)
     started = time.perf_counter()
     process = subprocess.Popen(
         command,
@@ -309,9 +338,15 @@ def install(tracer: Tracer) -> Callable[[], None]:
     from repro.sweep.sinks import JsonlCheckpointSink, TopKSink
 
     patches: list = []
+    # Relation caches seen by a traced batch, with their counters at first
+    # sight.  Server threads share one cache and overlap, so lookups are
+    # counted once, as the cache's own totals at undo minus these.
+    caches: dict[int, tuple[RelationCache, dict]] = {}
 
     def engine_batch(original):
         def evaluate_batch(self, *args, **kwargs):
+            if self.cache is not None and id(self.cache) not in caches:
+                caches[id(self.cache)] = (self.cache, self.cache.stats())
             stats = dict(self.stats)
             stages = dict(self.stage_seconds)
             with tracer.span("engine.batch"):
@@ -332,14 +367,6 @@ def install(tracer: Tracer) -> Callable[[], None]:
                 return original(self, *args, **kwargs)
 
         return wrapped
-
-    def cache_get(original):
-        def get(self, key):
-            entry = original(self, key)
-            tracer.count("cache.hits" if entry is not None else "cache.misses")
-            return entry
-
-        return get
 
     def session_run(original):
         def run(self, *args, **kwargs):
@@ -377,15 +404,24 @@ def install(tracer: Tracer) -> Callable[[], None]:
         return request
 
     def launch(_original):
-        def launch_replica(*, checkpoint_root=None, args=(), announce_timeout=120.0, **_):
+        def launch_replica(
+            *,
+            checkpoint_root=None,
+            args=(),
+            fault_plan=None,
+            stderr_sink=None,
+            announce_timeout=120.0,
+        ):
+            if fault_plan is not None or stderr_sink is not None:
+                raise NotImplementedError(
+                    "traced replicas support neither fault_plan nor stderr_sink"
+                )
             command = list(args)
             if checkpoint_root is not None:
                 command = ["--checkpoint-root", str(checkpoint_root), *command]
             with tracer.span("fleet.spawn"):
-                process, host, port, _ = spawn_server(
-                    command,
-                    trace_dir=os.environ.get(TRACE_DIR_ENV),
-                    announce_timeout=announce_timeout,
+                process, host, port, _ = spawn_traced_server(
+                    command, os.environ[TRACE_DIR_ENV], announce_timeout=announce_timeout
                 )
             return process, host, port
 
@@ -407,7 +443,6 @@ def install(tracer: Tracer) -> Callable[[], None]:
 
     _patch(patches, EvaluationEngine, "evaluate_batch", engine_batch)
     _patch(patches, RelationMaterializer, "relations", relations)
-    _patch(patches, RelationCache, "get", cache_get)
     _patch(patches, SweepSession, "run", session_run)
     _patch(patches, JsonlCheckpointSink, "emit", sink_emit)
     _patch(patches, TopKSink, "emit", sink_emit)
@@ -422,6 +457,11 @@ def install(tracer: Tracer) -> Callable[[], None]:
         while patches:
             owner, name, original = patches.pop()
             setattr(owner, name, original)
+        for cache, first in caches.values():
+            now = cache.stats()
+            tracer.count("cache.hits", now["hits"] - first["hits"])
+            tracer.count("cache.misses", now["misses"] - first["misses"])
+        caches.clear()
 
     return uninstall
 

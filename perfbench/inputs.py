@@ -107,6 +107,10 @@ COLD_OPS = (
     ("mmc", (16, 16, 16, 16), 4),
 )
 BLOCK_HOT, BLOCK_WARM = 8, 1
+#: Blocks in which every pool is walked a whole number of times (cold 12
+#: twice, warm 8 three times, hot 6 at 8 a block 32 times).  A run stops only
+#: at a multiple of this, so every seed sends the same mix of requests.
+SERVE_CYCLE = 24
 
 
 def _payload(kernel: str, sizes, max_candidates: int, **extra) -> dict:
@@ -149,21 +153,22 @@ def serve_blocks(seed: int) -> Iterator[list[tuple[str, dict]]]:
     order.  Blocks end on a barrier, so cold builds never overlap each other
     and replays always run next to a build: the block's wall time and the
     server's peak memory do not hinge on where the seed put the build.
-    Warm and cold requests walk a seeded permutation of their
-    pools cyclically, so a key comes back only after 8 (warm) or 12 (cold)
-    blocks, each building 2 new engines: long enough for the server's LRU
-    registry and relation cache to have evicted it.
+    Every pool is walked cyclically in a seeded permutation, so a warm or
+    cold key comes back only after 8 (warm) or 12 (cold) blocks, each
+    building 2 new engines: long enough for the server's LRU registry and
+    relation cache to have evicted it.
     """
     rng = random.Random(seed)
     hot = hot_payloads()
     warm = warm_payloads()
     cold = cold_payloads()
-    rng.shuffle(warm)
-    rng.shuffle(cold)
+    for pool in (hot, warm, cold):
+        rng.shuffle(pool)
+    hot_cycle = itertools.cycle(hot)
     warm_cycle = itertools.cycle(warm)
     cold_cycle = itertools.cycle(cold)
     while True:
-        rest = [("hot", rng.choice(hot)) for _ in range(BLOCK_HOT)]
+        rest = [("hot", next(hot_cycle)) for _ in range(BLOCK_HOT)]
         rest += [("warm", next(warm_cycle)) for _ in range(BLOCK_WARM)]
         rng.shuffle(rest)
         yield [("cold", next(cold_cycle)), *rest]

@@ -186,12 +186,19 @@ def layer_metrics(traces: list[dict], reps: int) -> dict[str, float]:
 
 def request_metrics(run: Run, latencies: list[float], busy_seconds: float, what: str) -> dict:
     """Request latency percentiles (with their sample count, in the notes)
-    and requests completed per second of request time."""
+    and requests completed per second of request time.
+
+    ``req_p95_ms`` is the p95 only when at least ten requests lie beyond it;
+    a smaller sample reports the highest percentile that has ten, down to
+    the median (see :func:`benchtrace.tail_quantile`).
+    """
     summary = benchtrace.latency_summary(latencies)
-    run.notes.append(f"request latency over n={summary['n']} {what}")
+    run.notes.append(
+        f"request latency over n={summary['n']} {what}; req_p95_ms is p{summary['tail_q']:.0f}"
+    )
     return {
         "req_p50_ms": 1000 * summary["p50"],
-        "req_p95_ms": 1000 * summary["p95"],
+        "req_p95_ms": 1000 * summary["tail"],
         "req_per_s": summary["n"] / busy_seconds,
     }
 
@@ -406,11 +413,11 @@ def serve_mix(run: Run) -> tuple[dict, dict]:
         elif not run.smoke:
             # Set-up is measured several times: spawn until announce.
             for _ in range(4):
-                process, _, _, seconds = benchtrace.spawn_server()
+                process, _, _, seconds = benchtrace.start_server()
                 setups.append(seconds)
                 benchtrace.stop_process(process)
                 run.record(process.returncode == 0, "serve-mix set-up probe exit")
-        process, host, port, seconds = benchtrace.spawn_server(trace_dir=trace_dir)
+        process, host, port, seconds = benchtrace.start_server(trace_dir=trace_dir)
         if not traced:
             setups.append(seconds)
         clients = [
@@ -419,7 +426,10 @@ def serve_mix(run: Run) -> tuple[dict, dict]:
         ]
         try:
             done = 0
-            while done < 1 or (not run.smoke and time.perf_counter() < phase_end):
+            # Whole request cycles only, so every seed sends the same mix.
+            while done < 1 or not run.smoke and (
+                time.perf_counter() < phase_end or done % inputs.SERVE_CYCLE
+            ):
                 block = next(blocks)
                 wall, results = serve_block(clients, block)
                 (traced_walls if traced else block_walls).append(wall)
@@ -454,7 +464,9 @@ def serve_mix(run: Run) -> tuple[dict, dict]:
     rtts = [rtt for values in by_label.values() for rtt in values]
     end_to_end = {
         "setup_s": median(setups),
-        "wall_s": median(block_walls),
+        # Every run sends whole cycles of one fixed mix, so the mean block is
+        # that mix's cost; a median would fall between two cold builds.
+        "wall_s": sum(block_walls) / len(block_walls),
         "sweep_cps": candidates / server_seconds,
         **request_metrics(run, rtts, sum(block_walls), "round trips on 2 connections"),
         "peak_rss_mb": median(peaks),
@@ -511,7 +523,9 @@ def fleet_conv(run: Run) -> tuple[dict, dict]:
             root.mkdir()
             setup = 0.0
             for _ in range(2):
-                process, _, _, seconds = benchtrace.spawn_server(["--checkpoint-root", root])
+                process, _, _, seconds = benchtrace.start_server(
+                    ["--checkpoint-root", str(root)]
+                )
                 setup += seconds
                 benchtrace.stop_process(process)
                 run.record(process.returncode == 0, "fleet-conv set-up probe exit")
@@ -619,7 +633,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--smoke", action="store_true",
                         help="one reduced-size repetition per workload")
     parser.add_argument("--corrupt-expected", action="store_true",
-                        help="shift every reference score (failed_ratio must become 1)")
+                        help="shift every reference score: every output check fails, so "
+                             "failed_ratio becomes non-zero")
     return parser.parse_args(argv)
 
 

@@ -27,10 +27,11 @@ import benchtrace  # noqa: E402
 def main() -> int:
     tracer = benchtrace.Tracer()
     tracer.count("cli.import_s", import_seconds)
-    benchtrace.install(tracer)
+    uninstall = benchtrace.install(tracer)
     try:
         return repro.cli.main(sys.argv[1:])
     finally:
+        uninstall()
         tracer.dump(os.environ[benchtrace.TRACE_DIR_ENV])
 
 
