@@ -2,17 +2,18 @@
 
 ``--bench-json PATH`` makes the session write every record collected through
 the :func:`bench_record` fixture (timings, speedups, engine stats from the
-benchmarks) to ``PATH`` as JSON.  The option now *defaults to the repo root*
-(``BENCH_engine.json``) so CI and local benchmark runs both land in the
-committed trajectory file without extra flags; sessions that collect no
-records (the fast test lane) leave the file untouched.
+benchmarks) to ``PATH`` as JSON.  The option is opt-in: without it a session
+writes no file, so local test runs never rewrite the committed
+``BENCH_engine.json``; sessions that collect no records (the fast test lane)
+leave the file untouched either way.
 
 Existing entries are **merged, not overwritten**: records replace same-named
 benchmarks and every other benchmark's last measurement survives, so the file
 accumulates the cross-PR perf trajectory even when only a subset of
-benchmarks runs.  CI uploads the file as an artifact; locally::
+benchmarks runs.  CI's benchmark lane passes the committed file explicitly
+and uploads it as an artifact; to refresh it locally::
 
-    PYTHONPATH=src python -m pytest -m slow benchmarks
+    PYTHONPATH=src python -m pytest -m slow benchmarks --bench-json BENCH_engine.json
 """
 
 from __future__ import annotations
@@ -25,19 +26,16 @@ import pytest
 
 BENCH_RECORDS_KEY = pytest.StashKey()
 
-#: Committed benchmark trajectory, next to this conftest.
-DEFAULT_BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_engine.json"
-
 
 def pytest_addoption(parser):
     parser.addoption(
         "--bench-json",
         action="store",
-        default=str(DEFAULT_BENCH_JSON),
+        default=None,
         metavar="PATH",
-        help="write benchmark timing records to PATH as JSON "
-             "(default: BENCH_engine.json at the repo root; existing entries "
-             "are merged by benchmark name, not overwritten)",
+        help="write benchmark timing records to PATH as JSON (default: no "
+             "file; existing entries are merged by benchmark name, not "
+             "overwritten)",
     )
 
 
@@ -74,6 +72,9 @@ def merge_bench_records(existing: dict, records: list[dict]) -> dict:
 
 
 def pytest_sessionfinish(session, exitstatus):
+    target = session.config.getoption("--bench-json")
+    if target is None:
+        return
     records = session.config.stash.get(BENCH_RECORDS_KEY, [])
     if not records:
         # Nothing measured this session (e.g. the fast lane); never clobber
@@ -83,7 +84,7 @@ def pytest_sessionfinish(session, exitstatus):
         # A failing session must not rewrite the committed baseline with the
         # very numbers whose assertions just failed.
         return
-    path = pathlib.Path(session.config.getoption("--bench-json"))
+    path = pathlib.Path(target)
     existing: dict = {}
     if path.exists():
         try:

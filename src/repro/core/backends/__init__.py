@@ -20,11 +20,15 @@ computed:
     like ``affine``.
 ``fused``
     Batch-fused evaluation (PR 4): the whole batch's deduplicated coefficient
-    rows stack into one matmul per cached domain chunk, uniform-block layouts
-    count volumes with segmented sorts and shifted-slice membership windows
-    instead of ``searchsorted`` probes, and candidates whose (PE, time-rank)
-    columns are *content-identical* to an already evaluated candidate replay
-    its report (verified by exact array comparison).
+    rows stack into one matmul per cached domain chunk, single-reference
+    layouts count volumes with segmented sorts and shifted-slice membership
+    windows instead of ``searchsorted`` probes (ragged group blocks, as at
+    conv boundaries, are padded to the largest block with sentinel ranks;
+    only multi-reference tensors, non-injective candidates and layouts whose
+    padding would more than double the pairs use the compiled kernel), and
+    candidates whose (PE, time-rank) columns are *content-identical* to an
+    already evaluated candidate replay its report (verified by exact array
+    comparison).
 ``auto``
     The fused hot path with the bit-set kernel engaged per tensor where the
     packed occupancy is smaller than the pair array (small ops) or the

@@ -12,14 +12,18 @@ removes them:
   coefficient matrix and evaluates the whole cached domain chunk with a single
   float64-exact BLAS matmul; per-candidate stamp columns are row views of the
   fused result.
-* **Windowed volume kernels** — for layouts with *uniform* group blocks (every
-  dense (PE, element) group holds the same number of pairs, the common case
-  for the paper's operators), the group-major sort degenerates to one segmented
-  sort of the ``(groups, m)`` rank matrix, and spatial membership for
-  constant-offset interconnect slots becomes ``2m - 1`` shifted *slice*
-  comparisons — no ``searchsorted``, no per-pair gathers.  Slots that share a
-  source offset share one membership pass.  Everything else falls back to the
-  affine kernels, so counts stay bit-identical.
+* **Windowed volume kernels** — each dense (PE, element) group becomes one
+  row of a ``(groups, m)`` rank matrix, ``m`` being the largest group, so the
+  group-major sort degenerates to one segmented row sort, and spatial
+  membership for constant-offset interconnect slots becomes ``2m - 1``
+  shifted *slice* comparisons — no ``searchsorted``, no per-pair gathers.
+  Slots that share a source offset share one membership pass.  Uniform
+  layouts (every group holds ``m`` pairs) fill the matrix exactly; ragged
+  ones, such as conv layers cut at the input boundary, pad each row with a
+  sentinel rank that sorts last and never matches.  Multi-reference tensors,
+  non-injective candidates and layouts whose padding would more than double
+  the pair count fall back to the affine kernels, so counts stay
+  bit-identical.
 * **Spacetime memoisation** — structurally distinct candidates frequently
   assign *identical* (PE, time-rank) columns (skewed variants of one family
   often collapse onto the same rank order).  The engine memo cannot see that
@@ -76,9 +80,11 @@ class FusedSlot:
 
     #: Constant dense-group offset shared by every valid pair, or ``None``.
     delta_const: int | None
-    #: Per-pair dense-group offset in group-sorted order (int32).
+    #: Dense source-group offset (int32): per pair on a uniform layout, per
+    #: group on a padded one (see :attr:`FusedLayout.real`).
     delta: np.ndarray
-    #: Per-pair validity (source group exists) in group-sorted order.
+    #: Validity (source group exists), shaped to broadcast over the
+    #: ``(groups, block)`` matrix: ``(groups, block)`` or ``(groups, 1)``.
     valid: np.ndarray
     #: Host-precomputed ``valid.any()`` so slot skipping never syncs a device.
     valid_any: bool = True
@@ -88,16 +94,18 @@ class FusedSlot:
 class _DeviceLayout:
     """The candidate-invariant layout arrays on one namespace's device.
 
-    On the host namespace these *are* the :class:`GroupLayout` arrays (no
-    copies); on a device namespace they are uploaded once per layout and stay
-    resident across batches, so per-candidate volume counting only moves the
-    rank column.
+    On the host namespace these are the :class:`GroupLayout` and
+    :class:`FusedLayout` arrays themselves (no copies); on a device namespace
+    they are uploaded once per layout and stay resident across batches, so
+    per-candidate volume counting only moves the rank column.
     """
 
     #: Gather index over the rank column (int64 on device namespaces, whose
     #: indexing requires it; the original int32 ``perm_mod`` on the host).
     perm: Any
-    #: Dense group id per pair, group-sorted (int32).
+    #: Real (non-padding) positions of the flattened matrix, or ``None``.
+    real: Any
+    #: Dense group id (int32), ``(groups, block)`` or ``(groups, 1)``.
     dense: Any
     #: Per-slot validity masks (bool) and dense-group offsets (int32).
     slot_valid: list[Any]
@@ -108,39 +116,56 @@ class FusedLayout:
     """Candidate-invariant extras the fused volume kernel needs per tensor.
 
     Built once per :class:`GroupLayout` (itself cached per space signature),
-    so the uniformity check and the slot classification never run per
-    candidate.  ``usable`` is ``False`` when the layout breaks one of the
-    kernel's assumptions (ragged blocks, collapsed references); callers then
-    chain to the affine kernels.
+    so the block sizing and the slot classification never run per candidate.
+    The kernel works on a ``(groups, block)`` rank matrix, ``block`` being
+    the largest group.  On a uniform layout that matrix is the group-sorted
+    pair order itself and the layout's per-pair arrays are viewed in that
+    shape, without copies.  Ragged layouts pad every group to ``block`` with
+    sentinel ranks; ``real`` marks the pair positions, and the group-constant
+    per-pair data (group id, slot validity and offset) is kept once per group
+    and broadcast over the block.  ``usable`` is ``False`` for collapsed
+    multi-reference tensors and when padding would more than double the pair
+    count; callers then chain to the affine kernels.
     """
 
     def __init__(self, layout: GroupLayout):
         self.layout = layout
         pairs = int(layout.dense_sorted.size)
         groups = layout.group_count
+        sizes = np.bincount(layout.dense_sorted, minlength=groups)
         self.pairs = pairs
-        self.block = pairs // groups if groups else 0
-        self.usable = (
-            layout.references == 1
-            and groups > 0
-            and self.block > 0
-            and groups * self.block == pairs
-            # Uniform blocks: every group holds exactly ``block`` pairs, so the
-            # group of the pair at sorted position p is p // block.
-            and bool(
-                np.array_equal(
-                    layout.dense_sorted,
-                    np.arange(pairs, dtype=np.int64) // self.block,
-                )
-            )
-        )
+        self.block = int(sizes.max()) if pairs else 0
+        #: Length of the flattened (groups, block) matrix.
+        self.size = groups * self.block
+        self.usable = layout.references == 1 and 0 < pairs and self.size <= 2 * pairs
+        #: Real (non-padding) positions of the flattened matrix, or ``None``.
+        self.real: np.ndarray | None = None
+        self.dense: np.ndarray | None = None
         self.slots: list[FusedSlot] = []
-        if self.usable:
+        if self.usable and self.size == pairs:
+            self.dense = layout.dense_sorted.reshape(groups, self.block)
             for delta_const, delta, valid in zip(
                 layout.slot_delta_const, layout.slot_delta, layout.slot_valid
             ):
                 self.slots.append(
-                    FusedSlot(delta_const, delta, valid, bool(valid.any()))
+                    FusedSlot(
+                        delta_const, delta, valid.reshape(groups, self.block),
+                        bool(valid.any()),
+                    )
+                )
+        elif self.usable:
+            self.real = (np.arange(self.block) < sizes[:, None]).ravel()
+            group_ids = np.arange(groups, dtype=np.int32)
+            self.dense = group_ids[:, None]
+            for delta_const, src_group in zip(
+                layout.slot_delta_const, layout.slot_src_group
+            ):
+                valid = src_group < groups
+                self.slots.append(
+                    FusedSlot(
+                        delta_const, src_group - group_ids, valid[:, None],
+                        bool(valid.any()),
+                    )
                 )
         #: Resident per-namespace device copies, keyed ``name:device``.
         self._device: dict[str, _DeviceLayout] = {}
@@ -157,7 +182,8 @@ class FusedLayout:
             if xp.is_numpy:
                 bundle = _DeviceLayout(
                     perm=layout.perm_mod,
-                    dense=layout.dense_sorted,
+                    real=self.real,
+                    dense=self.dense,
                     slot_valid=[slot.valid for slot in self.slots],
                     slot_delta=[slot.delta for slot in self.slots],
                 )
@@ -165,7 +191,8 @@ class FusedLayout:
                 started = time.perf_counter()
                 bundle = _DeviceLayout(
                     perm=xp.asarray(layout.perm_mod, "int64"),
-                    dense=xp.asarray(layout.dense_sorted),
+                    real=None if self.real is None else xp.asarray(self.real),
+                    dense=xp.asarray(self.dense),
                     slot_valid=[xp.asarray(slot.valid) for slot in self.slots],
                     slot_delta=[xp.asarray(slot.delta) for slot in self.slots],
                 )
@@ -192,8 +219,8 @@ def fused_group_volume_metrics(
 ) -> VolumeMetrics | None:
     """Exact Table II metrics via segmented sorts and shifted-slice windows.
 
-    Requires a usable :class:`FusedLayout` (uniform blocks, one reference) and
-    an injective candidate (unique (stamp, element) pairs); the caller
+    Requires a usable :class:`FusedLayout` (one reference, bounded padding)
+    and an injective candidate (unique (stamp, element) pairs); the caller
     guarantees both.  Returns ``None`` when the temporal interval is outside
     the adjacency window or keys would overflow — the affine kernels then take
     over, exactly as they do for each other.
@@ -210,18 +237,26 @@ def fused_group_volume_metrics(
         return None
     if xp is None:
         xp = _HOST
-    n = fused.pairs
     m = fused.block
+    n = fused.size
     groups = fused.layout.group_count
     span = int(rank_span)
-    if n == 0 or span <= 0:
+    if fused.pairs == 0 or span <= 0:
         return None
-    # Probe values reach +-(2 * groups * span); keep them exactly representable.
-    if 2 * (groups + 1) * span >= (1 << 62):
-        return None
-    narrow = 2 * (groups + 1) * span < (1 << 31)
-
     dev = fused.device_arrays(xp, on_transfer)
+    # Keys are ``group * stride + rank``.  Padding holds the rank ``span +
+    # ti``, which sorts after every real rank.  With ``stride = span + ti +
+    # 1``, a padding key minus ``ti`` lands on the unused rank ``span``, and
+    # a real key of rank ``>= ti`` minus ``ti`` on a real rank of its own
+    # group, so padding never takes part in temporal reuse (lower ranks fail
+    # the rank guard); spatial hits on padding are masked by ``real``.
+    stride = span if dev.real is None else span + ti + 1
+    # Probe values reach +-(2 * groups * stride); keep them exactly
+    # representable.
+    if 2 * (groups + 1) * stride >= (1 << 62):
+        return None
+    narrow = 2 * (groups + 1) * stride < (1 << 31)
+
     if rank_wide is None or rank_narrow is None:
         rank_wide, rank_narrow = t_rank, rank32
         if not xp.is_numpy:
@@ -231,20 +266,32 @@ def fused_group_volume_metrics(
             if on_transfer is not None:
                 on_transfer(time.perf_counter() - started)
 
-    # Segmented sort: ranks per pair in group-sorted order, then each group's
-    # block sorted independently.  Within-block sorting never moves a pair
-    # across blocks, so the per-pair slot metadata stays aligned.  The int32
+    # Segmented sort: ranks per pair in group-sorted order, laid out as the
+    # padded (groups, block) matrix, then each row sorted independently.
+    # Within-row sorting never moves a pair across groups, and padding sorts
+    # last, so ``real`` still marks the real positions afterwards.  The int32
     # rank copy is only exact while the span fits; huge-span ops take the
     # int64 path end to end.
     rank_source = rank_narrow if narrow else rank_wide
-    ranks = xp.take(rank_source, dev.perm).reshape(groups, m)
-    ranks = xp.sort2d(ranks).ravel()
+    ranks = xp.take(rank_source, dev.perm)
+    if dev.real is not None:
+        padded = xp.zeros(n, "int32" if narrow else "int64")
+        padded += xp.int_scalar(span + ti, narrow)
+        padded[dev.real] = ranks
+        ranks = padded
+    ranks2d = xp.sort2d(ranks.reshape(groups, m))
     if narrow:
-        keys = dev.dense * xp.int_scalar(span, True)
-        keys += ranks
+        keys = dev.dense * xp.int_scalar(stride, True)
     else:
-        keys = xp.astype(dev.dense, "int64") * span
-        keys += ranks
+        keys = xp.astype(dev.dense, "int64") * stride
+    # Group offsets are a full matrix on a uniform layout (add in place: a
+    # fresh pair-sized array costs its page faults) and a column otherwise.
+    if dev.real is None:
+        keys += ranks2d
+    else:
+        keys = keys + ranks2d
+    keys = keys.ravel()
+    ranks = ranks2d.ravel()
 
     # Temporal reuse: (g, r - ti) can only sit within ti positions back in the
     # block; a value match implies the same group because 0 <= r - ti < span.
@@ -258,10 +305,13 @@ def fused_group_volume_metrics(
     temporal_count = xp.count_nonzero(temporal)
 
     spatial_count = 0
-    if temporal_count < n and fused.slots:
+    if temporal_count < fused.pairs and fused.slots:
         si = spatial_interval
         rank_ok = ranks >= si if si else None
+        if dev.real is not None:
+            rank_ok = dev.real if rank_ok is None else rank_ok & dev.real
         spatial = xp.zeros(n, "bool")
+        spatial_rows = spatial.reshape(groups, m)
         window_masks: dict[int, Any] = {}
         for slot_index, slot in enumerate(fused.slots):
             if not slot.valid_any:
@@ -275,7 +325,7 @@ def fused_group_volume_metrics(
                 delta = slot.delta_const
                 hits = window_masks.get(delta)
                 if hits is None:
-                    shift = delta * span - si
+                    shift = delta * stride - si
                     probes = keys + xp.int_scalar(shift, narrow)
                     hits = xp.zeros(n, "bool")
                     centre = delta * m
@@ -290,29 +340,32 @@ def fused_group_volume_metrics(
                     if rank_ok is not None:
                         hits &= rank_ok
                     window_masks[delta] = hits
-                spatial |= hits & slot_valid
+                spatial_rows |= hits.reshape(groups, m) & slot_valid
             else:
                 # Per-pair source offsets: probe only the pairs that still
                 # need an answer (valid, rank-guarded, no temporal reuse).
-                needed = slot_valid & ~temporal & ~spatial
+                needed = ~(temporal | spatial)
+                needed_rows = needed.reshape(groups, m)
+                needed_rows &= slot_valid
                 if rank_ok is not None:
                     needed &= rank_ok
                 index = xp.flatnonzero(needed)
                 if not len(index):
                     continue
                 if slot.delta_const is not None:
-                    shift = slot.delta_const * span - si
+                    shift = slot.delta_const * stride - si
                     probes = keys[index] + xp.int_scalar(shift, narrow)
                 else:
-                    delta = dev.slot_delta[slot_index][index]
+                    rows = index if dev.real is None else index // m
+                    delta = xp.take(dev.slot_delta[slot_index], rows)
                     if narrow:
                         probes = keys[index] + (
-                            delta * xp.int_scalar(span, True)
+                            delta * xp.int_scalar(stride, True)
                             - xp.int_scalar(si, True)
                         )
                     else:
                         probes = keys[index] + (
-                            xp.astype(delta, "int64") * span - si
+                            xp.astype(delta, "int64") * stride - si
                         )
                 positions = xp.searchsorted(keys, probes)
                 hits = xp.take_clip(keys, positions) == probes
@@ -321,7 +374,7 @@ def fused_group_volume_metrics(
 
     return VolumeMetrics(
         tensor=tensor,
-        total=n,
+        total=fused.pairs,
         reuse=temporal_count + spatial_count,
         temporal_reuse=temporal_count,
         spatial_reuse=spatial_count,

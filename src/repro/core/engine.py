@@ -481,6 +481,23 @@ class RelationMaterializer:
 # -- fast exact helpers ---------------------------------------------------------------
 
 
+def _presence_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(presence, lut)`` over ``[0, max(keys)]``, or ``None`` for wide ranges.
+
+    ``presence[k]`` marks the keys that occur and ``lut[k]`` is key ``k``'s
+    dense rank among them.  Built only when the key range is comparable to the
+    array length (non-negative keys); callers sort otherwise.
+    """
+    max_key = int(keys.max())
+    if max_key > max(4 * keys.size, 1 << 22):
+        return None
+    presence = np.zeros(max_key + 1, dtype=bool)
+    presence[keys] = True
+    lut = np.cumsum(presence)
+    lut -= 1
+    return presence, lut
+
+
 def _rank_keys(keys: np.ndarray) -> np.ndarray:
     """Dense lexicographic rank of every key (``searchsorted(unique, keys)``).
 
@@ -490,13 +507,9 @@ def _rank_keys(keys: np.ndarray) -> np.ndarray:
     """
     if keys.size == 0:
         return keys
-    max_key = int(keys.max())
-    if max_key <= max(4 * keys.size, 1 << 22):
-        presence = np.zeros(max_key + 1, dtype=bool)
-        presence[keys] = True
-        lut = np.cumsum(presence)
-        lut -= 1
-        return lut[keys]
+    table = _presence_table(keys)
+    if table is not None:
+        return table[1][keys]
     unique_keys = sorted_unique(keys)
     return np.searchsorted(unique_keys, keys)
 
@@ -1302,12 +1315,18 @@ class EvaluationEngine:
 
         Memoised candidates are excluded, so the backend only compiles and
         evaluates stamps that will actually be consumed.  Returns the provider
-        (or ``None``) plus a map from batch index to provider slot.
+        (or ``None``) plus a map from batch index to provider slot.  The
+        relation lookup is timed as ``materialise`` and the expression
+        lowering as ``stamps``, like the per-candidate stages.
         """
+        stage = self.stage_seconds
+        mark = time.perf_counter()
         try:
             relations = self.materializer.relations(self.max_instances)
         except ModelError:
             relations = None  # per-candidate evaluation reports the error
+        now = time.perf_counter()
+        stage["materialise"] += now - mark
         if relations is None:
             return None, {}
         slots: dict[int, int] = {}
@@ -1317,9 +1336,10 @@ class EvaluationEngine:
                 continue
             slots[index] = len(pending)
             pending.append(dataflow)
-        if not pending:
-            return None, {}
-        provider = self.backend.prepare_batch(relations, pending, self.arch.pe_array)
+        provider = None
+        if pending:
+            provider = self.backend.prepare_batch(relations, pending, self.arch.pe_array)
+        stage["stamps"] += time.perf_counter() - now
         return provider, slots if provider is not None else {}
 
     def _evaluate_serial(

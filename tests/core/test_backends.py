@@ -22,7 +22,7 @@ from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
 from repro.experiments.common import make_arch
 from repro.isl.expr import var
-from repro.tensor.kernels import conv2d, gemm
+from repro.tensor.kernels import conv2d, gemm, jacobi2d
 
 
 def report_dict(report):
@@ -348,8 +348,6 @@ class TestLayout:
                 assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
     def test_distinct_references_are_kept(self):
-        from repro.tensor.kernels import jacobi2d
-
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache())
@@ -362,6 +360,106 @@ class TestLayout:
             engine._spacetime.spatial_interval,
         )
         assert layout.references == relations.tensors[tensor].references
+
+    @staticmethod
+    def _argsort_layout(pe_lin, relations, predecessor_table, spatial_interval):
+        """The sort-based group layout construction, kept as a reference.
+
+        Groups come from a stable argsort of the int64 (PE, element) keys
+        and source groups from a ``searchsorted`` over the distinct keys.
+        """
+        footprint = relations.footprint
+        length = pe_lin.size
+        distinct = []
+        for index in range(relations.references):
+            segment = relations.dense_keys[index * length : (index + 1) * length]
+            if not any(np.array_equal(segment, seen) for seen in distinct):
+                distinct.append(segment)
+        pairs = np.concatenate([pe_lin * footprint + segment for segment in distinct])
+        perm = np.argsort(pairs, kind="stable")
+        ordered = pairs[perm]
+        boundary = np.empty(pairs.size, dtype=bool)
+        boundary[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+        dense_sorted = (np.cumsum(boundary) - 1).astype(np.int32)
+        group_count = int(dense_sorted[-1]) + 1
+        unique_groups = ordered[boundary]
+        dense_orig = np.empty(pairs.size, dtype=np.int32)
+        dense_orig[perm] = dense_sorted
+        group_pe = unique_groups // footprint
+        group_elem = unique_groups - group_pe * footprint
+        slots = {"valid": [], "delta": [], "const": [], "src": []}
+        for slot in range(predecessor_table.shape[1]):
+            src_pe = predecessor_table[group_pe, slot]
+            valid = src_pe >= 0
+            if spatial_interval == 0:
+                valid &= src_pe < group_pe
+            src_raw = src_pe * footprint + group_elem
+            position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
+            present = valid & (unique_groups[position] == src_raw)
+            src_dense = np.where(present, position, group_count).astype(np.int32)
+            group_delta = src_dense - np.arange(group_count, dtype=np.int32)
+            valid_deltas = group_delta[present]
+            constant = valid_deltas.size and valid_deltas.min() == valid_deltas.max()
+            slots["valid"].append(present[dense_sorted])
+            slots["delta"].append(group_delta[dense_sorted])
+            slots["const"].append(int(valid_deltas[0]) if constant else None)
+            slots["src"].append(src_dense)
+        return {
+            "perm_mod": (perm % length).astype(np.int32),
+            "dense_sorted": dense_sorted,
+            "dense_orig": dense_orig,
+            "group_count": group_count,
+            "references": len(distinct),
+            "slot_valid": slots["valid"],
+            "slot_delta": slots["delta"],
+            "slot_delta_const": slots["const"],
+            "slot_src_group": slots["src"],
+        }
+
+    @pytest.mark.parametrize("make_op", [
+        lambda: conv2d(2, 3, 6, 6, 3, 3),
+        lambda: gemm(12, 12, 12),
+        lambda: jacobi2d(10, 10),  # one tensor has distinct multiple references
+    ], ids=["conv2d", "gemm", "jacobi2d"])
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
+    @pytest.mark.parametrize("bitmap", [True, False], ids=["bitmap", "sorted"])
+    def test_layout_matches_argsort_construction(
+        self, make_op, interconnect, bitmap, monkeypatch
+    ):
+        if not bitmap:
+            # Key ranges too wide for a presence bitmap take the sorted path.
+            import repro.core.engine
+
+            monkeypatch.setattr(repro.core.engine, "_presence_table", lambda keys: None)
+        op = make_op()
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        engine = EvaluationEngine(op, arch, cache=RelationCache())
+        relations = engine.materializer.relations(10**6)
+        for candidate in small_candidates(op, count=3):
+            pe_lin, _ = engine.materializer.stamps(
+                relations, candidate.bind(op), arch.pe_array
+            )
+            for tensor, rel in relations.tensors.items():
+                args = (
+                    pe_lin, rel, engine._predecessor_table,
+                    engine._spacetime.spatial_interval,
+                )
+                layout = build_group_layout(*args)
+                expected = self._argsort_layout(*args)
+                for field, value in expected.items():
+                    actual = getattr(layout, field)
+                    if isinstance(value, list):
+                        assert len(actual) == len(value), field
+                        pairs = zip(actual, value)
+                    else:
+                        pairs = [(actual, value)]
+                    for got, want in pairs:
+                        if isinstance(want, np.ndarray):
+                            assert got.dtype == want.dtype, field
+                            np.testing.assert_array_equal(got, want, err_msg=field)
+                        else:
+                            assert got == want, field
 
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
@@ -394,8 +492,6 @@ class TestFusedBackend:
         # cannot use the fused kernel (it needs collapsed single-reference
         # blocks) and must chain to the affine kernels, while the
         # single-reference output still fuses — bit-identically either way.
-        from repro.tensor.kernels import jacobi2d
-
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
@@ -406,6 +502,80 @@ class TestFusedBackend:
             )
         assert engine.stats["fused_path"] > 0
         assert engine.stats["compiled_path"] + engine.stats["reference_path"] > 0
+
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
+    @pytest.mark.parametrize("temporal_interval", [1, 3])
+    def test_ragged_conv_layouts_take_the_fused_kernel(
+        self, backend, interconnect, temporal_interval
+    ):
+        # Conv boundaries leave (PE, element) groups of unequal size; the
+        # fused kernel pads them to the largest block instead of handing the
+        # tensor to the compiled kernel.
+        op = conv2d(2, 3, 6, 6, 3, 3)
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        engine = EvaluationEngine(
+            op, arch, cache=RelationCache(), backend=backend,
+            temporal_interval=temporal_interval,
+        )
+        reference = EvaluationEngine(
+            op, arch, cache=RelationCache(), backend="interp",
+            temporal_interval=temporal_interval,
+        )
+        for candidate in small_candidates(op):
+            assert report_dict(reference.evaluate(candidate)) == report_dict(
+                engine.evaluate(candidate)
+            )
+        assert engine.stats["compiled_path"] == 0
+        assert engine.stats["fused_path"] > 0
+
+    def test_fused_layout_pads_ragged_blocks(self):
+        from repro.core.backends.fused import FusedLayout
+
+        op = conv2d(2, 3, 6, 6, 3, 3)
+        arch = make_arch(pe_dims=(4, 4))
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        relations = engine.materializer.relations(10**6)
+        ragged = []
+        for candidate in small_candidates(op):
+            pe_lin, _ = engine.materializer.stamps(
+                relations, candidate.bind(op), arch.pe_array
+            )
+            for rel in relations.tensors.values():
+                layout = build_group_layout(
+                    pe_lin, rel, engine._predecessor_table,
+                    engine._spacetime.spatial_interval,
+                )
+                fused = FusedLayout(layout)
+                assert fused.usable
+                sizes = np.bincount(layout.dense_sorted)
+                assert fused.block == sizes.max()
+                if fused.real is not None:
+                    ragged.append(fused)
+                    assert fused.size == layout.group_count * fused.block > fused.pairs
+                    assert int(fused.real.sum()) == fused.pairs
+                    real_rows = fused.real.reshape(layout.group_count, fused.block)
+                    np.testing.assert_array_equal(real_rows.sum(axis=1), sizes)
+        assert ragged
+
+    def test_fused_layout_refuses_padding_past_twice_the_pairs(self):
+        from repro.core.backends.affine import GroupLayout
+        from repro.core.backends.fused import FusedLayout
+
+        def layout(sizes):
+            dense = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+            return GroupLayout(
+                perm_mod=np.arange(dense.size, dtype=np.int32),
+                dense_sorted=dense, dense_orig=dense, group_count=len(sizes),
+                references=1, slot_valid=[], slot_delta=[], slot_delta_const=[],
+                slot_src_group=[],
+            )
+
+        # 4 groups padded to 5 pairs each: 20 positions for 9 pairs.
+        assert not FusedLayout(layout([1, 1, 2, 5])).usable
+        # 4 groups padded to 4: exactly twice the 8 pairs still fuses.
+        assert FusedLayout(layout([1, 1, 2, 4])).usable
+        assert FusedLayout(layout([3, 3, 3])).real is None
 
     def test_fused_wide_interval_falls_back_to_reference(self):
         op = gemm(12, 12, 12)

@@ -16,7 +16,7 @@ from repro.core.xp import (
 from repro.dse.pruning import pruned_candidates
 from repro.errors import ExplorationError
 from repro.experiments.common import make_arch
-from repro.tensor.kernels import gemm
+from repro.tensor.kernels import conv2d, gemm
 
 from tests.core.test_backends import report_dict
 
@@ -139,6 +139,28 @@ class TestEngineDeviceKnob:
         assert dev.device_name == "fake"
         assert dev.profile()["transfer"] > 0.0
         assert host.profile()["transfer"] == 0.0
+
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
+    def test_ragged_conv_layouts_fuse_on_device(
+        self, backend, interconnect, fake_namespace
+    ):
+        # Padded (ragged) layouts upload their real-position mask and
+        # per-group slot columns; results must still match the host exactly.
+        op = conv2d(2, 3, 6, 6, 3, 3)
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        candidates = pruned_candidates(
+            op, pe_dims=(4, 4), allow_packing=True, max_candidates=6
+        )
+        reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
+        dev = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend,
+                               device="fake")
+        for candidate in candidates:
+            assert report_dict(reference.evaluate(candidate)) == report_dict(
+                dev.evaluate(candidate)
+            )
+        assert dev.stats["compiled_path"] == 0
+        assert dev.stats["fused_path"] > 0
 
     def test_chunk_matrix_uploaded_once_across_batches(self, fake_namespace):
         op = gemm(16, 16, 16)

@@ -37,9 +37,40 @@ class TestMergeBenchRecords:
         assert by_name["sweep_pipeline"]["candidates_per_sec"] == 42.0
         assert merged["created"] != existing["created"]
 
-    def test_default_bench_json_is_repo_root(self):
+    def test_bench_json_is_opt_in(self, tmp_path, monkeypatch):
+        # Without --bench-json a session that collected records writes no
+        # file, so test runs never rewrite the committed BENCH_engine.json.
         conftest = load_module("conftest.py", "repro_root_conftest2")
-        assert conftest.DEFAULT_BENCH_JSON == REPO_ROOT / "BENCH_engine.json"
+        options = {}
+
+        class Parser:
+            def addoption(self, name, **kwargs):
+                options[name] = kwargs
+
+        conftest.pytest_addoption(Parser())
+        assert options["--bench-json"]["default"] is None
+
+        record = {"benchmark": "engine_sweep_gemm48x100", "fused_speedup": 2.4}
+
+        class Config:
+            def __init__(self, target):
+                self.stash = {conftest.BENCH_RECORDS_KEY: [record]}
+                self.target = target
+
+            def getoption(self, name):
+                assert name == "--bench-json"
+                return self.target
+
+        class Session:
+            def __init__(self, target):
+                self.config = Config(target)
+
+        monkeypatch.chdir(tmp_path)
+        conftest.pytest_sessionfinish(Session(None), 0)
+        assert list(tmp_path.iterdir()) == []
+        target = tmp_path / "bench.json"
+        conftest.pytest_sessionfinish(Session(str(target)), 0)
+        assert json.loads(target.read_text())["records"] == [record]
 
 
 class TestRegressionChecker:
