@@ -7,18 +7,12 @@ committed ``BENCH_engine.json`` baseline.
 Two metrics are compared against the tolerance (default 20%):
 
 * ``fused_candidates_per_sec`` — the absolute throughput headline, and
-* ``fused_speedup`` — fused-vs-affine measured in the *same* run, which is
-  machine-class invariant.
+* ``fused_speedup_vs_interp`` — fused-vs-interp measured in the *same* run,
+  which is machine-class invariant.
 
-Two structural invariants are additionally asserted on the *current* file
-alone: when the zero-copy benchmark records ``parallel_speedup`` (the
-adaptive ``jobs=2`` path versus serial), a sweep slower than serial beyond
-the 5% timer-noise floor fails outright — the parallel path must never be a
-pessimisation again, whatever the runner class.  (The tuner guarantees this
-structurally by declining a pool the batch cannot amortise, so the ratio
-sits at parity or better; well under parity means the decision logic broke.)
-And when the fleet benchmark records ``fleet_speedup`` (3 replicas versus 1
-with an injected per-lease delay), a ratio under 1.4 fails outright — the
+One structural invariant is additionally asserted on the *current* file
+alone: when the fleet benchmark records ``fleet_speedup`` (3 replicas versus
+1 with an injected per-lease delay), a ratio under 1.4 fails outright — the
 coordinator's lease dispatch must overlap across replicas, and the injected
 delay makes that ratio machine-class invariant too.
 
@@ -41,7 +35,6 @@ import json
 import sys
 
 DEFAULT_BENCHMARK = "engine_sweep_gemm48x100"
-PARALLEL_BENCHMARK = "engine_sweep_parallel_zero_copy_gemm48x40"
 
 
 def load_records(path: str) -> dict[str, dict]:
@@ -73,8 +66,6 @@ def compare(name: str, baseline: float, current: float, tolerance: float) -> boo
     return ok
 
 
-PARALLEL_NOISE_FLOOR = 0.95
-
 FLEET_BENCHMARK = "fleet_gemm48"
 #: The delay-injected 3-replica dispatch overlap sits near 3x by
 #: construction (6 half-second leases, three in flight); 1.4 leaves ample
@@ -85,9 +76,9 @@ FLEET_NOISE_FLOOR = 1.4
 
 def check_fleet_speedup(current_records: dict[str, dict]) -> bool:
     """Fleet lease dispatch must overlap across replicas; returns True when
-    sound.  Like the parallel gate, this is structural on the *current* run
-    alone: the injected per-lease delay makes the ratio machine-class
-    invariant, so no baseline comparison is needed."""
+    sound.  This is structural on the *current* run alone: the injected
+    per-lease delay makes the ratio machine-class invariant, so no baseline
+    comparison is needed."""
     record = current_records.get(FLEET_BENCHMARK)
     if record is None or "fleet_speedup" not in record:
         print(f"no {FLEET_BENCHMARK!r} fleet_speedup in the current run; "
@@ -101,22 +92,6 @@ def check_fleet_speedup(current_records: dict[str, dict]) -> bool:
     return ok
 
 
-def check_parallel_speedup(current_records: dict[str, dict]) -> bool:
-    """The adaptive jobs=2 path must not be slower than serial (modulo timer
-    noise); returns True when sound."""
-    record = current_records.get(PARALLEL_BENCHMARK)
-    if record is None or "parallel_speedup" not in record:
-        print(f"no {PARALLEL_BENCHMARK!r} parallel_speedup in the current run; "
-              "parallel gate skipped")
-        return True
-    speedup = float(record["parallel_speedup"])
-    ok = speedup >= PARALLEL_NOISE_FLOOR
-    print(f"{PARALLEL_BENCHMARK}.parallel_speedup: {speedup:.2f} "
-          f"(floor {PARALLEL_NOISE_FLOOR}) "
-          f"-> {'ok' if ok else 'parallel slower than serial'}")
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
@@ -126,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--benchmark", default=DEFAULT_BENCHMARK)
     parser.add_argument("--field", default="fused_candidates_per_sec",
                         help="absolute throughput field")
-    parser.add_argument("--ratio-field", default="fused_speedup",
+    parser.add_argument("--ratio-field", default="fused_speedup_vs_interp",
                         help="machine-invariant ratio field (empty to disable)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional drop before failing (0.20 = 20%%)")
@@ -137,14 +112,6 @@ def main(argv=None) -> int:
         print(f"error: {args.current} has no benchmark records")
         return 2
     baseline_records = load_records(args.baseline)
-
-    if not check_parallel_speedup(current_records):
-        print(
-            "a warm jobs=2 sweep ran slower than serial: the parallel "
-            "dispatch path is a pessimisation again; investigate before "
-            "merging"
-        )
-        return 1
 
     if not check_fleet_speedup(current_records):
         print(
@@ -192,7 +159,7 @@ def main(argv=None) -> int:
 
     if ratio_ok is False:
         print(
-            f"the machine-invariant fused-vs-affine ratio regressed more than "
+            f"the machine-invariant fused-vs-interp ratio regressed more than "
             f"{args.tolerance:.0%} versus the committed baseline — a code "
             "regression, whatever the runner class; investigate before merging"
         )
@@ -207,7 +174,7 @@ def main(argv=None) -> int:
     if not absolute_ok:
         print(
             "absolute throughput is below the committed baseline but the "
-            "fused-vs-affine ratio is healthy: machine-class difference, "
+            "fused-vs-interp ratio is healthy: machine-class difference, "
             "not a regression (refresh BENCH_engine.json from this machine "
             "class to tighten the gate)"
         )

@@ -28,7 +28,6 @@ from repro.core.analyzer import analyze
 from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import OBJECTIVES
 from repro.dataflows.catalog import all_entries, get_dataflow
-from repro.core.xp import namespace_probes, resolve_namespace
 from repro.errors import ExplorationError
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pruning import pruned_candidates
@@ -111,23 +110,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         bandwidth_bits=args.bandwidth,
     )
     shard = parse_shard(args.shard) if args.shard else None
-    try:
-        explorer = DesignSpaceExplorer(
-            op,
-            arch,
-            objective=args.objective,
-            max_instances=args.max_instances,
-            jobs=args.jobs,
-            backend=args.backend,
-            device=args.device,
-            batch_size=args.batch_size,
-            tune="auto" if args.tune else "off",
-        )
-    except ExplorationError as error:
-        # Most commonly a capability error from --device: the message lists
-        # the available namespaces.
-        print(f"tenet explore: error: {error}", file=sys.stderr)
-        return 1
+    explorer = DesignSpaceExplorer(
+        op,
+        arch,
+        objective=args.objective,
+        max_instances=args.max_instances,
+        jobs=args.jobs,
+        backend=args.backend,
+        batch_size=args.batch_size,
+    )
     candidates = pruned_candidates(
         op,
         pe_dims=tuple(args.pe),
@@ -147,10 +138,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         checkpoint_fsync=args.checkpoint_fsync if args.checkpoint_fsync > 0 else None,
     )
     print(result.summary(count=args.top))
-    if explorer.engine.tuner is not None:
-        # Lock in whatever was measured so --profile/--profile-json report
-        # final decisions, not a mid-calibration snapshot.
-        explorer.engine.tuner.finalize()
     stats = explorer.engine.stats
     cache_stats = explorer.engine.cache_stats()
     print(
@@ -173,29 +160,20 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         total = sum(stages.values()) or 1.0
         print(
             "profile (per-stage wall clock, workers included; "
-            f"backend={engine.backend.name}, "
-            f"namespace={engine.xp.name}:{engine.xp.device}):"
+            f"backend={engine.backend.name}):"
         )
         for name, seconds in sorted(stages.items(), key=lambda kv: -kv[1]):
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
             key: stats[key]
-            for key in ("fused_path", "compiled_path", "bitset_path",
-                        "reference_path", "spacetime_hits", "stamp_fallback_exprs")
+            for key in ("fused_path", "compiled_path", "reference_path",
+                        "stamp_fallback_exprs")
             if stats.get(key)
         }
         if kernel_stats:
             print(f"  kernels: {kernel_stats}")
-        if explorer.engine.tuner is not None:
-            decisions = explorer.engine.tuner.decisions
-            print("  tuning decisions:")
-            for decision in decisions or ["(calibration incomplete)"]:
-                print(f"    - {decision}")
     if args.profile_json:
         engine = explorer.engine
-        tuner = engine.tuner
-        if tuner is not None:
-            tuner.finalize()
         payload = {
             "command": "explore",
             "kernel": args.kernel,
@@ -203,7 +181,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "objective": args.objective,
             "backend_requested": args.backend,
             "backend": engine.backend_name,
-            "namespace": f"{engine.xp.name}:{engine.xp.device}",
             "jobs": args.jobs,
             "stages": {k: round(v, 6) for k, v in engine.profile().items()},
             "stats": dict(engine.stats),
@@ -218,7 +195,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "batches": result.batches,
                 "seconds": round(result.seconds, 6),
             },
-            "tuning": tuner.profile_dict() if tuner is not None else None,
         }
         with open(args.profile_json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -226,28 +202,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_banner(args: argparse.Namespace) -> None:
-    """Advertise device capabilities on startup (stderr, like the bind line)."""
-    probes = namespace_probes()
-    detail = ", ".join(
-        f"{name}={'yes (' + note + ')' if ok else 'no'}"
-        for name, (ok, note) in sorted(probes.items())
-    )
-    print(
-        f"tenet serve: backend={args.backend} device={args.device}; "
-        f"array namespaces: {detail}",
-        file=sys.stderr,
-        flush=True,
-    )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    _serve_banner(args)
-    try:
-        resolve_namespace(args.device)
-    except ExplorationError as error:
-        print(f"tenet serve: error: {error}", file=sys.stderr)
-        return 1
     if args.listen is not None:
         host, port = parse_listen(args.listen)
 
@@ -263,13 +218,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port,
             jobs=args.jobs,
             backend=args.backend,
-            device=args.device,
             batch_size=args.batch_size,
             max_workers=args.workers,
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
             request_timeout=args.request_timeout,
-            tune="auto" if args.tune else "off",
             checkpoint_root=args.checkpoint_root,
             announce=announce,
         )
@@ -286,13 +239,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             iter_lines(stream),
             jobs=args.jobs,
             backend=args.backend,
-            device=args.device,
             batch_size=args.batch_size,
             max_workers=args.workers,
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
             request_timeout=args.request_timeout,
-            tune="auto" if args.tune else "off",
             checkpoint_root=args.checkpoint_root,
         )
     finally:
@@ -408,32 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--objective", default="latency", choices=sorted(OBJECTIVES),
                          help="ranking objective")
     explore.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES),
-                         help="evaluation backend: auto is the batch-fused hot path "
-                              "with per-tensor bit-set fallback, interp the interpreted "
-                              "baseline, affine the PR 2 compiled backend, bitset the "
-                              "packed-word membership kernel, fused the pure batch-"
-                              "fused backend")
-    explore.add_argument("--device", default="numpy", metavar="NAME[:DEV]",
-                         help="array namespace the compiled kernels evaluate on "
-                              "(numpy, torch, torch:cuda, cupy, ...); results are "
-                              "bit-identical across devices, unavailable namespaces "
-                              "fail with a capability error listing what is "
-                              "available")
+                         help="evaluation backend: fused is the batch-fused compiled "
+                              "path and auto its alias, interp the interpreted "
+                              "reference; reports are bit-identical either way")
     explore.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the sweep (1 = serial)")
     explore.add_argument("--top", type=int, default=5,
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")
-    explore.add_argument("--tune", action=argparse.BooleanOptionalAction, default=False,
-                         help="measurement-driven auto-tuning: calibrate backend/batch "
-                              "size/jobs on the sweep's first batches and order "
-                              "candidates best-first from checkpointed history; "
-                              "never changes which reports are produced, only "
-                              "evaluation order and speed (--no-tune pins the "
-                              "static defaults)")
     explore.add_argument("--profile-json", default=None, metavar="PATH",
-                         help="write per-stage timers, engine stats and tuner "
-                              "decisions as JSON to PATH (machine-readable "
+                         help="write per-stage timers, engine stats and sweep "
+                              "counters as JSON to PATH (machine-readable "
                               "--profile, diffable in CI)")
     explore.add_argument("--profile", action="store_true",
                          help="print the per-stage timing breakdown (materialise / "
@@ -492,16 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a structured 'code: timeout' reply instead of "
                             "hanging its connection (default: no watchdog)")
     serve.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES))
-    serve.add_argument("--device", default="numpy", metavar="NAME[:DEV]",
-                       help="array namespace for every warm engine (see "
-                            "'tenet explore --device')")
     serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument("--tune", action=argparse.BooleanOptionalAction, default=False,
-                       help="auto-tune warm engines: calibrate on each engine's "
-                            "first request, re-batch later requests from the "
-                            "measurements, and shed load when the measured "
-                            "request rate predicts hopeless queue waits; "
-                            "results are bit-identical either way")
     serve.add_argument("--checkpoint-root", default=None, metavar="DIR",
                        help="directory for server-side JSONL sweep checkpoints; "
                             "requests may then name a checkpoint (relative, "
@@ -556,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica is evicted")
     fleet.add_argument("--replica-args", nargs=argparse.REMAINDER, default=[],
                        help="remaining arguments are passed to each spawned "
-                            "'tenet serve' (e.g. -- --jobs 2 --tune)")
+                            "'tenet serve' (e.g. -- --jobs 2)")
     fleet.set_defaults(handler=_cmd_fleet)
 
     merge = subparsers.add_parser(

@@ -33,7 +33,6 @@ from repro.core.engine import (
     dataflow_signature,
 )
 from repro.core.notation import dataflow_shorthand, parse_shorthand_name
-from repro.core.tuning import AutoTuner, ScoreRanker
 
 __all__ = [
     "Dataflow",
@@ -57,6 +56,4 @@ __all__ = [
     "dataflow_signature",
     "dataflow_shorthand",
     "parse_shorthand_name",
-    "AutoTuner",
-    "ScoreRanker",
 ]

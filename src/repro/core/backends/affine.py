@@ -1,77 +1,47 @@
-"""Compiled affine stamp kernels for batched sweeps.
+"""Compiled stamp kernels and the compiled group-layout volume kernel.
 
 The interpreted hot path walks every candidate's quasi-affine expression trees
-once per candidate (`AffExpr.evaluate_vec`).  This module compiles the batch
-instead:
+once per candidate (`AffExpr.evaluate_vec`).  The compiled backend
+(:class:`repro.core.backends.fused.FusedBackend`) compiles the batch instead,
+with the building blocks of this module:
 
 * :func:`lower_expr` turns a quasi-affine expression into one row of an
   integer coefficient matrix over the loop dimensions plus *derived columns*
   (one per distinct ``floor``/``mod``/``abs`` term with an affine argument).
   Expressions with nested quasi terms do not lower and fall back to the
   interpreter, so results stay bit-identical.
-* :class:`CompiledExprSet` / :class:`CompiledEvaluator` evaluate all compiled
-  rows of a candidate window with a single ``chunk_matrix @ C.T`` matmul over
-  the cached domain chunk.  The matmul runs in float64 (BLAS); rows whose
-  interval bounds do not fit float64 exactly are evaluated with exact int64
-  accumulation instead, so the speedup never costs precision.
+* :class:`CompiledExprSet` / :class:`CompiledEvaluator` evaluate compiled rows
+  with a single ``coeffs @ chunk_matrix.T`` matmul over the cached domain
+  chunk.  The matmul runs in float64 (BLAS); rows whose interval bounds do
+  not fit float64 exactly are evaluated with exact int64 accumulation
+  instead, so the speedup never costs precision.
 * :class:`GroupLayout` caches the candidate-invariant part of the volume
   kernel per (space-stamp signature, tensor): the (PE, element) group sort
   permutation, dense group ids, and per-interconnect-slot source groups.
   With it, :func:`compiled_group_volume_metrics` reduces each candidate's
   Table II counting to one narrow-key sort plus shifted-equality and
-  membership tests — the same exact counts as the group-major kernel.
+  membership tests — the same exact counts as the reference kernel.  It is
+  the compiled backend's fallback for the layouts the fused kernel refuses.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.arch.pe_array import PEArray
-from repro.core.backends.base import BatchStampProvider, EngineBackend
-from repro.core.dataflow import Dataflow
 from repro.core.volumes import VolumeMetrics
-from repro.errors import DataflowError, SpaceError
+from repro.errors import SpaceError
 from repro.isl.enumeration import sorted_unique
 from repro.isl.expr import Abs, AffExpr, FloorDiv, Mod
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import OpRelations, TensorRelations
+    from repro.core.engine import TensorRelations
 
 #: int64 values below this magnitude are represented exactly by float64.
 _FLOAT_EXACT = 1 << 53
-
-#: Process-wide thread pool for per-tensor volume kernels.  The kernels are
-#: pure numpy whose heavy operations (sort, searchsorted, bincount) release
-#: the GIL, so one candidate's tensors run concurrently.  Shared and lazy so
-#: the many short-lived engines in tests do not each spawn threads.  Keyed by
-#: PID: a pool inherited across ``fork`` (the ``jobs>1`` sweep workers) has
-#: no live threads and would deadlock, so each process builds its own.
-_VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
-_CPU_COUNT = os.cpu_count() or 1
-
-
-def _volume_pool() -> ThreadPoolExecutor | None:
-    global _VOLUME_POOL
-    if _CPU_COUNT < 2:
-        return None
-    pid = os.getpid()
-    if _VOLUME_POOL is None or _VOLUME_POOL[0] != pid:
-        _VOLUME_POOL = (
-            pid,
-            ThreadPoolExecutor(
-                max_workers=min(4, _CPU_COUNT),
-                thread_name_prefix="tenet-volume",
-            ),
-        )
-    return _VOLUME_POOL[1]
-
 
 def _evict_lru(cache: OrderedDict, max_entries: int, max_bytes: int, nbytes) -> None:
     """Shared LRU budget: drop oldest entries past a count or byte cap."""
@@ -229,9 +199,6 @@ class CompiledEvaluator:
         exprs: CompiledExprSet,
         domain: Mapping[str, np.ndarray],
         length: int,
-        *,
-        xp=None,
-        on_transfer=None,
     ):
         self.exprs = exprs
         self.domain = domain
@@ -240,14 +207,6 @@ class CompiledEvaluator:
         self.derived_cols = [col.evaluate(self.base, length) for col in exprs.derived]
         self.derived_bounds = [col.bounds(exprs.dim_bounds) for col in exprs.derived]
         self._matrix: np.ndarray | None = None
-        #: Device namespace for the stacked matmul; ``None`` keeps the classic
-        #: numpy path byte-for-byte (the host namespace needs no uploads).
-        self.xp = None if xp is None or xp.is_numpy else xp
-        self._on_transfer = on_transfer
-        #: Chunk columns resident on the device, uploaded once per relations
-        #: object (candidate-invariant) and re-uploaded only when new derived
-        #: columns widen the matrix.
-        self._device_matrix = None
         self._row_values: OrderedDict[int, np.ndarray] = OrderedDict()
         self._interp_values: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -258,7 +217,6 @@ class CompiledEvaluator:
                 self.derived_cols.append(column.evaluate(self.base, self.length))
                 self.derived_bounds.append(column.bounds(self.exprs.dim_bounds))
             self._matrix = None
-            self._device_matrix = None
 
     def _float_matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -268,37 +226,7 @@ class CompiledEvaluator:
                 matrix[:, j] = column
             matrix[:, -1] = 1.0
             self._matrix = matrix
-            self._device_matrix = None
         return self._matrix
-
-    def _note_transfer(self, started: float) -> None:
-        if self._on_transfer is not None:
-            self._on_transfer(time.perf_counter() - started)
-
-    def _device_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """The stacked matmul on the device namespace, result back on host.
-
-        The coefficient block covers every deduplicated row of the current
-        batch window, so the host->device coefficient upload happens once per
-        batch, not once per candidate.  Values are integers below the float64
-        exactness bound (the caller filtered on ``_row_magnitude``), so the
-        int64 conversion on device and the copy back are bit-identical to the
-        host matmul.
-        """
-        xp = self.xp
-        matrix = self._float_matrix()
-        if self._device_matrix is None:
-            started = time.perf_counter()
-            self._device_matrix = xp.asarray(np.ascontiguousarray(matrix.T))
-            self._note_transfer(started)
-        started = time.perf_counter()
-        device_coeffs = xp.asarray(coeffs)
-        self._note_transfer(started)
-        product = xp.astype(xp.matmul(device_coeffs, self._device_matrix), "int64")
-        started = time.perf_counter()
-        values = np.ascontiguousarray(xp.to_host(product))
-        self._note_transfer(started)
-        return values
 
     def _row_magnitude(self, row_id: int) -> int:
         base, const, derived = self.exprs.rows[row_id]
@@ -362,10 +290,7 @@ class CompiledEvaluator:
                     coeffs[j, len(self.base) + index] += coeff
                 coeffs[j, -1] = const
             # Row-major result: one contiguous int64 conversion, then row views.
-            if self.xp is None:
-                values = (coeffs @ self._float_matrix().T).astype(np.int64)
-            else:
-                values = self._device_values(coeffs)
+            values = (coeffs @ self._float_matrix().T).astype(np.int64)
             for j, rid in enumerate(safe):
                 fresh[rid] = values[j]
         self._remember_rows(fresh)
@@ -650,368 +575,3 @@ def compiled_group_volume_metrics(
         spatial_reuse=spatial_count,
         footprint=footprint,
     )
-
-
-# -- batched stamp provider ------------------------------------------------------
-
-
-class _AffineBatchStamps(BatchStampProvider):
-    """Windowed, matmul-batched stamp evaluation for a list of candidates."""
-
-    def __init__(
-        self,
-        backend: "AffineBackend",
-        relations: "OpRelations",
-        dataflows: Sequence[Dataflow],
-        pe_array: PEArray,
-    ):
-        self.backend = backend
-        self.relations = relations
-        self.pe_array = pe_array
-        self.dataflows = list(dataflows)
-        # The expression set and evaluator are backend-owned and shared across
-        # batches: row values, derived columns and the float matrix persist,
-        # so overlapping sweeps and repeated single-candidate evaluations pay
-        # for each distinct expression once.
-        self.exprs, self._evaluator = backend.compiled_for(relations)
-        self._time_plans: list[list[tuple[str, int]]] = []
-        self._pe_plans: list[list[tuple[str, int]] | None] = []
-        for dataflow in self.dataflows:
-            self._time_plans.append([self.exprs.add(e) for e in dataflow.time_exprs])
-            if backend.pe_signature(dataflow) in backend._pe_memo:
-                self._pe_plans.append(None)
-            else:
-                self._pe_plans.append([self.exprs.add(e) for e in dataflow.pe_exprs])
-        self._values: dict[int, np.ndarray] = {}
-        self._window = (0, 0)
-        # Bound transient stamp memory: at most ~8M matrix cells per window.
-        self._rows_per_window = max(4, 8_000_000 // max(1, relations.total))
-
-    def _ensure_window(self, position: int) -> None:
-        lo, hi = self._window
-        if lo <= position < hi:
-            return
-        lo = position
-        hi = position
-        row_ids: set[int] = set()
-        while hi < len(self.dataflows) and (
-            hi == lo or len(row_ids) < self._rows_per_window
-        ):
-            for kind, index in self._time_plans[hi]:
-                if kind == "row":
-                    row_ids.add(index)
-            plan = self._pe_plans[hi]
-            if plan is not None and self.backend.pe_signature(self.dataflows[hi]) not in self.backend._pe_memo:
-                row_ids.update(index for kind, index in plan if kind == "row")
-            hi += 1
-        self._values = self._evaluator.evaluate_rows(sorted(row_ids))
-        self._window = (lo, hi)
-
-    def _column(self, kind: str, index: int) -> np.ndarray:
-        if kind == "row":
-            column = self._values.get(index)
-            if column is None:
-                # The current window excluded this row (e.g. a PE signature
-                # memoised when the window was built but evicted since); the
-                # evaluator's row memo keeps the one-off evaluation cheap.
-                column = self._evaluator.evaluate_rows([index])[index]
-            return column
-        self.backend.engine.stats["stamp_fallback_exprs"] += 1
-        return self._evaluator.evaluate_interp(index)
-
-    def _pe_lin(self, position: int) -> np.ndarray:
-        dataflow = self.dataflows[position]
-        signature = self.backend.pe_signature(dataflow)
-        memo = self.backend._pe_memo
-        cached = memo.get(signature, _MISSING)
-        if cached is not _MISSING:
-            memo.move_to_end(signature)
-            if cached is None:
-                raise DataflowError(
-                    f"dataflow {dataflow.name!r} maps instances outside the "
-                    f"{self.pe_array} array"
-                )
-            return cached
-        plan = self._pe_plans[position]
-        if plan is None:  # memoised when the plan was built, evicted since
-            plan = [self.exprs.add(e) for e in dataflow.pe_exprs]
-            self._pe_plans[position] = plan
-            # Force re-evaluation including the new rows (the evaluator picks
-            # up any new derived columns itself).
-            self._window = (0, 0)
-        self._ensure_window(position)
-        pe_lin = np.zeros(self.relations.total, dtype=np.int64)
-        for extent, (kind, index) in zip(self.pe_array.dims, plan):
-            column = self._column(kind, index)
-            if (column < 0).any() or (column >= extent).any():
-                self.backend.remember_pe(signature, None)
-                raise DataflowError(
-                    f"dataflow {dataflow.name!r} maps instances outside the "
-                    f"{self.pe_array} array"
-                )
-            pe_lin = pe_lin * extent + column
-        self.backend.remember_pe(signature, pe_lin)
-        return pe_lin
-
-    def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        from repro.core.engine import _rank_keys
-
-        dataflow = self.dataflows[position]
-        self._ensure_window(position)
-        pe_lin = self._pe_lin(position)
-        bounds = self.relations.inclusive_bounds
-        time_key: np.ndarray | None = None
-        for expr, (kind, index) in zip(dataflow.time_exprs, self._time_plans[position]):
-            lo, hi = expr.bounds(bounds)
-            extent = hi - lo + 1
-            column = self._column(kind, index)
-            if time_key is None:
-                time_key = column - lo  # owned copy; columns stay cached
-            else:
-                time_key *= extent
-                time_key += column
-                if lo:
-                    time_key -= lo
-        if time_key is None:
-            time_key = np.zeros(self.relations.total, dtype=np.int64)
-        return pe_lin, _rank_keys(time_key)
-
-
-_MISSING = object()
-
-
-# -- the backend -----------------------------------------------------------------
-
-
-class AffineBackend(EngineBackend):
-    """Compiled stamps plus the group-layout volume kernel.
-
-    ``bitset_mode`` controls the dense bit-set membership kernel (see
-    :mod:`repro.core.backends.bitset`): ``"never"`` (pure affine backend),
-    ``"auto"`` (use it for tensors whose packed occupancy is smaller than the
-    pair array — the small-op regime) or ``"always"`` (use it whenever it is
-    exact and fits memory).  Infeasible cases chain down to the compiled
-    grouped kernel, then the PR 1 grouped kernel, then the reference kernel.
-    """
-
-    name = "affine"
-
-    #: Memory caps for the per-engine memos.
-    _PE_MEMO_ENTRIES, _PE_MEMO_BYTES = 64, 256 << 20
-    _LAYOUT_ENTRIES, _LAYOUT_BYTES = 32, 256 << 20
-
-    def __init__(self, engine, *, bitset_mode: str = "never"):
-        super().__init__(engine)
-        self.bitset_mode = bitset_mode
-        self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
-        self._layout_memo: OrderedDict[tuple, GroupLayout | None] = OrderedDict()
-        #: Per-candidate int32 rank cache shared by the tensors' volume calls;
-        #: the strong reference keeps the keyed array's identity stable.
-        self._rank32: tuple[np.ndarray, np.ndarray] | None = None
-        #: Shared (expression set, evaluator) per cached-relations object.
-        self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
-
-    def _add_transfer_seconds(self, seconds: float) -> None:
-        stage = self.engine.stage_seconds
-        stage["transfer"] = stage.get("transfer", 0.0) + seconds
-
-    def compiled_for(self, relations) -> tuple[CompiledExprSet, CompiledEvaluator]:
-        """The backend-wide compiled expression set for one relations object."""
-        cached = self._compiled
-        if cached is not None and cached[0] is relations:
-            return cached[1], cached[2]
-        exprs = CompiledExprSet(self.engine.op.loop_dims, relations.inclusive_bounds)
-        evaluator = CompiledEvaluator(
-            exprs,
-            relations.domain,
-            relations.total,
-            xp=self.engine.xp,
-            on_transfer=self._add_transfer_seconds,
-        )
-        self._compiled = (relations, exprs, evaluator)
-        return exprs, evaluator
-
-    # -- stamps -----------------------------------------------------------------
-
-    @staticmethod
-    def pe_signature(dataflow: Dataflow) -> tuple[str, ...]:
-        signature = getattr(dataflow, "_pe_signature", None)
-        if signature is None:
-            signature = tuple(str(e) for e in dataflow.pe_exprs)
-            dataflow._pe_signature = signature
-        return signature
-
-    def remember_pe(self, signature: tuple, pe_lin: np.ndarray | None) -> None:
-        memo = self._pe_memo
-        memo[signature] = pe_lin
-        memo.move_to_end(signature)
-        _evict_lru(
-            memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
-            lambda a: a.nbytes if a is not None else 0,
-        )
-
-    def prepare_batch(self, relations, dataflows, pe_array):
-        return _AffineBatchStamps(self, relations, dataflows, pe_array)
-
-    def utilization(self, pe_lin, t_rank, num_pes):
-        """Dense-histogram utilization with the injective shortcut enabled."""
-        from repro.core.engine import _utilization_dense
-
-        return _utilization_dense(pe_lin, t_rank, num_pes, injective_shortcut=True)
-
-    def stamps(self, relations, dataflow, pe_array):
-        return _AffineBatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
-
-    # -- volumes ----------------------------------------------------------------
-
-    def _layout(self, tensor: str, dataflow: Dataflow, pe_lin, relations) -> GroupLayout | None:
-        key = (self.pe_signature(dataflow), tensor)
-        memo = self._layout_memo
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        layout = build_group_layout(
-            pe_lin,
-            relations.tensors[tensor],
-            self.engine._predecessor_table,
-            self.engine._spacetime.spatial_interval,
-        )
-        memo[key] = layout
-        _evict_lru(
-            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,
-            lambda v: v.nbytes() if v is not None else 0,
-        )
-        return layout
-
-    def _rank32_for(self, t_rank: np.ndarray) -> np.ndarray:
-        cached = self._rank32
-        if cached is not None and cached[0] is t_rank:
-            return cached[1]
-        rank32 = t_rank.astype(np.int32)
-        self._rank32 = (t_rank, rank32)
-        return rank32
-
-    def _volume_sorted(
-        self, tensor, layout, t_rank, relations, assume_unique, rank_span, rank32,
-    ) -> tuple[VolumeMetrics, str] | None:
-        """The sort-based kernel chain for one tensor, after the bit-set try.
-
-        Subclasses insert faster sort-based kernels here (the fused backend's
-        windowed kernel chains to this one); the bit-set dispatch stays in
-        :meth:`_volume_one` so its gating exists in exactly one place.
-        """
-        engine = self.engine
-        metrics = compiled_group_volume_metrics(
-            tensor,
-            layout,
-            t_rank,
-            spatial_interval=engine._spacetime.spatial_interval,
-            temporal_interval=engine.temporal_interval,
-            footprint=relations.tensors[tensor].footprint,
-            assume_unique=assume_unique,
-            rank_span=rank_span,
-            rank32=rank32,
-        )
-        if metrics is not None:
-            return metrics, "compiled_path"
-        return None
-
-    def _volume_one(
-        self, tensor, layout, pe_lin, t_rank, relations, assume_unique,
-        rank_span, rank32,
-    ) -> tuple[VolumeMetrics | None, str | None]:
-        """Kernel chain for one tensor: (metrics-or-None, stats key).
-
-        Pure with respect to backend state (layout and rank32 are passed in),
-        so several tensors of one candidate can run concurrently.
-        """
-        engine = self.engine
-        footprint = relations.tensors[tensor].footprint
-        if layout is not None:
-            if self.bitset_mode != "never":
-                from repro.core.backends.bitset import bitset_volume_metrics
-
-                metrics = bitset_volume_metrics(
-                    tensor,
-                    layout,
-                    t_rank,
-                    spatial_interval=engine._spacetime.spatial_interval,
-                    temporal_interval=engine.temporal_interval,
-                    footprint=footprint,
-                    assume_unique=assume_unique,
-                    mode=self.bitset_mode,
-                    rank_span=rank_span,
-                )
-                if metrics is not None:
-                    return metrics, "bitset_path"
-            sorted_result = self._volume_sorted(
-                tensor, layout, t_rank, relations, assume_unique, rank_span, rank32
-            )
-            if sorted_result is not None:
-                return sorted_result
-        from repro.core.engine import _grouped_volume_metrics
-
-        metrics = _grouped_volume_metrics(
-            tensor,
-            pe_lin,
-            t_rank,
-            relations.tensors[tensor],
-            engine._predecessor_table,
-            engine.arch.pe_array.size,
-            spatial_interval=engine._spacetime.spatial_interval,
-            temporal_interval=engine.temporal_interval,
-            assume_unique=assume_unique,
-        )
-        return metrics, None
-
-    def volume_metrics(
-        self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None,
-    ):
-        layout = self._layout(tensor, dataflow, pe_lin, relations)
-        metrics, path = self._volume_one(
-            tensor, layout, pe_lin, t_rank, relations, assume_unique,
-            rank_span, self._rank32_for(t_rank),
-        )
-        if path is not None:
-            self.engine.stats[path] += 1
-        return metrics
-
-    def volume_metrics_many(
-        self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None,
-    ):
-        tensors = list(tensors)
-        # Memo mutation happens serially up front; the kernels below only
-        # read shared arrays.
-        layouts = {
-            tensor: self._layout(tensor, dataflow, pe_lin, relations)
-            for tensor in tensors
-        }
-        rank32 = self._rank32_for(t_rank)
-        results: dict[str, VolumeMetrics | None] = {}
-        pool = _volume_pool() if (
-            len(tensors) > 1 and relations.total >= (1 << 16)
-        ) else None
-        if pool is not None:
-            futures = {
-                tensor: pool.submit(
-                    self._volume_one, tensor, layouts[tensor], pe_lin, t_rank,
-                    relations, assume_unique, rank_span, rank32,
-                )
-                for tensor in tensors
-            }
-            outcomes = {tensor: future.result() for tensor, future in futures.items()}
-        else:
-            outcomes = {
-                tensor: self._volume_one(
-                    tensor, layouts[tensor], pe_lin, t_rank, relations,
-                    assume_unique, rank_span, rank32,
-                )
-                for tensor in tensors
-            }
-        for tensor, (metrics, path) in outcomes.items():
-            if path is not None:
-                self.engine.stats[path] += 1
-            results[tensor] = metrics
-        return results

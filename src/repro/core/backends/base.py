@@ -5,13 +5,12 @@ A backend decides *how* the per-candidate hot path of a sweep is computed:
 * how the dataflow's space/time stamp columns are evaluated over the cached
   relation chunks (interpreted expression trees vs compiled coefficient
   matrices, candidate-by-candidate vs batched), and
-* which exact membership kernel counts the Table II volumes (the group-major
-  sort/adjacency kernel vs packed bit-set occupancy words).
+* which exact membership kernel counts the Table II volumes.
 
 Every backend is *exact*: reports are bit-identical across backends, so the
 choice is purely a performance decision.  Backends that cannot handle a case
 return ``None`` from :meth:`EngineBackend.volume_metrics` and the engine falls
-back to the reference kernel, exactly like the PR 1 fast path did.
+back to the reference kernel.
 """
 
 from __future__ import annotations
@@ -45,19 +44,23 @@ class BatchStampProvider:
 class EngineBackend:
     """Stamp evaluation and volume kernels for one :class:`EvaluationEngine`.
 
-    Device contract: backends that compute through the engine's array
-    namespace (``engine.xp``, see :mod:`repro.core.xp`) must keep reports
-    bit-identical to the host namespace — integer-exact arithmetic on the
-    device, host-side assembly of every report field — and account any
-    host<->device copies into the engine's ``transfer`` stage timer.
-    Host-only backends simply ignore ``engine.xp``; the engine rejects
-    non-numpy devices for :class:`InterpBackend` up front.
+    A backend copies the few engine values its kernels read instead of
+    keeping the engine itself: an engine owns its backend, so a reference
+    back would form a cycle that keeps the engine and every memo in it
+    allocated after ``close()`` until the cyclic GC runs.  ``stats`` is the
+    engine's counter dict, shared so kernel-path counts land in it.
     """
 
     name = "base"
 
     def __init__(self, engine: "EvaluationEngine"):
-        self.engine = engine
+        self.materializer = engine.materializer
+        self.loop_dims = engine.op.loop_dims
+        self.predecessor_table = engine._predecessor_table
+        self.num_pes = engine.arch.pe_array.size
+        self.spatial_interval = engine._spacetime.spatial_interval
+        self.temporal_interval = engine.temporal_interval
+        self.stats = engine.stats
 
     # -- stamp evaluation -------------------------------------------------------
 
@@ -83,21 +86,6 @@ class EngineBackend:
         """
         return None
 
-    # -- spacetime-content memoisation -------------------------------------------
-
-    def spacetime_report(self, dataflow, pe_lin, t_rank):
-        """A finished report for this exact (PE, time-rank) map, or ``None``.
-
-        Structurally distinct candidates can assign identical spacetime
-        stamps; backends that fingerprint the stamp *content* (see
-        :class:`repro.core.backends.fused.FusedBackend`) replay the finished
-        report instead of recounting.  The default keeps no such memo.
-        """
-        return None
-
-    def spacetime_remember(self, dataflow, pe_lin, t_rank, report) -> None:
-        """Record a finished report for :meth:`spacetime_report` lookups."""
-
     # -- utilization -------------------------------------------------------------
 
     def utilization(
@@ -107,7 +95,7 @@ class EngineBackend:
         reference :func:`repro.core.utilization.compute_utilization`.
 
         The default is the dense-histogram kernel of the PR 1 engine; the
-        compiled backends add an injective shortcut on top.
+        compiled backend adds an injective shortcut on top.
         """
         from repro.core.engine import _utilization_dense
 
@@ -147,7 +135,7 @@ class EngineBackend:
         """Volume metrics for several tensors of one candidate.
 
         The default evaluates tensors one by one; backends may override to
-        batch (the compiled backends run the per-tensor kernels — pure numpy
+        batch (the compiled backend runs the per-tensor kernels — pure numpy
         whose heavy ops release the GIL — on a shared thread pool).
         """
         return {
@@ -170,13 +158,13 @@ class InterpBackend(EngineBackend):
     Stamps go through :meth:`RelationMaterializer.stamps` (one
     ``AffExpr.evaluate_vec`` tree walk per expression per candidate) and
     volumes through the group-major sort/adjacency kernel.  This backend is
-    the baseline the compiled backends are benchmarked against.
+    the reference the compiled backend is checked and benchmarked against.
     """
 
     name = "interp"
 
     def stamps(self, relations, dataflow, pe_array):
-        return self.engine.materializer.stamps(relations, dataflow, pe_array)
+        return self.materializer.stamps(relations, dataflow, pe_array)
 
     def volume_metrics(
         self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
@@ -184,15 +172,14 @@ class InterpBackend(EngineBackend):
     ):
         from repro.core.engine import _grouped_volume_metrics
 
-        metrics = _grouped_volume_metrics(
+        return _grouped_volume_metrics(
             tensor,
             pe_lin,
             t_rank,
             relations.tensors[tensor],
-            self.engine._predecessor_table,
-            self.engine.arch.pe_array.size,
-            spatial_interval=self.engine._spacetime.spatial_interval,
-            temporal_interval=self.engine.temporal_interval,
+            self.predecessor_table,
+            self.num_pes,
+            spatial_interval=self.spatial_interval,
+            temporal_interval=self.temporal_interval,
             assume_unique=assume_unique,
         )
-        return metrics

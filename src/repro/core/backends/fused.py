@@ -1,17 +1,15 @@
-"""Batch-fused evaluation: stacked stamp matmuls, windowed volume kernels and
-spacetime-content memoisation.
+"""The compiled backend: stacked stamp matmuls and windowed volume kernels.
 
-The affine backend already compiles stamp expressions to coefficient rows and
-caches the candidate-invariant (PE, element) group layout per space signature.
-Three further sources of redundancy remain in a sweep batch, and this backend
-removes them:
+:class:`FusedBackend` is the one compiled evaluation path (``fused``, and
+``auto``, its alias and the default).  It builds on the kernels of
+:mod:`repro.core.backends.affine` and removes two sources of redundancy from a
+sweep batch:
 
-* **Stacked stamps** — the affine provider evaluates compiled rows in small
-  windows (one matmul per ~8M matrix cells).  The fused provider stacks the
-  deduplicated coefficient rows of *every* candidate in the batch into one
-  coefficient matrix and evaluates the whole cached domain chunk with a single
-  float64-exact BLAS matmul; per-candidate stamp columns are row views of the
-  fused result.
+* **Stacked stamps** — the deduplicated coefficient rows of *every* candidate
+  in the batch stack into one coefficient matrix, and the whole cached domain
+  chunk is evaluated with a single float64-exact BLAS matmul (split only past
+  a memory budget); per-candidate stamp columns are row views of the result.
+  PE columns are memoised per space signature.
 * **Windowed volume kernels** — each dense (PE, element) group becomes one
   row of a ``(groups, m)`` rank matrix, ``m`` being the largest group, so the
   group-major sort degenerates to one segmented row sort, and spatial
@@ -20,44 +18,41 @@ removes them:
   Slots that share a source offset share one membership pass.  Uniform
   layouts (every group holds ``m`` pairs) fill the matrix exactly; ragged
   ones, such as conv layers cut at the input boundary, pad each row with a
-  sentinel rank that sorts last and never matches.  Multi-reference tensors,
-  non-injective candidates and layouts whose padding would more than double
-  the pair count fall back to the affine kernels, so counts stay
-  bit-identical.
-* **Spacetime memoisation** — structurally distinct candidates frequently
-  assign *identical* (PE, time-rank) columns (skewed variants of one family
-  often collapse onto the same rank order).  The engine memo cannot see that
-  (it keys on the expression signature), so the fused backend fingerprints the
-  rank column per space signature and replays the finished report — verified
-  by exact array comparison, never by hash alone — for candidates whose
-  spacetime map was already evaluated.
+  sentinel rank that sorts last and never matches.
 
-All three are pure performance transformations: reports are bit-identical to
-``interp``/``affine``/``bitset`` across the backend test matrix.
+Per tensor the kernels chain fused → :func:`compiled_group_volume_metrics`
+(multi-reference tensors, non-injective candidates, layouts whose padding
+would more than double the pair count) → the engine's reference kernel
+(temporal intervals outside the adjacency window).  Every step is exact, so
+reports are bit-identical to ``interp``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.arch.pe_array import PEArray
 from repro.core.backends.affine import (
-    AffineBackend,
+    CompiledEvaluator,
+    CompiledExprSet,
     GroupLayout,
-    _AffineBatchStamps,
     _evict_lru,
+    build_group_layout,
+    compiled_group_volume_metrics,
 )
+from repro.core.backends.base import BatchStampProvider, EngineBackend
+from repro.core.dataflow import Dataflow
 from repro.core.volumes import VolumeMetrics
-from repro.core.xp import ArrayNamespace, NumpyNamespace
+from repro.errors import DataflowError
 
-#: Kernel-level default: the host namespace, so the module stays importable
-#: and exact without an engine (unit tests drive the kernel directly).
-_HOST = NumpyNamespace()
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import OpRelations
 
 #: One fused stamp matmul may produce up to this many result cells before the
 #: provider splits the batch into several stacked evaluations.  The budget
@@ -69,6 +64,37 @@ _FUSED_MATMUL_CELLS = 16_000_000
 #: Windowed membership is used when the shifted-slice pass (2m - 1 comparisons)
 #: is cheaper than a searchsorted probe; beyond this block size it is not.
 _WINDOW_MAX_BLOCK = 16
+
+
+#: Process-wide thread pool for per-tensor volume kernels.  The kernels are
+#: pure numpy whose heavy operations (sort, searchsorted, bincount) release
+#: the GIL, so one candidate's tensors run concurrently.  Shared and lazy so
+#: the many short-lived engines in tests do not each spawn threads.  Keyed by
+#: PID: a pool inherited across ``fork`` (the ``jobs>1`` sweep workers) has
+#: no live threads and would deadlock, so each process builds its own.
+_VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
+_CPU_COUNT = os.cpu_count() or 1
+
+
+def _volume_pool() -> ThreadPoolExecutor | None:
+    global _VOLUME_POOL
+    if _CPU_COUNT < 2:
+        return None
+    pid = os.getpid()
+    if _VOLUME_POOL is None or _VOLUME_POOL[0] != pid:
+        _VOLUME_POOL = (
+            pid,
+            ThreadPoolExecutor(
+                max_workers=min(4, _CPU_COUNT),
+                thread_name_prefix="tenet-volume",
+            ),
+        )
+    return _VOLUME_POOL[1]
+
+
+def _scalar(value: int, narrow: bool):
+    """An integer scalar that keeps ``array op scalar`` in the array dtype."""
+    return np.int32(value) if narrow else np.int64(value)
 
 
 # -- fused layout ------------------------------------------------------------------
@@ -86,30 +112,8 @@ class FusedSlot:
     #: Validity (source group exists), shaped to broadcast over the
     #: ``(groups, block)`` matrix: ``(groups, block)`` or ``(groups, 1)``.
     valid: np.ndarray
-    #: Host-precomputed ``valid.any()`` so slot skipping never syncs a device.
+    #: Precomputed ``valid.any()``, so slot skipping costs nothing per candidate.
     valid_any: bool = True
-
-
-@dataclass
-class _DeviceLayout:
-    """The candidate-invariant layout arrays on one namespace's device.
-
-    On the host namespace these are the :class:`GroupLayout` and
-    :class:`FusedLayout` arrays themselves (no copies); on a device namespace
-    they are uploaded once per layout and stay resident across batches, so
-    per-candidate volume counting only moves the rank column.
-    """
-
-    #: Gather index over the rank column (int64 on device namespaces, whose
-    #: indexing requires it; the original int32 ``perm_mod`` on the host).
-    perm: Any
-    #: Real (non-padding) positions of the flattened matrix, or ``None``.
-    real: Any
-    #: Dense group id (int32), ``(groups, block)`` or ``(groups, 1)``.
-    dense: Any
-    #: Per-slot validity masks (bool) and dense-group offsets (int32).
-    slot_valid: list[Any]
-    slot_delta: list[Any]
 
 
 class FusedLayout:
@@ -125,7 +129,7 @@ class FusedLayout:
     per-pair data (group id, slot validity and offset) is kept once per group
     and broadcast over the block.  ``usable`` is ``False`` for collapsed
     multi-reference tensors and when padding would more than double the pair
-    count; callers then chain to the affine kernels.
+    count; callers then chain to the compiled kernel.
     """
 
     def __init__(self, layout: GroupLayout):
@@ -167,39 +171,6 @@ class FusedLayout:
                         bool(valid.any()),
                     )
                 )
-        #: Resident per-namespace device copies, keyed ``name:device``.
-        self._device: dict[str, _DeviceLayout] = {}
-
-    def device_arrays(self, xp: ArrayNamespace, on_transfer=None) -> _DeviceLayout:
-        """The layout arrays on ``xp``'s device, uploaded once and kept."""
-        if xp.is_numpy:
-            key = "numpy"
-        else:
-            key = f"{xp.name}:{xp.device}"
-        bundle = self._device.get(key)
-        if bundle is None:
-            layout = self.layout
-            if xp.is_numpy:
-                bundle = _DeviceLayout(
-                    perm=layout.perm_mod,
-                    real=self.real,
-                    dense=self.dense,
-                    slot_valid=[slot.valid for slot in self.slots],
-                    slot_delta=[slot.delta for slot in self.slots],
-                )
-            else:
-                started = time.perf_counter()
-                bundle = _DeviceLayout(
-                    perm=xp.asarray(layout.perm_mod, "int64"),
-                    real=None if self.real is None else xp.asarray(self.real),
-                    dense=xp.asarray(self.dense),
-                    slot_valid=[xp.asarray(slot.valid) for slot in self.slots],
-                    slot_delta=[xp.asarray(slot.delta) for slot in self.slots],
-                )
-                if on_transfer is not None:
-                    on_transfer(time.perf_counter() - started)
-            self._device[key] = bundle
-        return bundle
 
 
 def fused_group_volume_metrics(
@@ -212,59 +183,37 @@ def fused_group_volume_metrics(
     footprint: int,
     rank_span: int,
     rank32: np.ndarray,
-    xp: ArrayNamespace | None = None,
-    rank_wide: Any = None,
-    rank_narrow: Any = None,
-    on_transfer=None,
 ) -> VolumeMetrics | None:
     """Exact Table II metrics via segmented sorts and shifted-slice windows.
 
     Requires a usable :class:`FusedLayout` (one reference, bounded padding)
     and an injective candidate (unique (stamp, element) pairs); the caller
     guarantees both.  Returns ``None`` when the temporal interval is outside
-    the adjacency window or keys would overflow — the affine kernels then take
-    over, exactly as they do for each other.
-
-    One codepath for every array namespace: on the host namespace the
-    operations below bind directly to numpy, and the integer-only arithmetic
-    makes device results bit-identical once copied back.  ``rank_wide`` /
-    ``rank_narrow`` optionally pass the rank column already on ``xp``'s device
-    (the backend caches that upload per candidate); otherwise the host arrays
-    are uploaded here.
+    the adjacency window or keys would overflow — the compiled kernel then
+    takes over.
     """
     ti = temporal_interval
     if ti < 1 or ti > 8:
         return None
-    if xp is None:
-        xp = _HOST
     m = fused.block
     n = fused.size
     groups = fused.layout.group_count
     span = int(rank_span)
     if fused.pairs == 0 or span <= 0:
         return None
-    dev = fused.device_arrays(xp, on_transfer)
+    real = fused.real
     # Keys are ``group * stride + rank``.  Padding holds the rank ``span +
     # ti``, which sorts after every real rank.  With ``stride = span + ti +
     # 1``, a padding key minus ``ti`` lands on the unused rank ``span``, and
     # a real key of rank ``>= ti`` minus ``ti`` on a real rank of its own
     # group, so padding never takes part in temporal reuse (lower ranks fail
     # the rank guard); spatial hits on padding are masked by ``real``.
-    stride = span if dev.real is None else span + ti + 1
+    stride = span if real is None else span + ti + 1
     # Probe values reach +-(2 * groups * stride); keep them exactly
     # representable.
     if 2 * (groups + 1) * stride >= (1 << 62):
         return None
     narrow = 2 * (groups + 1) * stride < (1 << 31)
-
-    if rank_wide is None or rank_narrow is None:
-        rank_wide, rank_narrow = t_rank, rank32
-        if not xp.is_numpy:
-            started = time.perf_counter()
-            rank_wide = xp.asarray(t_rank)
-            rank_narrow = xp.asarray(rank32)
-            if on_transfer is not None:
-                on_transfer(time.perf_counter() - started)
 
     # Segmented sort: ranks per pair in group-sorted order, laid out as the
     # padded (groups, block) matrix, then each row sorted independently.
@@ -272,21 +221,21 @@ def fused_group_volume_metrics(
     # last, so ``real`` still marks the real positions afterwards.  The int32
     # rank copy is only exact while the span fits; huge-span ops take the
     # int64 path end to end.
-    rank_source = rank_narrow if narrow else rank_wide
-    ranks = xp.take(rank_source, dev.perm)
-    if dev.real is not None:
-        padded = xp.zeros(n, "int32" if narrow else "int64")
-        padded += xp.int_scalar(span + ti, narrow)
-        padded[dev.real] = ranks
+    ranks = np.take(rank32 if narrow else t_rank, fused.layout.perm_mod)
+    if real is not None:
+        padded = np.zeros(n, dtype=np.int32 if narrow else np.int64)
+        padded += _scalar(span + ti, narrow)
+        padded[real] = ranks
         ranks = padded
-    ranks2d = xp.sort2d(ranks.reshape(groups, m))
+    ranks2d = ranks.reshape(groups, m)
+    ranks2d.sort(axis=-1)
     if narrow:
-        keys = dev.dense * xp.int_scalar(stride, True)
+        keys = fused.dense * np.int32(stride)
     else:
-        keys = xp.astype(dev.dense, "int64") * stride
+        keys = fused.dense.astype(np.int64) * stride
     # Group offsets are a full matrix on a uniform layout (add in place: a
     # fresh pair-sized array costs its page faults) and a column otherwise.
-    if dev.real is None:
+    if real is None:
         keys += ranks2d
     else:
         keys = keys + ranks2d
@@ -295,28 +244,27 @@ def fused_group_volume_metrics(
 
     # Temporal reuse: (g, r - ti) can only sit within ti positions back in the
     # block; a value match implies the same group because 0 <= r - ti < span.
-    temporal = xp.zeros(n, "bool")
+    temporal = np.zeros(n, dtype=bool)
     if ti == 1:
         temporal[1:] = keys[:-1] == keys[1:] - 1
     else:
         for back in range(1, ti + 1):
             temporal[back:] |= keys[:-back] == keys[back:] - ti
     temporal &= ranks >= ti
-    temporal_count = xp.count_nonzero(temporal)
+    temporal_count = int(np.count_nonzero(temporal))
 
     spatial_count = 0
     if temporal_count < fused.pairs and fused.slots:
         si = spatial_interval
         rank_ok = ranks >= si if si else None
-        if dev.real is not None:
-            rank_ok = dev.real if rank_ok is None else rank_ok & dev.real
-        spatial = xp.zeros(n, "bool")
+        if real is not None:
+            rank_ok = real if rank_ok is None else rank_ok & real
+        spatial = np.zeros(n, dtype=bool)
         spatial_rows = spatial.reshape(groups, m)
-        window_masks: dict[int, Any] = {}
-        for slot_index, slot in enumerate(fused.slots):
+        window_masks: dict[int, np.ndarray] = {}
+        for slot in fused.slots:
             if not slot.valid_any:
                 continue
-            slot_valid = dev.slot_valid[slot_index]
             if slot.delta_const is not None and m <= _WINDOW_MAX_BLOCK:
                 # Constant source offset: the matching position, if any, lies
                 # within one block of p + delta * m, so membership is 2m - 1
@@ -326,8 +274,8 @@ def fused_group_volume_metrics(
                 hits = window_masks.get(delta)
                 if hits is None:
                     shift = delta * stride - si
-                    probes = keys + xp.int_scalar(shift, narrow)
-                    hits = xp.zeros(n, "bool")
+                    probes = keys + _scalar(shift, narrow)
+                    hits = np.zeros(n, dtype=bool)
                     centre = delta * m
                     for w in range(centre - m + 1, centre + m):
                         if w >= 0:
@@ -340,37 +288,34 @@ def fused_group_volume_metrics(
                     if rank_ok is not None:
                         hits &= rank_ok
                     window_masks[delta] = hits
-                spatial_rows |= hits.reshape(groups, m) & slot_valid
+                spatial_rows |= hits.reshape(groups, m) & slot.valid
             else:
                 # Per-pair source offsets: probe only the pairs that still
                 # need an answer (valid, rank-guarded, no temporal reuse).
                 needed = ~(temporal | spatial)
                 needed_rows = needed.reshape(groups, m)
-                needed_rows &= slot_valid
+                needed_rows &= slot.valid
                 if rank_ok is not None:
                     needed &= rank_ok
-                index = xp.flatnonzero(needed)
+                index = np.flatnonzero(needed)
                 if not len(index):
                     continue
                 if slot.delta_const is not None:
                     shift = slot.delta_const * stride - si
-                    probes = keys[index] + xp.int_scalar(shift, narrow)
+                    probes = keys[index] + _scalar(shift, narrow)
                 else:
-                    rows = index if dev.real is None else index // m
-                    delta = xp.take(dev.slot_delta[slot_index], rows)
+                    rows = index if real is None else index // m
+                    delta = np.take(slot.delta, rows)
                     if narrow:
                         probes = keys[index] + (
-                            delta * xp.int_scalar(stride, True)
-                            - xp.int_scalar(si, True)
+                            delta * np.int32(stride) - np.int32(si)
                         )
                     else:
-                        probes = keys[index] + (
-                            xp.astype(delta, "int64") * stride - si
-                        )
-                positions = xp.searchsorted(keys, probes)
-                hits = xp.take_clip(keys, positions) == probes
+                        probes = keys[index] + (delta.astype(np.int64) * stride - si)
+                positions = np.searchsorted(keys, probes)
+                hits = np.take(keys, positions, mode="clip") == probes
                 spatial[index[hits]] = True
-        spatial_count = xp.count_nonzero(spatial & ~temporal)
+        spatial_count = int(np.count_nonzero(spatial & ~temporal))
 
     return VolumeMetrics(
         tensor=tensor,
@@ -382,190 +327,314 @@ def fused_group_volume_metrics(
     )
 
 
-# -- spacetime-content memo --------------------------------------------------------
+# -- batched stamp provider --------------------------------------------------------
 
 
-class SpacetimeMemo:
-    """Report memo keyed by the *content* of a candidate's spacetime map.
+_MISSING = object()
 
-    Two candidates with the same PE column and the same time-rank column
-    produce identical reports, whatever their expressions look like.  Entries
-    are keyed by (PE signature, a strided fingerprint of the rank column) and
-    verified with an exact full-array comparison before a stored report is
-    replayed, so a fingerprint collision can never corrupt a result.
+
+class _BatchStamps(BatchStampProvider):
+    """Stacked, matmul-batched stamp evaluation for a list of candidates.
+
+    A window covers as many candidates as fit the :data:`_FUSED_MATMUL_CELLS`
+    budget, so a standard sweep batch evaluates every deduplicated compiled
+    row in a single ``coeffs @ chunk.T`` product; per-candidate stamp columns
+    are row views of that one result.
     """
 
-    def __init__(self, max_entries: int = 128, max_bytes: int = 128 << 20):
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, list[tuple[np.ndarray, object]]] = OrderedDict()
+    def __init__(
+        self,
+        backend: "FusedBackend",
+        relations: "OpRelations",
+        dataflows: Sequence[Dataflow],
+        pe_array: PEArray,
+    ):
+        self.backend = backend
+        self.relations = relations
+        self.pe_array = pe_array
+        self.dataflows = list(dataflows)
+        # The expression set and evaluator are backend-owned and shared across
+        # batches: row values, derived columns and the float matrix persist,
+        # so overlapping sweeps and repeated single-candidate evaluations pay
+        # for each distinct expression once.
+        self.exprs, self._evaluator = backend.compiled_for(relations)
+        self._time_plans: list[list[tuple[str, int]]] = []
+        self._pe_plans: list[list[tuple[str, int]] | None] = []
+        for dataflow in self.dataflows:
+            self._time_plans.append([self.exprs.add(e) for e in dataflow.time_exprs])
+            if backend.pe_signature(dataflow) in backend._pe_memo:
+                self._pe_plans.append(None)
+            else:
+                self._pe_plans.append([self.exprs.add(e) for e in dataflow.pe_exprs])
+        self._values: dict[int, np.ndarray] = {}
+        self._window = (0, 0)
+        self._rows_per_window = max(4, _FUSED_MATMUL_CELLS // max(1, relations.total))
 
-    @staticmethod
-    def _fingerprint(t_rank: np.ndarray) -> tuple:
-        stride = max(1, t_rank.size // 1024)
-        digest = hashlib.blake2b(t_rank[::stride].tobytes(), digest_size=16).digest()
-        return (t_rank.size, digest)
+    def _ensure_window(self, position: int) -> None:
+        lo, hi = self._window
+        if lo <= position < hi:
+            return
+        lo = position
+        hi = position
+        row_ids: set[int] = set()
+        while hi < len(self.dataflows) and (
+            hi == lo or len(row_ids) < self._rows_per_window
+        ):
+            for kind, index in self._time_plans[hi]:
+                if kind == "row":
+                    row_ids.add(index)
+            plan = self._pe_plans[hi]
+            if plan is not None and self.backend.pe_signature(self.dataflows[hi]) not in self.backend._pe_memo:
+                row_ids.update(index for kind, index in plan if kind == "row")
+            hi += 1
+        self._values = self._evaluator.evaluate_rows(sorted(row_ids))
+        self._window = (lo, hi)
 
-    def _key(self, pe_signature: tuple, t_rank: np.ndarray) -> tuple:
-        return (pe_signature, *self._fingerprint(t_rank))
+    def _column(self, kind: str, index: int) -> np.ndarray:
+        if kind == "row":
+            column = self._values.get(index)
+            if column is None:
+                # The current window excluded this row (e.g. a PE signature
+                # memoised when the window was built but evicted since); the
+                # evaluator's row memo keeps the one-off evaluation cheap.
+                column = self._evaluator.evaluate_rows([index])[index]
+            return column
+        self.backend.stats["stamp_fallback_exprs"] += 1
+        return self._evaluator.evaluate_interp(index)
 
-    def lookup(self, pe_signature: tuple, t_rank: np.ndarray):
-        bucket = self._entries.get(self._key(pe_signature, t_rank))
-        if bucket is None:
-            return None
-        for stored, report in bucket:
-            if np.array_equal(stored, t_rank):
-                self._entries.move_to_end(self._key(pe_signature, t_rank))
-                return report
-        return None
+    def _pe_lin(self, position: int) -> np.ndarray:
+        dataflow = self.dataflows[position]
+        signature = self.backend.pe_signature(dataflow)
+        memo = self.backend._pe_memo
+        cached = memo.get(signature, _MISSING)
+        if cached is not _MISSING:
+            memo.move_to_end(signature)
+            if cached is None:
+                raise DataflowError(
+                    f"dataflow {dataflow.name!r} maps instances outside the "
+                    f"{self.pe_array} array"
+                )
+            return cached
+        plan = self._pe_plans[position]
+        if plan is None:  # memoised when the plan was built, evicted since
+            plan = [self.exprs.add(e) for e in dataflow.pe_exprs]
+            self._pe_plans[position] = plan
+            # Force re-evaluation including the new rows (the evaluator picks
+            # up any new derived columns itself).
+            self._window = (0, 0)
+        self._ensure_window(position)
+        pe_lin = np.zeros(self.relations.total, dtype=np.int64)
+        for extent, (kind, index) in zip(self.pe_array.dims, plan):
+            column = self._column(kind, index)
+            if (column < 0).any() or (column >= extent).any():
+                self.backend.remember_pe(signature, None)
+                raise DataflowError(
+                    f"dataflow {dataflow.name!r} maps instances outside the "
+                    f"{self.pe_array} array"
+                )
+            pe_lin = pe_lin * extent + column
+        self.backend.remember_pe(signature, pe_lin)
+        return pe_lin
 
-    def remember(self, pe_signature: tuple, t_rank: np.ndarray, report) -> None:
-        key = self._key(pe_signature, t_rank)
-        bucket = self._entries.setdefault(key, [])
-        bucket.append((t_rank, report))
-        self._entries.move_to_end(key)
-        _evict_lru(
-            self._entries,
-            self.max_entries,
-            self.max_bytes,
-            lambda entries: sum(array.nbytes for array, _ in entries),
-        )
+    def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        from repro.core.engine import _rank_keys
 
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
-
-
-# -- stacked stamp provider --------------------------------------------------------
-
-
-class _FusedBatchStamps(_AffineBatchStamps):
-    """The affine provider with the whole batch stacked into one matmul.
-
-    The affine provider bounds transient stamp memory to ~8M matrix cells per
-    window, which re-enters the BLAS call many times per batch.  The fused
-    provider raises the budget so a standard sweep batch evaluates every
-    deduplicated compiled row in a single ``coeffs @ chunk.T`` product;
-    per-candidate stamp columns are row views of that one result.
-    """
-
-    def __init__(self, backend, relations, dataflows, pe_array):
-        super().__init__(backend, relations, dataflows, pe_array)
-        self._rows_per_window = max(
-            self._rows_per_window,
-            _FUSED_MATMUL_CELLS // max(1, relations.total),
-        )
+        dataflow = self.dataflows[position]
+        self._ensure_window(position)
+        pe_lin = self._pe_lin(position)
+        bounds = self.relations.inclusive_bounds
+        time_key: np.ndarray | None = None
+        for expr, (kind, index) in zip(dataflow.time_exprs, self._time_plans[position]):
+            lo, hi = expr.bounds(bounds)
+            extent = hi - lo + 1
+            column = self._column(kind, index)
+            if time_key is None:
+                time_key = column - lo  # owned copy; columns stay cached
+            else:
+                time_key *= extent
+                time_key += column
+                if lo:
+                    time_key -= lo
+        if time_key is None:
+            time_key = np.zeros(self.relations.total, dtype=np.int64)
+        return pe_lin, _rank_keys(time_key)
 
 
 # -- the backend -------------------------------------------------------------------
 
 
-class FusedBackend(AffineBackend):
-    """Batch-fused stamps and volumes on top of the affine backend.
-
-    ``bitset_mode`` is forwarded unchanged: ``auto`` keeps the packed-word
-    kernel for the regimes where it wins (wide temporal intervals, small dense
-    ops), and the fused kernel slots in *above* the compiled grouped kernel in
-    the fallback chain: fused -> (bitset) -> compiled -> grouped -> reference.
-    """
+class FusedBackend(EngineBackend):
+    """Stacked compiled stamps plus the fused → compiled volume-kernel chain."""
 
     name = "fused"
 
-    def __init__(self, engine, *, bitset_mode: str = "never"):
-        super().__init__(engine, bitset_mode=bitset_mode)
-        self._fused_layouts: OrderedDict[int, FusedLayout] = OrderedDict()
-        self._rank_device: tuple[int, Any, Any] | None = None
-        self.spacetime_memo = SpacetimeMemo()
+    #: Memory caps for the per-engine memos.
+    _PE_MEMO_ENTRIES, _PE_MEMO_BYTES = 64, 256 << 20
+    _LAYOUT_ENTRIES, _LAYOUT_BYTES = 32, 256 << 20
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
+        #: (GroupLayout, FusedLayout) per (space signature, tensor).
+        self._layout_memo: OrderedDict[
+            tuple, tuple[GroupLayout, FusedLayout] | tuple[None, None]
+        ] = OrderedDict()
+        #: Shared (expression set, evaluator) per cached-relations object.
+        self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
+
+    def compiled_for(self, relations) -> tuple[CompiledExprSet, CompiledEvaluator]:
+        """The backend-wide compiled expression set for one relations object."""
+        cached = self._compiled
+        if cached is not None and cached[0] is relations:
+            return cached[1], cached[2]
+        exprs = CompiledExprSet(self.loop_dims, relations.inclusive_bounds)
+        evaluator = CompiledEvaluator(exprs, relations.domain, relations.total)
+        self._compiled = (relations, exprs, evaluator)
+        return exprs, evaluator
 
     # -- stamps -----------------------------------------------------------------
 
+    @staticmethod
+    def pe_signature(dataflow: Dataflow) -> tuple[str, ...]:
+        signature = getattr(dataflow, "_pe_signature", None)
+        if signature is None:
+            signature = tuple(str(e) for e in dataflow.pe_exprs)
+            dataflow._pe_signature = signature
+        return signature
+
+    def remember_pe(self, signature: tuple, pe_lin: np.ndarray | None) -> None:
+        memo = self._pe_memo
+        memo[signature] = pe_lin
+        memo.move_to_end(signature)
+        _evict_lru(
+            memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
+            lambda a: a.nbytes if a is not None else 0,
+        )
+
     def prepare_batch(self, relations, dataflows, pe_array):
-        return _FusedBatchStamps(self, relations, dataflows, pe_array)
+        return _BatchStamps(self, relations, dataflows, pe_array)
 
     def stamps(self, relations, dataflow, pe_array):
-        return _FusedBatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
+        return _BatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
 
-    # -- spacetime memo ---------------------------------------------------------
+    def utilization(self, pe_lin, t_rank, num_pes):
+        """Dense-histogram utilization with the injective shortcut enabled."""
+        from repro.core.engine import _utilization_dense
 
-    def spacetime_report(self, dataflow, pe_lin, t_rank):
-        """A finished report for this exact spacetime map, or ``None``."""
-        if self.engine.should_validate:
-            # Validation notes mention the candidate name; replaying them for
-            # another candidate would be wrong, so skip the memo entirely.
-            return None
-        return self.spacetime_memo.lookup(self.pe_signature(dataflow), t_rank)
-
-    def spacetime_remember(self, dataflow, pe_lin, t_rank, report) -> None:
-        if self.engine.should_validate:
-            return
-        self.spacetime_memo.remember(self.pe_signature(dataflow), t_rank, report)
+        return _utilization_dense(pe_lin, t_rank, num_pes, injective_shortcut=True)
 
     # -- volumes ----------------------------------------------------------------
 
-    def _fused_layout(self, layout: GroupLayout | None) -> FusedLayout | None:
-        if layout is None:
-            return None
-        key = id(layout)
-        fused = self._fused_layouts.get(key)
-        if fused is None or fused.layout is not layout:
-            fused = FusedLayout(layout)
-            self._fused_layouts[key] = fused
-            while len(self._fused_layouts) > self._LAYOUT_ENTRIES:
-                self._fused_layouts.popitem(last=False)
-        else:
-            self._fused_layouts.move_to_end(key)
-        return fused
-
-    def _rank_device_for(self, t_rank, rank32):
-        """The candidate's rank column on the engine's device, uploaded once.
-
-        Keyed by array identity like ``_rank32_for``: every tensor of a
-        candidate shares one ``t_rank``, so per-tensor kernel calls reuse a
-        single upload.  The lazy assignment is a benign race under the volume
-        thread pool — worst case two threads upload the same column.
-        """
-        xp = self.engine.xp
-        memo = self._rank_device
-        key = id(t_rank)
-        if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
-        started = time.perf_counter()
-        wide = xp.asarray(t_rank)
-        narrow = xp.asarray(rank32)
-        self._add_transfer_seconds(time.perf_counter() - started)
-        self._rank_device = (key, wide, narrow)
-        return wide, narrow
-
-    def _volume_sorted(
-        self, tensor, layout, t_rank, relations, assume_unique, rank_span, rank32,
-    ):
-        # Inserted between the bit-set try (owned by AffineBackend._volume_one,
-        # in exactly one place) and the compiled grouped kernel.
-        if assume_unique:
-            fused = self._fused_layout(layout)
-            if fused is not None and fused.usable:
-                engine = self.engine
-                span = rank_span if rank_span is not None else int(t_rank.max()) + 1
-                narrow32 = rank32 if rank32 is not None else t_rank.astype(np.int32)
-                xp = engine.xp
-                rank_wide = rank_narrow = None
-                if not xp.is_numpy:
-                    rank_wide, rank_narrow = self._rank_device_for(t_rank, narrow32)
-                metrics = fused_group_volume_metrics(
-                    tensor,
-                    fused,
-                    t_rank,
-                    spatial_interval=engine._spacetime.spatial_interval,
-                    temporal_interval=engine.temporal_interval,
-                    footprint=relations.tensors[tensor].footprint,
-                    rank_span=span,
-                    rank32=narrow32,
-                    xp=xp,
-                    rank_wide=rank_wide,
-                    rank_narrow=rank_narrow,
-                    on_transfer=self._add_transfer_seconds,
-                )
-                if metrics is not None:
-                    return metrics, "fused_path"
-        return super()._volume_sorted(
-            tensor, layout, t_rank, relations, assume_unique, rank_span, rank32
+    def _layouts(self, tensor: str, dataflow: Dataflow, pe_lin, relations):
+        """One tensor's (GroupLayout, FusedLayout), memoised per space
+        signature; ``(None, None)`` when no group layout can be built."""
+        key = (self.pe_signature(dataflow), tensor)
+        memo = self._layout_memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        layout = build_group_layout(
+            pe_lin,
+            relations.tensors[tensor],
+            self.predecessor_table,
+            self.spatial_interval,
         )
+        layouts = (layout, FusedLayout(layout)) if layout is not None else (None, None)
+        memo[key] = layouts
+        _evict_lru(
+            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,
+            lambda v: v[0].nbytes() if v[0] is not None else 0,
+        )
+        return layouts
+
+    def _volume_one(
+        self, tensor, layout, fused, t_rank, relations, assume_unique,
+        rank_span, rank32,
+    ) -> tuple[VolumeMetrics | None, str | None]:
+        """Kernel chain for one tensor: (metrics-or-None, stats key).
+
+        Pure with respect to backend state (layouts and rank32 are passed
+        in), so several tensors of one candidate can run concurrently.
+        ``(None, None)`` hands the tensor to the engine's reference kernel.
+        """
+        if layout is None:
+            return None, None
+        footprint = relations.tensors[tensor].footprint
+        if rank_span is None:
+            rank_span = int(t_rank.max()) + 1
+        # The fused kernel needs unique (stamp, element) pairs.
+        if assume_unique and fused.usable:
+            metrics = fused_group_volume_metrics(
+                tensor,
+                fused,
+                t_rank,
+                spatial_interval=self.spatial_interval,
+                temporal_interval=self.temporal_interval,
+                footprint=footprint,
+                rank_span=rank_span,
+                rank32=rank32,
+            )
+            if metrics is not None:
+                return metrics, "fused_path"
+        metrics = compiled_group_volume_metrics(
+            tensor,
+            layout,
+            t_rank,
+            spatial_interval=self.spatial_interval,
+            temporal_interval=self.temporal_interval,
+            footprint=footprint,
+            assume_unique=assume_unique,
+            rank_span=rank_span,
+            rank32=rank32,
+        )
+        if metrics is not None:
+            return metrics, "compiled_path"
+        return None, None
+
+    def volume_metrics(
+        self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
+        rank_span=None,
+    ):
+        return self.volume_metrics_many(
+            [tensor], dataflow, pe_lin, t_rank, relations,
+            assume_unique=assume_unique, rank_span=rank_span,
+        )[tensor]
+
+    def volume_metrics_many(
+        self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
+        rank_span=None,
+    ):
+        tensors = list(tensors)
+        # Memo mutation happens serially up front; the kernels below only
+        # read shared arrays.
+        layouts = {
+            tensor: self._layouts(tensor, dataflow, pe_lin, relations)
+            for tensor in tensors
+        }
+        rank32 = t_rank.astype(np.int32)
+        pool = _volume_pool() if (
+            len(tensors) > 1 and relations.total >= (1 << 16)
+        ) else None
+        if pool is not None:
+            futures = {
+                tensor: pool.submit(
+                    self._volume_one, tensor, *layouts[tensor], t_rank,
+                    relations, assume_unique, rank_span, rank32,
+                )
+                for tensor in tensors
+            }
+            outcomes = {tensor: future.result() for tensor, future in futures.items()}
+        else:
+            outcomes = {
+                tensor: self._volume_one(
+                    tensor, *layouts[tensor], t_rank, relations,
+                    assume_unique, rank_span, rank32,
+                )
+                for tensor in tensors
+            }
+        results: dict[str, VolumeMetrics | None] = {}
+        for tensor, (metrics, path) in outcomes.items():
+            if path is not None:
+                self.stats[path] += 1
+            results[tensor] = metrics
+        return results

@@ -15,10 +15,11 @@ that observation into an architectural seam:
   candidate.
 * :class:`RelationCache` is a small LRU keyed by the operation's structural
   signature, so sweeps over many operations can share one cache.
-* :class:`EvaluationEngine` evaluates batches of candidate dataflows with an
-  optimised (but bit-identical) metric kernel, optional process-pool
-  parallelism (``jobs``), objective-aware early termination, and a report
-  memo keyed by ``(operation, dataflow signature, architecture)``.
+* :class:`EvaluationEngine` evaluates batches of candidate dataflows through
+  one of two bit-identical backends (the interpreted reference or the fused
+  compiled path), with optional process-pool parallelism (``jobs``),
+  objective-aware early termination, and a report memo keyed by
+  ``(operation, dataflow signature, architecture)``.
 
 ``TenetAnalyzer.analyze()`` remains the public single-candidate API; it is a
 thin wrapper over the streaming materialiser and the shared metric pipeline.
@@ -31,7 +32,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,7 +49,6 @@ from repro.core.shm import attach_relations, share_relations
 from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import UtilizationMetrics, compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
-from repro.core.xp import resolve_namespace
 from repro.errors import DataflowError, ExplorationError, ModelError, SpaceError
 from repro.isl.enumeration import chunk_length, sorted_unique
 from repro.tensor.operation import TensorOp
@@ -525,7 +525,7 @@ def _utilization_dense(
     Valid because ``t_rank`` is dense (every rank in ``[0, max+1)`` occurs);
     returns ``None`` when the histogram would dwarf the instance count.
 
-    ``injective_shortcut`` (used by the compiled backends) collapses the
+    ``injective_shortcut`` (used by the compiled backend) collapses the
     per-rank reductions when every stamp holds at most one instance: every
     rank is occupied, the compute delay is the rank count, and the instances
     per rank *are* the active PEs per rank.
@@ -823,9 +823,11 @@ class EvaluationEngine:
     The engine owns a :class:`RelationMaterializer` (optionally backed by a
     shared :class:`RelationCache`), a report memo, and the batched sweep
     logic: parallel workers, objective-aware early termination, and the
-    optimised volume kernel.  Reports are bit-identical to
+    stamp and volume kernels of its backend (``interp``, the reference, or
+    ``fused``/``auto``, the compiled path; see :mod:`repro.core.backends`).
+    Reports are bit-identical to
     :meth:`repro.core.analyzer.TenetAnalyzer.analyze` (modulo the wall-clock
-    ``analysis_seconds`` field).
+    ``analysis_seconds`` field) whichever backend runs.
     """
 
     def __init__(
@@ -841,8 +843,6 @@ class EvaluationEngine:
         cache: RelationCache | None = None,
         memoize: bool = True,
         backend: str = "auto",
-        device: str = "numpy",
-        tune: str | dict | bool | None = "off",
     ):
         self.op = op
         self.arch = arch
@@ -870,19 +870,6 @@ class EvaluationEngine:
         #: ``jobs > 1`` workers (see :mod:`repro.core.shm`); ``close()`` owns it.
         self._shared_relations = None
         self.backend_name = str(backend)
-        self.device_name = str(device)
-        #: The resolved array namespace every compiled kernel computes on.
-        #: Resolution fails loudly (listing available namespaces) before any
-        #: evaluation starts, so a missing torch/cupy is a clear capability
-        #: error instead of a mid-sweep crash.
-        self.xp = resolve_namespace(self.device_name)
-        if not self.xp.is_numpy and self.backend_name == "interp":
-            raise ExplorationError(
-                "backend 'interp' evaluates on the host interpreter and does "
-                f"not support device '{self.device_name}'; use a compiled "
-                "backend (auto/affine/bitset/fused)"
-            )
-        self.backend = make_backend(self.backend_name, self)
         self.stats: dict[str, int] = {
             "evaluated": 0,
             "memo_hits": 0,
@@ -893,14 +880,10 @@ class EvaluationEngine:
             # Candidates evaluated without cached relations (op above the
             # cache's max_instances guard): correct but not accelerated.
             "streaming_path": 0,
-            # Per-tensor kernel choices of the compiled backends.
+            # Per-tensor kernel choices of the compiled backend.
             "compiled_path": 0,
-            "bitset_path": 0,
             "fused_path": 0,
-            # Candidates replayed from the fused backend's spacetime-content
-            # memo (identical (PE, rank) columns under different expressions).
-            "spacetime_hits": 0,
-            # Stamp expressions the compiled backends handed back to the
+            # Stamp expressions the compiled backend handed back to the
             # interpreter (nested floor/mod/abs terms).
             "stamp_fallback_exprs": 0,
         }
@@ -913,50 +896,10 @@ class EvaluationEngine:
             "utilization": 0.0,
             "volumes": 0.0,
             "rank": 0.0,
-            # Host<->device copies (uploads + result downloads) on non-numpy
-            # namespaces; stays 0.0 on the host namespace.
-            "transfer": 0.0,
         }
-        #: Optional measurement-driven controller (:mod:`repro.core.tuning`):
-        #: ``"auto"`` calibrates batch/backend/jobs on the first batches,
-        #: a profile dict pins previously learned decisions, ``"off"`` keeps
-        #: every knob exactly as constructed.  Tuning never changes which
-        #: reports are produced — only evaluation order and speed.
-        self.tuner = None
-        if tune not in (None, False, "off"):
-            from repro.core.tuning import AutoTuner
-
-            if tune in (True, "auto"):
-                self.tuner = AutoTuner(self)
-            elif isinstance(tune, dict):
-                self.tuner = AutoTuner(self, profile=tune)
-            else:
-                raise ExplorationError(
-                    f"tune must be 'auto', 'off', or a tuning profile dict; "
-                    f"got {tune!r}"
-                )
-
-    def set_backend(self, backend: str) -> None:
-        """Switch the evaluation backend in place (tuner calibration races).
-
-        Safe mid-sweep because every backend is bit-identical; only cost
-        changes.  The worker pool (whose workers captured the old backend at
-        initialisation) is torn down and lazily rebuilt on the next parallel
-        batch.
-        """
-        backend = str(backend)
-        if backend == self.backend_name:
-            return
-        if not self.xp.is_numpy and backend == "interp":
-            raise ExplorationError(
-                "backend 'interp' evaluates on the host interpreter and does "
-                f"not support device '{self.device_name}'; use a compiled "
-                "backend (auto/affine/bitset/fused)"
-            )
-        self.backend_name = backend
-        self.backend = make_backend(backend, self)
-        if self._pool is not None:
-            self.close()
+        # Built last: the backend copies the values it reads (stats included)
+        # instead of keeping the engine.
+        self.backend = make_backend(self.backend_name, self)
 
     def close(self) -> None:
         """Shut down the persistent worker pool and release shared memory.
@@ -1041,7 +984,7 @@ class EvaluationEngine:
         the candidate provably cannot beat ``best_score`` under ``objective``.
 
         ``stamps`` optionally supplies precomputed (PE, time-rank) columns —
-        the batched backends evaluate whole candidate windows at once and hand
+        the compiled backend evaluates whole candidate windows at once and hands
         each candidate's columns in through here.
         """
         started = time.perf_counter()
@@ -1125,23 +1068,6 @@ class EvaluationEngine:
                 if lower > best_score:
                     return lower
 
-        if relations is not None and self.memoize:
-            # Content-level dedup: a candidate whose (PE, rank) columns are
-            # array-identical to an evaluated one has the same report by
-            # construction, whatever its expressions look like.  Consulted
-            # *after* the lower-bound check so early termination makes exactly
-            # the pruning decisions the other backends (and a resumed sweep
-            # with a cold memo) would make.
-            memo_report = self.backend.spacetime_report(bound, pe_lin, t_rank)
-            if memo_report is not None:
-                self.stats["spacetime_hits"] += 1
-                return replace(
-                    memo_report,
-                    dataflow=bound.name,
-                    analysis_seconds=time.perf_counter() - started,
-                    notes=list(memo_report.notes),
-                )
-
         backend_metrics: dict[str, VolumeMetrics | None] = {}
         if relations is not None:
             backend_metrics = self.backend.volume_metrics_many(
@@ -1223,8 +1149,6 @@ class EvaluationEngine:
             analysis_seconds=elapsed,
             notes=notes,
         )
-        if relations is not None and self.memoize:
-            self.backend.spacetime_remember(bound, pe_lin, t_rank, report)
         stage["rank"] += time.perf_counter() - mark
         return report
 
@@ -1279,14 +1203,6 @@ class EvaluationEngine:
             )
         started = time.perf_counter()
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if self.tuner is not None and candidates:
-            # Calibration races and backend/jobs decisions: the tuner may
-            # switch the (bit-identical) backend or force a serial batch, so
-            # the measurement/decision happens before dispatch.
-            self.tuner.tune_engine(self, len(candidates))
-            jobs = self.tuner.effective_jobs(
-                jobs, len(candidates), pool_warm=self._pool is not None
-            )
         parallel = jobs > 1 and len(candidates) > 1
         if parallel:
             outcomes = self._evaluate_parallel(
@@ -1298,15 +1214,7 @@ class EvaluationEngine:
                 candidates, objective=objective,
                 early_termination=early_termination, best_score=best_score,
             )
-        seconds = time.perf_counter() - started
-        if self.tuner is not None and candidates:
-            self.tuner.observe_batch(
-                outcomes,
-                seconds,
-                backend=self.backend_name,
-                jobs=jobs if parallel else 1,
-            )
-        return BatchResult(outcomes=outcomes, seconds=seconds)
+        return BatchResult(outcomes=outcomes, seconds=time.perf_counter() - started)
 
     def _prepare_batch_stamps(
         self, candidates: Sequence[Dataflow]
@@ -1482,7 +1390,6 @@ class EvaluationEngine:
                 "temporal_interval": self.temporal_interval,
                 "validate": self.should_validate,
                 "backend": self.backend_name,
-                "device": self.device_name,
                 "memoize": self.memoize,
             }
             self._pool = ProcessPoolExecutor(

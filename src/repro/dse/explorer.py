@@ -44,9 +44,7 @@ class DesignSpaceExplorer:
         jobs: int = 1,
         cache: RelationCache | None = None,
         backend: str = "auto",
-        device: str = "numpy",
         batch_size: int = 64,
-        tune: str | dict | bool | None = "off",
     ):
         self.op = op
         self.arch = arch
@@ -62,8 +60,6 @@ class DesignSpaceExplorer:
             jobs=self.jobs,
             cache=cache,
             backend=backend,
-            device=device,
-            tune=tune,
         )
         # Unknown objective names raise here, not at sweep time.
         self.objective_name, self.objective, _ = resolve_objective(objective)

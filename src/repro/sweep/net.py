@@ -50,7 +50,6 @@ import itertools
 import json
 import re
 import signal
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -280,28 +279,22 @@ class SweepService:
         *,
         jobs: int = 1,
         backend: str = "auto",
-        device: str = "numpy",
         batch_size: int = 64,
         max_workers: int = 2,
         max_inflight: int | None = None,
         queue_depth: int = 64,
         request_timeout: float | None = None,
         fault_injector: FaultInjector | None = None,
-        tune: str | dict | bool | None = "off",
-        shed_after_seconds: float | None = None,
         checkpoint_root: str | None = None,
     ):
         self._faults = fault_injector
-        self.tune_enabled = tune not in (None, False, "off")
         if server is None:
             server = SweepServer(
                 jobs=jobs,
                 backend=backend,
-                device=device,
                 batch_size=batch_size,
                 max_workers=max_workers,
                 fault_injector=fault_injector,
-                tune=tune,
                 checkpoint_root=checkpoint_root,
             )
             self._owns_server = True
@@ -326,20 +319,6 @@ class SweepService:
         self.responses_sent = 0
         #: Requests that tripped the per-request watchdog.
         self.requests_timed_out = 0
-        #: Measurement-driven load shedding: with a threshold set (defaults on
-        #: when tuning is on), a request whose *predicted* queue wait — queued
-        #: backlog times the measured per-request seconds, over the inflight
-        #: slots — exceeds it is refused immediately with ``"code":
-        #: "overloaded"`` instead of being accepted into a hopeless queue.
-        if shed_after_seconds is None and self.tune_enabled:
-            shed_after_seconds = 120.0
-        self.shed_after_seconds = (
-            float(shed_after_seconds) if shed_after_seconds is not None else None
-        )
-        self.requests_shed = 0
-        #: EWMA of end-to-end request seconds — the shedding signal the
-        #: service already pays to know (every request is timed anyway).
-        self._ewma_request_seconds = 0.0
         #: Requests arriving with ``"retry": true`` — client reconnect
         #: retries and pipeline recoveries, counted for observability.
         self.retries_served = 0
@@ -436,7 +415,6 @@ class SweepService:
                     "served": server_stats["requests_served"],
                     "rejected": self.requests_rejected,
                     "failed": self.requests_failed,
-                    "shed": self.requests_shed,
                 },
                 "engine_reused_rate": server_stats["engine_reused_rate"],
                 "in_flight": self._inflight,
@@ -454,19 +432,6 @@ class SweepService:
                     "quarantined_engines": server_stats["quarantined_engines"],
                 },
                 "relation_cache": server_stats["relation_cache"],
-                # Device routing: clients use these to steer device-capable
-                # sweeps to servers that can actually run them.
-                "device": server_stats["device"],
-                "engine_devices": server_stats["engine_devices"],
-                "array_namespaces": server_stats["array_namespaces"],
-                # What the auto-tuner measured and decided, per warm engine,
-                # plus the measurement-driven shedding signal.
-                "tuning": {
-                    "enabled": self.tune_enabled,
-                    "shed_after_seconds": self.shed_after_seconds,
-                    "ewma_request_seconds": round(self._ewma_request_seconds, 4),
-                    "profiles": server_stats.get("tuning", []),
-                },
             }
         )
         return record
@@ -568,27 +533,6 @@ class SweepService:
             )
             self.requests_rejected += 1
             return
-        predicted_wait = self._predicted_wait_seconds()
-        if (
-            self.shed_after_seconds is not None
-            and predicted_wait > self.shed_after_seconds
-        ):
-            future.set_result(
-                error_record(
-                    request.kernel,
-                    ExplorationError(
-                        f"load shed: predicted queue wait {predicted_wait:.1f}s "
-                        f"exceeds {self.shed_after_seconds:.1f}s at the measured "
-                        f"{self._ewma_request_seconds:.2f}s/request; retry later "
-                        "or add capacity"
-                    ),
-                    code="overloaded",
-                    request_id=request_id,
-                )
-            )
-            self.requests_rejected += 1
-            self.requests_shed += 1
-            return
         conn.queue.append(_QueuedItem(request=request, request_id=request_id, future=future))
         if not conn.in_rr:
             conn.in_rr = True
@@ -659,17 +603,7 @@ class SweepService:
             self._execute_tasks.add(task)
             task.add_done_callback(self._execute_tasks.discard)
 
-    def _predicted_wait_seconds(self) -> float:
-        """Expected wait for a newly accepted request, from measured rates."""
-        if self._ewma_request_seconds <= 0.0:
-            return 0.0
-        backlog = self._inflight + sum(
-            len(conn.queue) for conn in self._connections.values()
-        )
-        return backlog * self._ewma_request_seconds / max(1, self.max_inflight)
-
     async def _execute(self, item: _QueuedItem) -> None:
-        started = time.monotonic()
         try:
             record = await self._run_request(item.request)
         except Exception as error:  # noqa: BLE001 - becomes the error reply line
@@ -685,14 +619,6 @@ class SweepService:
         else:
             if item.request_id is not None:
                 record = {"id": item.request_id, **record}
-        # Timeouts and failures consume capacity too, so they feed the
-        # shedding EWMA exactly like successes.
-        elapsed = time.monotonic() - started
-        self._ewma_request_seconds = (
-            elapsed
-            if self._ewma_request_seconds == 0.0
-            else 0.8 * self._ewma_request_seconds + 0.2 * elapsed
-        )
         if not item.future.done():
             item.future.set_result(record)
         self._inflight -= 1
@@ -792,13 +718,11 @@ def serve_lines(
     *,
     jobs: int = 1,
     backend: str = "auto",
-    device: str = "numpy",
     batch_size: int = 64,
     max_workers: int = 2,
     max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
-    tune: str | dict | bool | None = "off",
     checkpoint_root: str | None = None,
     emit: Callable[[str], None] | None = None,
 ) -> int:
@@ -816,13 +740,11 @@ def serve_lines(
         service = SweepService(
             jobs=jobs,
             backend=backend,
-            device=device,
             batch_size=batch_size,
             max_workers=max_workers,
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
-            tune=tune,
             checkpoint_root=checkpoint_root,
         )
         channel = IterableChannel(lines, emit)
@@ -840,13 +762,11 @@ def run_tcp_server(
     *,
     jobs: int = 1,
     backend: str = "auto",
-    device: str = "numpy",
     batch_size: int = 64,
     max_workers: int = 2,
     max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
-    tune: str | dict | bool | None = "off",
     checkpoint_root: str | None = None,
     announce: Callable[[str, int], None] | None = None,
 ) -> int:
@@ -859,13 +779,11 @@ def run_tcp_server(
         service = SweepService(
             jobs=jobs,
             backend=backend,
-            device=device,
             batch_size=batch_size,
             max_workers=max_workers,
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
-            tune=tune,
             checkpoint_root=checkpoint_root,
         )
         loop = asyncio.get_running_loop()

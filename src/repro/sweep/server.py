@@ -2,8 +2,7 @@
 
 :class:`SweepServer` keeps one warm :class:`~repro.core.engine.EvaluationEngine`
 — materialised relations, compiled group layouts, report memo — per
-``(operation, architecture, backend, device)`` and services queued sweep
-requests
+``(operation, architecture, backend)`` and services queued sweep requests
 concurrently: requests for *different* operations sweep in parallel on a
 thread pool (each engine may additionally fan out over its own ``jobs``
 process pool), while requests for the *same* warm engine serialise on a
@@ -37,7 +36,6 @@ from repro.core.engine import (
     arch_signature,
     op_signature,
 )
-from repro.core.xp import available_namespaces, resolve_namespace
 from repro.errors import ExplorationError
 from repro.sweep import faults as fault_hooks
 from repro.sweep.faults import FaultInjector
@@ -128,7 +126,7 @@ class SweepRequest:
 class EngineQuarantinedError(ExplorationError):
     """Engine construction for this key recently failed; retry after cooldown.
 
-    A bad request spec (device, architecture) would otherwise retry-storm
+    A bad request spec (e.g. its architecture) would otherwise retry-storm
     engine construction — the most expensive operation the server performs —
     on every resubmission.  Carries ``code`` so the networked service can
     reply with a structured ``"code": "quarantined"`` record.
@@ -155,7 +153,6 @@ class SweepServer:
         *,
         jobs: int = 1,
         backend: str = "auto",
-        device: str = "numpy",
         batch_size: int = 64,
         max_workers: int = 2,
         max_instances: int = 4_000_000,
@@ -163,18 +160,10 @@ class SweepServer:
         cache: RelationCache | None = None,
         quarantine_cooldown: float = 30.0,
         fault_injector: FaultInjector | None = None,
-        tune: str | dict | bool | None = "off",
         checkpoint_root: str | Path | None = None,
     ):
         self.jobs = max(1, int(jobs))
         self.backend = backend
-        self.device = str(device)
-        #: Threaded into every warm engine: tuned engines calibrate on their
-        #: first request and re-batch later requests from what they measured.
-        self.tune = tune
-        # Fail at construction, not at the first request: an unavailable
-        # namespace is a deployment error the operator should see immediately.
-        resolve_namespace(self.device)
         self.batch_size = int(batch_size)
         self.max_instances = int(max_instances)
         #: Warm engines kept resident; least-recently-used idle engines are
@@ -189,14 +178,14 @@ class SweepServer:
         #: One relation cache for the whole server: engines of different
         #: architectures over the same operation share its relations.
         self.cache = cache if cache is not None else RelationCache(max_entries=8)
-        self._engines: "OrderedDict[tuple[str, str, str, str], _WarmEngine]" = OrderedDict()
+        self._engines: "OrderedDict[tuple[str, str, str], _WarmEngine]" = OrderedDict()
         self._registry_lock = threading.Lock()
         self._faults = fault_injector
         #: Seconds an engine key stays quarantined after a build failure.
         self.quarantine_cooldown = float(quarantine_cooldown)
         #: key -> (monotonic expiry, reason) for keys whose engine failed to
         #: build; requests for them fail fast until the cooldown passes.
-        self._quarantine: dict[tuple[str, str, str, str], tuple[float, str]] = {}
+        self._quarantine: dict[tuple[str, str, str], tuple[float, str]] = {}
         self._engine_build_failures = 0
         #: Submission-order counters behind the ``engine_reused`` rate the
         #: networked service surfaces via ``{"cmd": "stats"}``.
@@ -220,7 +209,7 @@ class SweepServer:
         *idle* engine is closed and dropped (an engine mid-sweep, or with
         reserved requests, is never evicted).
         """
-        key = (op_signature(op), arch_signature(arch), self.backend, self.device)
+        key = (op_signature(op), arch_signature(arch), self.backend)
         evicted: list[_WarmEngine] = []
         with self._registry_lock:
             quarantined = self._quarantine.get(key)
@@ -231,7 +220,7 @@ class SweepServer:
                     # Fail fast: do not rebuild a known-bad engine until the
                     # cooldown passes (a retry storm must not reconstruct it).
                     raise EngineQuarantinedError(
-                        "engine for this (op, arch, backend, device) is "
+                        "engine for this (op, arch, backend) is "
                         f"quarantined for another {remaining:.1f}s after a "
                         f"build failure: {reason}"
                     )
@@ -248,10 +237,8 @@ class SweepServer:
                             arch,
                             jobs=self.jobs,
                             backend=self.backend,
-                            device=self.device,
                             cache=self.cache,
                             max_instances=self.max_instances,
-                            tune=self.tune,
                         )
                     )
                 except Exception as error:
@@ -303,21 +290,6 @@ class SweepServer:
             "requests_reused": reused,
             "engine_reused_rate": round(reused / submitted, 4) if submitted else 0.0,
             "relation_cache": self.cache.stats(),
-            # Device routing: what this server evaluates on and what it
-            # *could* evaluate on, so clients can steer device-capable work.
-            "device": self.device,
-            "engine_devices": sorted(
-                {f"{w.engine.xp.name}:{w.engine.xp.device}" for w in engines}
-            ),
-            "array_namespaces": available_namespaces(),
-            # Learned profiles of every tuned warm engine (empty when the
-            # server runs untuned), so clients can see what the server
-            # measured and decided.
-            "tuning": [
-                w.engine.tuner.profile_dict()
-                for w in engines
-                if getattr(w.engine, "tuner", None) is not None
-            ],
         }
 
     # -- request servicing --------------------------------------------------------
@@ -413,16 +385,10 @@ class SweepServer:
             # hung request for the service watchdog.
             fault_hooks.apply("server.request", self._faults)
             warm.requests_served += 1
-            batch_size = self.batch_size
-            tuner = getattr(warm.engine, "tuner", None)
-            if tuner is not None and tuner.decided_batch_size:
-                # Re-batch from measurements: requests after the first on this
-                # warm engine inherit the batch size its calibration decided.
-                batch_size = tuner.decided_batch_size
             session = SweepSession(
                 warm.engine,
                 objective=objective,
-                batch_size=batch_size,
+                batch_size=self.batch_size,
                 early_termination=early_termination,
                 checkpoint=checkpoint_path,
                 resume=resume,

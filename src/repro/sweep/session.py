@@ -220,7 +220,7 @@ class SweepSession:
 
     def meta(self, shard: tuple[int, int] | None = None) -> dict:
         """The sweep's structural identity (checkpoint header, server keys)."""
-        meta = {
+        return {
             "op": _short_hash(op_signature(self.engine.op)),
             "arch": _short_hash(arch_signature(self.engine.arch)),
             "objective": self.objective_name,
@@ -228,20 +228,11 @@ class SweepSession:
             # the other mode would silently skip (or re-score) them, so the
             # mode is part of the checkpoint identity.
             "early_termination": self.early_termination,
+            # Informational: reports are backend-invariant, so a checkpoint
+            # resumes on any backend (sinks compare fixed keys only).
             "backend": self.engine.backend_name,
-            # Informational (reports are device-invariant by contract, so
-            # resume across devices is sound; sinks compare fixed keys only).
-            "device": self.engine.device_name,
             "shard": list(shard) if shard is not None else None,
         }
-        tuner = getattr(self.engine, "tuner", None)
-        if tuner is not None:
-            # Informational snapshot (decisions may still be calibrating);
-            # the authoritative learned profile is the ``{"kind": "tuning"}``
-            # block appended when the sweep finishes.  Sinks compare fixed
-            # keys only, so untuned resumes of tuned checkpoints stay valid.
-            meta["tuning"] = tuner.profile_dict()
-        return meta
 
     # -- single-candidate convenience ---------------------------------------------
 
@@ -300,38 +291,9 @@ class SweepSession:
                 best_score = min(entry.score for entry in restored)
 
             live: list[RankEntry] = []
-            tuner = getattr(self.engine, "tuner", None)
-            if tuner is not None:
-                if (
-                    self.checkpoint_sink is not None
-                    and self.checkpoint_sink.restored_tuning is not None
-                    and not tuner.calibrated
-                ):
-                    # Resume reuses the profile the interrupted sweep learned
-                    # instead of re-calibrating (adopt() identity-checks it).
-                    tuner.adopt(self.checkpoint_sink.restored_tuning)
-                if restored:
-                    # Checkpointed scores seed the best-first ranker, so the
-                    # resumed remainder of the stream is ordered by predicted
-                    # score and early termination prunes sooner.
-                    tuner.seed_history(
-                        (entry.signature, entry.score) for entry in restored
-                    )
-
             # jobs > 1 amortises its worker pool over bigger batches; the pool
-            # itself persists across batches on the engine.  With a tuner the
-            # batch size follows its (possibly mid-sweep) calibration.
-            def effective_batch() -> int:
-                base = self.batch_size
-                if tuner is not None:
-                    if not tuner.calibrated:
-                        # Small calibration slices so every calibration leg
-                        # (e.g. both backends of the race) gets measured even
-                        # on short sweeps.
-                        base = min(base, tuner.calibration_batch_size)
-                    elif tuner.decided_batch_size:
-                        base = tuner.decided_batch_size
-                return base * max(1, self.engine.jobs)
+            # itself persists across batches on the engine.
+            batch_size = self.batch_size * max(1, self.engine.jobs)
 
             def flush(batch: list[Dataflow]) -> None:
                 nonlocal best_score
@@ -347,8 +309,6 @@ class SweepSession:
                     score: float | None = None
                     if outcome.report is not None:
                         score = float(self.score(outcome.report))
-                        if tuner is not None:
-                            tuner.observe_score(outcome.signature, score)
                         result.evaluated_count += 1
                         if self.top_sink is None:
                             result.evaluated.append(outcome.report)
@@ -371,24 +331,6 @@ class SweepSession:
                         sink.emit(outcome, score)
                 result.batches += 1
 
-            def flush_window(window: list[Dataflow]) -> None:
-                # Best-first: reorder the (already deduped/shard-filtered/
-                # resume-filtered) window by predicted score, then evaluate it
-                # in batch slices.  A pure permutation of the window — the
-                # candidate *set* is untouched, so nothing is dropped or
-                # duplicated and a full sweep's ranking stays bit-identical
-                # tuned or untuned; only early termination bites sooner.
-                if tuner is not None:
-                    window = tuner.order(window)
-                step = effective_batch()
-                legs = tuner.remaining_calibration_legs if tuner is not None else 0
-                if legs > 1:
-                    # Split the window so every calibration leg (each backend
-                    # of the race) gets measured even on a short sweep.
-                    step = min(step, max(1, -(-len(window) // legs)))
-                for start in range(0, len(window), step):
-                    flush(window[start:start + step])
-
             pending: list[Dataflow] = []
             seen: set[str] = set()
             for dataflow in source:
@@ -408,18 +350,10 @@ class SweepSession:
                     result.skipped += 1
                     continue
                 pending.append(dataflow)
-                window_size = effective_batch()
-                if tuner is not None:
-                    # Accumulate several batches before ordering: best-first
-                    # only helps across the window it can see.
-                    window_size *= tuner.lookahead
-                if len(pending) >= window_size:
-                    flush_window(pending)
+                if len(pending) >= batch_size:
+                    flush(pending)
                     pending = []
-            flush_window(pending)
-            if tuner is not None and self.checkpoint_sink is not None:
-                tuner.finalize()
-                self.checkpoint_sink.write_tuning(tuner.profile_dict())
+            flush(pending)
         finally:
             for sink in opened:
                 sink.close()

@@ -152,9 +152,6 @@ class JsonlCheckpointSink(ResultSink):
         self._faults = fault_injector
         #: signature -> checkpoint record of every candidate already processed.
         self.completed: dict[str, dict] = {}
-        #: Learned tuning profile restored from the checkpoint (``None`` when
-        #: the prior run was untuned); the session hands it to its tuner.
-        self.restored_tuning: dict | None = None
         self._handle: IO[str] | None = None
         self._records_since_sync = 0
 
@@ -216,7 +213,8 @@ class JsonlCheckpointSink(ResultSink):
                     continue
                 if record.get("kind") == "meta":
                     saw_meta = True
-                    # backend is deliberately not compared: reports are
+                    # backend (like the device and tuning keys of older
+                    # checkpoints) is deliberately not compared: reports are
                     # bit-identical across backends, so resuming on another
                     # backend is legitimate.  A shard or early-termination
                     # mismatch is not.
@@ -228,16 +226,10 @@ class JsonlCheckpointSink(ResultSink):
                                 f"sweep ({key}={record.get(key)!r}, expected "
                                 f"{meta[key]!r}); refusing to resume"
                             )
-                    tuning = record.get("tuning")
-                    if isinstance(tuning, dict):
-                        self.restored_tuning = tuning
                     continue
-                if record.get("kind") == "tuning":
-                    profile = record.get("profile")
-                    if isinstance(profile, dict):
-                        # Later blocks supersede earlier ones: each resumed
-                        # run appends its own (possibly refined) profile.
-                        self.restored_tuning = profile
+                if record.get("kind") != "result":
+                    # Other kinds, such as the {"kind": "tuning"} lines older
+                    # versions appended, carry no candidate.
                     continue
                 signature = record.get("signature")
                 if signature:
@@ -281,17 +273,6 @@ class JsonlCheckpointSink(ResultSink):
             record["status"] = "error"
             record["error"] = outcome.error
         self._write(record)
-
-    def write_tuning(self, profile: dict) -> None:
-        """Append the learned tuning profile so a resumed sweep can reuse it.
-
-        Its own ``{"kind": "tuning"}`` line rather than a header rewrite: the
-        meta header is immutable once written (atomicity), and readers —
-        :func:`load_ranking` included — skip non-``result`` kinds.
-        """
-        if self._handle is None:
-            return
-        self._write({"kind": "tuning", "profile": profile})
 
     def _write(self, record: dict) -> None:
         assert self._handle is not None, "sink used before open()"

@@ -16,7 +16,6 @@ from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
-    dataflow_signature,
 )
 from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
@@ -30,27 +29,6 @@ def report_dict(report):
     data.pop("analysis_seconds")
     data["notes"] = list(report.notes)
     return data
-
-
-def _torch_available() -> bool:
-    try:
-        import torch  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-#: The namespace axis of the bit-identity matrix: numpy always runs; the
-#: torch-CPU leg runs whenever torch is importable (the CI device-matrix job)
-#: and is skipped, not failed, on hosts without it.
-NAMESPACE_PARAMS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param(
-        "torch:cpu",
-        id="torch-cpu",
-        marks=pytest.mark.skipif(not _torch_available(), reason="torch not installed"),
-    ),
-]
 
 
 def small_candidates(op, pe_dims=(4, 4), count=6):
@@ -143,13 +121,21 @@ class TestExprLowering:
 
 
 class TestBackendStamps:
-    @pytest.mark.parametrize("backend", ["affine", "bitset", "fused", "auto"])
-    def test_stamps_match_interpreter(self, backend):
-        op = gemm(16, 16, 16)
+    @pytest.mark.parametrize("make_op", [
+        lambda: gemm(16, 16, 16),
+        lambda: conv2d(4, 4, 6, 6, 3, 3),
+        lambda: jacobi2d(10, 10),
+    ], ids=["gemm", "conv2d", "jacobi2d"])
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_stamps_match_interpreter(self, backend, make_op):
+        op = make_op()
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         relations = engine.materializer.relations(10**7)
-        for candidate in small_candidates(op) + [nested_quasi_dataflow(op)]:
+        candidates = small_candidates(op)
+        if op.loop_dims == ("i", "j", "k"):
+            candidates.append(nested_quasi_dataflow(op))
+        for candidate in candidates:
             bound = candidate.bind(op)
             pe_ref, rank_ref = engine.materializer.stamps(relations, bound, arch.pe_array)
             pe_new, rank_new = engine.backend.stamps(relations, bound, arch.pe_array)
@@ -159,7 +145,7 @@ class TestBackendStamps:
     def test_batched_stamps_match_per_candidate(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         candidates = small_candidates(op, count=8)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -174,7 +160,7 @@ class TestBackendStamps:
     def test_small_windows_still_match(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**6)
         candidates = small_candidates(op, count=6)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -190,7 +176,7 @@ class TestBackendStamps:
     def test_pe_memo_eviction_between_batches_replans(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**6)
         candidates = small_candidates(op, count=3)
         warmup = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -211,7 +197,7 @@ class TestBackendStamps:
     def test_out_of_range_candidate_raises_for_each_candidate(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         bad = Dataflow.from_exprs("bad", op.domain.space, ["i", "j"], ["k"])
         bad_twin = Dataflow.from_exprs("bad-twin", op.domain.space, ["i", "j"], ["k"])
@@ -225,7 +211,7 @@ class TestBackendStamps:
     def test_fallback_exprs_are_counted(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         engine.evaluate(nested_quasi_dataflow(op))
         assert engine.stats["stamp_fallback_exprs"] > 0
 
@@ -236,63 +222,36 @@ class TestBackendReports:
         lambda: conv2d(6, 6, 5, 5, 3, 3),
     ], ids=["gemm", "conv2d"])
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
-    @pytest.mark.parametrize("backend", ["interp", "affine", "bitset", "fused", "auto"])
-    @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
-    def test_backend_reports_equal_analyzer(self, make_op, interconnect, backend, device):
-        if backend == "interp" and device != "numpy":
-            pytest.skip("interp is host-only (rejected at engine construction)")
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_backend_reports_equal_analyzer(self, make_op, interconnect, backend):
         op = make_op()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend, device=device
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         for candidate in small_candidates(op):
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("backend", ["affine", "bitset", "fused", "auto"])
-    @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
-    def test_nested_quasi_reports_equal_analyzer(self, backend, device):
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_nested_quasi_reports_equal_analyzer(self, backend, interconnect):
         op = gemm(16, 16, 16)
-        arch = make_arch(pe_dims=(4, 4))
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
         candidate = nested_quasi_dataflow(op)
         reference = TenetAnalyzer(op, candidate, arch).analyze()
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend, device=device
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("backend", ["interp", "affine", "bitset", "fused", "auto"])
-    def test_non_injective_reports_equal_analyzer(self, backend):
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_non_injective_reports_equal_analyzer(self, backend, interconnect):
         op = gemm(8, 8, 8)
-        arch = make_arch(pe_dims=(4, 4))
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
         collapsing = Dataflow.from_exprs(
             "collapse", op.domain.space, ["i mod 4", "j mod 4"], ["k mod 4"]
         )
         reference = TenetAnalyzer(op, collapsing, arch).analyze()
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         assert report_dict(reference) == report_dict(engine.evaluate(collapsing))
-
-    def test_bitset_handles_wide_temporal_interval(self):
-        # The sort-based kernels are limited to temporal intervals <= 8; the
-        # bit-set kernel shifts occupancy words by any interval.
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(4, 4))
-        candidate = small_candidates(op)[0]
-        reference = TenetAnalyzer(op, candidate, arch, temporal_interval=11).analyze()
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="bitset", temporal_interval=11
-        )
-        assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["bitset_path"] > 0
-        assert engine.stats["reference_path"] == 0
-
-    def test_bitset_engages_on_small_op(self):
-        op = gemm(8, 8, 8)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="bitset")
-        engine.evaluate(small_candidates(op)[0])
-        assert engine.stats["bitset_path"] > 0
 
     def test_batch_matches_across_backends(self):
         op = conv2d(4, 4, 6, 6, 3, 3)
@@ -304,7 +263,7 @@ class TestBackendReports:
             batches[backend] = engine.evaluate_batch(candidates)
         reference = batches["interp"].reports
         assert reference
-        for backend in ("auto", "affine", "bitset"):
+        for backend in ("auto", "fused"):
             assert len(batches[backend].reports) == len(reference)
             for a, b in zip(reference, batches[backend].reports):
                 assert report_dict(a) == report_dict(b)
@@ -464,7 +423,7 @@ class TestLayout:
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         candidates = small_candidates(op, count=6)
         engine.evaluate_batch(candidates)
         distinct_pe_signatures = {
@@ -490,7 +449,7 @@ class TestFusedBackend:
     def test_fused_splits_mixed_reference_layouts_between_kernels(self):
         # jacobi2d mixes per-tensor layouts: the multi-reference stencil input
         # cannot use the fused kernel (it needs collapsed single-reference
-        # blocks) and must chain to the affine kernels, while the
+        # blocks) and must chain to the compiled kernel, while the
         # single-reference output still fuses — bit-identically either way.
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
@@ -588,81 +547,6 @@ class TestFusedBackend:
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         assert engine.stats["fused_path"] == 0
 
-    def test_spacetime_memo_replays_identical_stamp_content(self):
-        # Shifting every time expression by a constant changes the structural
-        # signature but not the rank order, so the second candidate's report
-        # must come from the spacetime memo, renamed but otherwise identical.
-        op = gemm(16, 16, 16)
-        arch = make_arch(pe_dims=(4, 4))
-        i, j, k = (var(dim) for dim in op.loop_dims)
-        base = Dataflow.from_exprs(
-            "base", op.domain.space, [i % 4, j % 4], [k, i // 4, j // 4]
-        )
-        shifted = Dataflow.from_exprs(
-            "shifted", op.domain.space, [i % 4, j % 4], [k + 3, i // 4, j // 4]
-        )
-        assert dataflow_signature(base) != dataflow_signature(shifted)
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        first = engine.evaluate(base)
-        second = engine.evaluate(shifted)
-        assert engine.stats["spacetime_hits"] == 1
-        assert second.dataflow == "shifted"
-        a, b = report_dict(first), report_dict(second)
-        assert a.pop("dataflow") == "base" and b.pop("dataflow") == "shifted"
-        assert a == b
-        # The replayed report is still bit-identical to a fresh analysis.
-        fresh = TenetAnalyzer(op, shifted, arch).analyze()
-        c = report_dict(fresh)
-        c.pop("dataflow")
-        assert b == c
-
-    def test_spacetime_memo_does_not_override_pruning(self):
-        # Under early termination the memo is consulted only *after* the
-        # lower-bound check: a candidate whose bound already loses must be
-        # recorded as pruned (as interp/affine would), never replayed as a
-        # report just because its spacetime map was evaluated earlier.
-        op = gemm(8, 8, 8)
-        arch = make_arch(pe_dims=(4, 4))
-        i, j, k = (var(dim) for dim in op.loop_dims)
-        serial = Dataflow.from_exprs(
-            "serial", op.domain.space, [i % 4, j % 4], [i, j, k]
-        )
-        serial_twin = Dataflow.from_exprs(
-            "serial-twin", op.domain.space, [i % 4, j % 4], [i, j, k + 1]
-        )
-        fast = Dataflow.from_exprs(
-            "fast", op.domain.space, [i % 4, j % 4], [k, i // 4, j // 4]
-        )
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        batch = engine.evaluate_batch(
-            [serial, fast, serial_twin],
-            objective="latency", early_termination=True,
-        )
-        by_name = {outcome.name: outcome for outcome in batch.outcomes}
-        assert by_name["serial"].report is not None
-        assert by_name["fast"].report is not None
-        # The twin shares serial's exact spacetime map (memoised), but its
-        # compute-delay bound exceeds fast's latency: pruned, not replayed.
-        assert by_name["serial-twin"].pruned
-        assert engine.stats["spacetime_hits"] == 0
-
-    def test_spacetime_memo_skipped_under_validation(self):
-        op = gemm(16, 16, 16)
-        arch = make_arch(pe_dims=(4, 4))
-        i, j, k = (var(dim) for dim in op.loop_dims)
-        base = Dataflow.from_exprs(
-            "base", op.domain.space, [i % 4, j % 4], [k, i // 4, j // 4]
-        )
-        shifted = Dataflow.from_exprs(
-            "shifted", op.domain.space, [i % 4, j % 4], [k + 3, i // 4, j // 4]
-        )
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="fused", validate=True
-        )
-        engine.evaluate(base)
-        engine.evaluate(shifted)
-        assert engine.stats["spacetime_hits"] == 0
-
     def test_fused_batch_matches_analyzer_across_interconnects(self):
         op = gemm(16, 16, 16)
         for interconnect in ("2d-systolic", "mesh", "multicast"):
@@ -683,18 +567,102 @@ class TestFusedBackend:
         candidates = small_candidates(op, count=12)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
         provider._ensure_window(0)
-        # One stacked evaluation covers every candidate: the affine provider
-        # would have split this batch into several matmul windows.
+        # One stacked evaluation covers every candidate of the batch.
         assert provider._window == (0, len(candidates))
 
-    def test_auto_is_fused_with_bitset(self):
+    def test_auto_is_an_alias_of_fused(self):
         from repro.core.backends import FusedBackend
 
         op = gemm(8, 8, 8)
         engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="auto")
-        assert isinstance(engine.backend, FusedBackend)
-        assert engine.backend.bitset_mode == "auto"
+        assert type(engine.backend) is FusedBackend
         assert engine.backend.name == "auto"
+
+
+class TestKernelChain:
+    """Each rung of the fused backend's per-tensor kernel chain on its own.
+
+    A tensor goes to the fused kernel, then to
+    :func:`compiled_group_volume_metrics`, then to the engine's reference
+    kernel.  Most tensors stop at the first rung, so the tests below force a
+    lower rung by making the kernels above it refuse every tensor: each rung
+    must match the analyzer by itself, not only on the cases that reach it
+    by default.
+    """
+
+    OPS = {
+        "gemm": lambda: gemm(16, 16, 16),
+        "conv2d": lambda: conv2d(6, 6, 5, 5, 3, 3),
+        "jacobi2d": lambda: jacobi2d(10, 10),
+    }
+
+    @staticmethod
+    def force_rung(monkeypatch, rung):
+        """Make every kernel above ``rung`` in the chain refuse."""
+        import repro.core.backends.fused as fused_module
+
+        def refuse(*args, **kwargs):
+            return None
+
+        if rung in ("compiled", "reference"):
+            monkeypatch.setattr(fused_module, "fused_group_volume_metrics", refuse)
+        if rung == "reference":
+            monkeypatch.setattr(fused_module, "compiled_group_volume_metrics", refuse)
+
+    @pytest.mark.parametrize("op_name", sorted(OPS))
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("rung", ["compiled", "reference"])
+    def test_forced_rung_reports_equal_analyzer(
+        self, rung, interconnect, op_name, monkeypatch
+    ):
+        self.force_rung(monkeypatch, rung)
+        op = self.OPS[op_name]()
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        for candidate in small_candidates(op):
+            reference = TenetAnalyzer(op, candidate, arch).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        stats = engine.stats
+        assert stats["fused_path"] == 0
+        if rung == "compiled":
+            # Every tensor of every candidate stopped at the compiled kernel.
+            assert stats["compiled_path"] == stats["fast_path"] > 0
+            assert stats["reference_path"] == 0
+        else:
+            assert stats["compiled_path"] == stats["fast_path"] == 0
+            assert stats["reference_path"] > 0
+
+    @pytest.mark.parametrize("temporal_interval", [2, 5, 8, 9, 12])
+    @pytest.mark.parametrize("rung", ["interp", "fused", "compiled"])
+    def test_sort_kernels_take_temporal_intervals_up_to_8(
+        self, rung, temporal_interval, monkeypatch
+    ):
+        # interp's group-major kernel and the fused and compiled kernels find
+        # a temporal predecessor at most ``temporal_interval`` positions back
+        # in a group's sorted ranks, so each takes intervals 1 to 8 and hands
+        # wider ones to the reference kernel.
+        self.force_rung(monkeypatch, rung)
+        op = gemm(12, 12, 12)
+        arch = make_arch(pe_dims=(4, 4))
+        engine = EvaluationEngine(
+            op, arch, cache=RelationCache(),
+            backend="interp" if rung == "interp" else "fused",
+            temporal_interval=temporal_interval,
+        )
+        for candidate in small_candidates(op):
+            reference = TenetAnalyzer(
+                op, candidate, arch, temporal_interval=temporal_interval
+            ).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        stats = engine.stats
+        if temporal_interval <= 8:
+            assert stats["fast_path"] > 0
+            assert stats["reference_path"] == 0
+            if rung != "interp":
+                assert stats[f"{rung}_path"] == stats["fast_path"]
+        else:
+            assert stats["fast_path"] == 0
+            assert stats["reference_path"] > 0
 
 
 class TestRegistry:
@@ -702,6 +670,15 @@ class TestRegistry:
         op = gemm(8, 8, 8)
         with pytest.raises(ExplorationError):
             EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="gpu")
+
+    def test_backend_names_are_interp_and_fused(self):
+        assert BACKEND_NAMES == ("auto", "interp", "fused")
+
+    @pytest.mark.parametrize("name", ["bitset", "affine"])
+    def test_retired_backend_names_rejected(self, name):
+        engine = EvaluationEngine(gemm(8, 8, 8), make_arch(pe_dims=(4, 4)))
+        with pytest.raises(ExplorationError, match="available: auto, interp, fused"):
+            make_backend(name, engine)
 
     def test_backend_names_constructible(self):
         op = gemm(8, 8, 8)
@@ -713,12 +690,11 @@ class TestRegistry:
 
 
 class TestFusedBaseline:
-    """The array-API fused backend against the committed pre-refactor reports.
+    """The fused backend against the committed reference reports.
 
-    ``tests/core/data/fused_baseline.json`` was generated by the fused
-    backend *before* the array-namespace port; these tests pin the refactor
-    to bit-identical output (round-tripped through JSON, exactly like the
-    fixture) on every namespace in the matrix.
+    ``tests/core/data/fused_baseline.json`` pins the fused backend's output
+    (round-tripped through JSON, exactly like the fixture), so refactors of
+    the compiled path cannot move a report.
     """
 
     CASES = {
@@ -736,14 +712,13 @@ class TestFusedBaseline:
         return json.loads(path.read_text())
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
-    def test_fused_matches_pre_refactor_baseline(self, case, device):
+    def test_fused_matches_pre_refactor_baseline(self, case):
         import json
 
         make_op, interconnect = self.CASES[case]
         op = make_op()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(op, arch, backend="fused", device=device)
+        engine = EvaluationEngine(op, arch, backend="fused")
         candidates = pruned_candidates(
             op, pe_dims=(4, 4), allow_packing=True, max_candidates=8
         )

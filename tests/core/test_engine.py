@@ -1,11 +1,16 @@
 """Tests for the shared evaluation engine (repro.core.engine)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
+from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import (
+    MIN_TASK_CANDIDATES,
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
@@ -14,6 +19,7 @@ from repro.core.engine import (
     _utilization_dense,
     dataflow_signature,
     op_signature,
+    parallel_task_chunk,
 )
 from repro.core.utilization import compute_utilization
 from repro.errors import DataflowError, ExplorationError, ModelError
@@ -173,8 +179,7 @@ class TestEngineReports:
     def test_grouped_kernel_falls_back_on_wide_temporal_interval(self):
         # temporal intervals beyond the sort-adjacency window use the reference
         # kernel on the interp backend; reports still match the analyzer with
-        # the same interval.  (The bitset backend handles wide intervals
-        # natively — see tests/core/test_backends.py.)
+        # the same interval.
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
@@ -545,6 +550,16 @@ class TestBatchBestScoreSeed:
 
 
 class TestPersistentPool:
+    def test_chunk_floor_amortises_small_batches(self):
+        # The committed regression case: 40 candidates over jobs=2 used to
+        # make 10 tiny 5-candidate tasks; the floor makes 8-candidate tasks.
+        assert parallel_task_chunk(40, 2) == MIN_TASK_CANDIDATES
+        # Large batches keep the ~4-tasks-per-worker balance.
+        assert parallel_task_chunk(1000, 4) == 63
+        # The floor never idles a worker: small counts still split evenly.
+        assert parallel_task_chunk(10, 2) == 5
+        assert parallel_task_chunk(2, 2) == 1
+
     def test_parallel_batches_reuse_one_pool(self):
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
@@ -572,3 +587,25 @@ class TestPersistentPool:
         assert engine._pool is not broken
         assert len(batch.reports) == 3
         engine.close()
+
+
+class TestEngineLifecycle:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_closed_engine_is_freed_without_the_cyclic_gc(self, backend):
+        # Backends copy what they read instead of holding their engine, so a
+        # closed engine (and every memo in it) is freed by reference counting
+        # alone, not only when the cyclic GC next runs.
+        op = gemm(8, 8, 8)
+        arch = make_arch(pe_dims=(4, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+            batch = engine.evaluate_batch(small_candidates(op))
+            assert batch.reports
+            engine.close()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()

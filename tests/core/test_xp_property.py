@@ -1,17 +1,12 @@
-"""Property-based differential test: fused reports across array namespaces.
+"""Property-based differential test: fused reports against the reference.
 
 Hypothesis draws random GEMM dataflows over uniform-block PE windows —
 space-axis pairs, time-stamp orders, skews into the inner time stamp — and
 asserts the fused backend's reports are *byte-identical* (JSON-serialised,
-sorted keys) across every namespace in the matrix:
+sorted keys) to the interpreted reference backend's, on each interconnect.
 
-* fused on numpy vs the interpreted reference (the pre-existing contract);
-* fused on a fake device namespace that really copies on every upload and
-  download, so the device codepath is fuzzed even without torch installed;
-* fused on torch-CPU whenever torch is importable.
-
-Engines are cached per (operation size, namespace): hypothesis re-draws
-candidates, not warm-up work.
+Engines are cached per (operation size, interconnect, backend): hypothesis
+re-draws candidates, not warm-up work.
 """
 
 import json
@@ -26,33 +21,23 @@ except ImportError:  # pragma: no cover - hypothesis ships with the dev env
 
 from repro.core.dataflow import Dataflow
 from repro.core.engine import EvaluationEngine
-from repro.core.xp import register_namespace
 from repro.experiments.common import make_arch
 from repro.isl.expr import var
 from repro.tensor.kernels import gemm
 
-from tests.core.test_backends import _torch_available, report_dict
-from tests.core.test_xp import FakeDeviceNamespace
-
-register_namespace("fuzz-fake", lambda device: FakeDeviceNamespace(device))
-
-NAMESPACES = ["numpy", "fuzz-fake"] + (["torch:cpu"] if _torch_available() else [])
+from tests.core.test_backends import report_dict
 
 PE_DIMS = (4, 4)
-_ENGINES: dict[tuple[int, str], EvaluationEngine] = {}
+INTERCONNECTS = ("2d-systolic", "mesh", "multicast")
+_ENGINES: dict[tuple[int, str, str], EvaluationEngine] = {}
 
 
-def _engine(size: int, spec: str) -> EvaluationEngine:
-    key = (size, spec)
+def _engine(size: int, interconnect: str, backend: str) -> EvaluationEngine:
+    key = (size, interconnect, backend)
     engine = _ENGINES.get(key)
     if engine is None:
-        arch = make_arch(pe_dims=PE_DIMS)
-        if spec == "interp":
-            engine = EvaluationEngine(gemm(size, size, size), arch, backend="interp")
-        else:
-            engine = EvaluationEngine(
-                gemm(size, size, size), arch, backend="fused", device=spec
-            )
+        arch = make_arch(pe_dims=PE_DIMS, interconnect=interconnect)
+        engine = EvaluationEngine(gemm(size, size, size), arch, backend=backend)
         _ENGINES[key] = engine
     return engine
 
@@ -81,17 +66,17 @@ skews = st.integers(min_value=0, max_value=3)
 sizes = st.sampled_from([8, 12])
 
 
+@pytest.mark.parametrize("interconnect", INTERCONNECTS)
 @given(size=sizes, pair=axis_pairs, order=orders, skew=skews)
 @settings(max_examples=30, deadline=None)
-def test_fused_reports_byte_identical_across_namespaces(size, pair, order, skew):
-    reference_engine = _engine(size, "interp")
+def test_fused_reports_byte_identical_to_interp(interconnect, size, pair, order, skew):
+    reference_engine = _engine(size, interconnect, "interp")
     candidate = _candidate(reference_engine.op, pair[0], pair[1], tuple(order), skew)
     reference = json.dumps(
         report_dict(reference_engine.evaluate(candidate)), sort_keys=True
     ).encode()
-    for spec in NAMESPACES:
-        engine = _engine(size, spec)
-        encoded = json.dumps(
-            report_dict(engine.evaluate(candidate)), sort_keys=True
-        ).encode()
-        assert encoded == reference, f"namespace {spec} diverged for {candidate.name}"
+    encoded = json.dumps(
+        report_dict(_engine(size, interconnect, "fused").evaluate(candidate)),
+        sort_keys=True,
+    ).encode()
+    assert encoded == reference, f"fused diverged from interp for {candidate.name}"

@@ -151,3 +151,24 @@ class TestExplorer:
         assert pruned.best.dataflow == full.best.dataflow
         assert pruned.best.latency_cycles == full.best.latency_cycles
         assert len(pruned.evaluated) + len(pruned.pruned) == len(full.evaluated)
+
+    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
+    def test_dropped_explorer_frees_its_engine_without_the_cyclic_gc(self, backend):
+        # A program that keeps creating explorers must not hold every
+        # finished engine (relations, layouts, memos) until the cyclic GC runs.
+        import gc
+        import weakref
+
+        op = gemm(8, 8, 8)
+        candidates = list(pruned_candidates(op, pe_dims=(4, 4), max_candidates=6))
+        gc.collect()
+        gc.disable()
+        try:
+            explorer = DesignSpaceExplorer(op, make_arch(pe_dims=(4, 4)), backend=backend)
+            result = explorer.explore(candidates)
+            assert len(result.ranking) == len(candidates)
+            ref = weakref.ref(explorer.engine)
+            del explorer
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -48,7 +48,7 @@ def test_announce_round_trip():
 
 
 def test_parse_announce_rejects_garbage():
-    assert parse_announce("tenet serve: backend=auto device=numpy") is None
+    assert parse_announce("tenet serve: backend=auto") is None
     assert parse_announce("") is None
 
 

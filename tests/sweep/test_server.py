@@ -122,6 +122,31 @@ class TestSweepServer:
             _, reused = server.submit(request).result()
             assert reused
 
+    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
+    def test_evicted_engine_is_freed_without_the_cyclic_gc(self, backend):
+        # Eviction bounds a long-lived server's memory only if the closed
+        # engine is really released, not parked until the cyclic GC runs.
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            with SweepServer(max_engines=1, backend=backend) as server:
+                for sizes in ([8, 8, 8], [8, 8, 12]):
+                    request = SweepRequest.from_dict(
+                        {"kernel": "gemm", "sizes": sizes, "max_candidates": 2}
+                    )
+                    server.submit(request).result()
+                    if sizes == [8, 8, 8]:
+                        (warm,) = server._engines.values()
+                        first = weakref.ref(warm.engine)
+                        del warm
+                assert server.num_engines == 1
+                assert first() is None
+        finally:
+            gc.enable()
+
     def test_stats_track_engine_reuse_rate(self):
         with SweepServer() as server:
             request = SweepRequest.from_dict(

@@ -34,9 +34,9 @@ def make_source(op, count=20):
     )
 
 
-def make_session(op, arch=None, **kwargs):
+def make_session(op, arch=None, backend="auto", **kwargs):
     arch = arch or make_arch(pe_dims=(4, 4))
-    engine = EvaluationEngine(op, arch, cache=RelationCache())
+    engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
     return SweepSession(engine, **kwargs)
 
 
@@ -373,6 +373,77 @@ class TestSweepSession:
         assert "objective = latency" in result.summary()
 
 
+class TestBackendIndependence:
+    """Reports are bit-identical across backends, so sweeps are too.
+
+    The backend is recorded in the checkpoint header for information only:
+    a checkpoint resumes, and shards merge, whichever backend wrote them.
+    """
+
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_rendered_rankings_byte_identical_to_interp(self, tmp_path, backend):
+        op = make_op()
+        rendered = []
+        for name in ("interp", backend):
+            path = tmp_path / f"{name}.jsonl"
+            make_session(op, backend=name, checkpoint=str(path), batch_size=8).run(
+                make_source(op)
+            )
+            rendered.append(render_ranking(load_ranking(str(path))).encode())
+        assert rendered[0] == rendered[1]
+
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_early_termination_prunes_like_interp(self, backend):
+        from repro.core import Dataflow
+        from repro.isl.expr import var
+
+        op = make_op()
+        # A serial, low-bandwidth candidate first lets the sbw bound prune
+        # the highly parallel ones that follow.
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        serial = Dataflow.from_exprs(
+            "serial", op.domain.space, [i % 4, j % 4], [i, j, k]
+        )
+        candidates = [serial] + list(make_source(op))
+        results = [
+            make_session(
+                op, backend=name, early_termination=True, objective="sbw",
+                batch_size=8,
+            ).run(candidates)
+            for name in ("interp", backend)
+        ]
+        assert results[1].pruned
+        assert sorted(results[1].pruned) == sorted(results[0].pruned)
+        assert ranking_key(results[1]) == ranking_key(results[0])
+
+    def test_shards_from_different_backends_merge_to_unsharded_ranking(
+        self, tmp_path
+    ):
+        op = make_op()
+        source = make_source(op)
+        full = make_session(op).run(source)
+        paths = []
+        for index, backend in enumerate(("interp", "fused")):
+            path = str(tmp_path / f"shard{index}.jsonl")
+            make_session(op, backend=backend, checkpoint=path).run(
+                source, shard=(index, 2)
+            )
+            paths.append(path)
+        assert ranking_key(load_ranking(paths)) == ranking_key(full)
+
+    def test_resume_on_another_backend_is_bit_identical(self, tmp_path):
+        op = make_op()
+        source = make_source(op)
+        clean = make_session(op, backend="interp").run(source)
+        checkpoint = str(tmp_path / "sweep.jsonl")
+        make_session(op, backend="interp", checkpoint=checkpoint).run(source.limit(7))
+        resumed = make_session(
+            op, backend="fused", checkpoint=checkpoint, resume=True
+        ).run(source)
+        assert resumed.skipped == 7
+        assert ranking_key(resumed) == ranking_key(clean)
+
+
 class TestCheckpointFormat:
     def test_checkpoint_is_jsonl_with_meta_header(self, tmp_path):
         op = make_op()
@@ -451,3 +522,94 @@ class TestCheckpointFormat:
             make_source(op, count=5)
         )
         assert ranking_key(load_ranking(checkpoint)) == ranking_key(result)
+
+
+class TestLegacyCheckpoints:
+    """Checkpoints written before the engine kept only interp and fused."""
+
+    @staticmethod
+    def rewrite_in_legacy_format(fresh, legacy, backend="affine", device="numpy"):
+        """Write ``fresh``'s results under the older checkpoint format.
+
+        The older header also named the array device and an in-progress
+        tuning profile, on a backend that no longer exists, and a finished
+        sweep appended its learned profile as a ``{"kind": "tuning"}`` line.
+        Returns the number of result lines.
+        """
+        meta, *results = [json.loads(line) for line in fresh.read_text().splitlines()]
+        profile = {
+            "version": 1, "op": meta["op"], "arch": meta["arch"],
+            "device": device, "requested_backend": backend, "backend": None,
+            "batch_size": 56, "per_candidate_seconds": 0.004247,
+            "ranker_coef": [0.0065, 0.0842, 0.1744, -0.1095, 0.0129],
+            "calibrated": True,
+            "decisions": ["batch size: 4.25 ms/candidate -> 56 (~0.25s per batch)"],
+        }
+        legacy_meta = {
+            "kind": "meta", "version": 1, "op": meta["op"], "arch": meta["arch"],
+            "objective": "latency", "early_termination": False,
+            "backend": backend, "device": device, "shard": meta["shard"],
+            "tuning": dict(profile, calibrated=False, batch_size=None, decisions=[]),
+        }
+        lines = [legacy_meta, *results, {"kind": "tuning", "profile": profile}]
+        legacy.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return len(results)
+
+    def test_tuned_affine_checkpoint_resumes_and_merges(self, tmp_path, capsys):
+        from repro.cli import main
+
+        op = make_op()
+        fresh = tmp_path / "fresh.jsonl"
+        make_session(op, checkpoint=str(fresh)).run(make_source(op, count=8))
+        legacy = tmp_path / "legacy.jsonl"
+        recorded = self.rewrite_in_legacy_format(fresh, legacy)
+        assert recorded
+
+        resumed = make_session(op, checkpoint=str(legacy), resume=True).run(
+            make_source(op, count=8)
+        )
+        assert resumed.skipped == recorded
+        assert resumed.evaluated_count == 0
+
+        merged = []
+        for path in (fresh, legacy):
+            assert main(["sweep-merge", str(path)]) == 0
+            merged.append(capsys.readouterr().out.encode())
+        assert merged[0] == merged[1]
+
+    def test_bitset_device_checkpoint_resumes_on_interp(self, tmp_path):
+        # Neither the retired backend nor the device is part of the sweep
+        # identity, so the reference backend may finish a killed legacy run.
+        op = make_op()
+        source = make_source(op, count=12)
+        clean = make_session(op).run(source)
+        fresh = tmp_path / "fresh.jsonl"
+        make_session(op, checkpoint=str(fresh)).run(source.limit(5))
+        legacy = tmp_path / "legacy.jsonl"
+        recorded = self.rewrite_in_legacy_format(
+            fresh, legacy, backend="bitset", device="torch:cpu"
+        )
+        resumed = make_session(
+            op, backend="interp", checkpoint=str(legacy), resume=True
+        ).run(source)
+        assert resumed.skipped == recorded == 5
+        assert ranking_key(resumed) == ranking_key(clean)
+        kinds = [json.loads(line)["kind"] for line in legacy.read_text().splitlines()]
+        assert kinds.count("result") == len(clean.evaluated)
+
+    def test_legacy_shard_merges_with_a_fresh_shard(self, tmp_path):
+        # A fleet upgraded mid-sweep leaves shards in both formats.
+        op = make_op()
+        source = make_source(op, count=20)
+        full = tmp_path / "full.jsonl"
+        make_session(op, checkpoint=str(full)).run(source)
+        paths = []
+        for index in range(2):
+            path = tmp_path / f"shard{index}.jsonl"
+            make_session(op, checkpoint=str(path)).run(source, shard=(index, 2))
+            paths.append(path)
+        legacy = tmp_path / "shard0-legacy.jsonl"
+        assert self.rewrite_in_legacy_format(paths[0], legacy)
+        merged = load_ranking([str(legacy), str(paths[1])])
+        reference = load_ranking(str(full))
+        assert render_ranking(merged) == render_ranking(reference)

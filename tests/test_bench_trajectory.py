@@ -80,7 +80,7 @@ class TestRegressionChecker:
             "fused_candidates_per_sec": cps,
         }
         if speedup is not None:
-            record["fused_speedup"] = speedup
+            record["fused_speedup_vs_interp"] = speedup
         path.write_text(json.dumps({"records": [record]}))
         return str(path)
 
@@ -98,7 +98,7 @@ class TestRegressionChecker:
 
     def test_slow_machine_with_healthy_ratio_passes(self, tmp_path):
         # A slower CI runner shows low absolute throughput but the
-        # fused-vs-affine ratio (same-machine measurement) stays intact.
+        # fused-vs-interp ratio (same-machine measurement) stays intact.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker2b")
         baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
         current = self.write(tmp_path / "cur.json", 55.0, speedup=2.35)
@@ -106,7 +106,7 @@ class TestRegressionChecker:
 
     def test_fast_machine_cannot_mask_ratio_regression(self, tmp_path):
         # A faster runner keeps absolute throughput above the floor, but the
-        # same-run fused-vs-affine ratio still exposes the code regression.
+        # same-run fused-vs-interp ratio still exposes the code regression.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker2d")
         baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
         current = self.write(tmp_path / "cur.json", 110.0, speedup=1.1)
@@ -147,22 +147,22 @@ class TestRegressionChecker:
         assert checker.main(["--baseline", baseline, "--current", str(current)]) == 0
 
     def test_added_record_does_not_affect_the_gate(self, tmp_path):
-        # A brand-new record (e.g. fused_xp) rides along in the fresh file;
-        # the gate still compares only the shared benchmark.
+        # A brand-new record rides along in the fresh file; the gate still
+        # compares only the shared benchmark.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker6")
         baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
         current = tmp_path / "cur.json"
         current.write_text(json.dumps({"records": [
             {"benchmark": "engine_sweep_gemm48x100",
-             "fused_candidates_per_sec": 97.0, "fused_speedup": 2.28},
-            {"benchmark": "fused_xp", "numpy_candidates_per_sec": 1.0},
+             "fused_candidates_per_sec": 97.0, "fused_speedup_vs_interp": 2.28},
+            {"benchmark": "new_sweep_record", "candidates_per_sec": 1.0},
         ]}))
         assert checker.main(["--baseline", baseline, "--current", str(current)]) == 0
         regressed = tmp_path / "bad.json"
         regressed.write_text(json.dumps({"records": [
             {"benchmark": "engine_sweep_gemm48x100",
-             "fused_candidates_per_sec": 60.0, "fused_speedup": 1.2},
-            {"benchmark": "fused_xp", "numpy_candidates_per_sec": 999.0},
+             "fused_candidates_per_sec": 60.0, "fused_speedup_vs_interp": 1.2},
+            {"benchmark": "new_sweep_record", "candidates_per_sec": 999.0},
         ]}))
         assert checker.main(["--baseline", baseline, "--current", str(regressed)]) == 1
 
@@ -170,7 +170,7 @@ class TestRegressionChecker:
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker7")
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps({"records": [
-            {"benchmark": "engine_sweep_gemm48x100", "fused_speedup": 2.3},
+            {"benchmark": "engine_sweep_gemm48x100", "fused_speedup_vs_interp": 2.3},
         ]}))
         current = self.write(tmp_path / "cur.json", 50.0, speedup=2.2)
         assert checker.main(["--baseline", str(baseline), "--current", current]) == 0

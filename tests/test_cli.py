@@ -55,34 +55,38 @@ class TestParser:
         assert "objective = latency" in output
         assert "backend=fused" in output
         assert "profile (per-stage wall clock" in output
-        # The profile header labels the resolved backend and array namespace,
-        # and the breakdown includes the host<->device transfer stage.
-        assert "backend=fused, namespace=numpy:cpu" in output
-        for stage in ("stamps", "volumes", "transfer"):
+        # The profile header labels the resolved backend.
+        assert "workers included; backend=fused):" in output
+        for stage in ("stamps", "volumes"):
             assert stage in output
 
-    def test_explore_unavailable_device_is_clear_capability_error(self, capsys):
-        import repro.core.xp as xpmod
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_explore_ranking_matches_interp(self, capsys, backend):
+        def ranked_lines(name):
+            assert main([
+                "explore", "--kernel", "conv2d", "--sizes", "4", "4", "6", "6", "3", "3",
+                "--pe", "4", "4", "--max-candidates", "10", "--objective", "sbw",
+                "--top", "6", "--backend", name,
+            ]) == 0
+            output = capsys.readouterr().out
+            return [line for line in output.splitlines() if line.startswith("  ")]
 
-        missing = [n for n in ("torch", "cupy") if not xpmod.probe_namespace(n)[0]]
-        if not missing:
-            pytest.skip("both torch and cupy installed")
-        code = main([
-            "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
-            "--max-candidates", "6", "--device", missing[0],
-        ])
-        assert code == 1
+        reference = ranked_lines("interp")
+        assert len(reference) == 6
+        assert ranked_lines(backend) == reference
+
+    @pytest.mark.parametrize("backend", ["affine", "bitset"])
+    def test_explore_retired_backend_is_rejected(self, capsys, backend):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
+                "--backend", backend,
+            ])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "tenet explore: error" in err
-        assert "available namespaces" in err and "numpy" in err
-
-    def test_explore_numpy_device_aliases(self, capsys):
-        code = main([
-            "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
-            "--max-candidates", "4", "--device", "cpu", "--top", "2",
-        ])
-        assert code == 0
-        assert "objective = latency" in capsys.readouterr().out
+        assert f"invalid choice: '{backend}'" in err
+        for name in ("auto", "interp", "fused"):
+            assert name in err
 
     def test_explore_top_bounds_ranking(self, capsys):
         code = main([
@@ -169,13 +173,8 @@ class TestServeCommand:
         assert len(records) == 2
         assert records[1]["engine_reused"] is True
         assert "served 2" in captured.err
-        # The startup banner advertises the selected device and every
-        # namespace's availability.
-        assert "device=numpy" in captured.err
-        assert "array namespaces" in captured.err
-        assert "numpy=yes" in captured.err
 
-    def test_serve_stats_advertises_namespaces(self, capsys, tmp_path):
+    def test_serve_stats_reply(self, capsys, tmp_path):
         import json
 
         requests = tmp_path / "requests.jsonl"
@@ -183,18 +182,8 @@ class TestServeCommand:
         assert main(["serve", "--requests", str(requests)]) == 0
         captured = capsys.readouterr()
         record = json.loads(captured.out.splitlines()[0])
-        assert record["device"] == "numpy"
-        assert "numpy" in record["array_namespaces"]
-        assert record["engine_devices"] == []
-
-    def test_serve_unavailable_device_is_clear_capability_error(self, capsys):
-        import repro.core.xp as xpmod
-
-        missing = [n for n in ("torch", "cupy") if not xpmod.probe_namespace(n)[0]]
-        if not missing:
-            pytest.skip("both torch and cupy installed")
-        assert main(["serve", "--requests", "/dev/null",
-                     "--device", missing[0]]) == 1
-        err = capsys.readouterr().err
-        assert "tenet serve: error" in err
-        assert "available namespaces" in err
+        assert record["cmd"] == "stats"
+        assert record["engine_reused_rate"] == 0.0
+        assert record["relation_cache"]["misses"] == 0
+        assert record["requests"]["submitted"] == 0
+        assert record["requests"]["failed"] == 0
