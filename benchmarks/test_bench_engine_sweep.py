@@ -6,9 +6,7 @@ Three claims are checked on GEMM sweeps:
   relation cache on) is at least 2x faster than 100 independent
   ``TenetAnalyzer`` runs;
 * the fused backend (compiled, batch-stacked stamp matmuls, windowed volume
-  kernels) is at least 4x faster than the interp backend on the same sweep
-  at ``jobs=1``, and ``jobs>1`` sweeps map the cached relations zero-copy
-  (no worker re-materialisation);
+  kernels) is at least 4x faster than the interp backend on the same sweep;
 * both backends produce bit-identical performance reports, including
   dataflows with nested ``mod``/``floordiv`` terms that exercise the compiled
   backend's interpreter fallback, and wide temporal intervals where both
@@ -109,7 +107,7 @@ def timed_sweep(op, arch, candidates, backend, repeats=2, **engine_kwargs):
     runtime driver does.
     """
     engine = EvaluationEngine(
-        op, arch, jobs=1, cache=RelationCache(), backend=backend, **engine_kwargs
+        op, arch, cache=RelationCache(), backend=backend, **engine_kwargs
     )
     engine.evaluate(candidates[0])  # warm the relation cache
     seconds = float("inf")
@@ -131,9 +129,7 @@ def interleaved_sweeps(op, arch, candidates, backends, rounds=4):
     """
     engines = {}
     for backend in backends:
-        engine = EvaluationEngine(
-            op, arch, jobs=1, cache=RelationCache(), backend=backend
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         engine.evaluate(candidates[0])  # warm relation cache and layouts
         engines[backend] = engine
     batches = {}
@@ -237,66 +233,6 @@ def test_bench_backend_fallback_and_wide_interval():
     assert len(fused_batch.reports) == len(wide)
     for reference, candidate in zip(interp_batch.reports, fused_batch.reports):
         assert comparable(reference) == comparable(candidate)
-
-
-def test_bench_parallel_zero_copy_relations(bench_record):
-    """``jobs=2`` workers map the cached relations zero-copy.
-
-    The raw warm pool (pool spun up, shared relations mapped, layouts
-    compiled) is where the zero-copy claim is asserted: every worker's first
-    ``relations()`` call must *hit* its seeded cache.  Serial and pool wall
-    clocks are recorded for information only; their ratio is machine-class
-    dependent (a single-core runner cannot win).
-    """
-    op = gemm(GEMM_SIZE, GEMM_SIZE, GEMM_SIZE)
-    arch = make_arch(pe_dims=PE_DIMS, interconnect="2d-systolic")
-    candidates = sweep_candidates(op, count=42)
-    bench_cands, warm_cands = candidates[:40], candidates[40:]
-
-    serial_engine = EvaluationEngine(
-        op, arch, jobs=1, cache=RelationCache(), backend="fused", memoize=False
-    )
-    serial_engine.evaluate(warm_cands[0])
-    pool_engine = EvaluationEngine(
-        op, arch, jobs=2, cache=RelationCache(), backend="fused", memoize=False
-    )
-    try:
-        # Warm the pool on two disjoint candidates: worker spawn, shared
-        # relation mapping, and per-worker layout compilation happen here.
-        pool_engine.evaluate_batch(warm_cands)
-        # Rounds interleave serial and pool so systemic noise inflates both
-        # sides of a round equally and the per-side minimum discards it.
-        serial_seconds = pool_seconds = float("inf")
-        for _ in range(2):
-            started = time.perf_counter()
-            serial_batch = serial_engine.evaluate_batch(bench_cands)
-            serial_seconds = min(serial_seconds, time.perf_counter() - started)
-            started = time.perf_counter()
-            pool_batch = pool_engine.evaluate_batch(bench_cands)
-            pool_seconds = min(pool_seconds, time.perf_counter() - started)
-        cache_stats = pool_engine.cache_stats()
-    finally:
-        pool_engine.close()
-        serial_engine.close()
-
-    assert len(pool_batch.reports) == len(serial_batch.reports) == len(bench_cands)
-    for reference, candidate in zip(serial_batch.reports, pool_batch.reports):
-        assert comparable(reference) == comparable(candidate)
-    assert cache_stats["worker_misses"] == 0, (
-        f"workers re-materialised relations instead of mapping shared memory: "
-        f"{cache_stats}"
-    )
-    assert cache_stats["worker_hits"] > 0
-
-    print(f"\nzero-copy parallel sweep: serial {serial_seconds:.2f}s, "
-          f"warm jobs=2 pool {pool_seconds:.2f}s, worker cache {cache_stats}")
-    bench_record(
-        "engine_sweep_parallel_zero_copy_gemm48x40",
-        serial_seconds=round(serial_seconds, 3),
-        pool_seconds=round(pool_seconds, 3),
-        worker_cache_hits=cache_stats["worker_hits"],
-        worker_cache_misses=cache_stats["worker_misses"],
-    )
 
 
 def test_bench_sbw_objective_prunes(bench_record):

@@ -1,7 +1,8 @@
 """Fleet orchestration benchmark: candidates/sec scaling 1 -> 3 replicas.
 
-The container CI runs on a single CPU, so genuine compute parallelism across
-replica processes is unmeasurable there.  What the fleet *does* buy on any
+CI runners have one or two CPUs, fewer than three replicas plus their
+coordinator need, so genuine compute parallelism across replica processes is
+not reliably measurable there.  What the fleet *does* buy on any
 machine is dispatch overlap: N leases in flight at once instead of one after
 another.  The gated measurement therefore arms every replica with a seeded
 ``server.request``/``delay`` fault (0.5 s per lease — an I/O-bound or
@@ -15,8 +16,8 @@ With 6 leases of ~0.5 s each: a single replica serialises all six (>= 3 s),
 three replicas overlap them two-deep (>= 1 s) — the ratio approaches 3 and
 must exceed 1.8 (``check_bench_regression.py`` gates it at 1.4 with noise
 headroom).  The *undelayed* runs are also recorded (``real_*`` fields) as
-informational context: on a single-CPU runner they mostly measure fleet
-dispatch overhead, on a multi-core machine they show real scaling.
+informational context: on a one- or two-CPU runner they mostly measure fleet
+dispatch overhead; with a core per replica they show real scaling.
 """
 
 import time

@@ -6,7 +6,7 @@ Examples::
     tenet analyze --kernel gemm --sizes 64 64 64 --dataflow "(IJ-P | J,IJK-T)" \
         --pe 8 8 --interconnect 2d-systolic --bandwidth 128
     tenet explore --kernel conv2d --sizes 16 16 7 7 3 3 --objective latency \
-        --jobs 4 --top 5
+        --top 5
     tenet explore --kernel conv2d --sizes 16 16 7 7 3 3 --shard 0/2 \
         --checkpoint shard0.jsonl
     tenet sweep-merge shard0.jsonl shard1.jsonl --top 5
@@ -28,7 +28,7 @@ from repro.core.analyzer import analyze
 from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import OBJECTIVES
 from repro.dataflows.catalog import all_entries, get_dataflow
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, TenetError
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pruning import pruned_candidates
 from repro.experiments import (
@@ -93,7 +93,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         interconnect=args.interconnect,
         bandwidth_bits=args.bandwidth,
     )
-    report = analyze(op, dataflow, arch, max_instances=args.max_instances)
+    try:
+        report = analyze(op, dataflow, arch, max_instances=args.max_instances)
+    except TenetError as error:
+        print(f"tenet analyze: error: {error}", file=sys.stderr)
+        return 1
     print(report.summary())
     return 0
 
@@ -115,7 +119,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         arch,
         objective=args.objective,
         max_instances=args.max_instances,
-        jobs=args.jobs,
         backend=args.backend,
         batch_size=args.batch_size,
     )
@@ -143,25 +146,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(
         f"engine: {stats['evaluated']} evaluated, {stats['memo_hits']} memo hits, "
         f"{stats['pruned']} pruned, {stats['failures']} invalid "
-        f"(backend={args.backend}, jobs={args.jobs})"
+        f"(backend={args.backend})"
     )
-    print(
-        f"relation cache: {cache_stats['hits']} hits, {cache_stats['misses']} misses"
-        + (
-            f"; workers: {cache_stats['worker_hits']} hits, "
-            f"{cache_stats['worker_misses']} misses"
-            if args.jobs > 1
-            else ""
-        )
-    )
+    print(f"relation cache: {cache_stats['hits']} hits, {cache_stats['misses']} misses")
     if args.profile:
         engine = explorer.engine
         stages = engine.profile()
         total = sum(stages.values()) or 1.0
-        print(
-            "profile (per-stage wall clock, workers included; "
-            f"backend={engine.backend.name}):"
-        )
+        print(f"profile (per-stage wall clock; backend={engine.backend.name}):")
         for name, seconds in sorted(stages.items(), key=lambda kv: -kv[1]):
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
@@ -181,7 +173,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "objective": args.objective,
             "backend_requested": args.backend,
             "backend": engine.backend_name,
-            "jobs": args.jobs,
             "stages": {k: round(v, 6) for k, v in engine.profile().items()},
             "stats": dict(engine.stats),
             "relation_cache": engine.cache_stats(),
@@ -216,7 +207,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         served = run_tcp_server(
             host,
             port,
-            jobs=args.jobs,
             backend=args.backend,
             batch_size=args.batch_size,
             max_workers=args.workers,
@@ -237,7 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # unterminated request line is still served (torn-line tolerance).
         served = serve_lines(
             iter_lines(stream),
-            jobs=args.jobs,
             backend=args.backend,
             batch_size=args.batch_size,
             max_workers=args.workers,
@@ -362,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="evaluation backend: fused is the batch-fused compiled "
                               "path and auto its alias, interp the interpreted "
                               "reference; reports are bit-identical either way")
-    explore.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the sweep (1 = serial)")
     explore.add_argument("--top", type=int, default=5,
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")
@@ -398,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "flush only); bounds what an OS crash can lose")
     explore.add_argument("--batch-size", type=int, default=64,
                          help="candidates pulled from the generator per engine batch "
-                              "(multiplied by --jobs for parallel sweeps; also the "
-                              "most work an interrupted checkpoint can lose)")
+                              "(also the most work an interrupted checkpoint can lose)")
     explore.set_defaults(handler=_cmd_explore)
 
     serve = subparsers.add_parser(
@@ -413,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve the same line protocol over TCP instead of "
                             "stdio (port 0 = ephemeral; the bound address is "
                             "printed to stderr; SIGTERM drains gracefully)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes per engine")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent sweep requests (thread pool size)")
     serve.add_argument("--max-inflight", type=int, default=None,
@@ -483,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica is evicted")
     fleet.add_argument("--replica-args", nargs=argparse.REMAINDER, default=[],
                        help="remaining arguments are passed to each spawned "
-                            "'tenet serve' (e.g. -- --jobs 2)")
+                            "'tenet serve' (e.g. -- --workers 4)")
     fleet.set_defaults(handler=_cmd_fleet)
 
     merge = subparsers.add_parser(

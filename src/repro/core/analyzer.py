@@ -22,7 +22,7 @@ so that design-space sweeps can cache the dataflow-independent arrays; this
 class remains the single-candidate entry point and streams the domain without
 retaining it, exactly as before the refactor.  For sweeps over many candidate
 dataflows use :class:`repro.core.engine.EvaluationEngine`, which shares the
-materialised relations across candidates and can evaluate in parallel.
+materialised relations across candidates and batches their stamp evaluation.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ class TenetAnalyzer:
                 "raise max_instances"
             )
 
+        self.dataflow.check_pe_rank(self.op, self.arch.pe_array)
         if self.should_validate:
             validation = self.dataflow.validate(self.op, self.arch.pe_array, self.chunk_size)
             if not validation.is_valid:

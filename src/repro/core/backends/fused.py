@@ -66,12 +66,14 @@ _FUSED_MATMUL_CELLS = 16_000_000
 _WINDOW_MAX_BLOCK = 16
 
 
-#: Process-wide thread pool for per-tensor volume kernels.  The kernels are
-#: pure numpy whose heavy operations (sort, searchsorted, bincount) release
-#: the GIL, so one candidate's tensors run concurrently.  Shared and lazy so
-#: the many short-lived engines in tests do not each spawn threads.  Keyed by
-#: PID: a pool inherited across ``fork`` (the ``jobs>1`` sweep workers) has
-#: no live threads and would deadlock, so each process builds its own.
+#: Process-wide thread pool for per-tensor volume kernels, the engine's only
+#: in-process concurrency.  The kernels are pure numpy whose heavy operations
+#: (sort, searchsorted, bincount) release the GIL, so one candidate's tensors
+#: run concurrently; ``volume_metrics_many`` uses it for multi-tensor ops of at
+#: least 65,536 instances on a multi-core machine.  Shared and lazy so the
+#: many short-lived engines in tests do not each spawn threads.  Keyed by PID:
+#: a pool inherited across ``fork`` (a caller may fork after a sweep) has no
+#: live threads and would deadlock, so each process builds its own.
 _VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
 _CPU_COUNT = os.cpu_count() or 1
 

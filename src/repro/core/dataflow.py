@@ -188,6 +188,27 @@ class Dataflow:
 
     # -- validation -------------------------------------------------------------------
 
+    def _rank_mismatch(self, pe_array: PEArray) -> str | None:
+        if self.pe_rank == pe_array.rank:
+            return None
+        return (
+            f"space-stamp rank {self.pe_rank} does not match PE array rank "
+            f"{pe_array.rank}"
+        )
+
+    def check_pe_rank(self, op: TensorOp, pe_array: PEArray) -> None:
+        """Raise :class:`DataflowError` unless the space stamp has the array's rank.
+
+        Stamp evaluation pairs PE extents with space-stamp expressions axis by
+        axis, so a mismatch would silently drop axes.  The analyzer and the
+        engine run this on every evaluation, not only under ``validate``.
+        """
+        message = self._rank_mismatch(pe_array)
+        if message is not None:
+            raise DataflowError(
+                f"dataflow {self.name!r} is invalid for {op.name}: {message}"
+            )
+
     def validate(
         self,
         op: TensorOp,
@@ -207,12 +228,9 @@ class Dataflow:
                 [f"iteration dims {self.iteration_dims} do not match operation "
                  f"{op.domain.space.dims}"],
             )
-        if self.pe_rank != pe_array.rank:
-            messages.append(
-                f"space-stamp rank {self.pe_rank} does not match PE array rank "
-                f"{pe_array.rank}"
-            )
-            return DataflowValidation(False, 0, 0, 0, 0, messages)
+        rank_mismatch = self._rank_mismatch(pe_array)
+        if rank_mismatch is not None:
+            return DataflowValidation(False, 0, 0, 0, 0, [rank_mismatch])
 
         time_bounds = self.time_bounds(op)
         time_extents = [hi - lo + 1 for lo, hi in time_bounds]

@@ -17,9 +17,13 @@ that observation into an architectural seam:
   signature, so sweeps over many operations can share one cache.
 * :class:`EvaluationEngine` evaluates batches of candidate dataflows through
   one of two bit-identical backends (the interpreted reference or the fused
-  compiled path), with optional process-pool parallelism (``jobs``),
-  objective-aware early termination, and a report memo keyed by
-  ``(operation, dataflow signature, architecture)``.
+  compiled path), with objective-aware early termination and a report memo
+  keyed by ``(operation, dataflow signature, architecture)``.
+
+An engine evaluates in its calling thread; the fused backend fans one
+candidate's per-tensor volume kernels out over a small thread pool.  Sweeps
+scale across processes with signature-hash shards (``tenet explore --shard``
+or ``tenet fleet``), which merge bit-identically.
 
 ``TenetAnalyzer.analyze()`` remains the public single-candidate API; it is a
 thin wrapper over the streaming materialiser and the shared metric pipeline.
@@ -30,8 +34,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -45,7 +47,6 @@ from repro.core.dataflow import Dataflow
 from repro.core.energy_model import compute_energy
 from repro.core.latency import compute_latency
 from repro.core.metrics import PerformanceReport
-from repro.core.shm import attach_relations, share_relations
 from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import UtilizationMetrics, compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
@@ -796,35 +797,14 @@ class BatchResult:
         ]
 
 
-#: Minimum candidates per parallel task.  A task's dispatch cost (pickling
-#: candidates, queue round-trips, shipping outcomes back) is roughly constant
-#: and the fused backend stacks stamps across a task's whole slice, so tiny
-#: tasks pay full freight for almost no work — the committed ``jobs=2``
-#: slower-than-serial regression on 40-candidate batches.
-MIN_TASK_CANDIDATES = 8
-
-
-def parallel_task_chunk(count: int, jobs: int) -> int:
-    """Per-task candidate count for a parallel batch.
-
-    Targets ~4 tasks per worker for load balance, floored at
-    :data:`MIN_TASK_CANDIDATES` so dispatch overhead amortises, and capped at
-    an even split so the floor never leaves a worker idle on small batches.
-    """
-    jobs = max(1, jobs)
-    balanced = -(-count // (jobs * 4))
-    even_split = -(-count // jobs)
-    return max(1, min(max(MIN_TASK_CANDIDATES, balanced), even_split))
-
-
 class EvaluationEngine:
     """Evaluate candidate dataflows for one (operation, architecture) pair.
 
     The engine owns a :class:`RelationMaterializer` (optionally backed by a
     shared :class:`RelationCache`), a report memo, and the batched sweep
-    logic: parallel workers, objective-aware early termination, and the
-    stamp and volume kernels of its backend (``interp``, the reference, or
-    ``fused``/``auto``, the compiled path; see :mod:`repro.core.backends`).
+    logic: objective-aware early termination and the stamp and volume
+    kernels of its backend (``interp``, the reference, or ``fused``/``auto``,
+    the compiled path; see :mod:`repro.core.backends`).
     Reports are bit-identical to
     :meth:`repro.core.analyzer.TenetAnalyzer.analyze` (modulo the wall-clock
     ``analysis_seconds`` field) whichever backend runs.
@@ -839,7 +819,6 @@ class EvaluationEngine:
         chunk_size: int = 1 << 20,
         temporal_interval: int = 1,
         validate: bool = False,
-        jobs: int = 1,
         cache: RelationCache | None = None,
         memoize: bool = True,
         backend: str = "auto",
@@ -850,7 +829,6 @@ class EvaluationEngine:
         self.chunk_size = int(chunk_size)
         self.temporal_interval = int(temporal_interval)
         self.should_validate = bool(validate)
-        self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else RelationCache()
         self.materializer = RelationMaterializer(op, chunk_size=self.chunk_size, cache=self.cache)
         self.memoize = bool(memoize)
@@ -864,11 +842,6 @@ class EvaluationEngine:
         #: no spatial reuse, which makes the distinct-(PE, element) group count
         #: a sound (and candidate-dependent) unique-volume floor.
         self._has_links = bool((self._predecessor_table >= 0).any())
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_jobs = 0
-        #: Parent-owned shared-memory segment holding the cached relations for
-        #: ``jobs > 1`` workers (see :mod:`repro.core.shm`); ``close()`` owns it.
-        self._shared_relations = None
         self.backend_name = str(backend)
         self.stats: dict[str, int] = {
             "evaluated": 0,
@@ -889,7 +862,7 @@ class EvaluationEngine:
         }
         #: Wall-clock seconds per pipeline stage, for ``tenet explore
         #: --profile``: where a sweep's time actually goes (stamps vs volume
-        #: counting vs ranking), aggregated across workers like ``stats``.
+        #: counting vs ranking).
         self.stage_seconds: dict[str, float] = {
             "materialise": 0.0,
             "stamps": 0.0,
@@ -902,36 +875,16 @@ class EvaluationEngine:
         self.backend = make_backend(self.backend_name, self)
 
     def close(self) -> None:
-        """Shut down the persistent worker pool and release shared memory.
-
-        Owns the lifecycle of the relations segment: the ``/dev/shm`` entry is
-        unlinked here (and, as a backstop, at interpreter exit), never by the
-        workers.  A later parallel batch transparently recreates both the pool
-        and the segment.
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_jobs = 0
-        if self._shared_relations is not None:
-            self._shared_relations.close()
-            self._shared_relations = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
+        """End the engine's lifecycle; sweep drivers and the serve registry
+        call it when they drop an engine.  Nothing needs releasing: the memos
+        are freed with the engine by reference counting."""
 
     def cache_stats(self) -> dict[str, int]:
-        """Relation-cache counters, including the aggregated worker caches."""
-        stats = dict(self.cache.stats())
-        stats["worker_hits"] = self.stats.get("worker_cache_hits", 0)
-        stats["worker_misses"] = self.stats.get("worker_cache_misses", 0)
-        return stats
+        """Relation-cache counters (entries, hits, misses)."""
+        return dict(self.cache.stats())
 
     def profile(self) -> dict[str, float]:
-        """Per-stage wall-clock breakdown (seconds), workers aggregated in."""
+        """Per-stage wall-clock breakdown (seconds)."""
         return dict(self.stage_seconds)
 
     # -- single-candidate evaluation ---------------------------------------------
@@ -999,6 +952,7 @@ class EvaluationEngine:
             )
 
         bound = dataflow.bind(self.op)
+        bound.check_pe_rank(self.op, self.arch.pe_array)
         if self.should_validate:
             validation = bound.validate(self.op, self.arch.pe_array, self.chunk_size)
             if not validation.is_valid:
@@ -1182,7 +1136,6 @@ class EvaluationEngine:
         *,
         objective: str | None = None,
         early_termination: bool = False,
-        jobs: int | None = None,
         best_score: float | None = None,
     ) -> BatchResult:
         """Evaluate a batch of candidates and return per-candidate outcomes.
@@ -1202,62 +1155,6 @@ class EvaluationEngine:
                 f"unknown objective {objective!r}; available: {sorted(OBJECTIVES)}"
             )
         started = time.perf_counter()
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        parallel = jobs > 1 and len(candidates) > 1
-        if parallel:
-            outcomes = self._evaluate_parallel(
-                candidates, jobs, objective=objective,
-                early_termination=early_termination, best_score=best_score,
-            )
-        else:
-            outcomes = self._evaluate_serial(
-                candidates, objective=objective,
-                early_termination=early_termination, best_score=best_score,
-            )
-        return BatchResult(outcomes=outcomes, seconds=time.perf_counter() - started)
-
-    def _prepare_batch_stamps(
-        self, candidates: Sequence[Dataflow]
-    ) -> tuple[object | None, dict[int, int]]:
-        """Hand the batch to the backend for whole-batch stamp evaluation.
-
-        Memoised candidates are excluded, so the backend only compiles and
-        evaluates stamps that will actually be consumed.  Returns the provider
-        (or ``None``) plus a map from batch index to provider slot.  The
-        relation lookup is timed as ``materialise`` and the expression
-        lowering as ``stamps``, like the per-candidate stages.
-        """
-        stage = self.stage_seconds
-        mark = time.perf_counter()
-        try:
-            relations = self.materializer.relations(self.max_instances)
-        except ModelError:
-            relations = None  # per-candidate evaluation reports the error
-        now = time.perf_counter()
-        stage["materialise"] += now - mark
-        if relations is None:
-            return None, {}
-        slots: dict[int, int] = {}
-        pending: list[Dataflow] = []
-        for index, dataflow in enumerate(candidates):
-            if self.memoize and self._memo_key(dataflow) in self._memo:
-                continue
-            slots[index] = len(pending)
-            pending.append(dataflow)
-        provider = None
-        if pending:
-            provider = self.backend.prepare_batch(relations, pending, self.arch.pe_array)
-        stage["stamps"] += time.perf_counter() - now
-        return provider, slots if provider is not None else {}
-
-    def _evaluate_serial(
-        self,
-        candidates: Sequence[Dataflow],
-        *,
-        objective: str | None,
-        early_termination: bool,
-        best_score: float | None = None,
-    ) -> list[CandidateOutcome]:
         score_fn = OBJECTIVES.get(objective) if objective else None
         outcomes: list[CandidateOutcome] = []
         provider, provider_slots = self._prepare_batch_stamps(candidates)
@@ -1293,173 +1190,38 @@ class EvaluationEngine:
                 if best_score is None or score < best_score:
                     best_score = score
             outcomes.append(outcome)
-        return outcomes
+        return BatchResult(outcomes=outcomes, seconds=time.perf_counter() - started)
 
-    def _evaluate_parallel(
-        self,
-        candidates: Sequence[Dataflow],
-        jobs: int,
-        *,
-        objective: str | None,
-        early_termination: bool,
-        best_score: float | None = None,
-    ) -> list[CandidateOutcome]:
-        # The operation, architecture and engine parameters travel once per
-        # worker (pool initializer), not once per task: each worker builds one
-        # engine, materialises the relations a single time, and then receives
-        # only candidate lists.  Several tasks per worker keep the load
-        # balanced without re-shipping anything heavy.  The pool itself
-        # persists across batches (streaming sweeps call this repeatedly), so
-        # later batches reuse warm workers; ``close()`` tears it down.
-        chunk = parallel_task_chunk(len(candidates), jobs)
-        tasks = [
-            list(range(start, min(start + chunk, len(candidates))))
-            for start in range(0, len(candidates), chunk)
-        ]
-        outcomes: list[CandidateOutcome | None] = [None] * len(candidates)
-        pool = self._ensure_pool(jobs)
-        try:
-            futures = [
-                pool.submit(
-                    _sweep_worker_run,
-                    [candidates[i] for i in indices],
-                    indices,
-                    objective,
-                    early_termination,
-                    best_score,
-                )
-                for indices in tasks
-            ]
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:
-            # A crashed worker kills this batch (as it always did), but must
-            # not poison the engine: drop the pool so the next batch rebuilds.
-            self.close()
-            raise
-        for worker_outcomes, worker_stats, worker_cache, worker_stages in results:
-            for outcome in worker_outcomes:
-                outcomes[outcome.index] = outcome
-            for key, value in worker_stats.items():
-                self.stats[key] = self.stats.get(key, 0) + value
-            self.stats["worker_cache_hits"] = (
-                self.stats.get("worker_cache_hits", 0) + worker_cache["hits"]
-            )
-            self.stats["worker_cache_misses"] = (
-                self.stats.get("worker_cache_misses", 0) + worker_cache["misses"]
-            )
-            for key, value in worker_stages.items():
-                self.stage_seconds[key] = self.stage_seconds.get(key, 0.0) + value
-        return [outcome for outcome in outcomes if outcome is not None]
+    def _prepare_batch_stamps(
+        self, candidates: Sequence[Dataflow]
+    ) -> tuple[object | None, dict[int, int]]:
+        """Hand the batch to the backend for whole-batch stamp evaluation.
 
-    def _shared_descriptor(self):
-        """Share the cached relations for zero-copy worker mapping.
-
-        Built lazily (and rebuilt after ``close()``): the candidate-invariant
-        arrays travel through one ``/dev/shm`` segment instead of being
-        re-materialised privately by every worker.  ``None`` when the op is
-        uncacheable or shared memory is unavailable — workers then fall back
-        to materialising their own copy, exactly as before.
+        Memoised candidates are excluded, so the backend only compiles and
+        evaluates stamps that will actually be consumed.  Returns the provider
+        (or ``None``) plus a map from batch index to provider slot.  The
+        relation lookup is timed as ``materialise`` and the expression
+        lowering as ``stamps``, like the per-candidate stages.
         """
-        if self._shared_relations is not None and self._shared_relations.alive:
-            return self._shared_relations.descriptor
+        stage = self.stage_seconds
+        mark = time.perf_counter()
         try:
             relations = self.materializer.relations(self.max_instances)
         except ModelError:
             relations = None  # per-candidate evaluation reports the error
+        now = time.perf_counter()
+        stage["materialise"] += now - mark
         if relations is None:
-            return None
-        # None when shared memory is unavailable or /dev/shm cannot hold the
-        # arrays — workers then materialise privately, as before this seam.
-        self._shared_relations = share_relations(relations)
-        if self._shared_relations is None:
-            return None
-        return self._shared_relations.descriptor
-
-    def _ensure_pool(self, jobs: int) -> ProcessPoolExecutor:
-        """The persistent worker pool, (re)built when the job count changes
-        or a worker crash broke the executor (a broken pool would otherwise
-        poison every later batch of a long-lived engine)."""
-        if self._pool is not None and (
-            self._pool_jobs != jobs or getattr(self._pool, "_broken", False)
-        ):
-            self.close()
-        if self._pool is None:
-            payload_params = {
-                "max_instances": self.max_instances,
-                "chunk_size": self.chunk_size,
-                "temporal_interval": self.temporal_interval,
-                "validate": self.should_validate,
-                "backend": self.backend_name,
-                "memoize": self.memoize,
-            }
-            self._pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_sweep_worker_init,
-                initargs=(self.op, self.arch, payload_params, self._shared_descriptor()),
-            )
-            self._pool_jobs = jobs
-        return self._pool
-
-
-#: Per-process engine of the sweep workers, built once by the pool initializer
-#: so the operation and its materialised relations are shipped/built once per
-#: worker instead of once per task.
-_WORKER_ENGINE: "EvaluationEngine | None" = None
-_WORKER_SNAPSHOT: tuple[dict[str, int], dict[str, int], dict[str, float]] | None = None
-
-
-def _sweep_worker_init(
-    op: TensorOp, arch: ArchSpec, params: dict, shared=None
-) -> None:
-    global _WORKER_ENGINE, _WORKER_SNAPSHOT
-    _WORKER_ENGINE = EvaluationEngine(op, arch, jobs=1, **params)
-    if shared is not None:
-        # Map the parent's relation arrays zero-copy instead of enumerating
-        # the iteration domain again; the first relations() call below then
-        # hits the worker cache.
-        relations = attach_relations(shared)
-        if relations is not None:
-            _WORKER_ENGINE.cache.put(
-                (relations.signature, relations.chunk_size), relations
-            )
-    _WORKER_SNAPSHOT = (
-        dict(_WORKER_ENGINE.stats),
-        dict(_WORKER_ENGINE.cache.stats()),
-        dict(_WORKER_ENGINE.stage_seconds),
-    )
-
-
-def _sweep_worker_run(
-    candidates: list[Dataflow],
-    indices: list[int],
-    objective: str | None,
-    early_termination: bool,
-    best_score: float | None = None,
-) -> tuple[list[CandidateOutcome], dict[str, int], dict[str, int], dict[str, float]]:
-    """Evaluate one task's candidates on the worker's persistent engine.
-
-    Returns the outcomes plus the engine's stat, relation-cache and
-    stage-timing *deltas* since the previous task, so the parent can aggregate
-    counters across workers without double counting.
-    """
-    global _WORKER_SNAPSHOT
-    engine = _WORKER_ENGINE
-    outcomes = engine._evaluate_serial(
-        candidates, objective=objective, early_termination=early_termination,
-        best_score=best_score,
-    )
-    for outcome, index in zip(outcomes, indices):
-        outcome.index = index
-    previous_stats, previous_cache, previous_stages = _WORKER_SNAPSHOT
-    stats = {key: value - previous_stats.get(key, 0) for key, value in engine.stats.items()}
-    cache = {
-        key: value - previous_cache.get(key, 0) for key, value in engine.cache.stats().items()
-    }
-    stages = {
-        key: value - previous_stages.get(key, 0.0)
-        for key, value in engine.stage_seconds.items()
-    }
-    _WORKER_SNAPSHOT = (
-        dict(engine.stats), dict(engine.cache.stats()), dict(engine.stage_seconds)
-    )
-    return outcomes, stats, cache, stages
+            return None, {}
+        slots: dict[int, int] = {}
+        pending: list[Dataflow] = []
+        for index, dataflow in enumerate(candidates):
+            if self.memoize and self._memo_key(dataflow) in self._memo:
+                continue
+            slots[index] = len(pending)
+            pending.append(dataflow)
+        provider = None
+        if pending:
+            provider = self.backend.prepare_batch(relations, pending, self.arch.pe_array)
+        stage["stamps"] += time.perf_counter() - now
+        return provider, slots if provider is not None else {}

@@ -6,7 +6,7 @@ architecture) pair and hands every sweep — deduplication, streaming batches,
 sharding, checkpoint/resume, ranking — to the shared session.  Ranking is
 deterministic: ties on the objective are broken by dataflow name (and, in the
 merged ranking, by structural signature), so equal-score candidates order
-stably across runs, shards and worker processes.
+stably across runs and shards.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class DesignSpaceExplorer:
         *,
         max_instances: int = 4_000_000,
         chunk_size: int = 1 << 20,
-        jobs: int = 1,
         cache: RelationCache | None = None,
         backend: str = "auto",
         batch_size: int = 64,
@@ -50,14 +49,12 @@ class DesignSpaceExplorer:
         self.arch = arch
         self.max_instances = max_instances
         self.chunk_size = chunk_size
-        self.jobs = max(1, int(jobs))
         self.batch_size = int(batch_size)
         self.engine = EvaluationEngine(
             op,
             arch,
             max_instances=max_instances,
             chunk_size=chunk_size,
-            jobs=self.jobs,
             cache=cache,
             backend=backend,
         )

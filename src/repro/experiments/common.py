@@ -128,10 +128,10 @@ def shared_relation_cache() -> RelationCache:
     return _SHARED_RELATION_CACHE
 
 
-def make_engine(op, arch, *, jobs: int = 1, backend: str = "auto", **kwargs) -> EvaluationEngine:
+def make_engine(op, arch, *, backend: str = "auto", **kwargs) -> EvaluationEngine:
     """Build an :class:`EvaluationEngine` wired to the shared relation cache."""
     kwargs.setdefault("cache", _SHARED_RELATION_CACHE)
-    return EvaluationEngine(op, arch, jobs=jobs, backend=backend, **kwargs)
+    return EvaluationEngine(op, arch, backend=backend, **kwargs)
 
 
 def make_session(
@@ -139,12 +139,11 @@ def make_session(
     arch,
     *,
     objective="latency",
-    jobs: int = 1,
     backend: str = "auto",
     session_kwargs: Mapping | None = None,
     **engine_kwargs,
 ) -> SweepSession:
     """A :class:`SweepSession` on a shared-cache engine — the experiment
     drivers' one way to sweep candidates."""
-    engine = make_engine(op, arch, jobs=jobs, backend=backend, **engine_kwargs)
+    engine = make_engine(op, arch, backend=backend, **engine_kwargs)
     return SweepSession(engine, objective=objective, **dict(session_kwargs or {}))

@@ -9,7 +9,7 @@ paper-sized space is extrapolated.
 
 The sweep is a plain :class:`repro.sweep.SweepSession` run: relations are
 materialised once per operation (shared cache), candidates stream through the
-engine in batches (``jobs`` worker processes, optional early termination), and
+engine in batches (with optional early termination), and
 ``shard``/``checkpoint`` make the driver a building block for multi-machine
 runs — ``shard=(0, 2)`` on one machine and ``shard=(1, 2)`` on another sweep
 the paper space with no coordination.
@@ -27,7 +27,6 @@ def run(
     conv_sizes: tuple[int, int, int, int, int, int] = (16, 16, 7, 7, 3, 3),
     max_candidates: int = 40,
     objective: str = "latency",
-    jobs: int = 1,
     early_termination: bool = False,
     backend: str = "auto",
     shard: tuple[int, int] | None = None,
@@ -45,7 +44,6 @@ def run(
         op,
         arch,
         objective=objective,
-        jobs=jobs,
         backend=backend,
         session_kwargs=dict(
             early_termination=early_termination, checkpoint=checkpoint,
@@ -85,12 +83,11 @@ def run(
         "pruned_candidates": len(exploration.pruned),
         "exploration_seconds": round(exploration.seconds, 1),
         "candidates_per_second": round(exploration.throughput, 1),
-        "jobs": jobs,
         "backend": backend,
         "shard": f"{shard[0]}/{shard[1]}" if shard else "none",
         "engine_fast_path_tensors": stats["fast_path"],
-        "relation_cache_hits": cache_stats["hits"] + cache_stats["worker_hits"],
-        "relation_cache_misses": cache_stats["misses"] + cache_stats["worker_misses"],
+        "relation_cache_hits": cache_stats["hits"],
+        "relation_cache_misses": cache_stats["misses"],
         "paper_pruned_space": paper_pruned_count(),
         "projected_hours_for_paper_space": round(projected_hours, 2),
         "paper_reported": "25 920 dataflows explored in under one hour",

@@ -277,7 +277,6 @@ class SweepService:
         self,
         server: SweepServer | None = None,
         *,
-        jobs: int = 1,
         backend: str = "auto",
         batch_size: int = 64,
         max_workers: int = 2,
@@ -290,7 +289,6 @@ class SweepService:
         self._faults = fault_injector
         if server is None:
             server = SweepServer(
-                jobs=jobs,
                 backend=backend,
                 batch_size=batch_size,
                 max_workers=max_workers,
@@ -716,7 +714,6 @@ class SweepService:
 def serve_lines(
     lines: Iterable[str],
     *,
-    jobs: int = 1,
     backend: str = "auto",
     batch_size: int = 64,
     max_workers: int = 2,
@@ -738,7 +735,6 @@ def serve_lines(
 
     async def _run() -> int:
         service = SweepService(
-            jobs=jobs,
             backend=backend,
             batch_size=batch_size,
             max_workers=max_workers,
@@ -760,7 +756,6 @@ def run_tcp_server(
     host: str,
     port: int,
     *,
-    jobs: int = 1,
     backend: str = "auto",
     batch_size: int = 64,
     max_workers: int = 2,
@@ -777,7 +772,6 @@ def run_tcp_server(
 
     async def _main() -> int:
         service = SweepService(
-            jobs=jobs,
             backend=backend,
             batch_size=batch_size,
             max_workers=max_workers,

@@ -4,8 +4,7 @@
 — materialised relations, compiled group layouts, report memo — per
 ``(operation, architecture, backend)`` and services queued sweep requests
 concurrently: requests for *different* operations sweep in parallel on a
-thread pool (each engine may additionally fan out over its own ``jobs``
-process pool), while requests for the *same* warm engine serialise on a
+thread pool, while requests for the *same* warm engine serialise on a
 per-engine lock so they share its caches instead of racing them.
 
 ``tenet serve`` wraps this in a line protocol: one JSON request per input
@@ -151,7 +150,6 @@ class SweepServer:
     def __init__(
         self,
         *,
-        jobs: int = 1,
         backend: str = "auto",
         batch_size: int = 64,
         max_workers: int = 2,
@@ -162,7 +160,6 @@ class SweepServer:
         fault_injector: FaultInjector | None = None,
         checkpoint_root: str | Path | None = None,
     ):
-        self.jobs = max(1, int(jobs))
         self.backend = backend
         self.batch_size = int(batch_size)
         self.max_instances = int(max_instances)
@@ -235,7 +232,6 @@ class SweepServer:
                         engine=EvaluationEngine(
                             op,
                             arch,
-                            jobs=self.jobs,
                             backend=self.backend,
                             cache=self.cache,
                             max_instances=self.max_instances,

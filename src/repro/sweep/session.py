@@ -291,9 +291,6 @@ class SweepSession:
                 best_score = min(entry.score for entry in restored)
 
             live: list[RankEntry] = []
-            # jobs > 1 amortises its worker pool over bigger batches; the pool
-            # itself persists across batches on the engine.
-            batch_size = self.batch_size * max(1, self.engine.jobs)
 
             def flush(batch: list[Dataflow]) -> None:
                 nonlocal best_score
@@ -350,7 +347,7 @@ class SweepSession:
                     result.skipped += 1
                     continue
                 pending.append(dataflow)
-                if len(pending) >= batch_size:
+                if len(pending) >= self.batch_size:
                     flush(pending)
                     pending = []
             flush(pending)

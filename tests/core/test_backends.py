@@ -1,5 +1,8 @@
 """Tests for the pluggable evaluation backends (repro.core.backends)."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -577,6 +580,68 @@ class TestFusedBackend:
         engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="auto")
         assert type(engine.backend) is FusedBackend
         assert engine.backend.name == "auto"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least two CPUs")
+class TestVolumeThreadPool:
+    """The per-tensor volume threads, the engine's one in-process concurrency.
+
+    ``gemm(48, 48, 48)`` has 110,592 instances and 3 tensors, above the
+    65,536-instance threshold at which ``volume_metrics_many`` fans the
+    tensors out over the pool.
+    """
+
+    INTERCONNECTS = ("2d-systolic", "mesh", "2d-multicast")
+
+    @staticmethod
+    def structured_candidates(op):
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        space = op.domain.space
+        return [
+            Dataflow.from_exprs("ij-ijk", space, [i % 8, j % 8], [i // 8, j // 8, k]),
+            Dataflow.from_exprs(
+                "ij-skew", space, [i % 8, j % 8], [i // 8, j // 8, k + i % 8 + j % 8]
+            ),
+            Dataflow.from_exprs("ik-kji", space, [i % 8, k % 8], [k // 8, j, i // 8]),
+        ]
+
+    def sweep(self, op, backend, cache):
+        reports = []
+        for interconnect in self.INTERCONNECTS:
+            arch = make_arch(pe_dims=(8, 8), interconnect=interconnect)
+            engine = EvaluationEngine(op, arch, cache=cache, backend=backend)
+            batch = engine.evaluate_batch(self.structured_candidates(op))
+            assert not batch.failures
+            reports += [
+                json.dumps(report_dict(report), sort_keys=True)
+                for report in batch.reports
+            ]
+        return reports
+
+    def test_pool_runs_and_reports_match_inline_and_interp(self, monkeypatch):
+        from repro.core.backends import fused as fused_module
+
+        op = gemm(48, 48, 48)
+        cache = RelationCache()
+        original = fused_module._volume_pool
+        pools = []
+
+        def counting_pool():
+            pool = original()
+            pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(fused_module, "_volume_pool", counting_pool)
+        threaded = self.sweep(op, "fused", cache)
+        candidates = len(self.structured_candidates(op)) * len(self.INTERCONNECTS)
+        assert len(pools) == candidates
+        assert all(pool is not None for pool in pools)
+
+        monkeypatch.setattr(fused_module, "_volume_pool", lambda: None)
+        inline = self.sweep(op, "fused", cache)
+        assert len(threaded) == candidates
+        assert threaded == inline
+        assert threaded == self.sweep(op, "interp", cache)
 
 
 class TestKernelChain:

@@ -1,7 +1,9 @@
 """Tests for the shared evaluation engine (repro.core.engine)."""
 
 import gc
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.backends import BACKEND_NAMES
+from repro.core.backends import fused as fused_module
 from repro.core.engine import (
-    MIN_TASK_CANDIDATES,
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
@@ -19,9 +21,9 @@ from repro.core.engine import (
     _utilization_dense,
     dataflow_signature,
     op_signature,
-    parallel_task_chunk,
 )
 from repro.core.utilization import compute_utilization
+from repro.dataflows.catalog import get_dataflow
 from repro.errors import DataflowError, ExplorationError, ModelError
 from repro.experiments.common import make_arch
 from repro.dse.pruning import pruned_candidates
@@ -41,6 +43,41 @@ def report_dict(report):
 def small_candidates(op, pe_dims=(4, 4), count=6):
     return list(pruned_candidates(op, pe_dims=pe_dims, allow_packing=True,
                                   max_candidates=count))
+
+
+#: ``gemm(64, 32, 32)`` has 65,536 instances, the least at which the fused
+#: backend's ``volume_metrics_many`` fans a candidate's tensors out over its
+#: volume threads.
+THREADED_GEMM = (64, 32, 32)
+
+
+@pytest.fixture
+def volume_pools(monkeypatch):
+    """Turn the fused backend's volume threads on, on any machine.
+
+    The pool is only built where the CPU count is at least 2; raising the
+    module's count runs the threaded path on a single-core runner too.
+    Returns the pools handed to the volume kernels, one per candidate that
+    fanned out.
+    """
+    monkeypatch.setattr(fused_module, "_CPU_COUNT", max(2, fused_module._CPU_COUNT))
+    original = fused_module._volume_pool
+    pools = []
+
+    def counting_pool():
+        pool = original()
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(fused_module, "_volume_pool", counting_pool)
+    return pools
+
+
+def serial_batch(monkeypatch, engine, candidates):
+    """``engine.evaluate_batch`` with the volume threads off: kernels inline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fused_module, "_volume_pool", lambda: None)
+        return engine.evaluate_batch(candidates)
 
 
 class TestSignatures:
@@ -258,64 +295,62 @@ class TestBatchEvaluation:
         with pytest.raises(ExplorationError):
             engine.evaluate_batch(small_candidates(op, count=2), objective="beauty")
 
-    def test_parallel_matches_serial(self):
-        op = gemm(8, 8, 8)
+    def test_parallel_matches_serial(self, volume_pools, monkeypatch):
+        # 73,728 instances over three tensors with strided input windows.
+        op = conv2d(16, 8, 8, 8, 3, 3)
         arch = make_arch(pe_dims=(4, 4))
         candidates = small_candidates(op, count=4)
-        serial = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(candidates)
-        parallel = EvaluationEngine(op, arch, jobs=2, cache=RelationCache()).evaluate_batch(
+        serial = serial_batch(
+            monkeypatch, EvaluationEngine(op, arch, cache=RelationCache()), candidates
+        )
+        parallel = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
             candidates
         )
-        assert len(parallel.reports) == len(serial.reports)
+        assert len(volume_pools) == len(candidates)
+        assert len(parallel.reports) == len(serial.reports) == len(candidates)
         for a, b in zip(serial.reports, parallel.reports):
             assert report_dict(a) == report_dict(b)
 
     @pytest.mark.parametrize("backend", ["interp", "auto"])
-    def test_parallel_matches_serial_per_backend(self, backend):
-        op = gemm(12, 12, 12)
+    def test_parallel_matches_serial_per_backend(self, backend, volume_pools, monkeypatch):
+        # Only the fused kernels ("auto" resolves to fused) fan out; the interp
+        # reference stays inline with the threads on.
+        op = gemm(*THREADED_GEMM)
         arch = make_arch(pe_dims=(4, 4))
         candidates = small_candidates(op, count=8)
-        serial = EvaluationEngine(
+        serial = serial_batch(
+            monkeypatch,
+            EvaluationEngine(op, arch, cache=RelationCache(), backend=backend),
+            candidates,
+        )
+        parallel = EvaluationEngine(
             op, arch, cache=RelationCache(), backend=backend
         ).evaluate_batch(candidates)
-        parallel = EvaluationEngine(
-            op, arch, jobs=2, cache=RelationCache(), backend=backend
-        ).evaluate_batch(candidates)
+        assert len(volume_pools) == (0 if backend == "interp" else len(candidates))
         assert [o.name for o in parallel.outcomes] == [o.name for o in serial.outcomes]
         assert len(parallel.reports) == len(serial.reports)
         for a, b in zip(serial.reports, parallel.reports):
             assert report_dict(a) == report_dict(b)
 
-    def test_parallel_mixes_failures_and_reports_like_serial(self):
-        op = gemm(8, 8, 8)
+    def test_parallel_mixes_failures_and_reports_like_serial(
+        self, volume_pools, monkeypatch
+    ):
+        op = gemm(*THREADED_GEMM)
         arch = make_arch(pe_dims=(4, 4))
         bad = Dataflow.from_exprs("bad", op.domain.space, ["i", "j"], ["k"])
         candidates = small_candidates(op, count=5)
         candidates.insert(2, bad)
-        serial = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(candidates)
-        parallel = EvaluationEngine(op, arch, jobs=3, cache=RelationCache()).evaluate_batch(
+        serial = serial_batch(
+            monkeypatch, EvaluationEngine(op, arch, cache=RelationCache()), candidates
+        )
+        parallel = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
             candidates
         )
+        assert [name for name, _ in parallel.failures] == ["bad"]
         assert serial.failures == parallel.failures
+        assert len(volume_pools) == len(candidates) - 1
         for a, b in zip(serial.reports, parallel.reports):
             assert report_dict(a) == report_dict(b)
-
-    def test_parallel_workers_map_relations_zero_copy(self):
-        # The pool initializer ships a shared-memory descriptor per worker and
-        # seeds each worker cache with the mapped relations, so no worker ever
-        # re-materialises them (every relations() call is a hit).
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, jobs=2, cache=RelationCache())
-        candidates = small_candidates(op, count=8)
-        batch = engine.evaluate_batch(candidates)
-        assert len(batch.reports) == len(candidates)
-        assert engine.stats["worker_cache_misses"] == 0
-        assert engine.stats["worker_cache_hits"] >= len(candidates)
-        cache_stats = engine.cache_stats()
-        assert cache_stats["worker_misses"] == engine.stats["worker_cache_misses"]
-        assert cache_stats["worker_hits"] == engine.stats["worker_cache_hits"]
-        engine.close()
 
     def test_volume_lower_bounds_are_sound(self):
         # The registered bounds never exceed the true objective score, so
@@ -408,6 +443,55 @@ class TestBatchEvaluation:
         assert len(pruned.reports) + len(pruned.pruned) == len(candidates)
 
 
+class TestPERankCheck:
+    """A space stamp whose rank differs from the PE array's is always invalid.
+
+    Stamp evaluation pairs PE extents with space-stamp expressions axis by
+    axis, so without the check a 2-D stamp on a 1-D array kept only its first
+    axis and one on a 3-D array left the third axis at zero.
+    """
+
+    CATALOG_2D = "(IJ-P | J,IJK-T)"
+
+    @staticmethod
+    def expected_error(rank):
+        return (
+            "DataflowError: dataflow '(IJ-P | J,IJK-T)' is invalid for GEMM: "
+            f"space-stamp rank 2 does not match PE array rank {rank}"
+        )
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("pe_dims", [(8,), (8, 8, 8)])
+    def test_batch_records_rank_mismatch_as_invalid(self, backend, pe_dims):
+        op = gemm(8, 8, 8)
+        arch = make_arch(pe_dims=pe_dims)
+        mismatched = get_dataflow("gemm", self.CATALOG_2D)
+        dims = op.loop_dims[: len(pe_dims)]
+        matching = Dataflow.from_exprs(
+            "matching-rank", op.domain.space,
+            [f"{dim} mod {extent}" for dim, extent in zip(dims, pe_dims)],
+            [f"fl({dim}/{extent})" for dim, extent in zip(dims, pe_dims)]
+            + list(op.loop_dims[len(pe_dims):]),
+        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+        batch = engine.evaluate_batch([mismatched, matching])
+        assert batch.failures == [
+            (self.CATALOG_2D, self.expected_error(len(pe_dims)))
+        ]
+        assert [report.dataflow for report in batch.reports] == ["matching-rank"]
+        assert engine.stats["failures"] == 1
+
+    @pytest.mark.parametrize("pe_dims", [(8,), (8, 8, 8)])
+    def test_analyzer_rejects_rank_mismatch(self, pe_dims):
+        analyzer = TenetAnalyzer(
+            gemm(8, 8, 8), get_dataflow("gemm", self.CATALOG_2D),
+            make_arch(pe_dims=pe_dims),
+        )
+        with pytest.raises(DataflowError) as error:
+            analyzer.analyze()
+        assert f"DataflowError: {error.value}" == self.expected_error(len(pe_dims))
+
+
 class TestStageProfile:
     def test_serial_stage_seconds_accumulate(self):
         op = gemm(12, 12, 12)
@@ -423,16 +507,19 @@ class TestStageProfile:
         profile["stamps"] = -1
         assert engine.stage_seconds["stamps"] >= 0
 
-    def test_parallel_stage_seconds_aggregate_from_workers(self):
-        op = gemm(12, 12, 12)
+    def test_parallel_stage_seconds_aggregate_from_workers(self, volume_pools):
+        # The volume kernels run on the pool threads; their stage is timed
+        # around the fan-out in the calling thread, so it still accumulates.
+        op = gemm(*THREADED_GEMM)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, jobs=2, cache=RelationCache())
-        engine.evaluate_batch(small_candidates(op, count=8))
+        engine = EvaluationEngine(op, arch, cache=RelationCache())
+        candidates = small_candidates(op, count=8)
+        engine.evaluate_batch(candidates)
+        assert len(volume_pools) == len(candidates)
         profile = engine.profile()
         assert profile["stamps"] > 0
         assert profile["volumes"] > 0
         engine.close()
-
 
 class TestGroupCountFloors:
     """The candidate-dependent unique-volume floor on link-free interconnects."""
@@ -550,43 +637,41 @@ class TestBatchBestScoreSeed:
 
 
 class TestPersistentPool:
-    def test_chunk_floor_amortises_small_batches(self):
-        # The committed regression case: 40 candidates over jobs=2 used to
-        # make 10 tiny 5-candidate tasks; the floor makes 8-candidate tasks.
-        assert parallel_task_chunk(40, 2) == MIN_TASK_CANDIDATES
-        # Large batches keep the ~4-tasks-per-worker balance.
-        assert parallel_task_chunk(1000, 4) == 63
-        # The floor never idles a worker: small counts still split evenly.
-        assert parallel_task_chunk(10, 2) == 5
-        assert parallel_task_chunk(2, 2) == 1
+    """The volume thread pool is process-wide and built once per process."""
 
-    def test_parallel_batches_reuse_one_pool(self):
-        op = gemm(12, 12, 12)
+    def test_parallel_batches_reuse_one_pool(self, volume_pools):
+        op = gemm(*THREADED_GEMM)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, jobs=2, cache=RelationCache())
         candidates = small_candidates(op, count=8)
+        engine = EvaluationEngine(op, arch, cache=RelationCache())
         engine.evaluate_batch(candidates[:4])
-        pool = engine._pool
-        assert pool is not None
         engine.evaluate_batch(candidates[4:])
-        assert engine._pool is pool
         engine.close()
-        assert engine._pool is None
+        # Closing an engine leaves the shared pool running for the next one.
+        other = EvaluationEngine(op, arch, cache=RelationCache())
+        batch = other.evaluate_batch(candidates[:2])
+        assert len(batch.reports) == 2
+        assert len(volume_pools) == len(candidates) + 2
+        assert volume_pools[0] is not None
+        assert all(pool is volume_pools[0] for pool in volume_pools)
 
-    def test_broken_pool_is_rebuilt(self):
-        # A worker crash must not poison the engine forever: the next batch
-        # gets a fresh pool instead of re-raising BrokenProcessPool.
-        op = gemm(12, 12, 12)
+    def test_broken_pool_is_rebuilt(self, volume_pools, monkeypatch):
+        # A pool inherited across fork has no live threads and would deadlock
+        # the child: the next batch gets a fresh pool keyed by its own PID.
+        stale = ThreadPoolExecutor(max_workers=1)
+        stale.shutdown()
+        monkeypatch.setattr(fused_module, "_VOLUME_POOL", (os.getppid(), stale))
+        op = gemm(*THREADED_GEMM)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, jobs=2, cache=RelationCache())
         candidates = small_candidates(op, count=6)
-        engine.evaluate_batch(candidates[:3])
-        broken = engine._pool
-        broken._broken = "simulated worker crash"
-        batch = engine.evaluate_batch(candidates[3:])
-        assert engine._pool is not broken
-        assert len(batch.reports) == 3
-        engine.close()
+        batch = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
+            candidates
+        )
+        assert not batch.failures
+        assert len(batch.reports) == len(candidates)
+        assert len(volume_pools) == len(candidates)
+        assert all(pool is not stale for pool in volume_pools)
+        assert fused_module._VOLUME_POOL[0] == os.getpid()
 
 
 class TestEngineLifecycle:

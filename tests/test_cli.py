@@ -56,7 +56,7 @@ class TestParser:
         assert "backend=fused" in output
         assert "profile (per-stage wall clock" in output
         # The profile header labels the resolved backend.
-        assert "workers included; backend=fused):" in output
+        assert "(per-stage wall clock; backend=fused):" in output
         for stage in ("stamps", "volumes"):
             assert stage in output
 
@@ -87,6 +87,56 @@ class TestParser:
         assert f"invalid choice: '{backend}'" in err
         for name in ("auto", "interp", "fused"):
             assert name in err
+
+    def test_explore_profile_json_contract(self, tmp_path):
+        # The fields the repository benchmark reads from --profile-json.
+        import json
+
+        from repro.dse.pruning import pruned_candidates
+        from repro.tensor.kernels import gemm
+
+        path = tmp_path / "profile.json"
+        assert main([
+            "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
+            "--max-candidates", "6", "--profile-json", str(path),
+        ]) == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload["stages"]) >= {
+            "materialise", "stamps", "utilization", "volumes", "rank"
+        }
+        assert set(payload["stats"]) >= {
+            "fused_path", "compiled_path", "fast_path", "reference_path"
+        }
+        sweep_size = len(list(pruned_candidates(
+            gemm(12, 12, 12), pe_dims=(8, 8), allow_packing=True, max_candidates=6
+        )))
+        assert payload["sweep"]["candidates"] == sweep_size
+        assert payload["sweep"]["seconds"] > 0
+        assert "jobs" not in payload
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--kernel", "gemm", "--sizes", "12", "12", "12", "--jobs", "2"],
+        ["serve", "--jobs", "2"],
+    ])
+    def test_retired_jobs_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pe", [["8"], ["8", "8", "8"]])
+    def test_analyze_rank_mismatch_is_one_error_line(self, capsys, pe):
+        code = main([
+            "analyze", "--kernel", "gemm", "--sizes", "8", "8", "8",
+            "--dataflow", "(IJ-P | J,IJK-T)", "--pe", *pe,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "tenet analyze: error: dataflow '(IJ-P | J,IJK-T)' is invalid for "
+            f"GEMM: space-stamp rank 2 does not match PE array rank {len(pe)}"
+        ]
 
     def test_explore_top_bounds_ranking(self, capsys):
         code = main([
