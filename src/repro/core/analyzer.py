@@ -70,6 +70,9 @@ class TenetAnalyzer:
         self.chunk_size = int(chunk_size)
         self.should_validate = validate
         self.temporal_interval = int(temporal_interval)
+        self.spacetime = SpacetimeMap(
+            arch.pe_array, arch.interconnect, temporal_interval=self.temporal_interval
+        )
         self.materializer = materializer or RelationMaterializer(op, chunk_size=self.chunk_size)
 
     # -- public API -------------------------------------------------------------
@@ -107,10 +110,7 @@ class TenetAnalyzer:
                 "instance (the compute delay accounts for the extra cycles)"
             )
 
-        spacetime = SpacetimeMap(
-            self.arch.pe_array, self.arch.interconnect, temporal_interval=self.temporal_interval
-        )
-        predecessor_table = spacetime.predecessor_table()
+        predecessor_table = self.spacetime.predecessor_table()
 
         volumes: dict[str, VolumeMetrics] = {}
         for tensor, per_reference in element_keys.items():
@@ -129,7 +129,7 @@ class TenetAnalyzer:
                 tensor_elements,
                 predecessor_table,
                 num_pes,
-                spatial_interval=spacetime.spatial_interval,
+                spatial_interval=self.spacetime.spatial_interval,
                 temporal_interval=self.temporal_interval,
                 chunk_size=self.chunk_size,
                 element_extent=element_extents[tensor],

@@ -12,10 +12,10 @@ computed:
     The compiled path (:class:`repro.core.backends.fused.FusedBackend`): the
     batch's deduplicated stamp expressions, lowered to integer coefficient
     rows, stack into one float64-exact matmul per cached domain chunk, and
-    volumes are counted with segmented sorts and shifted-slice membership
-    windows over a candidate-invariant group layout.  Layouts that kernel
-    refuses (multi-reference tensors, non-injective candidates, padding past
-    twice the pairs) take the compiled group-layout kernel of
+    volumes are counted with shifted comparisons on the candidate's dense
+    (time rank x PE) stamp grid.  Tensors that kernel refuses
+    (multi-reference tensors, non-injective candidates, grids past the size
+    bound) take the compiled group-layout kernel of
     :mod:`repro.core.backends.affine`, and temporal intervals outside its
     adjacency window the engine's reference kernel.
 ``auto``

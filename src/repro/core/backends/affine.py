@@ -21,7 +21,8 @@ with the building blocks of this module:
   With it, :func:`compiled_group_volume_metrics` reduces each candidate's
   Table II counting to one narrow-key sort plus shifted-equality and
   membership tests — the same exact counts as the reference kernel.  It is
-  the compiled backend's fallback for the layouts the fused kernel refuses.
+  the compiled backend's fallback for the tensors the stamp-grid kernel
+  refuses.
 """
 
 from __future__ import annotations
@@ -331,8 +332,6 @@ class GroupLayout:
     perm_mod: np.ndarray
     #: Dense group id of each pair, group-sorted order (int32).
     dense_sorted: np.ndarray
-    #: Dense group id of each pair in original (per-reference) order (int32).
-    dense_orig: np.ndarray
     group_count: int
     #: Number of *distinct* references (identical references are collapsed).
     references: int
@@ -343,12 +342,10 @@ class GroupLayout:
     #: Per slot: the delta shared by every valid pair, or ``None`` when it
     #: varies (systolic links between uniformly-populated PEs share one).
     slot_delta_const: list[int | None]
-    #: Per slot: dense source group per *group* (sentinel ``group_count``).
-    slot_src_group: list[np.ndarray]
 
     def nbytes(self) -> int:
-        total = self.perm_mod.nbytes + self.dense_sorted.nbytes + self.dense_orig.nbytes
-        for arrays in (self.slot_valid, self.slot_delta, self.slot_src_group):
+        total = self.perm_mod.nbytes + self.dense_sorted.nbytes
+        for arrays in (self.slot_valid, self.slot_delta):
             total += sum(a.nbytes for a in arrays)
         return total
 
@@ -409,7 +406,6 @@ def build_group_layout(
     slot_valid: list[np.ndarray] = []
     slot_delta: list[np.ndarray] = []
     slot_delta_const: list[int | None] = []
-    slot_src_group: list[np.ndarray] = []
     slots = predecessor_table.shape[1] if predecessor_table.size else 0
     for slot in range(slots):
         src_pe = predecessor_table[group_pe, slot]
@@ -426,7 +422,6 @@ def build_group_layout(
             position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
             present = valid & (unique_groups[position] == src_raw)
             src_dense = np.where(present, position, group_count).astype(np.int32)
-        slot_src_group.append(src_dense)
         slot_valid.append(np.repeat(present, sizes))
         group_delta = src_dense - group_ids
         slot_delta.append(np.repeat(group_delta, sizes))
@@ -438,13 +433,11 @@ def build_group_layout(
     return GroupLayout(
         perm_mod=perm_mod,
         dense_sorted=dense_sorted,
-        dense_orig=dense_orig,
         group_count=group_count,
         references=len(distinct),
         slot_valid=slot_valid,
         slot_delta=slot_delta,
         slot_delta_const=slot_delta_const,
-        slot_src_group=slot_src_group,
     )
 
 
@@ -458,7 +451,6 @@ def compiled_group_volume_metrics(
     footprint: int,
     assume_unique: bool,
     rank_span: int | None = None,
-    rank32: np.ndarray | None = None,
 ) -> VolumeMetrics | None:
     """Exact Table II metrics from a cached :class:`GroupLayout`.
 
@@ -483,9 +475,7 @@ def compiled_group_volume_metrics(
 
     if span < (1 << 31):
         scaled = layout.dense_sorted * rank_span
-        if rank32 is None:
-            rank32 = t_rank.astype(np.int32)
-        keys = scaled + np.take(rank32, layout.perm_mod)
+        keys = scaled + np.take(t_rank.astype(np.int32), layout.perm_mod)
     else:
         scaled = layout.dense_sorted.astype(np.int64) * rank_span
         keys = scaled + np.take(t_rank, layout.perm_mod)

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.arch.pe_array import PEArray
 from repro.core.dataflow import Dataflow
+from repro.core.utilization import UtilizationMetrics
 from repro.core.volumes import VolumeMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -90,16 +91,18 @@ class EngineBackend:
 
     def utilization(
         self, pe_lin: np.ndarray, t_rank: np.ndarray, num_pes: int
-    ):
-        """Utilization metrics over cached relations, or ``None`` to use the
-        reference :func:`repro.core.utilization.compute_utilization`.
+    ) -> tuple[UtilizationMetrics | None, object | None]:
+        """``(metrics, grid)`` over cached relations.
 
-        The default is the dense-histogram kernel of the PR 1 engine; the
-        compiled backend adds an injective shortcut on top.
+        ``metrics`` is ``None`` to use the reference
+        :func:`repro.core.utilization.compute_utilization`.  ``grid`` is
+        backend-specific per-candidate data the engine hands back to
+        :meth:`volume_metrics_many`; the default dense-histogram kernel
+        builds none.
         """
         from repro.core.engine import _utilization_dense
 
-        return _utilization_dense(pe_lin, t_rank, num_pes)
+        return _utilization_dense(pe_lin, t_rank, num_pes), None
 
     # -- volume kernels ---------------------------------------------------------
 
@@ -131,12 +134,14 @@ class EngineBackend:
         *,
         assume_unique: bool,
         rank_span: int | None = None,
+        grid: object | None = None,
     ) -> dict[str, VolumeMetrics | None]:
         """Volume metrics for several tensors of one candidate.
 
-        The default evaluates tensors one by one; backends may override to
-        batch (the compiled backend runs the per-tensor kernels — pure numpy
-        whose heavy ops release the GIL — on a shared thread pool).
+        ``grid`` is what :meth:`utilization` returned for the candidate.  The
+        default evaluates tensors one by one; backends may override to batch
+        (the compiled backend runs the per-tensor kernels — pure numpy whose
+        heavy ops release the GIL — on a shared thread pool).
         """
         return {
             tensor: self.volume_metrics(

@@ -1,4 +1,4 @@
-"""The compiled backend: stacked stamp matmuls and windowed volume kernels.
+"""The compiled backend: stacked stamp matmuls and the stamp-grid volume kernel.
 
 :class:`FusedBackend` is the one compiled evaluation path (``fused``, and
 ``auto``, its alias and the default).  It builds on the kernels of
@@ -10,21 +10,24 @@ sweep batch:
   chunk is evaluated with a single float64-exact BLAS matmul (split only past
   a memory budget); per-candidate stamp columns are row views of the result.
   PE columns are memoised per space signature.
-* **Windowed volume kernels** — each dense (PE, element) group becomes one
-  row of a ``(groups, m)`` rank matrix, ``m`` being the largest group, so the
-  group-major sort degenerates to one segmented row sort, and spatial
-  membership for constant-offset interconnect slots becomes ``2m - 1``
-  shifted *slice* comparisons — no ``searchsorted``, no per-pair gathers.
-  Slots that share a source offset share one membership pass.  Uniform
-  layouts (every group holds ``m`` pairs) fill the matrix exactly; ragged
-  ones, such as conv layers cut at the input boundary, pad each row with a
-  sentinel rank that sorts last and never matches.
+* **Stamp grid** — each instance's stamp ``t_rank * num_pes + pe_lin`` indexes
+  a dense (time rank x PE) grid, built once per candidate by
+  :meth:`FusedBackend.utilization` and handed by the engine to the volume
+  kernel.  On an injective candidate every cell holds at most one instance,
+  so TENET's intersection of a tensor's data assignment with the spacetime
+  map becomes a comparison of grid cells: scatter the tensor's element ids
+  onto the grid, then temporal reuse is the grid against itself shifted
+  ``temporal_interval * num_pes`` cells, and spatial reuse one shifted
+  comparison per interconnect *direction* (the links sharing one linear PE
+  offset), masked to the PEs that have the link.  Directions along which no
+  (PE, element) group has a source group are skipped per space signature.
+  No sort, no ``searchsorted``, and any ``temporal_interval >= 1``.
 
-Per tensor the kernels chain fused → :func:`compiled_group_volume_metrics`
-(multi-reference tensors, non-injective candidates, layouts whose padding
-would more than double the pair count) → the engine's reference kernel
-(temporal intervals outside the adjacency window).  Every step is exact, so
-reports are bit-identical to ``interp``.
+Per tensor the kernels chain grid → :func:`compiled_group_volume_metrics`
+(multi-reference tensors, non-injective candidates, grids past the
+utilization histogram's size bound) → the engine's reference kernel
+(temporal intervals above 8 on those).  Every step is exact, so reports are
+bit-identical to ``interp``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.core.backends.affine import (
 )
 from repro.core.backends.base import BatchStampProvider, EngineBackend
 from repro.core.dataflow import Dataflow
+from repro.core.utilization import UtilizationMetrics
 from repro.core.volumes import VolumeMetrics
 from repro.errors import DataflowError
 
@@ -61,14 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: and its int64 conversion near ~128 MB each.
 _FUSED_MATMUL_CELLS = 16_000_000
 
-#: Windowed membership is used when the shifted-slice pass (2m - 1 comparisons)
-#: is cheaper than a searchsorted probe; beyond this block size it is not.
-_WINDOW_MAX_BLOCK = 16
-
-
 #: Process-wide thread pool for per-tensor volume kernels, the engine's only
 #: in-process concurrency.  The kernels are pure numpy whose heavy operations
-#: (sort, searchsorted, bincount) release the GIL, so one candidate's tensors
+#: (scatters, comparisons, sorts) release the GIL, so one candidate's tensors
 #: run concurrently; ``volume_metrics_many`` uses it for multi-tensor ops of at
 #: least 65,536 instances on a multi-core machine.  Shared and lazy so the
 #: many short-lived engines in tests do not each spawn threads.  Keyed by PID:
@@ -94,234 +93,140 @@ def _volume_pool() -> ThreadPoolExecutor | None:
     return _VOLUME_POOL[1]
 
 
-def _scalar(value: int, narrow: bool):
-    """An integer scalar that keeps ``array op scalar`` in the array dtype."""
-    return np.int32(value) if narrow else np.int64(value)
-
-
-# -- fused layout ------------------------------------------------------------------
+# -- stamp grid --------------------------------------------------------------------
 
 
 @dataclass
-class FusedSlot:
-    """One interconnect slot, classified for the fused kernel."""
+class StampGrid:
+    """One injective candidate's dense (time rank x PE) stamp grid.
 
-    #: Constant dense-group offset shared by every valid pair, or ``None``.
-    delta_const: int | None
-    #: Dense source-group offset (int32): per pair on a uniform layout, per
-    #: group on a padded one (see :attr:`FusedLayout.real`).
-    delta: np.ndarray
-    #: Validity (source group exists), shaped to broadcast over the
-    #: ``(groups, block)`` matrix: ``(groups, block)`` or ``(groups, 1)``.
-    valid: np.ndarray
-    #: Precomputed ``valid.any()``, so slot skipping costs nothing per candidate.
-    valid_any: bool = True
-
-
-class FusedLayout:
-    """Candidate-invariant extras the fused volume kernel needs per tensor.
-
-    Built once per :class:`GroupLayout` (itself cached per space signature),
-    so the block sizing and the slot classification never run per candidate.
-    The kernel works on a ``(groups, block)`` rank matrix, ``block`` being
-    the largest group.  On a uniform layout that matrix is the group-sorted
-    pair order itself and the layout's per-pair arrays are viewed in that
-    shape, without copies.  Ragged layouts pad every group to ``block`` with
-    sentinel ranks; ``real`` marks the pair positions, and the group-constant
-    per-pair data (group id, slot validity and offset) is kept once per group
-    and broadcast over the block.  ``usable`` is ``False`` for collapsed
-    multi-reference tensors and when padding would more than double the pair
-    count; callers then chain to the compiled kernel.
+    Cell ``t * num_pes + p`` is PE ``p`` at time rank ``t``.  ``stamp`` holds
+    every instance's cell and ``occupied`` marks the cells an instance runs
+    in; injective means at most one instance per cell.
     """
 
-    def __init__(self, layout: GroupLayout):
-        self.layout = layout
-        pairs = int(layout.dense_sorted.size)
-        groups = layout.group_count
-        sizes = np.bincount(layout.dense_sorted, minlength=groups)
-        self.pairs = pairs
-        self.block = int(sizes.max()) if pairs else 0
-        #: Length of the flattened (groups, block) matrix.
-        self.size = groups * self.block
-        self.usable = layout.references == 1 and 0 < pairs and self.size <= 2 * pairs
-        #: Real (non-padding) positions of the flattened matrix, or ``None``.
-        self.real: np.ndarray | None = None
-        self.dense: np.ndarray | None = None
-        self.slots: list[FusedSlot] = []
-        if self.usable and self.size == pairs:
-            self.dense = layout.dense_sorted.reshape(groups, self.block)
-            for delta_const, delta, valid in zip(
-                layout.slot_delta_const, layout.slot_delta, layout.slot_valid
-            ):
-                self.slots.append(
-                    FusedSlot(
-                        delta_const, delta, valid.reshape(groups, self.block),
-                        bool(valid.any()),
-                    )
-                )
-        elif self.usable:
-            self.real = (np.arange(self.block) < sizes[:, None]).ravel()
-            group_ids = np.arange(groups, dtype=np.int32)
-            self.dense = group_ids[:, None]
-            for delta_const, src_group in zip(
-                layout.slot_delta_const, layout.slot_src_group
-            ):
-                valid = src_group < groups
-                self.slots.append(
-                    FusedSlot(
-                        delta_const, src_group - group_ids, valid[:, None],
-                        bool(valid.any()),
-                    )
-                )
+    stamp: np.ndarray
+    occupied: np.ndarray
+    num_ranks: int
+    num_pes: int
+
+    @property
+    def full(self) -> bool:
+        """Every cell holds an instance (no empty cell needs masking)."""
+        return self.stamp.size == self.occupied.size
 
 
-def fused_group_volume_metrics(
+def stamp_grid(pe_lin: np.ndarray, t_rank: np.ndarray, num_pes: int) -> StampGrid | None:
+    """The candidate's stamp grid, or ``None`` when the candidate is not
+    injective or the grid would dwarf the instance count."""
+    from repro.core.engine import _grid_fits
+
+    instances = pe_lin.size
+    if instances == 0:
+        return None
+    num_ranks = int(t_rank.max()) + 1
+    if not _grid_fits(num_ranks * num_pes, instances):
+        return None
+    stamp = t_rank * num_pes + pe_lin
+    occupied = np.zeros(num_ranks * num_pes, dtype=bool)
+    occupied[stamp] = True
+    if np.count_nonzero(occupied) != instances:
+        return None
+    return StampGrid(stamp, occupied, num_ranks, num_pes)
+
+
+@dataclass(frozen=True, eq=False)
+class Direction:
+    """The interconnect links that share one linear PE offset ``source - pe``."""
+
+    offset: int
+    #: Destination PEs that have a link with this offset.
+    pes: np.ndarray
+    #: ``pes`` as a per-PE mask, broadcast over the grid's time rows.
+    mask: np.ndarray
+
+
+def link_directions(
+    predecessor_table: np.ndarray, num_pes: int, spatial_interval: int
+) -> list[Direction]:
+    """Group the predecessor table's links by linear PE offset.
+
+    With a zero spatial interval (same-cycle multicast) only sources below
+    the destination count, as in the reference kernel.
+    """
+    slots = predecessor_table.shape[1]
+    pes = np.repeat(np.arange(num_pes), slots)
+    sources = predecessor_table.ravel()
+    valid = sources >= 0
+    if spatial_interval == 0:
+        valid &= sources < pes
+    pes = pes[valid]
+    offsets = sources[valid] - pes
+    directions = []
+    for offset in np.unique(offsets):
+        dest = pes[offsets == offset]
+        mask = np.zeros(num_pes, dtype=bool)
+        mask[dest] = True
+        directions.append(Direction(int(offset), dest, mask))
+    return directions
+
+
+def grid_volume_metrics(
     tensor: str,
-    fused: FusedLayout,
-    t_rank: np.ndarray,
+    grid: StampGrid,
+    ids: np.ndarray,
+    directions: Sequence[Direction],
     *,
     spatial_interval: int,
     temporal_interval: int,
     footprint: int,
-    rank_span: int,
-    rank32: np.ndarray,
-) -> VolumeMetrics | None:
-    """Exact Table II metrics via segmented sorts and shifted-slice windows.
+) -> VolumeMetrics:
+    """Exact Table II metrics by shifted comparisons on the stamp grid.
 
-    Requires a usable :class:`FusedLayout` (one reference, bounded padding)
-    and an injective candidate (unique (stamp, element) pairs); the caller
-    guarantees both.  Returns ``None`` when the temporal interval is outside
-    the adjacency window or keys would overflow — the compiled kernel then
-    takes over.
+    ``ids`` holds the element each instance touches (one reference).
+    Scattered onto the grid, with -1 on empty cells, an instance has temporal
+    reuse when the cell ``temporal_interval * num_pes`` back (same PE,
+    ``temporal_interval`` ranks earlier) holds its element, and spatial reuse
+    when, for a direction of offset ``o`` its PE has, the cell
+    ``spatial_interval * num_pes - o`` back (PE ``pe + o``,
+    ``spatial_interval`` ranks earlier) does.  Both shifts are positive, so
+    slicing drops sources before rank 0.  Requires an injective candidate;
+    the counts equal the reference kernel's.
     """
-    ti = temporal_interval
-    if ti < 1 or ti > 8:
-        return None
-    m = fused.block
-    n = fused.size
-    groups = fused.layout.group_count
-    span = int(rank_span)
-    if fused.pairs == 0 or span <= 0:
-        return None
-    real = fused.real
-    # Keys are ``group * stride + rank``.  Padding holds the rank ``span +
-    # ti``, which sorts after every real rank.  With ``stride = span + ti +
-    # 1``, a padding key minus ``ti`` lands on the unused rank ``span``, and
-    # a real key of rank ``>= ti`` minus ``ti`` on a real rank of its own
-    # group, so padding never takes part in temporal reuse (lower ranks fail
-    # the rank guard); spatial hits on padding are masked by ``real``.
-    stride = span if real is None else span + ti + 1
-    # Probe values reach +-(2 * groups * stride); keep them exactly
-    # representable.
-    if 2 * (groups + 1) * stride >= (1 << 62):
-        return None
-    narrow = 2 * (groups + 1) * stride < (1 << 31)
-
-    # Segmented sort: ranks per pair in group-sorted order, laid out as the
-    # padded (groups, block) matrix, then each row sorted independently.
-    # Within-row sorting never moves a pair across groups, and padding sorts
-    # last, so ``real`` still marks the real positions afterwards.  The int32
-    # rank copy is only exact while the span fits; huge-span ops take the
-    # int64 path end to end.
-    ranks = np.take(rank32 if narrow else t_rank, fused.layout.perm_mod)
-    if real is not None:
-        padded = np.zeros(n, dtype=np.int32 if narrow else np.int64)
-        padded += _scalar(span + ti, narrow)
-        padded[real] = ranks
-        ranks = padded
-    ranks2d = ranks.reshape(groups, m)
-    ranks2d.sort(axis=-1)
-    if narrow:
-        keys = fused.dense * np.int32(stride)
-    else:
-        keys = fused.dense.astype(np.int64) * stride
-    # Group offsets are a full matrix on a uniform layout (add in place: a
-    # fresh pair-sized array costs its page faults) and a column otherwise.
-    if real is None:
-        keys += ranks2d
-    else:
-        keys = keys + ranks2d
-    keys = keys.ravel()
-    ranks = ranks2d.ravel()
-
-    # Temporal reuse: (g, r - ti) can only sit within ti positions back in the
-    # block; a value match implies the same group because 0 <= r - ti < span.
-    temporal = np.zeros(n, dtype=bool)
-    if ti == 1:
-        temporal[1:] = keys[:-1] == keys[1:] - 1
-    else:
-        for back in range(1, ti + 1):
-            temporal[back:] |= keys[:-back] == keys[back:] - ti
-    temporal &= ranks >= ti
-    temporal_count = int(np.count_nonzero(temporal))
+    num_pes = grid.num_pes
+    size = grid.occupied.size
+    cells = np.full(size, -1, dtype=ids.dtype)
+    cells[grid.stamp] = ids
+    reuse = np.zeros(size, dtype=bool)
+    back = temporal_interval * num_pes
+    if back < size:
+        np.equal(cells[back:], cells[:-back], out=reuse[back:])
+        if not grid.full:
+            reuse &= grid.occupied
+    temporal_count = int(np.count_nonzero(reuse))
+    total = int(grid.stamp.size)
 
     spatial_count = 0
-    if temporal_count < fused.pairs and fused.slots:
-        si = spatial_interval
-        rank_ok = ranks >= si if si else None
-        if real is not None:
-            rank_ok = real if rank_ok is None else rank_ok & real
-        spatial = np.zeros(n, dtype=bool)
-        spatial_rows = spatial.reshape(groups, m)
-        window_masks: dict[int, np.ndarray] = {}
-        for slot in fused.slots:
-            if not slot.valid_any:
+    if temporal_count < total and directions:
+        # ``reuse`` becomes the union of temporal and spatial hits; a hit
+        # only counts on a PE that has the direction's link.
+        hits = np.empty(size, dtype=bool)
+        hit_rows = hits.reshape(grid.num_ranks, num_pes)
+        for direction in directions:
+            shift = spatial_interval * num_pes - direction.offset
+            if shift >= size:
                 continue
-            if slot.delta_const is not None and m <= _WINDOW_MAX_BLOCK:
-                # Constant source offset: the matching position, if any, lies
-                # within one block of p + delta * m, so membership is 2m - 1
-                # shifted slice comparisons.  Slots sharing an offset share
-                # the pass.
-                delta = slot.delta_const
-                hits = window_masks.get(delta)
-                if hits is None:
-                    shift = delta * stride - si
-                    probes = keys + _scalar(shift, narrow)
-                    hits = np.zeros(n, dtype=bool)
-                    centre = delta * m
-                    for w in range(centre - m + 1, centre + m):
-                        if w >= 0:
-                            if w == 0:
-                                hits |= keys == probes
-                            elif w < n:
-                                hits[: n - w] |= keys[w:] == probes[: n - w]
-                        elif -w < n:
-                            hits[-w:] |= keys[:w] == probes[-w:]
-                    if rank_ok is not None:
-                        hits &= rank_ok
-                    window_masks[delta] = hits
-                spatial_rows |= hits.reshape(groups, m) & slot.valid
-            else:
-                # Per-pair source offsets: probe only the pairs that still
-                # need an answer (valid, rank-guarded, no temporal reuse).
-                needed = ~(temporal | spatial)
-                needed_rows = needed.reshape(groups, m)
-                needed_rows &= slot.valid
-                if rank_ok is not None:
-                    needed &= rank_ok
-                index = np.flatnonzero(needed)
-                if not len(index):
-                    continue
-                if slot.delta_const is not None:
-                    shift = slot.delta_const * stride - si
-                    probes = keys[index] + _scalar(shift, narrow)
-                else:
-                    rows = index if real is None else index // m
-                    delta = np.take(slot.delta, rows)
-                    if narrow:
-                        probes = keys[index] + (
-                            delta * np.int32(stride) - np.int32(si)
-                        )
-                    else:
-                        probes = keys[index] + (delta.astype(np.int64) * stride - si)
-                positions = np.searchsorted(keys, probes)
-                hits = np.take(keys, positions, mode="clip") == probes
-                spatial[index[hits]] = True
-        spatial_count = int(np.count_nonzero(spatial & ~temporal))
+            hits[:shift] = False
+            np.equal(cells[shift:], cells[:-shift], out=hits[shift:])
+            hit_rows &= direction.mask
+            reuse |= hits
+        if not grid.full:
+            reuse &= grid.occupied
+        spatial_count = int(np.count_nonzero(reuse)) - temporal_count
 
     return VolumeMetrics(
         tensor=tensor,
-        total=fused.pairs,
+        total=total,
         reuse=temporal_count + spatial_count,
         temporal_reuse=temporal_count,
         spatial_reuse=spatial_count,
@@ -465,8 +370,23 @@ class _BatchStamps(BatchStampProvider):
 # -- the backend -------------------------------------------------------------------
 
 
+class _TensorLayout:
+    """One tensor's candidate-invariant volume structure for one space
+    signature, each part built on first use: the live directions for the
+    grid kernel and the :class:`GroupLayout` for the compiled kernel."""
+
+    __slots__ = ("directions", "group")
+
+    def __init__(self):
+        self.directions: tuple[Direction, ...] | None = None
+        self.group: GroupLayout | None | object = _MISSING
+
+    def nbytes(self) -> int:
+        return self.group.nbytes() if isinstance(self.group, GroupLayout) else 0
+
+
 class FusedBackend(EngineBackend):
-    """Stacked compiled stamps plus the fused → compiled volume-kernel chain."""
+    """Stacked compiled stamps plus the grid → compiled volume-kernel chain."""
 
     name = "fused"
 
@@ -477,12 +397,15 @@ class FusedBackend(EngineBackend):
     def __init__(self, engine):
         super().__init__(engine)
         self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
-        #: (GroupLayout, FusedLayout) per (space signature, tensor).
-        self._layout_memo: OrderedDict[
-            tuple, tuple[GroupLayout, FusedLayout] | tuple[None, None]
-        ] = OrderedDict()
+        #: Volume structure per (space signature, tensor).
+        self._layout_memo: OrderedDict[tuple, _TensorLayout] = OrderedDict()
         #: Shared (expression set, evaluator) per cached-relations object.
         self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
+        #: Grid element ids per tensor, for one cached-relations object.
+        self._ids: tuple[object, dict[str, np.ndarray | None]] | None = None
+        self.directions = link_directions(
+            self.predecessor_table, self.num_pes, self.spatial_interval
+        )
 
     def compiled_for(self, relations) -> tuple[CompiledExprSet, CompiledEvaluator]:
         """The backend-wide compiled expression set for one relations object."""
@@ -520,120 +443,157 @@ class FusedBackend(EngineBackend):
         return _BatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
 
     def utilization(self, pe_lin, t_rank, num_pes):
-        """Dense-histogram utilization with the injective shortcut enabled."""
+        """Utilization read off the stamp grid, which is returned too when
+        the candidate is injective: every rank is occupied, the compute
+        delay is the rank count, and the occupied cells per rank are the
+        active PEs."""
         from repro.core.engine import _utilization_dense
 
-        return _utilization_dense(pe_lin, t_rank, num_pes, injective_shortcut=True)
+        grid = stamp_grid(pe_lin, t_rank, num_pes)
+        if grid is None:
+            return _utilization_dense(pe_lin, t_rank, num_pes), None
+        active = np.count_nonzero(
+            grid.occupied.reshape(grid.num_ranks, num_pes), axis=1
+        )
+        metrics = UtilizationMetrics(
+            num_instances=int(pe_lin.size),
+            num_pes=num_pes,
+            num_time_stamps=grid.num_ranks,
+            occupied_stamps=int(pe_lin.size),
+            compute_delay_cycles=grid.num_ranks,
+            max_active_pes=int(active.max()),
+        )
+        return metrics, grid
 
     # -- volumes ----------------------------------------------------------------
 
-    def _layouts(self, tensor: str, dataflow: Dataflow, pe_lin, relations):
-        """One tensor's (GroupLayout, FusedLayout), memoised per space
-        signature; ``(None, None)`` when no group layout can be built."""
-        key = (self.pe_signature(dataflow), tensor)
-        memo = self._layout_memo
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        layout = build_group_layout(
-            pe_lin,
-            relations.tensors[tensor],
-            self.predecessor_table,
-            self.spatial_interval,
+    def _element_ids(self, relations) -> dict[str, np.ndarray | None]:
+        """Per tensor, the dense element id of every instance, as int16 when
+        the footprint allows and int32 otherwise; ``None`` for a tensor with
+        several distinct references (identical ones collapse)."""
+        cached = self._ids
+        if cached is not None and cached[0] is relations:
+            return cached[1]
+        total = relations.total
+        ids: dict[str, np.ndarray | None] = {}
+        for tensor, rel in relations.tensors.items():
+            first = rel.dense_keys[:total]
+            if all(
+                np.array_equal(first, rel.dense_keys[index * total : (index + 1) * total])
+                for index in range(1, rel.references)
+            ):
+                ids[tensor] = first.astype(np.int16 if rel.footprint < (1 << 15) else np.int32)
+            else:
+                ids[tensor] = None
+        self._ids = (relations, ids)
+        return ids
+
+    def _live_directions(self, pe_lin, ids, footprint) -> tuple[Direction, ...]:
+        """The directions along which some (PE, element) group has a source
+        group, from a ``num_pes x footprint`` presence matrix; every
+        direction when that matrix would exceed the grid bound."""
+        from repro.core.engine import _grid_fits
+
+        directions = self.directions
+        if not directions or not _grid_fits(self.num_pes * footprint, pe_lin.size):
+            return tuple(directions)
+        presence = np.zeros(self.num_pes * footprint, dtype=bool)
+        presence[pe_lin * footprint + ids] = True
+        presence = presence.reshape(self.num_pes, footprint)
+        return tuple(
+            direction
+            for direction in directions
+            if (presence[direction.pes] & presence[direction.pes + direction.offset]).any()
         )
-        layouts = (layout, FusedLayout(layout)) if layout is not None else (None, None)
-        memo[key] = layouts
-        _evict_lru(
-            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,
-            lambda v: v[0].nbytes() if v[0] is not None else 0,
-        )
-        return layouts
 
     def _volume_one(
-        self, tensor, layout, fused, t_rank, relations, assume_unique,
-        rank_span, rank32,
+        self, tensor, layout, ids, grid, pe_lin, t_rank, relations,
+        assume_unique, rank_span,
     ) -> tuple[VolumeMetrics | None, str | None]:
         """Kernel chain for one tensor: (metrics-or-None, stats key).
 
-        Pure with respect to backend state (layouts and rank32 are passed
-        in), so several tensors of one candidate can run concurrently.
-        ``(None, None)`` hands the tensor to the engine's reference kernel.
+        Touches only this tensor's layout, so several tensors of one
+        candidate can run concurrently.  A rung that returns ``None`` hands
+        the tensor to the next; ``(None, None)`` hands it to the engine's
+        reference kernel.
         """
-        if layout is None:
-            return None, None
-        footprint = relations.tensors[tensor].footprint
-        if rank_span is None:
-            rank_span = int(t_rank.max()) + 1
-        # The fused kernel needs unique (stamp, element) pairs.
-        if assume_unique and fused.usable:
-            metrics = fused_group_volume_metrics(
+        rel = relations.tensors[tensor]
+        if ids is not None:
+            metrics = grid_volume_metrics(
                 tensor,
-                fused,
-                t_rank,
+                grid,
+                ids,
+                layout.directions,
                 spatial_interval=self.spatial_interval,
                 temporal_interval=self.temporal_interval,
-                footprint=footprint,
-                rank_span=rank_span,
-                rank32=rank32,
+                footprint=rel.footprint,
             )
             if metrics is not None:
                 return metrics, "fused_path"
+        if layout.group is _MISSING:
+            layout.group = build_group_layout(
+                pe_lin, rel, self.predecessor_table, self.spatial_interval
+            )
+        if layout.group is None:
+            return None, None
         metrics = compiled_group_volume_metrics(
             tensor,
-            layout,
+            layout.group,
             t_rank,
             spatial_interval=self.spatial_interval,
             temporal_interval=self.temporal_interval,
-            footprint=footprint,
+            footprint=rel.footprint,
             assume_unique=assume_unique,
             rank_span=rank_span,
-            rank32=rank32,
         )
         if metrics is not None:
             return metrics, "compiled_path"
         return None, None
 
-    def volume_metrics(
-        self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None,
-    ):
-        return self.volume_metrics_many(
-            [tensor], dataflow, pe_lin, t_rank, relations,
-            assume_unique=assume_unique, rank_span=rank_span,
-        )[tensor]
-
     def volume_metrics_many(
         self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None,
+        rank_span=None, grid=None,
     ):
+        """The grid kernel for single-reference tensors of a candidate with
+        a stamp grid; the compiled kernel for the rest."""
         tensors = list(tensors)
-        # Memo mutation happens serially up front; the kernels below only
-        # read shared arrays.
-        layouts = {
-            tensor: self._layouts(tensor, dataflow, pe_lin, relations)
+        ids = self._element_ids(relations) if grid is not None else {}
+        signature = self.pe_signature(dataflow)
+        memo = self._layout_memo
+        # Memo reads and writes happen serially up front (and eviction after);
+        # the kernels below only touch their own tensor's layout.
+        layouts = {}
+        for tensor in tensors:
+            key = (signature, tensor)
+            layout = memo.get(key)
+            if layout is None:
+                layout = memo[key] = _TensorLayout()
+            memo.move_to_end(key)
+            if ids.get(tensor) is not None and layout.directions is None:
+                layout.directions = self._live_directions(
+                    pe_lin, ids[tensor], relations.tensors[tensor].footprint
+                )
+            layouts[tensor] = layout
+        args = {
+            tensor: (
+                tensor, layouts[tensor], ids.get(tensor), grid, pe_lin, t_rank,
+                relations, assume_unique, rank_span,
+            )
             for tensor in tensors
         }
-        rank32 = t_rank.astype(np.int32)
         pool = _volume_pool() if (
             len(tensors) > 1 and relations.total >= (1 << 16)
         ) else None
         if pool is not None:
             futures = {
-                tensor: pool.submit(
-                    self._volume_one, tensor, *layouts[tensor], t_rank,
-                    relations, assume_unique, rank_span, rank32,
-                )
-                for tensor in tensors
+                tensor: pool.submit(self._volume_one, *args[tensor]) for tensor in tensors
             }
             outcomes = {tensor: future.result() for tensor, future in futures.items()}
         else:
-            outcomes = {
-                tensor: self._volume_one(
-                    tensor, *layouts[tensor], t_rank, relations,
-                    assume_unique, rank_span, rank32,
-                )
-                for tensor in tensors
-            }
+            outcomes = {tensor: self._volume_one(*args[tensor]) for tensor in tensors}
+        _evict_lru(
+            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES, lambda v: v.nbytes()
+        )
         results: dict[str, VolumeMetrics | None] = {}
         for tensor, (metrics, path) in outcomes.items():
             if path is not None:

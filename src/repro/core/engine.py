@@ -515,40 +515,30 @@ def _rank_keys(keys: np.ndarray) -> np.ndarray:
     return np.searchsorted(unique_keys, keys)
 
 
+def _grid_fits(cells: int, instances: int) -> bool:
+    """Whether a dense per-cell array stays within a small multiple of the
+    instance count (the bound of the stamp-grid and histogram kernels)."""
+    return cells <= max(8 * instances, 1 << 22)
+
+
 def _utilization_dense(
     pe_lin: np.ndarray,
     t_rank: np.ndarray,
     num_pes: int,
-    injective_shortcut: bool = False,
 ) -> UtilizationMetrics | None:
     """Sort-free :func:`compute_utilization` via a dense (time, PE) histogram.
 
     Valid because ``t_rank`` is dense (every rank in ``[0, max+1)`` occurs);
     returns ``None`` when the histogram would dwarf the instance count.
-
-    ``injective_shortcut`` (used by the compiled backend) collapses the
-    per-rank reductions when every stamp holds at most one instance: every
-    rank is occupied, the compute delay is the rank count, and the instances
-    per rank *are* the active PEs per rank.
     """
     num_instances = int(pe_lin.size)
     if num_instances == 0:
         return None
     num_ranks = int(t_rank.max()) + 1
-    if num_ranks * num_pes > max(8 * num_instances, 1 << 22):
+    if not _grid_fits(num_ranks * num_pes, num_instances):
         return None
     counts = np.bincount(t_rank * num_pes + pe_lin, minlength=num_ranks * num_pes)
     counts = counts.reshape(num_ranks, num_pes)
-    if injective_shortcut and int(counts.max()) == 1:
-        active_per_stamp = counts.sum(axis=1)
-        return UtilizationMetrics(
-            num_instances=num_instances,
-            num_pes=num_pes,
-            num_time_stamps=num_ranks,
-            occupied_stamps=num_instances,
-            compute_delay_cycles=num_ranks,
-            max_active_pes=int(active_per_stamp.max()),
-        )
     occupied = counts > 0
     active_per_stamp = occupied.sum(axis=1)
     return UtilizationMetrics(
@@ -987,9 +977,9 @@ class EvaluationEngine:
         stage["stamps"] += now - mark
         mark = now
 
-        utilization = None
+        utilization = grid = None
         if relations is not None:
-            utilization = self.backend.utilization(pe_lin, t_rank, num_pes)
+            utilization, grid = self.backend.utilization(pe_lin, t_rank, num_pes)
         if utilization is None:
             utilization = compute_utilization(pe_lin, t_rank, num_pes)
         now = time.perf_counter()
@@ -1033,6 +1023,7 @@ class EvaluationEngine:
                 assume_unique=utilization.is_injective,
                 # Ranks are dense, so the occupied-stamp count *is* the span.
                 rank_span=utilization.num_time_stamps,
+                grid=grid,
             )
 
         volumes: dict[str, VolumeMetrics] = {}

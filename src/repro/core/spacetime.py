@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.arch.interconnect import Interconnect
 from repro.arch.pe_array import PEArray
+from repro.errors import ModelError
 
 
 @dataclass
@@ -32,6 +33,14 @@ class SpacetimeMap:
 
     #: Time-stamp distance across which register (temporal) reuse happens.
     temporal_interval: int = 1
+
+    def __post_init__(self):
+        # An interval of 0 would make every access its own temporal source,
+        # and a negative one would take reuse from a later stamp.
+        if self.temporal_interval < 1:
+            raise ModelError(
+                f"temporal interval must be at least 1, got {self.temporal_interval}"
+            )
 
     @property
     def spatial_interval(self) -> int:

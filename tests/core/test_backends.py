@@ -298,7 +298,7 @@ class TestLayout:
             engine._spacetime.spatial_interval,
         )
         assert layout.references == 1
-        assert layout.dense_orig.size == pe_lin.size
+        assert layout.perm_mod.size == pe_lin.size
 
     def test_duplicate_reference_reports_equal_analyzer(self):
         op = self._op_with_duplicate_reference()
@@ -346,11 +346,9 @@ class TestLayout:
         dense_sorted = (np.cumsum(boundary) - 1).astype(np.int32)
         group_count = int(dense_sorted[-1]) + 1
         unique_groups = ordered[boundary]
-        dense_orig = np.empty(pairs.size, dtype=np.int32)
-        dense_orig[perm] = dense_sorted
         group_pe = unique_groups // footprint
         group_elem = unique_groups - group_pe * footprint
-        slots = {"valid": [], "delta": [], "const": [], "src": []}
+        slots = {"valid": [], "delta": [], "const": []}
         for slot in range(predecessor_table.shape[1]):
             src_pe = predecessor_table[group_pe, slot]
             valid = src_pe >= 0
@@ -366,17 +364,14 @@ class TestLayout:
             slots["valid"].append(present[dense_sorted])
             slots["delta"].append(group_delta[dense_sorted])
             slots["const"].append(int(valid_deltas[0]) if constant else None)
-            slots["src"].append(src_dense)
         return {
             "perm_mod": (perm % length).astype(np.int32),
             "dense_sorted": dense_sorted,
-            "dense_orig": dense_orig,
             "group_count": group_count,
             "references": len(distinct),
             "slot_valid": slots["valid"],
             "slot_delta": slots["delta"],
             "slot_delta_const": slots["const"],
-            "slot_src_group": slots["src"],
         }
 
     @pytest.mark.parametrize("make_op", [
@@ -451,9 +446,9 @@ class TestFusedBackend:
 
     def test_fused_splits_mixed_reference_layouts_between_kernels(self):
         # jacobi2d mixes per-tensor layouts: the multi-reference stencil input
-        # cannot use the fused kernel (it needs collapsed single-reference
-        # blocks) and must chain to the compiled kernel, while the
-        # single-reference output still fuses — bit-identically either way.
+        # cannot use the grid kernel (a cell holds one element per tensor)
+        # and must chain to the compiled kernel, while the single-reference
+        # output still takes the grid — bit-identically either way.
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
@@ -491,55 +486,9 @@ class TestFusedBackend:
         assert engine.stats["compiled_path"] == 0
         assert engine.stats["fused_path"] > 0
 
-    def test_fused_layout_pads_ragged_blocks(self):
-        from repro.core.backends.fused import FusedLayout
-
-        op = conv2d(2, 3, 6, 6, 3, 3)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        relations = engine.materializer.relations(10**6)
-        ragged = []
-        for candidate in small_candidates(op):
-            pe_lin, _ = engine.materializer.stamps(
-                relations, candidate.bind(op), arch.pe_array
-            )
-            for rel in relations.tensors.values():
-                layout = build_group_layout(
-                    pe_lin, rel, engine._predecessor_table,
-                    engine._spacetime.spatial_interval,
-                )
-                fused = FusedLayout(layout)
-                assert fused.usable
-                sizes = np.bincount(layout.dense_sorted)
-                assert fused.block == sizes.max()
-                if fused.real is not None:
-                    ragged.append(fused)
-                    assert fused.size == layout.group_count * fused.block > fused.pairs
-                    assert int(fused.real.sum()) == fused.pairs
-                    real_rows = fused.real.reshape(layout.group_count, fused.block)
-                    np.testing.assert_array_equal(real_rows.sum(axis=1), sizes)
-        assert ragged
-
-    def test_fused_layout_refuses_padding_past_twice_the_pairs(self):
-        from repro.core.backends.affine import GroupLayout
-        from repro.core.backends.fused import FusedLayout
-
-        def layout(sizes):
-            dense = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-            return GroupLayout(
-                perm_mod=np.arange(dense.size, dtype=np.int32),
-                dense_sorted=dense, dense_orig=dense, group_count=len(sizes),
-                references=1, slot_valid=[], slot_delta=[], slot_delta_const=[],
-                slot_src_group=[],
-            )
-
-        # 4 groups padded to 5 pairs each: 20 positions for 9 pairs.
-        assert not FusedLayout(layout([1, 1, 2, 5])).usable
-        # 4 groups padded to 4: exactly twice the 8 pairs still fuses.
-        assert FusedLayout(layout([1, 1, 2, 4])).usable
-        assert FusedLayout(layout([3, 3, 3])).real is None
-
-    def test_fused_wide_interval_falls_back_to_reference(self):
+    def test_fused_wide_interval_stays_on_the_grid_kernel(self):
+        # The grid kernel compares cells ``temporal_interval`` rows apart, so
+        # intervals past the sort kernels' window of 8 need no fallback.
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
@@ -548,7 +497,8 @@ class TestFusedBackend:
             op, arch, cache=RelationCache(), backend="fused", temporal_interval=11
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["fused_path"] == 0
+        assert engine.stats["fused_path"] > 0
+        assert engine.stats["reference_path"] == 0
 
     def test_fused_batch_matches_analyzer_across_interconnects(self):
         op = gemm(16, 16, 16)
@@ -647,7 +597,7 @@ class TestVolumeThreadPool:
 class TestKernelChain:
     """Each rung of the fused backend's per-tensor kernel chain on its own.
 
-    A tensor goes to the fused kernel, then to
+    A tensor goes to the stamp-grid kernel, then to
     :func:`compiled_group_volume_metrics`, then to the engine's reference
     kernel.  Most tensors stop at the first rung, so the tests below force a
     lower rung by making the kernels above it refuse every tensor: each rung
@@ -670,7 +620,7 @@ class TestKernelChain:
             return None
 
         if rung in ("compiled", "reference"):
-            monkeypatch.setattr(fused_module, "fused_group_volume_metrics", refuse)
+            monkeypatch.setattr(fused_module, "grid_volume_metrics", refuse)
         if rung == "reference":
             monkeypatch.setattr(fused_module, "compiled_group_volume_metrics", refuse)
 
@@ -702,10 +652,11 @@ class TestKernelChain:
     def test_sort_kernels_take_temporal_intervals_up_to_8(
         self, rung, temporal_interval, monkeypatch
     ):
-        # interp's group-major kernel and the fused and compiled kernels find
-        # a temporal predecessor at most ``temporal_interval`` positions back
-        # in a group's sorted ranks, so each takes intervals 1 to 8 and hands
-        # wider ones to the reference kernel.
+        # interp's group-major kernel and the compiled kernel find a temporal
+        # predecessor at most ``temporal_interval`` positions back in a
+        # group's sorted ranks, so each takes intervals 1 to 8 and hands
+        # wider ones to the reference kernel.  The fused engine's grid
+        # kernel takes every interval.
         self.force_rung(monkeypatch, rung)
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
@@ -725,9 +676,114 @@ class TestKernelChain:
             assert stats["reference_path"] == 0
             if rung != "interp":
                 assert stats[f"{rung}_path"] == stats["fast_path"]
+        elif rung == "fused":
+            assert stats["fused_path"] > 0
+            assert stats["reference_path"] == 0
         else:
             assert stats["fast_path"] == 0
             assert stats["reference_path"] > 0
+
+
+class TestGridKernel:
+    """The stamp-grid volume kernel: directions, dead directions, fallbacks."""
+
+    @pytest.mark.parametrize("interconnect, pe_dims, offsets, masks", [
+        ("2d-multicast", (4, 4), [-12, -8, -4, -3, -2, -1], [4, 8, 12, 4, 8, 12]),
+        ("mesh", (4, 4), [-5, -4, -3, -1, 1, 3, 4, 5], [9, 12, 9, 12, 12, 9, 12, 9]),
+        ("1d-systolic", (8,), [-1], [7]),
+    ])
+    def test_directions_group_links_by_linear_offset(
+        self, interconnect, pe_dims, offsets, masks
+    ):
+        arch = make_arch(pe_dims=pe_dims, interconnect=interconnect)
+        engine = EvaluationEngine(gemm(8, 8, 8), arch, backend="fused")
+        directions = engine.backend.directions
+        assert [d.offset for d in directions] == offsets
+        assert [int(d.mask.sum()) for d in directions] == masks
+        table = engine._predecessor_table
+        for direction in directions:
+            # Every destination PE really has a link from ``pe + offset``.
+            for pe in direction.pes:
+                assert pe + direction.offset in table[pe]
+
+    def test_dead_directions_are_skipped_per_tensor(self):
+        # Space (i % 8, j % 8): A[i, k] is shared along PE rows, B[k, j]
+        # along PE columns, and no two PEs ever hold the same Y[i, j].
+        op = gemm(48, 48, 48)
+        arch = make_arch(pe_dims=(8, 8), interconnect="2d-multicast")
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        candidate = Dataflow.from_exprs(
+            "ij-ijk", op.domain.space, [i % 8, j % 8], [i // 8, j // 8, k]
+        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        report = engine.evaluate(candidate)
+        reference = TenetAnalyzer(op, candidate, arch).analyze()
+        assert report_dict(reference) == report_dict(report)
+        assert engine.stats["fused_path"] == 3
+        signature = engine.backend.pe_signature(candidate)
+        live = {
+            tensor: [d.offset for d in engine.backend._layout_memo[signature, tensor].directions]
+            for tensor in ("A", "B", "Y")
+        }
+        assert live["A"] == [-7, -6, -5, -4, -3, -2, -1]
+        assert live["B"] == [-56, -48, -40, -32, -24, -16, -8]
+        assert live["Y"] == []
+
+    @pytest.mark.parametrize("case", ["grid-past-bound", "non-injective", "multi-reference"])
+    def test_fallbacks_take_the_compiled_kernel(self, case):
+        if case == "grid-past-bound":
+            # 110,592 time ranks x 64 PEs: past max(8n, 2^22) cells.
+            op = gemm(48, 48, 48)
+            arch = make_arch(pe_dims=(8, 8))
+            i, j, k = (var(dim) for dim in op.loop_dims)
+            candidates = [Dataflow.from_exprs(
+                "serial", op.domain.space, [i % 8, j % 8], [i, j, k]
+            )]
+        elif case == "non-injective":
+            op = gemm(8, 8, 8)
+            arch = make_arch(pe_dims=(4, 4))
+            candidates = [Dataflow.from_exprs(
+                "collapse", op.domain.space, ["i mod 4", "j mod 4"], ["k mod 4"]
+            )]
+        else:
+            op = jacobi2d(10, 10)
+            arch = make_arch(pe_dims=(4, 4))
+            candidates = small_candidates(op, count=3)
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        for candidate in candidates:
+            reference = TenetAnalyzer(op, candidate, arch).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        assert engine.stats["compiled_path"] > 0
+        assert engine.stats["reference_path"] == 0
+        if case != "multi-reference":
+            assert engine.stats["fused_path"] == 0
+
+
+class TestTemporalIntervalValidation:
+    """A temporal interval below 1 is rejected when the analyzer or engine
+    builds its spacetime map, at construction."""
+
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_analyzer_rejects_interval_below_one(self, interval):
+        from repro.errors import ModelError
+
+        op = gemm(8, 8, 8)
+        candidate = small_candidates(op, count=1)[0]
+        with pytest.raises(ModelError, match="temporal interval"):
+            TenetAnalyzer(
+                op, candidate, make_arch(pe_dims=(4, 4)), temporal_interval=interval
+            )
+
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_engine_rejects_interval_below_one(self, backend, interval):
+        from repro.errors import ModelError
+
+        with pytest.raises(ModelError, match="temporal interval"):
+            EvaluationEngine(
+                gemm(8, 8, 8), make_arch(pe_dims=(4, 4)), backend=backend,
+                temporal_interval=interval,
+            )
 
 
 class TestRegistry:

@@ -1,12 +1,13 @@
 """Property-based differential test: fused reports against the reference.
 
 Hypothesis draws random GEMM dataflows over uniform-block PE windows —
-space-axis pairs, time-stamp orders, skews into the inner time stamp — and
-asserts the fused backend's reports are *byte-identical* (JSON-serialised,
-sorted keys) to the interpreted reference backend's, on each interconnect.
+space-axis pairs, time-stamp orders, skews into the inner time stamp — on
+random PE arrays, interconnects and temporal intervals, and asserts the fused
+backend's reports are *byte-identical* (JSON-serialised, sorted keys) to the
+interpreted reference backend's.
 
-Engines are cached per (operation size, interconnect, backend): hypothesis
-re-draws candidates, not warm-up work.
+Engines are cached per (operation size, PE array, interconnect, temporal
+interval, backend): hypothesis re-draws candidates, not warm-up work.
 """
 
 import json
@@ -27,23 +28,29 @@ from repro.tensor.kernels import gemm
 
 from tests.core.test_backends import report_dict
 
-PE_DIMS = (4, 4)
-INTERCONNECTS = ("2d-systolic", "mesh", "multicast")
-_ENGINES: dict[tuple[int, str, str], EvaluationEngine] = {}
+PE_ARRAYS = ((4, 4), (3, 5), (2, 6))
+INTERCONNECTS = (
+    "1d-systolic", "2d-systolic", "mesh", "multicast", "2d-multicast",
+    "reduction-tree", "none",
+)
+_ENGINES: dict[tuple, EvaluationEngine] = {}
 
 
-def _engine(size: int, interconnect: str, backend: str) -> EvaluationEngine:
-    key = (size, interconnect, backend)
+def _engine(size, pe_dims, interconnect, temporal_interval, backend) -> EvaluationEngine:
+    key = (size, pe_dims, interconnect, temporal_interval, backend)
     engine = _ENGINES.get(key)
     if engine is None:
-        arch = make_arch(pe_dims=PE_DIMS, interconnect=interconnect)
-        engine = EvaluationEngine(gemm(size, size, size), arch, backend=backend)
+        arch = make_arch(pe_dims=pe_dims, interconnect=interconnect)
+        engine = EvaluationEngine(
+            gemm(size, size, size), arch, backend=backend,
+            temporal_interval=temporal_interval,
+        )
         _ENGINES[key] = engine
     return engine
 
 
-def _candidate(op, first, second, order, skew):
-    rows, cols = PE_DIMS
+def _candidate(op, pe_dims, first, second, order, skew):
+    rows, cols = pe_dims
     dims = list(op.loop_dims)
     remaining = [dim for dim in dims if dim not in (first, second)]
     space = [var(first) % rows, var(second) % cols]
@@ -64,19 +71,31 @@ axis_pairs = st.sampled_from([("i", "j"), ("i", "k"), ("j", "i"),
 orders = st.permutations(range(3))
 skews = st.integers(min_value=0, max_value=3)
 sizes = st.sampled_from([8, 12])
+pe_arrays = st.sampled_from(PE_ARRAYS)
+temporal_intervals = st.integers(min_value=1, max_value=12)
 
 
 @pytest.mark.parametrize("interconnect", INTERCONNECTS)
-@given(size=sizes, pair=axis_pairs, order=orders, skew=skews)
-@settings(max_examples=30, deadline=None)
-def test_fused_reports_byte_identical_to_interp(interconnect, size, pair, order, skew):
-    reference_engine = _engine(size, interconnect, "interp")
-    candidate = _candidate(reference_engine.op, pair[0], pair[1], tuple(order), skew)
-    reference = json.dumps(
-        report_dict(reference_engine.evaluate(candidate)), sort_keys=True
-    ).encode()
-    encoded = json.dumps(
-        report_dict(_engine(size, interconnect, "fused").evaluate(candidate)),
-        sort_keys=True,
-    ).encode()
-    assert encoded == reference, f"fused diverged from interp for {candidate.name}"
+@given(
+    size=sizes, pe_dims=pe_arrays, temporal_interval=temporal_intervals,
+    pair=axis_pairs, order=orders, skew=skews,
+)
+@settings(max_examples=50, deadline=None)
+def test_fused_reports_byte_identical_to_interp(
+    interconnect, size, pe_dims, temporal_interval, pair, order, skew
+):
+    engines = {
+        backend: _engine(size, pe_dims, interconnect, temporal_interval, backend)
+        for backend in ("interp", "fused")
+    }
+    candidate = _candidate(
+        engines["interp"].op, pe_dims, pair[0], pair[1], tuple(order), skew
+    )
+    reference, encoded = (
+        json.dumps(report_dict(engines[backend].evaluate(candidate)), sort_keys=True).encode()
+        for backend in ("interp", "fused")
+    )
+    assert encoded == reference, (
+        f"fused diverged from interp for {candidate.name} on {pe_dims} "
+        f"{interconnect}, temporal interval {temporal_interval}"
+    )
