@@ -256,7 +256,8 @@ def test_bench_conv_sweep(benchmark, bench_record):
     assert len(reference) == len(batches["fused"].reports) == CONV_CANDIDATES
     for a, b in zip(reference, batches["fused"].reports):
         assert comparable(a) == comparable(b)
-    assert engines["fused"].stats["compiled_path"] == 0
+    stats = engines["fused"].stats
+    assert stats["fused_path"] == stats["fast_path"] and stats["reference_path"] == 0
     assert fused_speedup >= 4.0, (
         f"fused backend only {fused_speedup:.2f}x faster than interp on conv"
     )

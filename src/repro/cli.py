@@ -85,19 +85,29 @@ def _cmd_catalog(_: argparse.Namespace) -> int:
     return 0
 
 
+def _fail(command: str, error: Exception) -> int:
+    """Report ``error`` as one ``tenet <command>: error:`` line on stderr."""
+    # str() of a KeyError quotes its message; print the message itself.
+    message = error.args[0] if isinstance(error, KeyError) and error.args else error
+    print(f"tenet {command}: error: {message}", file=sys.stderr)
+    return 1
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    op = make_kernel(args.kernel, args.sizes)
-    dataflow = get_dataflow(args.kernel, args.dataflow)
-    arch = make_arch(
-        pe_dims=tuple(args.pe),
-        interconnect=args.interconnect,
-        bandwidth_bits=args.bandwidth,
-    )
     try:
+        op = make_kernel(args.kernel, args.sizes)
+        dataflow = get_dataflow(args.kernel, args.dataflow)
+    except (TenetError, KeyError) as error:  # KeyError: unknown kernel or dataflow
+        return _fail("analyze", error)
+    try:
+        arch = make_arch(
+            pe_dims=tuple(args.pe),
+            interconnect=args.interconnect,
+            bandwidth_bits=args.bandwidth,
+        )
         report = analyze(op, dataflow, arch, max_instances=args.max_instances)
     except TenetError as error:
-        print(f"tenet analyze: error: {error}", file=sys.stderr)
-        return 1
+        return _fail("analyze", error)
     print(report.summary())
     return 0
 
@@ -105,9 +115,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if len(args.pe) != 2:
         print("tenet explore: error: --pe takes exactly two extents (rows cols), "
-              f"got {args.pe}")
+              f"got {args.pe}", file=sys.stderr)
         return 1
-    op = make_kernel(args.kernel, args.sizes)
+    try:
+        op = make_kernel(args.kernel, args.sizes)
+    except (TenetError, KeyError) as error:  # KeyError: unknown kernel
+        return _fail("explore", error)
     arch = make_arch(
         pe_dims=tuple(args.pe),
         interconnect=args.interconnect,
@@ -158,8 +171,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
             key: stats[key]
-            for key in ("fused_path", "compiled_path", "reference_path",
-                        "stamp_fallback_exprs")
+            for key in (
+                "fast_path", "fused_path", "reference_path", "stamp_fallback_exprs"
+            )
             if stats.get(key)
         }
         if kernel_stats:
@@ -287,12 +301,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             heartbeat_interval=args.heartbeat_interval,
             max_consecutive_failures=args.max_failures,
         )
+    except (TenetError, KeyError) as error:  # KeyError: unknown kernel
+        # The coordinator builds the request's operation before it spawns
+        # a replica, so bad sizes or names stop here.
+        return _fail("fleet", error)
+    try:
         result = coordinator.run()
     except ExplorationError as error:
         # FleetError included: all-replicas-evicted leaves the lease
         # checkpoints on disk, so the same command resumes the fleet.
-        print(f"tenet fleet: error: {error}", file=sys.stderr)
-        return 1
+        return _fail("fleet", error)
     print(result.summary(count=args.top))
     return 0
 

@@ -13,11 +13,10 @@ computed:
     batch's deduplicated stamp expressions, lowered to integer coefficient
     rows, stack into one float64-exact matmul per cached domain chunk, and
     volumes are counted with shifted comparisons on the candidate's dense
-    (time rank x PE) stamp grid.  Tensors that kernel refuses
-    (multi-reference tensors, non-injective candidates, grids past the size
-    bound) take the compiled group-layout kernel of
-    :mod:`repro.core.backends.affine`, and temporal intervals outside its
-    adjacency window the engine's reference kernel.
+    (time rank x PE) stamp grid, one grid per distinct reference of a
+    tensor.  Candidates without a grid (non-injective ones, grids past the
+    size bound) take ``interp``'s group-major kernel, and temporal
+    intervals past its window the engine's reference kernel.
 ``auto``
     An alias of ``fused`` and the default.
 """

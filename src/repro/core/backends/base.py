@@ -9,8 +9,9 @@ A backend decides *how* the per-candidate hot path of a sweep is computed:
 
 Every backend is *exact*: reports are bit-identical across backends, so the
 choice is purely a performance decision.  Backends that cannot handle a case
-return ``None`` from :meth:`EngineBackend.volume_metrics` and the engine falls
-back to the reference kernel.
+return ``None`` for a tensor from :meth:`EngineBackend.volume_metrics_many`
+and the engine falls back to its reference kernel,
+:func:`repro.core.volumes.compute_volume_metrics`.
 """
 
 from __future__ import annotations
@@ -115,14 +116,23 @@ class EngineBackend:
         relations: "OpRelations",
         *,
         assume_unique: bool,
-        rank_span: int | None = None,
     ) -> VolumeMetrics | None:
-        """Exact Table II metrics, or ``None`` to use the reference kernel.
+        """Exact Table II metrics by the group-major sort/adjacency kernel,
+        or ``None`` (temporal interval past its window, int64 overflow) to
+        use the reference kernel."""
+        from repro.core.engine import _grouped_volume_metrics
 
-        ``rank_span`` optionally forwards the (already computed) number of
-        distinct time ranks so kernels skip re-deriving ``t_rank.max()``.
-        """
-        raise NotImplementedError
+        return _grouped_volume_metrics(
+            tensor,
+            pe_lin,
+            t_rank,
+            relations.tensors[tensor],
+            self.predecessor_table,
+            self.num_pes,
+            spatial_interval=self.spatial_interval,
+            temporal_interval=self.temporal_interval,
+            assume_unique=assume_unique,
+        )
 
     def volume_metrics_many(
         self,
@@ -133,7 +143,6 @@ class EngineBackend:
         relations: "OpRelations",
         *,
         assume_unique: bool,
-        rank_span: int | None = None,
         grid: object | None = None,
     ) -> dict[str, VolumeMetrics | None]:
         """Volume metrics for several tensors of one candidate.
@@ -151,7 +160,6 @@ class EngineBackend:
                 t_rank,
                 relations,
                 assume_unique=assume_unique,
-                rank_span=rank_span,
             )
             for tensor in tensors
         }
@@ -170,21 +178,3 @@ class InterpBackend(EngineBackend):
 
     def stamps(self, relations, dataflow, pe_array):
         return self.materializer.stamps(relations, dataflow, pe_array)
-
-    def volume_metrics(
-        self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None,
-    ):
-        from repro.core.engine import _grouped_volume_metrics
-
-        return _grouped_volume_metrics(
-            tensor,
-            pe_lin,
-            t_rank,
-            relations.tensors[tensor],
-            self.predecessor_table,
-            self.num_pes,
-            spatial_interval=self.spatial_interval,
-            temporal_interval=self.temporal_interval,
-            assume_unique=assume_unique,
-        )

@@ -16,18 +16,21 @@ sweep batch:
   kernel.  On an injective candidate every cell holds at most one instance,
   so TENET's intersection of a tensor's data assignment with the spacetime
   map becomes a comparison of grid cells: scatter the tensor's element ids
-  onto the grid, then temporal reuse is the grid against itself shifted
-  ``temporal_interval * num_pes`` cells, and spatial reuse one shifted
-  comparison per interconnect *direction* (the links sharing one linear PE
-  offset), masked to the PEs that have the link.  Directions along which no
+  onto the grid, one grid per distinct reference, then temporal reuse is the
+  grids against themselves shifted ``temporal_interval * num_pes`` cells,
+  and spatial reuse one shifted comparison per interconnect *direction* (the
+  links sharing one linear PE offset), masked to the PEs that have the link.
+  A stencil's cross-reference hits are its reuse: ``A[i-1][j]`` at
+  ``(i, j)`` is ``A[i][j]`` at ``(i-1, j)``.  Directions along which no
   (PE, element) group has a source group are skipped per space signature.
   No sort, no ``searchsorted``, and any ``temporal_interval >= 1``.
 
-Per tensor the kernels chain grid → :func:`compiled_group_volume_metrics`
-(multi-reference tensors, non-injective candidates, grids past the
-utilization histogram's size bound) → the engine's reference kernel
-(temporal intervals above 8 on those).  Every step is exact, so reports are
-bit-identical to ``interp``.
+Per tensor the kernels chain grid → group-major → the engine's reference
+kernel (:func:`repro.core.volumes.compute_volume_metrics`).  Candidates
+without a grid (non-injective ones and grids past the ``max(8n, 2^22)`` cell
+bound) take the group-major sort/adjacency kernel that ``interp`` uses, and
+temporal intervals past its 8-rank window the reference kernel.  All three
+are exact, so reports are bit-identical to ``interp``.
 """
 
 from __future__ import annotations
@@ -44,10 +47,7 @@ from repro.arch.pe_array import PEArray
 from repro.core.backends.affine import (
     CompiledEvaluator,
     CompiledExprSet,
-    GroupLayout,
     _evict_lru,
-    build_group_layout,
-    compiled_group_volume_metrics,
 )
 from repro.core.backends.base import BatchStampProvider, EngineBackend
 from repro.core.dataflow import Dataflow
@@ -174,7 +174,7 @@ def link_directions(
 def grid_volume_metrics(
     tensor: str,
     grid: StampGrid,
-    ids: np.ndarray,
+    ids: Sequence[np.ndarray],
     directions: Sequence[Direction],
     *,
     spatial_interval: int,
@@ -183,28 +183,62 @@ def grid_volume_metrics(
 ) -> VolumeMetrics:
     """Exact Table II metrics by shifted comparisons on the stamp grid.
 
-    ``ids`` holds the element each instance touches (one reference).
-    Scattered onto the grid, with -1 on empty cells, an instance has temporal
-    reuse when the cell ``temporal_interval * num_pes`` back (same PE,
-    ``temporal_interval`` ranks earlier) holds its element, and spatial reuse
-    when, for a direction of offset ``o`` its PE has, the cell
-    ``spatial_interval * num_pes - o`` back (PE ``pe + o``,
-    ``spatial_interval`` ranks earlier) does.  Both shifts are positive, so
-    slicing drops sources before rank 0.  Requires an injective candidate;
-    the counts equal the reference kernel's.
+    ``ids`` holds, per distinct reference, the element each instance touches.
+    Scattered onto one grid per reference, with -1 on empty cells, a (stamp,
+    element) pair has temporal reuse when the cells ``temporal_interval *
+    num_pes`` back (same PE, ``temporal_interval`` ranks earlier) hold its
+    element under any reference, and spatial reuse when, for a direction of
+    offset ``o`` its PE has, the cells ``spatial_interval * num_pes - o`` back
+    (PE ``pe + o``, ``spatial_interval`` ranks earlier) do.  Both shifts are
+    positive, so slicing drops sources before rank 0.  A pair counts once:
+    a reference's cell is dropped where an earlier reference holds the same
+    element.  Requires an injective candidate; the counts equal the
+    reference kernel's.
     """
     num_pes = grid.num_pes
     size = grid.occupied.size
-    cells = np.full(size, -1, dtype=ids.dtype)
-    cells[grid.stamp] = ids
-    reuse = np.zeros(size, dtype=bool)
+    cells = []
+    for reference in ids:
+        grid_ids = np.full(size, -1, dtype=reference.dtype)
+        grid_ids[grid.stamp] = reference
+        cells.append(grid_ids)
+    if len(cells) == 1:
+        # One element per occupied cell: nothing to deduplicate.
+        pairs = None if grid.full else [grid.occupied]
+        total = int(grid.stamp.size)
+        scratch = None
+    else:
+        # A reference's cell holds a new (stamp, element) pair unless an
+        # earlier reference holds the same element there.
+        pairs = []
+        for index, grid_ids in enumerate(cells):
+            fresh = grid.occupied.copy()
+            for earlier in cells[:index]:
+                fresh &= grid_ids != earlier
+            pairs.append(fresh)
+        total = sum(int(np.count_nonzero(fresh)) for fresh in pairs)
+        scratch = np.empty(size, dtype=bool)
+
+    def match(grid_ids: np.ndarray, shift: int, out: np.ndarray) -> None:
+        """``out[shift:]`` marks the cells whose element some reference
+        holds ``shift`` cells back."""
+        np.equal(grid_ids[shift:], cells[0][:-shift], out=out[shift:])
+        for source in cells[1:]:
+            np.equal(grid_ids[shift:], source[:-shift], out=scratch[shift:])
+            out[shift:] |= scratch[shift:]
+
+    def count(reuse: list[np.ndarray]) -> int:
+        if pairs is not None:
+            for hits, fresh in zip(reuse, pairs):
+                hits &= fresh
+        return sum(int(np.count_nonzero(hits)) for hits in reuse)
+
+    reuse = [np.zeros(size, dtype=bool) for _ in cells]
     back = temporal_interval * num_pes
     if back < size:
-        np.equal(cells[back:], cells[:-back], out=reuse[back:])
-        if not grid.full:
-            reuse &= grid.occupied
-    temporal_count = int(np.count_nonzero(reuse))
-    total = int(grid.stamp.size)
+        for grid_ids, hits in zip(cells, reuse):
+            match(grid_ids, back, hits)
+    temporal_count = count(reuse)
 
     spatial_count = 0
     if temporal_count < total and directions:
@@ -217,12 +251,11 @@ def grid_volume_metrics(
             if shift >= size:
                 continue
             hits[:shift] = False
-            np.equal(cells[shift:], cells[:-shift], out=hits[shift:])
-            hit_rows &= direction.mask
-            reuse |= hits
-        if not grid.full:
-            reuse &= grid.occupied
-        spatial_count = int(np.count_nonzero(reuse)) - temporal_count
+            for grid_ids, union in zip(cells, reuse):
+                match(grid_ids, shift, hits)
+                hit_rows &= direction.mask
+                union |= hits
+        spatial_count = count(reuse) - temporal_count
 
     return VolumeMetrics(
         tensor=tensor,
@@ -370,39 +403,24 @@ class _BatchStamps(BatchStampProvider):
 # -- the backend -------------------------------------------------------------------
 
 
-class _TensorLayout:
-    """One tensor's candidate-invariant volume structure for one space
-    signature, each part built on first use: the live directions for the
-    grid kernel and the :class:`GroupLayout` for the compiled kernel."""
-
-    __slots__ = ("directions", "group")
-
-    def __init__(self):
-        self.directions: tuple[Direction, ...] | None = None
-        self.group: GroupLayout | None | object = _MISSING
-
-    def nbytes(self) -> int:
-        return self.group.nbytes() if isinstance(self.group, GroupLayout) else 0
-
-
 class FusedBackend(EngineBackend):
-    """Stacked compiled stamps plus the grid → compiled volume-kernel chain."""
+    """Stacked compiled stamps plus the stamp-grid volume kernel."""
 
     name = "fused"
 
     #: Memory caps for the per-engine memos.
     _PE_MEMO_ENTRIES, _PE_MEMO_BYTES = 64, 256 << 20
-    _LAYOUT_ENTRIES, _LAYOUT_BYTES = 32, 256 << 20
+    _DIRECTION_MEMO_ENTRIES = 32
 
     def __init__(self, engine):
         super().__init__(engine)
         self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
-        #: Volume structure per (space signature, tensor).
-        self._layout_memo: OrderedDict[tuple, _TensorLayout] = OrderedDict()
+        #: Live link directions per (space signature, tensor).
+        self._direction_memo: OrderedDict[tuple, tuple[Direction, ...]] = OrderedDict()
         #: Shared (expression set, evaluator) per cached-relations object.
         self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
         #: Grid element ids per tensor, for one cached-relations object.
-        self._ids: tuple[object, dict[str, np.ndarray | None]] | None = None
+        self._ids: tuple[object, dict[str, tuple[np.ndarray, ...]]] | None = None
         self.directions = link_directions(
             self.predecessor_table, self.num_pes, self.spatial_interval
         )
@@ -467,38 +485,39 @@ class FusedBackend(EngineBackend):
 
     # -- volumes ----------------------------------------------------------------
 
-    def _element_ids(self, relations) -> dict[str, np.ndarray | None]:
-        """Per tensor, the dense element id of every instance, as int16 when
-        the footprint allows and int32 otherwise; ``None`` for a tensor with
-        several distinct references (identical ones collapse)."""
+    def _element_ids(self, relations) -> dict[str, tuple[np.ndarray, ...]]:
+        """Per tensor and distinct reference (identical ones collapse), the
+        dense element id of every instance, as int16 when the footprint
+        allows and int32 otherwise."""
         cached = self._ids
         if cached is not None and cached[0] is relations:
             return cached[1]
         total = relations.total
-        ids: dict[str, np.ndarray | None] = {}
+        ids: dict[str, tuple[np.ndarray, ...]] = {}
         for tensor, rel in relations.tensors.items():
-            first = rel.dense_keys[:total]
-            if all(
-                np.array_equal(first, rel.dense_keys[index * total : (index + 1) * total])
-                for index in range(1, rel.references)
-            ):
-                ids[tensor] = first.astype(np.int16 if rel.footprint < (1 << 15) else np.int32)
-            else:
-                ids[tensor] = None
+            distinct: list[np.ndarray] = []
+            for index in range(rel.references):
+                segment = rel.dense_keys[index * total : (index + 1) * total]
+                if not any(np.array_equal(segment, seen) for seen in distinct):
+                    distinct.append(segment)
+            dtype = np.int16 if rel.footprint < (1 << 15) else np.int32
+            ids[tensor] = tuple(segment.astype(dtype) for segment in distinct)
         self._ids = (relations, ids)
         return ids
 
     def _live_directions(self, pe_lin, ids, footprint) -> tuple[Direction, ...]:
         """The directions along which some (PE, element) group has a source
-        group, from a ``num_pes x footprint`` presence matrix; every
-        direction when that matrix would exceed the grid bound."""
+        group, from a ``num_pes x footprint`` presence matrix over every
+        reference; every direction when that matrix would exceed the grid
+        bound."""
         from repro.core.engine import _grid_fits
 
         directions = self.directions
         if not directions or not _grid_fits(self.num_pes * footprint, pe_lin.size):
             return tuple(directions)
         presence = np.zeros(self.num_pes * footprint, dtype=bool)
-        presence[pe_lin * footprint + ids] = True
+        for reference in ids:
+            presence[pe_lin * footprint + reference] = True
         presence = presence.reshape(self.num_pes, footprint)
         return tuple(
             direction
@@ -506,97 +525,56 @@ class FusedBackend(EngineBackend):
             if (presence[direction.pes] & presence[direction.pes + direction.offset]).any()
         )
 
-    def _volume_one(
-        self, tensor, layout, ids, grid, pe_lin, t_rank, relations,
-        assume_unique, rank_span,
-    ) -> tuple[VolumeMetrics | None, str | None]:
-        """Kernel chain for one tensor: (metrics-or-None, stats key).
-
-        Touches only this tensor's layout, so several tensors of one
-        candidate can run concurrently.  A rung that returns ``None`` hands
-        the tensor to the next; ``(None, None)`` hands it to the engine's
-        reference kernel.
-        """
-        rel = relations.tensors[tensor]
-        if ids is not None:
-            metrics = grid_volume_metrics(
-                tensor,
-                grid,
-                ids,
-                layout.directions,
-                spatial_interval=self.spatial_interval,
-                temporal_interval=self.temporal_interval,
-                footprint=rel.footprint,
-            )
-            if metrics is not None:
-                return metrics, "fused_path"
-        if layout.group is _MISSING:
-            layout.group = build_group_layout(
-                pe_lin, rel, self.predecessor_table, self.spatial_interval
-            )
-        if layout.group is None:
-            return None, None
-        metrics = compiled_group_volume_metrics(
-            tensor,
-            layout.group,
-            t_rank,
-            spatial_interval=self.spatial_interval,
-            temporal_interval=self.temporal_interval,
-            footprint=rel.footprint,
-            assume_unique=assume_unique,
-            rank_span=rank_span,
-        )
-        if metrics is not None:
-            return metrics, "compiled_path"
-        return None, None
-
     def volume_metrics_many(
         self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        rank_span=None, grid=None,
+        grid=None,
     ):
-        """The grid kernel for single-reference tensors of a candidate with
-        a stamp grid; the compiled kernel for the rest."""
+        """The grid kernel for every tensor of a candidate with a stamp grid;
+        without one (non-injective, or past the size bound) the group-major
+        kernel, as in ``interp``."""
         tensors = list(tensors)
-        ids = self._element_ids(relations) if grid is not None else {}
-        signature = self.pe_signature(dataflow)
-        memo = self._layout_memo
-        # Memo reads and writes happen serially up front (and eviction after);
-        # the kernels below only touch their own tensor's layout.
-        layouts = {}
-        for tensor in tensors:
-            key = (signature, tensor)
-            layout = memo.get(key)
-            if layout is None:
-                layout = memo[key] = _TensorLayout()
-            memo.move_to_end(key)
-            if ids.get(tensor) is not None and layout.directions is None:
-                layout.directions = self._live_directions(
-                    pe_lin, ids[tensor], relations.tensors[tensor].footprint
+        directions = {}
+        if grid is not None:
+            ids = self._element_ids(relations)
+            signature = self.pe_signature(dataflow)
+            memo = self._direction_memo
+            # Memo reads and writes happen serially, before the kernels run.
+            for tensor in tensors:
+                key = (signature, tensor)
+                live = memo.get(key)
+                if live is None:
+                    live = memo[key] = self._live_directions(
+                        pe_lin, ids[tensor], relations.tensors[tensor].footprint
+                    )
+                memo.move_to_end(key)
+                directions[tensor] = live
+            while len(memo) > self._DIRECTION_MEMO_ENTRIES:
+                memo.popitem(last=False)
+
+        def volume(tensor):
+            if grid is None:
+                return self.volume_metrics(
+                    tensor, dataflow, pe_lin, t_rank, relations,
+                    assume_unique=assume_unique,
                 )
-            layouts[tensor] = layout
-        args = {
-            tensor: (
-                tensor, layouts[tensor], ids.get(tensor), grid, pe_lin, t_rank,
-                relations, assume_unique, rank_span,
+            return grid_volume_metrics(
+                tensor,
+                grid,
+                ids[tensor],
+                directions[tensor],
+                spatial_interval=self.spatial_interval,
+                temporal_interval=self.temporal_interval,
+                footprint=relations.tensors[tensor].footprint,
             )
-            for tensor in tensors
-        }
+
         pool = _volume_pool() if (
             len(tensors) > 1 and relations.total >= (1 << 16)
         ) else None
         if pool is not None:
-            futures = {
-                tensor: pool.submit(self._volume_one, *args[tensor]) for tensor in tensors
-            }
-            outcomes = {tensor: future.result() for tensor, future in futures.items()}
+            futures = {tensor: pool.submit(volume, tensor) for tensor in tensors}
+            results = {tensor: future.result() for tensor, future in futures.items()}
         else:
-            outcomes = {tensor: self._volume_one(*args[tensor]) for tensor in tensors}
-        _evict_lru(
-            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES, lambda v: v.nbytes()
-        )
-        results: dict[str, VolumeMetrics | None] = {}
-        for tensor, (metrics, path) in outcomes.items():
-            if path is not None:
-                self.stats[path] += 1
-            results[tensor] = metrics
+            results = {tensor: volume(tensor) for tensor in tensors}
+        if grid is not None:
+            self.stats["fused_path"] += len(tensors)
         return results

@@ -482,35 +482,22 @@ class RelationMaterializer:
 # -- fast exact helpers ---------------------------------------------------------------
 
 
-def _presence_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(presence, lut)`` over ``[0, max(keys)]``, or ``None`` for wide ranges.
-
-    ``presence[k]`` marks the keys that occur and ``lut[k]`` is key ``k``'s
-    dense rank among them.  Built only when the key range is comparable to the
-    array length (non-negative keys); callers sort otherwise.
-    """
-    max_key = int(keys.max())
-    if max_key > max(4 * keys.size, 1 << 22):
-        return None
-    presence = np.zeros(max_key + 1, dtype=bool)
-    presence[keys] = True
-    lut = np.cumsum(presence)
-    lut -= 1
-    return presence, lut
-
-
 def _rank_keys(keys: np.ndarray) -> np.ndarray:
     """Dense lexicographic rank of every key (``searchsorted(unique, keys)``).
 
-    When the key range is comparable to the array length a presence bitmap and
-    a cumulative sum replace the sort, which is the common case for time-stamp
-    keys built from tight per-dimension bounds.
+    When the key range is comparable to the array length (non-negative keys)
+    a presence bitmap and a cumulative sum replace the sort, which is the
+    common case for time-stamp keys built from tight per-dimension bounds.
     """
     if keys.size == 0:
         return keys
-    table = _presence_table(keys)
-    if table is not None:
-        return table[1][keys]
+    max_key = int(keys.max())
+    if max_key <= max(4 * keys.size, 1 << 22):
+        presence = np.zeros(max_key + 1, dtype=bool)
+        presence[keys] = True
+        lut = np.cumsum(presence)
+        lut -= 1
+        return lut[keys]
     unique_keys = sorted_unique(keys)
     return np.searchsorted(unique_keys, keys)
 
@@ -843,8 +830,7 @@ class EvaluationEngine:
             # Candidates evaluated without cached relations (op above the
             # cache's max_instances guard): correct but not accelerated.
             "streaming_path": 0,
-            # Per-tensor kernel choices of the compiled backend.
-            "compiled_path": 0,
+            # Per-tensor evaluations on the compiled backend's grid kernel.
             "fused_path": 0,
             # Stamp expressions the compiled backend handed back to the
             # interpreter (nested floor/mod/abs terms).
@@ -1021,8 +1007,6 @@ class EvaluationEngine:
                 t_rank,
                 relations,
                 assume_unique=utilization.is_injective,
-                # Ranks are dense, so the occupied-stamp count *is* the span.
-                rank_span=utilization.num_time_stamps,
                 grid=grid,
             )
 

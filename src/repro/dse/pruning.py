@@ -90,9 +90,9 @@ def pruned_candidates(
                 time_exprs.append(inner)
                 name = f"({first.upper()}{second.upper()}-P | "
                 name += f"{(inner_dim or 'const').upper()}{'+skew' if skew else ''}-T)"
-                yield from emit(Dataflow.from_exprs(name, op.domain.space, space_exprs, time_exprs))
                 if max_candidates is not None and count >= max_candidates:
                     return
+                yield from emit(Dataflow.from_exprs(name, op.domain.space, space_exprs, time_exprs))
 
     if allow_packing:
         for packed_a, packed_b, second in itertools.permutations(dims, 3):
@@ -106,6 +106,6 @@ def pruned_candidates(
             time_exprs.append(var(packed_b) // fold)
             time_exprs.append(var(second) // cols)
             name = f"({packed_a.upper()}{packed_b.upper()}-P | packed)"
-            yield from emit(Dataflow.from_exprs(name, op.domain.space, space_exprs, time_exprs))
             if max_candidates is not None and count >= max_candidates:
                 return
+            yield from emit(Dataflow.from_exprs(name, op.domain.space, space_exprs, time_exprs))

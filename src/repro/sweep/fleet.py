@@ -278,9 +278,10 @@ class FleetCoordinator:
                     f"the coordinator owns the {reserved!r} request field; "
                     "remove it from the base request"
                 )
-        # Fail fast on a malformed base request: every replica rejecting it
+        # Fail fast on a malformed base request (unknown fields, sizes that
+        # do not fit the kernel): every replica rejecting it
         # max_consecutive_failures times would end in the same error, slowly.
-        SweepRequest.from_dict(dict(request))
+        SweepRequest.from_dict(dict(request)).build()
         self.request = dict(request)
         self.shards = int(shards)
         self.checkpoint_dir = Path(checkpoint_dir)

@@ -15,8 +15,10 @@ the reuse-accuracy discussion.  Every factory returns a
 
 from __future__ import annotations
 
+import inspect
 from typing import Mapping, Sequence
 
+from repro.errors import SpaceError
 from repro.isl.expr import AffExpr, var
 from repro.isl.imap import IntMap
 from repro.isl.iset import IntSet
@@ -178,11 +180,27 @@ _FACTORIES = {
 
 
 def make_kernel(kind: str, sizes: Mapping[str, int] | Sequence[int], **kwargs) -> TensorOp:
-    """Build a kernel by name; ``sizes`` may be positional or keyword based."""
+    """Build a kernel by name; ``sizes`` may be positional or keyword based.
+
+    ``sizes`` holds exactly one extent per ``size_*`` parameter of the
+    factory, one per loop dimension; options such as ``stride`` are
+    keywords.  Any other count raises :class:`SpaceError`.
+    """
     kind = kind.lower()
     if kind not in _FACTORIES:
         raise KeyError(f"unknown kernel {kind!r}; available: {sorted(_FACTORIES)}")
     factory = _FACTORIES[kind]
+    names = [name for name in inspect.signature(factory).parameters if name.startswith("size_")]
     if isinstance(sizes, Mapping):
-        return factory(**sizes, **kwargs)
-    return factory(*sizes, **kwargs)
+        if set(sizes) == set(names):
+            return factory(**sizes, **kwargs)
+        given = dict(sizes)
+    else:
+        if len(sizes) == len(names):
+            return factory(*sizes, **kwargs)
+        given = list(sizes)
+    dims = ", ".join(name[len("size_"):] for name in names)
+    raise SpaceError(
+        f"kernel {kind!r} takes {len(names)} sizes, one per loop dimension "
+        f"({dims}); got {given}"
+    )

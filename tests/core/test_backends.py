@@ -12,7 +12,6 @@ from repro.core.backends import BACKEND_NAMES, make_backend
 from repro.core.backends.affine import (
     CompiledExprSet,
     CompiledEvaluator,
-    build_group_layout,
     lower_expr,
 )
 from repro.core.engine import (
@@ -24,7 +23,11 @@ from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
 from repro.experiments.common import make_arch
 from repro.isl.expr import var
+from repro.isl.imap import IntMap
+from repro.isl.iset import IntSet
+from repro.tensor.access import AccessMode, TensorAccess
 from repro.tensor.kernels import conv2d, gemm, jacobi2d
+from repro.tensor.operation import TensorOp
 
 
 def report_dict(report):
@@ -32,6 +35,23 @@ def report_dict(report):
     data.pop("analysis_seconds")
     data["notes"] = list(report.notes)
     return data
+
+
+def transpose_sum(size):
+    """``Y[i, j] = A[i, j] + A[j, i]``: two references that coincide on the
+    diagonal."""
+    domain = IntSet.from_sizes("S", ["i", "j"], [size, size])
+    i, j = var("i"), var("j")
+
+    def access(tensor, mode, exprs):
+        relation = IntMap.from_exprs(domain.space, tensor, exprs, domain=domain)
+        return TensorAccess(tensor, mode, relation)
+
+    return TensorOp("transpose-sum", domain, [
+        access("A", AccessMode.READ, [i, j]),
+        access("A", AccessMode.READ, [j, i]),
+        access("Y", AccessMode.WRITE, [i, j]),
+    ])
 
 
 def small_candidates(op, pe_dims=(4, 4), count=6):
@@ -275,9 +295,6 @@ class TestBackendReports:
 class TestLayout:
     def _op_with_duplicate_reference(self):
         """GEMM variant whose output is referenced twice (read then write)."""
-        from repro.tensor.access import AccessMode, TensorAccess
-        from repro.tensor.operation import TensorOp
-
         base = gemm(8, 8, 8)
         update = next(a for a in base.accesses if a.tensor == "Y")
         accesses = [a for a in base.accesses if a.tensor != "Y"]
@@ -290,15 +307,10 @@ class TestLayout:
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache())
         relations = engine.materializer.relations(10**6)
-        candidate = small_candidates(op)[0].bind(op)
-        pe_lin, _ = engine.materializer.stamps(relations, candidate, arch.pe_array)
         assert relations.tensors["Y"].references == 2
-        layout = build_group_layout(
-            pe_lin, relations.tensors["Y"], engine._predecessor_table,
-            engine._spacetime.spatial_interval,
-        )
-        assert layout.references == 1
-        assert layout.perm_mod.size == pe_lin.size
+        grids = engine.backend._element_ids(relations)["Y"]
+        assert len(grids) == 1
+        assert grids[0].size == relations.total
 
     def test_duplicate_reference_reports_equal_analyzer(self):
         op = self._op_with_duplicate_reference()
@@ -314,109 +326,10 @@ class TestLayout:
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache())
         relations = engine.materializer.relations(10**6)
-        candidate = small_candidates(op, count=1)[0].bind(op)
-        pe_lin, _ = engine.materializer.stamps(relations, candidate, arch.pe_array)
-        tensor = next(t for t, rel in relations.tensors.items() if rel.references > 1)
-        layout = build_group_layout(
-            pe_lin, relations.tensors[tensor], engine._predecessor_table,
-            engine._spacetime.spatial_interval,
-        )
-        assert layout.references == relations.tensors[tensor].references
-
-    @staticmethod
-    def _argsort_layout(pe_lin, relations, predecessor_table, spatial_interval):
-        """The sort-based group layout construction, kept as a reference.
-
-        Groups come from a stable argsort of the int64 (PE, element) keys
-        and source groups from a ``searchsorted`` over the distinct keys.
-        """
-        footprint = relations.footprint
-        length = pe_lin.size
-        distinct = []
-        for index in range(relations.references):
-            segment = relations.dense_keys[index * length : (index + 1) * length]
-            if not any(np.array_equal(segment, seen) for seen in distinct):
-                distinct.append(segment)
-        pairs = np.concatenate([pe_lin * footprint + segment for segment in distinct])
-        perm = np.argsort(pairs, kind="stable")
-        ordered = pairs[perm]
-        boundary = np.empty(pairs.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-        dense_sorted = (np.cumsum(boundary) - 1).astype(np.int32)
-        group_count = int(dense_sorted[-1]) + 1
-        unique_groups = ordered[boundary]
-        group_pe = unique_groups // footprint
-        group_elem = unique_groups - group_pe * footprint
-        slots = {"valid": [], "delta": [], "const": []}
-        for slot in range(predecessor_table.shape[1]):
-            src_pe = predecessor_table[group_pe, slot]
-            valid = src_pe >= 0
-            if spatial_interval == 0:
-                valid &= src_pe < group_pe
-            src_raw = src_pe * footprint + group_elem
-            position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
-            present = valid & (unique_groups[position] == src_raw)
-            src_dense = np.where(present, position, group_count).astype(np.int32)
-            group_delta = src_dense - np.arange(group_count, dtype=np.int32)
-            valid_deltas = group_delta[present]
-            constant = valid_deltas.size and valid_deltas.min() == valid_deltas.max()
-            slots["valid"].append(present[dense_sorted])
-            slots["delta"].append(group_delta[dense_sorted])
-            slots["const"].append(int(valid_deltas[0]) if constant else None)
-        return {
-            "perm_mod": (perm % length).astype(np.int32),
-            "dense_sorted": dense_sorted,
-            "group_count": group_count,
-            "references": len(distinct),
-            "slot_valid": slots["valid"],
-            "slot_delta": slots["delta"],
-            "slot_delta_const": slots["const"],
-        }
-
-    @pytest.mark.parametrize("make_op", [
-        lambda: conv2d(2, 3, 6, 6, 3, 3),
-        lambda: gemm(12, 12, 12),
-        lambda: jacobi2d(10, 10),  # one tensor has distinct multiple references
-    ], ids=["conv2d", "gemm", "jacobi2d"])
-    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
-    @pytest.mark.parametrize("bitmap", [True, False], ids=["bitmap", "sorted"])
-    def test_layout_matches_argsort_construction(
-        self, make_op, interconnect, bitmap, monkeypatch
-    ):
-        if not bitmap:
-            # Key ranges too wide for a presence bitmap take the sorted path.
-            import repro.core.engine
-
-            monkeypatch.setattr(repro.core.engine, "_presence_table", lambda keys: None)
-        op = make_op()
-        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(op, arch, cache=RelationCache())
-        relations = engine.materializer.relations(10**6)
-        for candidate in small_candidates(op, count=3):
-            pe_lin, _ = engine.materializer.stamps(
-                relations, candidate.bind(op), arch.pe_array
-            )
-            for tensor, rel in relations.tensors.items():
-                args = (
-                    pe_lin, rel, engine._predecessor_table,
-                    engine._spacetime.spatial_interval,
-                )
-                layout = build_group_layout(*args)
-                expected = self._argsort_layout(*args)
-                for field, value in expected.items():
-                    actual = getattr(layout, field)
-                    if isinstance(value, list):
-                        assert len(actual) == len(value), field
-                        pairs = zip(actual, value)
-                    else:
-                        pairs = [(actual, value)]
-                    for got, want in pairs:
-                        if isinstance(want, np.ndarray):
-                            assert got.dtype == want.dtype, field
-                            np.testing.assert_array_equal(got, want, err_msg=field)
-                        else:
-                            assert got == want, field
+        assert relations.tensors["A"].references == 5
+        grids = engine.backend._element_ids(relations)
+        assert len(grids["A"]) == 5
+        assert len(grids["Y"]) == 1
 
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
@@ -427,8 +340,8 @@ class TestLayout:
         distinct_pe_signatures = {
             tuple(str(e) for e in c.pe_exprs) for c in candidates
         }
-        # One layout per (space signature, tensor), not per candidate.
-        assert len(engine.backend._layout_memo) <= len(distinct_pe_signatures) * 3
+        # One entry per (space signature, tensor), not per candidate.
+        assert len(engine.backend._direction_memo) <= len(distinct_pe_signatures) * 3
 
 
 class TestFusedBackend:
@@ -441,14 +354,13 @@ class TestFusedBackend:
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
-        assert engine.stats["fused_path"] > 0
-        assert engine.stats["compiled_path"] == 0
+        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
+        assert engine.stats["reference_path"] == 0
 
     def test_fused_splits_mixed_reference_layouts_between_kernels(self):
-        # jacobi2d mixes per-tensor layouts: the multi-reference stencil input
-        # cannot use the grid kernel (a cell holds one element per tensor)
-        # and must chain to the compiled kernel, while the single-reference
-        # output still takes the grid — bit-identically either way.
+        # jacobi2d mixes per-tensor layouts: the five-reference stencil input
+        # takes the grid kernel with one element-id grid per reference, next
+        # to the single-reference output.
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
@@ -457,8 +369,8 @@ class TestFusedBackend:
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
-        assert engine.stats["fused_path"] > 0
-        assert engine.stats["compiled_path"] + engine.stats["reference_path"] > 0
+        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
+        assert engine.stats["reference_path"] == 0
 
     @pytest.mark.parametrize("backend", ["fused", "auto"])
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
@@ -466,9 +378,9 @@ class TestFusedBackend:
     def test_ragged_conv_layouts_take_the_fused_kernel(
         self, backend, interconnect, temporal_interval
     ):
-        # Conv boundaries leave (PE, element) groups of unequal size; the
-        # fused kernel pads them to the largest block instead of handing the
-        # tensor to the compiled kernel.
+        # Conv boundaries leave (PE, element) groups of unequal size and
+        # empty stamps; the grid kernel masks the empty cells instead of
+        # handing the tensor to another kernel.
         op = conv2d(2, 3, 6, 6, 3, 3)
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
         engine = EvaluationEngine(
@@ -483,12 +395,12 @@ class TestFusedBackend:
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
-        assert engine.stats["compiled_path"] == 0
-        assert engine.stats["fused_path"] > 0
+        assert engine.stats["reference_path"] == 0
+        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
 
     def test_fused_wide_interval_stays_on_the_grid_kernel(self):
         # The grid kernel compares cells ``temporal_interval`` rows apart, so
-        # intervals past the sort kernels' window of 8 need no fallback.
+        # intervals past the interp kernel's window of 8 need no fallback.
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
@@ -497,7 +409,7 @@ class TestFusedBackend:
             op, arch, cache=RelationCache(), backend="fused", temporal_interval=11
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["fused_path"] > 0
+        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
         assert engine.stats["reference_path"] == 0
 
     def test_fused_batch_matches_analyzer_across_interconnects(self):
@@ -597,12 +509,12 @@ class TestVolumeThreadPool:
 class TestKernelChain:
     """Each rung of the fused backend's per-tensor kernel chain on its own.
 
-    A tensor goes to the stamp-grid kernel, then to
-    :func:`compiled_group_volume_metrics`, then to the engine's reference
-    kernel.  Most tensors stop at the first rung, so the tests below force a
-    lower rung by making the kernels above it refuse every tensor: each rung
-    must match the analyzer by itself, not only on the cases that reach it
-    by default.
+    A tensor goes to the stamp-grid kernel; without a grid to the
+    group-major kernel, and past that kernel's temporal-interval window to
+    the engine's reference kernel.  Most tensors stop at the first rung, so
+    the tests below build no stamp grid for any candidate and pick the
+    temporal interval that reaches each later rung: each rung must match
+    the analyzer by itself, not only on the cases that reach it by default.
     """
 
     OPS = {
@@ -611,58 +523,49 @@ class TestKernelChain:
         "jacobi2d": lambda: jacobi2d(10, 10),
     }
 
-    @staticmethod
-    def force_rung(monkeypatch, rung):
-        """Make every kernel above ``rung`` in the chain refuse."""
-        import repro.core.backends.fused as fused_module
-
-        def refuse(*args, **kwargs):
-            return None
-
-        if rung in ("compiled", "reference"):
-            monkeypatch.setattr(fused_module, "grid_volume_metrics", refuse)
-        if rung == "reference":
-            monkeypatch.setattr(fused_module, "compiled_group_volume_metrics", refuse)
-
     @pytest.mark.parametrize("op_name", sorted(OPS))
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
-    @pytest.mark.parametrize("rung", ["compiled", "reference"])
+    @pytest.mark.parametrize("rung", ["group-major", "reference"])
     def test_forced_rung_reports_equal_analyzer(
         self, rung, interconnect, op_name, monkeypatch
     ):
-        self.force_rung(monkeypatch, rung)
+        import repro.core.backends.fused as fused_module
+
+        monkeypatch.setattr(fused_module, "stamp_grid", lambda *a, **k: None)
+        temporal_interval = 1 if rung == "group-major" else 9
         op = self.OPS[op_name]()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        engine = EvaluationEngine(
+            op, arch, cache=RelationCache(), backend="fused",
+            temporal_interval=temporal_interval,
+        )
         for candidate in small_candidates(op):
-            reference = TenetAnalyzer(op, candidate, arch).analyze()
+            reference = TenetAnalyzer(
+                op, candidate, arch, temporal_interval=temporal_interval
+            ).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         stats = engine.stats
         assert stats["fused_path"] == 0
-        if rung == "compiled":
-            # Every tensor of every candidate stopped at the compiled kernel.
-            assert stats["compiled_path"] == stats["fast_path"] > 0
+        if rung == "group-major":
+            assert stats["fast_path"] > 0
             assert stats["reference_path"] == 0
         else:
-            assert stats["compiled_path"] == stats["fast_path"] == 0
+            assert stats["fast_path"] == 0
             assert stats["reference_path"] > 0
 
     @pytest.mark.parametrize("temporal_interval", [2, 5, 8, 9, 12])
-    @pytest.mark.parametrize("rung", ["interp", "fused", "compiled"])
-    def test_sort_kernels_take_temporal_intervals_up_to_8(
-        self, rung, temporal_interval, monkeypatch
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
+    def test_temporal_interval_windows_per_backend(
+        self, backend, temporal_interval
     ):
-        # interp's group-major kernel and the compiled kernel find a temporal
-        # predecessor at most ``temporal_interval`` positions back in a
-        # group's sorted ranks, so each takes intervals 1 to 8 and hands
-        # wider ones to the reference kernel.  The fused engine's grid
-        # kernel takes every interval.
-        self.force_rung(monkeypatch, rung)
+        # interp's group-major kernel finds a temporal predecessor at most
+        # ``temporal_interval`` positions back in a group's sorted ranks, so
+        # it takes intervals 1 to 8 and hands wider ones to the reference
+        # kernel.  The fused engine's grid kernel takes every interval.
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(
-            op, arch, cache=RelationCache(),
-            backend="interp" if rung == "interp" else "fused",
+            op, arch, cache=RelationCache(), backend=backend,
             temporal_interval=temporal_interval,
         )
         for candidate in small_candidates(op):
@@ -674,9 +577,9 @@ class TestKernelChain:
         if temporal_interval <= 8:
             assert stats["fast_path"] > 0
             assert stats["reference_path"] == 0
-            if rung != "interp":
-                assert stats[f"{rung}_path"] == stats["fast_path"]
-        elif rung == "fused":
+            if backend == "fused":
+                assert stats["fused_path"] == stats["fast_path"]
+        elif backend == "fused":
             assert stats["fused_path"] > 0
             assert stats["reference_path"] == 0
         else:
@@ -722,7 +625,7 @@ class TestGridKernel:
         assert engine.stats["fused_path"] == 3
         signature = engine.backend.pe_signature(candidate)
         live = {
-            tensor: [d.offset for d in engine.backend._layout_memo[signature, tensor].directions]
+            tensor: [d.offset for d in engine.backend._direction_memo[signature, tensor]]
             for tensor in ("A", "B", "Y")
         }
         assert live["A"] == [-7, -6, -5, -4, -3, -2, -1]
@@ -730,7 +633,7 @@ class TestGridKernel:
         assert live["Y"] == []
 
     @pytest.mark.parametrize("case", ["grid-past-bound", "non-injective", "multi-reference"])
-    def test_fallbacks_take_the_compiled_kernel(self, case):
+    def test_each_case_takes_the_grid_or_group_major_kernel(self, case):
         if case == "grid-past-bound":
             # 110,592 time ranks x 64 PEs: past max(8n, 2^22) cells.
             op = gemm(48, 48, 48)
@@ -753,10 +656,43 @@ class TestGridKernel:
         for candidate in candidates:
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["compiled_path"] > 0
         assert engine.stats["reference_path"] == 0
-        if case != "multi-reference":
+        if case == "multi-reference":
+            assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
+        else:
+            # No stamp grid: the group-major kernel, as in ``interp``.
             assert engine.stats["fused_path"] == 0
+            assert engine.stats["fast_path"] > 0
+
+    @pytest.mark.parametrize("make_op", [
+        lambda: jacobi2d(10, 10),
+        lambda: transpose_sum(8),
+    ], ids=["jacobi2d", "transpose-sum"])
+    @pytest.mark.parametrize("interconnect", [
+        "1d-systolic", "2d-systolic", "mesh", "multicast", "2d-multicast",
+        "reduction-tree", "none",
+    ])
+    @pytest.mark.parametrize("temporal_interval", [1, 2, 9])
+    def test_multi_reference_tensors_take_the_grid_kernel(
+        self, make_op, interconnect, temporal_interval
+    ):
+        # One element-id grid per distinct reference: a stencil's reuse is
+        # across references (A[i-1][j] at (i, j) is A[i][j] at (i-1, j)),
+        # and references that coincide (A[i, j] and A[j, i] on the
+        # diagonal) count one pair.
+        op = make_op()
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        engine = EvaluationEngine(
+            op, arch, cache=RelationCache(), backend="fused",
+            temporal_interval=temporal_interval,
+        )
+        for candidate in small_candidates(op):
+            reference = TenetAnalyzer(
+                op, candidate, arch, temporal_interval=temporal_interval
+            ).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
+        assert engine.stats["reference_path"] == 0
 
 
 class TestTemporalIntervalValidation:

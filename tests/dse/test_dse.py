@@ -60,6 +60,16 @@ class TestPruning:
         ]
         assert len(signatures) == len(set(signatures))
 
+    @pytest.mark.parametrize("cap", [0, 1, 15])
+    def test_cap_bounds_the_candidate_count(self, cap):
+        # The cap is checked before a candidate is emitted, so 0 yields none.
+        # gemm(8, 8, 8) on 8x8 PEs has 12 plain candidates, then 6 packed
+        # ones: a cap of 15 stops inside the packed family.
+        candidates = list(pruned_candidates(
+            gemm(8, 8, 8), pe_dims=(8, 8), allow_packing=True, max_candidates=cap
+        ))
+        assert len(candidates) == cap
+
     def test_candidates_cover_skewed_and_plain(self):
         op = gemm(16, 16, 16)
         names = [c.name for c in pruned_candidates(op, max_candidates=30)]

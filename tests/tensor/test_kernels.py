@@ -1,5 +1,7 @@
 """Unit tests for the kernel factories and the TensorOp IR."""
 
+import re
+
 import pytest
 
 from repro.errors import SpaceError
@@ -90,6 +92,25 @@ class TestOtherKernels:
         assert op.num_instances() == 8
         with pytest.raises(KeyError):
             make_kernel("nope", [1])
+
+    @pytest.mark.parametrize("kind, sizes, dims", [
+        ("gemm", [8, 8, 8, 9], "(i, j, k)"),
+        ("gemm", [8, 8], "(i, j, k)"),
+        # A 7th positional size would have become the stride.
+        ("conv2d", [4, 4, 4, 4, 3, 3, 2], "(k, c, ox, oy, rx, ry)"),
+        ("jacobi2d", [6], "(i, j)"),
+        ("gemm", {"size_i": 2, "size_j": 2}, "(i, j, k)"),
+    ])
+    def test_make_kernel_takes_one_size_per_loop_dimension(self, kind, sizes, dims):
+        with pytest.raises(SpaceError, match=re.escape(f"one per loop dimension {dims}")):
+            make_kernel(kind, sizes)
+
+    def test_make_kernel_stride_is_a_keyword(self):
+        op = make_kernel("conv2d", [1, 1, 4, 4, 3, 3], stride=2)
+        a = op.access_maps("A")[0]
+        assert a.apply_point((0, 0, 2, 1, 1, 0)).coords == (0, 5, 2)
+        keyword = make_kernel("gemm", {"size_i": 2, "size_j": 3, "size_k": 4})
+        assert keyword.loop_sizes() == {"i": 2, "j": 3, "k": 4}
 
 
 class TestTensorOpApi:

@@ -105,7 +105,7 @@ class TestParser:
             "materialise", "stamps", "utilization", "volumes", "rank"
         }
         assert set(payload["stats"]) >= {
-            "fused_path", "compiled_path", "fast_path", "reference_path"
+            "fused_path", "fast_path", "reference_path"
         }
         sweep_size = len(list(pruned_candidates(
             gemm(12, 12, 12), pe_dims=(8, 8), allow_packing=True, max_candidates=6
@@ -160,6 +160,89 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["--version"])
+
+
+class TestInputErrors:
+    """Bad sizes or names end in one ``tenet <cmd>: error:`` line, exit 1."""
+
+    GEMM_SIZES = "kernel 'gemm' takes 3 sizes, one per loop dimension (i, j, k)"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--kernel", "gemm", "--sizes", "8", "8", "8", "9",
+          "--dataflow", "(IJ-P | J,IJK-T)"],
+         f"tenet analyze: error: {GEMM_SIZES}; got [8, 8, 8, 9]"),
+        (["analyze", "--kernel", "conv2d", "--sizes", "4", "4", "4", "4", "3", "3",
+          "2", "--dataflow", "(KC-P | OY,KCOX-T)"],
+         "tenet analyze: error: kernel 'conv2d' takes 6 sizes, one per loop "
+         "dimension (k, c, ox, oy, rx, ry); got [4, 4, 4, 4, 3, 3, 2]"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8"],
+         f"tenet explore: error: {GEMM_SIZES}; got [8, 8]"),
+        (["analyze", "--kernel", "nope", "--sizes", "8", "--dataflow", "x"],
+         "tenet analyze: error: unknown kernel 'nope'; available: "),
+        (["analyze", "--kernel", "gemm", "--sizes", "8", "8", "8", "--dataflow", "nope"],
+         "tenet analyze: error: no dataflow 'nope' for kernel 'gemm'; known: "),
+        (["explore", "--kernel", "nope", "--sizes", "8"],
+         "tenet explore: error: unknown kernel 'nope'; available: "),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--pe", "8"],
+         "tenet explore: error: --pe takes exactly two extents (rows cols), got [8]"),
+    ], ids=[
+        "analyze-extra-size", "analyze-conv-stride-size", "explore-missing-size",
+        "analyze-unknown-kernel", "analyze-unknown-dataflow",
+        "explore-unknown-kernel", "explore-pe-rank",
+    ])
+    def test_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message), lines[0]
+
+    def test_fleet_checks_sizes_before_spawning(self, capsys, tmp_path, monkeypatch):
+        import repro.sweep.fleet as fleet_module
+
+        spawned = []
+
+        def launch_replica(*args, **kwargs):
+            spawned.append(args)
+            raise RuntimeError("a replica was spawned")
+
+        monkeypatch.setattr(fleet_module, "launch_replica", launch_replica)
+        code = main([
+            "fleet", "--kernel", "gemm", "--sizes", "8", "8", "--replicas", "1",
+            "--checkpoint-dir", str(tmp_path / "fleet"),
+        ])
+        assert code == 1
+        assert spawned == []
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"tenet fleet: error: {self.GEMM_SIZES}; got [8, 8]"
+        ]
+
+    def test_serve_replies_with_the_size_error(self, capsys, tmp_path):
+        import json
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"kernel": "gemm", "sizes": [8, 8]}) + "\n")
+        assert main(["serve", "--requests", str(requests)]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["error"] == f"SpaceError: {self.GEMM_SIZES}; got [8, 8]"
+
+    def test_zero_candidate_cap_explores_nothing(self, capsys, tmp_path):
+        import json
+
+        assert main([
+            "explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+            "--max-candidates", "0",
+        ]) == 0
+        assert capsys.readouterr().out.startswith("explored 0 candidates")
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(
+            {"kernel": "gemm", "sizes": [8, 8, 8], "max_candidates": 0}
+        ) + "\n")
+        assert main(["serve", "--requests", str(requests)]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["candidates"] == record["evaluated"] == 0
 
 
 class TestShardedExplore:
