@@ -2,7 +2,7 @@
 
 Three claims are checked on the 100-candidate GEMM sweep family:
 
-* **Shard identity** — ``shard(0, n) … shard(n-1, n)`` together evaluate every
+* **Shard identity** — ``shard=(0, n) … (n-1, n)`` together evaluate every
   candidate exactly once and their merged checkpoint ranking is bit-identical
   to the unsharded sweep's.
 * **Resume identity** — a sweep killed mid-stream and resumed from its
@@ -18,7 +18,7 @@ import time
 from benchmarks.test_bench_engine_sweep import GEMM_SIZE, sweep_candidates
 from repro.core.engine import EvaluationEngine, RelationCache, dataflow_signature
 from repro.experiments.common import make_arch
-from repro.sweep import CandidateSource, SweepSession, load_ranking, render_ranking
+from repro.sweep import SweepSession, load_ranking, render_ranking
 from repro.tensor.kernels import gemm
 
 NUM_CANDIDATES = 100
@@ -40,12 +40,11 @@ def fresh_session(op, arch, checkpoint=None, resume=False, batch_size=25):
 def test_bench_sweep_pipeline_shard_resume_identity(tmp_path, bench_record):
     op = gemm(GEMM_SIZE, GEMM_SIZE, GEMM_SIZE)
     arch = make_arch(pe_dims=(8, 8))
+    candidates = sweep_candidates(op, NUM_CANDIDATES)
 
     full_path = tmp_path / "full.jsonl"
     started = time.perf_counter()
-    full = fresh_session(op, arch, checkpoint=str(full_path)).run(
-        CandidateSource(lambda: sweep_candidates(op, NUM_CANDIDATES))
-    )
+    full = fresh_session(op, arch, checkpoint=str(full_path)).run(candidates)
     sweep_seconds = time.perf_counter() - started
     assert len(full.evaluated) == NUM_CANDIDATES
 
@@ -56,13 +55,10 @@ def test_bench_sweep_pipeline_shard_resume_identity(tmp_path, bench_record):
         path = tmp_path / f"shard{index}.jsonl"
         shard_paths.append(path)
         result = fresh_session(op, arch, checkpoint=str(path)).run(
-            CandidateSource(lambda: sweep_candidates(op, NUM_CANDIDATES)),
-            shard=(index, 2),
+            candidates, shard=(index, 2)
         )
         shard_signatures.extend(e.signature for e in result.ranking)
-    assert sorted(shard_signatures) == sorted(
-        dataflow_signature(c) for c in sweep_candidates(op, NUM_CANDIDATES)
-    )
+    assert sorted(shard_signatures) == sorted(dataflow_signature(c) for c in candidates)
     merged = load_ranking(shard_paths)
     reference = load_ranking(full_path)
     assert [(e.signature, e.score, e.data) for e in merged] == [
@@ -72,11 +68,9 @@ def test_bench_sweep_pipeline_shard_resume_identity(tmp_path, bench_record):
 
     # -- resume identity: kill after 40 candidates, resume, compare ----------
     resumed_path = tmp_path / "resumed.jsonl"
-    fresh_session(op, arch, checkpoint=str(resumed_path)).run(
-        CandidateSource(lambda: sweep_candidates(op, NUM_CANDIDATES)).limit(40)
-    )
+    fresh_session(op, arch, checkpoint=str(resumed_path)).run(candidates[:40])
     resumed = fresh_session(op, arch, checkpoint=str(resumed_path), resume=True).run(
-        CandidateSource(lambda: sweep_candidates(op, NUM_CANDIDATES))
+        candidates
     )
     assert resumed.skipped == 40
     assert [(e.signature, e.score, e.data) for e in resumed.ranking] == [

@@ -61,15 +61,15 @@ REQUEST = {
 
 
 def shard_sizes() -> list[int]:
-    """Deduped candidate count per shard, computed like the replicas will.
+    """Candidate count per shard, computed like the replicas will.
 
-    ``dedupe`` and ``shard`` commute and both depend only on the structural
-    signature, so enumerating the space in-process predicts exactly how many
-    checkpoint records each lease writes.
+    The pruned generator yields structurally distinct candidates and a
+    candidate's shard depends only on its signature, so enumerating the space
+    in-process predicts exactly how many checkpoint records each lease writes.
     """
-    _, _, source = SweepRequest.from_dict(dict(REQUEST)).build()
+    _, _, candidates = SweepRequest.from_dict(dict(REQUEST)).build()
     sizes = [0] * SHARDS
-    for dataflow in source.dedupe():
+    for dataflow in candidates:
         sizes[signature_shard_index(dataflow_signature(dataflow), SHARDS)] += 1
     return sizes
 

@@ -31,7 +31,7 @@ REQUEST = {"kernel": "gemm", "sizes": [16, 16, 16], "max_candidates": 6}
 
 
 def main() -> int:
-    process, host, port, stderr_lines = start_server(args=["--max-inflight", "1"])
+    process, host, port, stderr_lines = start_server(args=["--workers", "1"])
     try:
         done_at: dict[str, float] = {}
         errors: list[BaseException] = []

@@ -121,38 +121,43 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         op = make_kernel(args.kernel, args.sizes)
     except (TenetError, KeyError) as error:  # KeyError: unknown kernel
         return _fail("explore", error)
-    arch = make_arch(
-        pe_dims=tuple(args.pe),
-        interconnect=args.interconnect,
-        bandwidth_bits=args.bandwidth,
-    )
-    shard = parse_shard(args.shard) if args.shard else None
-    explorer = DesignSpaceExplorer(
-        op,
-        arch,
-        objective=args.objective,
-        max_instances=args.max_instances,
-        backend=args.backend,
-        batch_size=args.batch_size,
-    )
-    candidates = pruned_candidates(
-        op,
-        pe_dims=tuple(args.pe),
-        allow_packing=not args.no_packing,
-        max_candidates=args.max_candidates,
-    )
-    result = explorer.explore(
-        candidates,
-        early_termination=args.early_termination,
-        shard=shard,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        # The in-memory ranking is bounded to what gets printed; the JSONL
-        # checkpoint (when given) stays the full per-candidate record.
-        # ``--top 0`` keeps the historical unbounded behaviour (print nothing).
-        top_k=args.top if args.top > 0 else None,
-        checkpoint_fsync=args.checkpoint_fsync if args.checkpoint_fsync > 0 else None,
-    )
+    try:
+        arch = make_arch(
+            pe_dims=tuple(args.pe),
+            interconnect=args.interconnect,
+            bandwidth_bits=args.bandwidth,
+        )
+        shard = parse_shard(args.shard) if args.shard else None
+        explorer = DesignSpaceExplorer(
+            op,
+            arch,
+            objective=args.objective,
+            max_instances=args.max_instances,
+            backend=args.backend,
+            batch_size=args.batch_size,
+        )
+        candidates = pruned_candidates(
+            op,
+            pe_dims=tuple(args.pe),
+            allow_packing=not args.no_packing,
+            max_candidates=args.max_candidates,
+        )
+        result = explorer.explore(
+            candidates,
+            early_termination=args.early_termination,
+            shard=shard,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            # The in-memory ranking is bounded to what gets printed; the JSONL
+            # checkpoint (when given) stays the full per-candidate record.
+            # ``--top 0`` keeps the historical unbounded behaviour (print nothing).
+            top_k=args.top if args.top > 0 else None,
+            checkpoint_fsync=args.checkpoint_fsync if args.checkpoint_fsync > 0 else None,
+        )
+    except (TenetError, OSError) as error:
+        # Bad architecture or shard, or a checkpoint that exists, belongs to
+        # another sweep or cannot be opened.
+        return _fail("explore", error)
     print(result.summary(count=args.top))
     stats = explorer.engine.stats
     cache_stats = explorer.engine.cache_stats()
@@ -208,56 +213,45 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.listen is not None:
-        host, port = parse_listen(args.listen)
+    options = dict(
+        backend=args.backend,
+        batch_size=args.batch_size,
+        max_workers=args.workers,
+        queue_depth=args.queue_depth,
+        request_timeout=args.request_timeout,
+        checkpoint_root=args.checkpoint_root,
+    )
 
-        def announce(bound_host: str, bound_port: int) -> None:
-            # Parsed by the fleet coordinator and the CI smoke scripts to
-            # discover an ephemeral (port 0) bind; the format lives in
-            # repro.sweep.net next to its parser so they cannot drift.
-            print(format_announce(bound_host, bound_port),
-                  file=sys.stderr, flush=True)
+    def announce(bound_host: str, bound_port: int) -> None:
+        # Parsed by the fleet coordinator and the CI smoke scripts to
+        # discover an ephemeral (port 0) bind; the format lives in
+        # repro.sweep.net next to its parser so they cannot drift.
+        print(format_announce(bound_host, bound_port), file=sys.stderr, flush=True)
 
-        served = run_tcp_server(
-            host,
-            port,
-            backend=args.backend,
-            batch_size=args.batch_size,
-            max_workers=args.workers,
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            request_timeout=args.request_timeout,
-            checkpoint_root=args.checkpoint_root,
-            announce=announce,
-        )
-        print(f"served {served} sweep request(s)", file=sys.stderr)
-        return 0
-    if args.requests == "-":
-        stream = sys.stdin
-    else:
-        stream = open(args.requests, "r", encoding="utf-8")
     try:
-        # readline-based iteration: responses stream per line and a final
-        # unterminated request line is still served (torn-line tolerance).
-        served = serve_lines(
-            iter_lines(stream),
-            backend=args.backend,
-            batch_size=args.batch_size,
-            max_workers=args.workers,
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            request_timeout=args.request_timeout,
-            checkpoint_root=args.checkpoint_root,
-        )
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+        if args.listen is not None:
+            host, port = parse_listen(args.listen)
+            served = run_tcp_server(host, port, announce=announce, **options)
+        elif args.requests == "-":
+            # readline-based iteration: responses stream per line and a final
+            # unterminated request line is still served (torn-line tolerance).
+            served = serve_lines(iter_lines(sys.stdin), **options)
+        else:
+            with open(args.requests, "r", encoding="utf-8") as stream:
+                served = serve_lines(iter_lines(stream), **options)
+    except (TenetError, OSError) as error:
+        # A bad --listen address or an unreadable --requests file.
+        return _fail("serve", error)
     print(f"served {served} sweep request(s)", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
-    ranking = load_ranking(args.checkpoints)
+    try:
+        ranking = load_ranking(args.checkpoints)
+    except (TenetError, OSError) as error:
+        # A missing file, or checkpoints of different sweeps.
+        return _fail("sweep-merge", error)
     if not ranking:
         print("(no evaluated candidates in the given checkpoints)")
         return 1
@@ -418,10 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "stdio (port 0 = ephemeral; the bound address is "
                             "printed to stderr; SIGTERM drains gracefully)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent sweep requests (thread pool size)")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       help="sweeps admitted concurrently across all client "
-                            "connections (default: --workers)")
+                       help="sweep requests run concurrently across all client "
+                            "connections (thread pool size)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="queued requests per connection before the server "
                             "replies with a structured overload error")

@@ -35,7 +35,7 @@ from repro.arch.spec import ArchSpec
 from repro.core.bandwidth import compute_bandwidth
 from repro.core.dataflow import Dataflow
 from repro.core.energy_model import compute_energy
-from repro.core.engine import RelationMaterializer, TensorColumns
+from repro.core.engine import RelationMaterializer
 from repro.core.latency import compute_latency
 from repro.core.metrics import PerformanceReport
 from repro.core.spacetime import SpacetimeMap
@@ -43,9 +43,6 @@ from repro.core.utilization import compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
 from repro.errors import DataflowError, ModelError
 from repro.tensor.operation import TensorOp
-
-#: Backwards-compatible alias; the element-bounds helper moved to the engine.
-_TensorColumns = TensorColumns
 
 
 class TenetAnalyzer:
@@ -61,7 +58,6 @@ class TenetAnalyzer:
         chunk_size: int = 1 << 20,
         validate: bool = False,
         temporal_interval: int = 1,
-        materializer: RelationMaterializer | None = None,
     ):
         self.op = op
         self.dataflow = dataflow.bind(op)
@@ -73,7 +69,7 @@ class TenetAnalyzer:
         self.spacetime = SpacetimeMap(
             arch.pe_array, arch.interconnect, temporal_interval=self.temporal_interval
         )
-        self.materializer = materializer or RelationMaterializer(op, chunk_size=self.chunk_size)
+        self.materializer = RelationMaterializer(op, chunk_size=self.chunk_size)
 
     # -- public API -------------------------------------------------------------
 
@@ -167,10 +163,6 @@ class TenetAnalyzer:
         )
 
     # -- relation materialisation ---------------------------------------------------
-
-    def _element_bounds(self) -> dict[str, TensorColumns]:
-        """Shared per-coordinate bounds for every tensor (across its references)."""
-        return self.materializer.element_bounds()
 
     def _materialize_relations(self):
         """Evaluate dataflow and access relations over the whole iteration domain."""

@@ -220,11 +220,12 @@ class RelationCache:
 class RelationMaterializer:
     """Materialise the Section IV relations for one operation.
 
-    Stateless with respect to dataflows: :meth:`materialize` accepts any
-    candidate and returns the same ``(pe_lin, t_rank, element_keys,
-    element_extents)`` tuple the original analyzer produced.  When a
-    :class:`RelationCache` is attached, the dataflow-independent arrays are
-    built once and only the stamp columns are evaluated per candidate.
+    Stateless with respect to dataflows: :meth:`materialize` streams the
+    domain for any candidate and returns the ``(pe_lin, t_rank, element_keys,
+    element_extents)`` tuple the analyzer consumes.  When a
+    :class:`RelationCache` is attached, :meth:`relations` builds the
+    dataflow-independent arrays once and :meth:`stamps` evaluates only the
+    stamp columns per candidate.
     """
 
     def __init__(
@@ -379,7 +380,7 @@ class RelationMaterializer:
             time_key = time_key * extent + (expr.evaluate_vec(chunk) - lo)
         return pe_lin, _rank_keys(time_key)
 
-    # -- analyzer-compatible materialisation ---------------------------------------
+    # -- streaming materialisation ---------------------------------------------------
 
     def materialize(
         self,
@@ -389,28 +390,11 @@ class RelationMaterializer:
     ) -> tuple[np.ndarray, np.ndarray, dict[str, list[np.ndarray]], dict[str, int]]:
         """Evaluate dataflow and access relations over the whole iteration domain.
 
-        Returns the exact ``(pe_lin, t_rank, element_keys, element_extents)``
-        tuple of the original ``TenetAnalyzer._materialize_relations``; cached
-        and streaming paths produce identical arrays.
+        Streams the domain chunk by chunk without caching it and returns
+        ``(pe_lin, t_rank, element_keys, element_extents)``: the analyzer's
+        path, and the engine's when the relations are too large to cache.
+        :meth:`relations` plus :meth:`stamps` produce identical arrays.
         """
-        relations = self.relations(max_instances) if self.cache is not None else None
-        if relations is not None:
-            pe_lin, t_rank = self.stamps(relations, dataflow, pe_array)
-            element_keys = {
-                tensor: list(rel.raw_keys) for tensor, rel in relations.tensors.items()
-            }
-            element_extents = {
-                tensor: rel.extent for tensor, rel in relations.tensors.items()
-            }
-            return pe_lin, t_rank, element_keys, element_extents
-        return self._materialize_streaming(dataflow, pe_array, max_instances)
-
-    def _materialize_streaming(
-        self,
-        dataflow: Dataflow,
-        pe_array: PEArray,
-        max_instances: int,
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, list[np.ndarray]], dict[str, int]]:
         op = self.op
         pe_dims = pe_array.dims
         time_bounds = dataflow.time_bounds(op)
@@ -954,10 +938,8 @@ class EvaluationEngine:
             element_keys = None
         else:
             self.stats["streaming_path"] += 1
-            pe_lin, t_rank, element_keys, element_extents = (
-                self.materializer._materialize_streaming(
-                    bound, self.arch.pe_array, self.max_instances
-                )
+            pe_lin, t_rank, element_keys, element_extents = self.materializer.materialize(
+                bound, self.arch.pe_array, self.max_instances
             )
         now = time.perf_counter()
         stage["stamps"] += now - mark

@@ -15,16 +15,13 @@ from typing import Callable, Iterable
 
 from repro.arch.spec import ArchSpec
 from repro.core.dataflow import Dataflow
-from repro.core.engine import OBJECTIVES, EvaluationEngine, RelationCache
+from repro.core.engine import EvaluationEngine, RelationCache
 from repro.core.metrics import PerformanceReport
-from repro.sweep import CandidateSource, SweepResult, SweepSession
+from repro.sweep import SweepResult, SweepSession
 from repro.sweep.session import resolve_objective
 from repro.tensor.operation import TensorOp
 
 Objective = Callable[[PerformanceReport], float]
-
-#: Backwards-compatible alias; the canonical registry lives in the engine.
-_OBJECTIVES: dict[str, Objective] = OBJECTIVES
 
 #: The exploration result *is* the sweep result; the old name stays exported.
 ExplorationResult = SweepResult
@@ -85,10 +82,9 @@ class DesignSpaceExplorer:
 
     def explore(
         self,
-        candidates: CandidateSource | Iterable[Dataflow],
+        candidates: Iterable[Dataflow],
         *,
         early_termination: bool = False,
-        dedupe: bool = True,
         shard: tuple[int, int] | None = None,
         checkpoint: str | None = None,
         resume: bool = False,
@@ -96,6 +92,9 @@ class DesignSpaceExplorer:
         top_k: int | None = None,
     ) -> ExplorationResult:
         """Sweep every candidate and return them ranked by the objective.
+
+        ``candidates`` is any iterable of dataflows, iterated once; structural
+        duplicates are skipped.
 
         Only repro modelling errors (``ModelError``/``DataflowError``/
         ``SpaceError``) mark a candidate as invalid; genuine bugs — a
@@ -124,4 +123,4 @@ class DesignSpaceExplorer:
             early_termination=early_termination, checkpoint=checkpoint,
             resume=resume, checkpoint_fsync=checkpoint_fsync, top_k=top_k,
         )
-        return session.run(candidates, shard=shard, dedupe=dedupe)
+        return session.run(candidates, shard=shard)

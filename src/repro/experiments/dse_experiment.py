@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.dse.pruning import paper_pruned_count, pruned_candidates
 from repro.experiments.common import ExperimentResult, make_arch, make_session
-from repro.sweep import CandidateSource
 from repro.tensor.kernels import conv2d
 
 
@@ -50,13 +49,10 @@ def run(
             resume=resume, top_k=top_k,
         ),
     )
-    source = CandidateSource(
-        lambda: pruned_candidates(
-            op, pe_dims=(8, 8), allow_packing=True, max_candidates=max_candidates
-        ),
-        name="pruned[conv2d]",
+    candidates = pruned_candidates(
+        op, pe_dims=(8, 8), allow_packing=True, max_candidates=max_candidates
     )
-    exploration = session.run(source, shard=shard)
+    exploration = session.run(candidates, shard=shard)
 
     for rank, entry in enumerate(exploration.ranking[:10], start=1):
         result.add_row(

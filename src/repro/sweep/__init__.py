@@ -1,23 +1,29 @@
 """Streaming, shard-aware design-space sweeps.
 
 The package factors the sweep loop that used to be re-implemented by every
-caller (explorer, experiment drivers, CLI) into four shared pieces:
+caller (explorer, experiment drivers, CLI) into shared pieces, one path per
+job:
 
-* :mod:`repro.sweep.source` — :class:`CandidateSource`: composable, lazily
-  enumerated candidate streams with structural dedupe and a deterministic
-  ``shard(i, n)`` selector (stable signature hash, so N machines partition
-  one space with no coordination).
-* :mod:`repro.sweep.session` — :class:`SweepSession`: drives
+* :mod:`repro.sweep.session` — :class:`SweepSession`: the one sweep loop.  It
+  takes any iterable of dataflows, skips structural duplicates, keeps the
+  candidates of its ``shard=(i, n)``, drives
   :meth:`repro.core.engine.EvaluationEngine.evaluate_batch` in bounded
   streaming batches with the running best score threaded through, and emits
   every outcome to pluggable sinks.
+* :mod:`repro.sweep.source` — the stable signature hash behind ``shard``
+  (N machines partition one space with no coordination) and the ``i/n``
+  selector parser.
 * :mod:`repro.sweep.sinks` — :class:`TopKSink` and
-  :class:`JsonlCheckpointSink` (durable checkpoints, resume, shard merge).
+  :class:`JsonlCheckpointSink` (durable checkpoints, resume), and
+  :func:`load_ranking` (shard merge); resume and merge read checkpoints
+  through one parser.
 * :mod:`repro.sweep.server` — :class:`SweepServer`: one warm engine +
-  relation cache per operation, queued requests serviced concurrently.
+  relation cache per operation; each :class:`SweepRequest` is serviced on
+  one of ``max_workers`` threads.
 * :mod:`repro.sweep.net` — :class:`SweepService`: the ``tenet serve`` line
   protocol over TCP *and* stdio (one shared connection handler), with
-  round-robin multi-tenant fairness, backpressure, and graceful drain.
+  round-robin multi-tenant fairness (as many sweeps in flight as the server
+  has workers), backpressure, and graceful drain.
 * :mod:`repro.sweep.client` — :class:`SweepClient`: a small blocking client
   for the networked service (round trips, pipelining, backoff/deadline
   retries, pipeline recovery after a drop).
@@ -45,12 +51,7 @@ from repro.sweep.fleet import (
     launch_replica,
     parse_attach,
 )
-from repro.sweep.source import (
-    CandidateSource,
-    parse_shard,
-    signature_shard_index,
-    validate_shard,
-)
+from repro.sweep.source import parse_shard, signature_shard_index, validate_shard
 from repro.sweep.sinks import (
     JsonlCheckpointSink,
     RankEntry,
@@ -84,7 +85,6 @@ __all__ = [
     "PipelineBrokenError",
     "EngineQuarantinedError",
     "RequestTimeout",
-    "CandidateSource",
     "signature_shard_index",
     "parse_shard",
     "validate_shard",

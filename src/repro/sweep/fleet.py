@@ -1,6 +1,6 @@
 """Fleet orchestration: one sweep driven across N serve replicas.
 
-:class:`FleetCoordinator` turns the coordination-free ``shard(i, n)``
+:class:`FleetCoordinator` turns the coordination-free ``--shard i/n``
 partitioning (:mod:`repro.sweep.source`) into an orchestrated fleet sweep: it
 spawns (or attaches to) N ``tenet serve --listen`` replicas, partitions the
 candidate space into M *shard leases*, dispatches each lease to a replica via

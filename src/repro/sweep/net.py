@@ -11,8 +11,9 @@ Multi-tenant fairness
     Each connection owns a bounded request queue; a single dispatcher drains
     the queues **round-robin**, so a client pipelining hundreds of requests
     cannot starve a concurrent single-request client — after each admitted
-    request the pipeliner goes to the back of the rotation.  A global
-    ``max_inflight`` cap bounds how many sweeps execute concurrently and a
+    request the pipeliner goes to the back of the rotation.  The dispatcher
+    admits as many sweeps at once as the server has workers
+    (``SweepServer.max_workers``, ``tenet serve --workers``), and a
     per-connection ``queue_depth`` limit turns excess pipelining into an
     immediate structured overload reply (``"code": "overloaded"``) instead of
     unbounded buffering.
@@ -280,7 +281,6 @@ class SweepService:
         backend: str = "auto",
         batch_size: int = 64,
         max_workers: int = 2,
-        max_inflight: int | None = None,
         queue_depth: int = 64,
         request_timeout: float | None = None,
         fault_injector: FaultInjector | None = None,
@@ -303,14 +303,12 @@ class SweepService:
         #: structured ``"code": "timeout"`` reply instead of hanging its
         #: connection (the worker thread finishes in the background).
         self.request_timeout = float(request_timeout) if request_timeout is not None else None
-        #: Sweeps admitted for concurrent execution across all connections.
-        self.max_inflight = max(1, int(max_inflight if max_inflight is not None else max_workers))
         #: Accepted-but-undispatched requests per connection before overload.
         self.queue_depth = max(1, int(queue_depth))
         #: Unwritten responses per connection before the reader stops reading
         #: (TCP backpressure): without it, a client that floods requests and
         #: never reads replies would grow the response queue without bound.
-        self.write_backlog = self.queue_depth + self.max_inflight + 64
+        self.write_backlog = self.queue_depth + self.server.max_workers + 64
         self.requests_received = 0
         self.requests_rejected = 0
         self.requests_failed = 0
@@ -341,7 +339,9 @@ class SweepService:
         if self._dispatcher is not None and not self._dispatcher.done():
             return
         self._work = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.max_inflight)
+        # One admitted sweep per server worker: more would wait in the pool's
+        # queue, fewer would leave pool threads idle.
+        self._slots = asyncio.Semaphore(self.server.max_workers)
         self._drained = asyncio.Event()
         self._dispatcher = asyncio.create_task(self._dispatch_loop(), name="sweep-dispatch")
 
@@ -717,7 +717,6 @@ def serve_lines(
     backend: str = "auto",
     batch_size: int = 64,
     max_workers: int = 2,
-    max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
     checkpoint_root: str | None = None,
@@ -738,7 +737,6 @@ def serve_lines(
             backend=backend,
             batch_size=batch_size,
             max_workers=max_workers,
-            max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
             checkpoint_root=checkpoint_root,
@@ -759,7 +757,6 @@ def run_tcp_server(
     backend: str = "auto",
     batch_size: int = 64,
     max_workers: int = 2,
-    max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
     checkpoint_root: str | None = None,
@@ -775,7 +772,6 @@ def run_tcp_server(
             backend=backend,
             batch_size=batch_size,
             max_workers=max_workers,
-            max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
             checkpoint_root=checkpoint_root,

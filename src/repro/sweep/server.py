@@ -5,7 +5,10 @@
 ``(operation, architecture, backend)`` and services queued sweep requests
 concurrently: requests for *different* operations sweep in parallel on a
 thread pool, while requests for the *same* warm engine serialise on a
-per-engine lock so they share its caches instead of racing them.
+per-engine lock so they share its caches instead of racing them.  Every
+sweep enters through :meth:`SweepServer.submit` as a :class:`SweepRequest`,
+whose :meth:`~SweepRequest.from_dict` type-checks each field before the
+request can reserve an engine; ``max_workers`` sweeps run at once.
 
 ``tenet serve`` wraps this in a line protocol: one JSON request per input
 line, one JSON result per output line, in request order::
@@ -19,17 +22,19 @@ hits and memoised reports are re-ranked without re-evaluation.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Callable, Iterator
 
 from repro.arch.spec import ArchSpec
 from repro.core.dataflow import Dataflow
 from repro.core.engine import (
+    OBJECTIVES,
     EvaluationEngine,
     RelationCache,
     arch_signature,
@@ -39,8 +44,63 @@ from repro.errors import ExplorationError
 from repro.sweep import faults as fault_hooks
 from repro.sweep.faults import FaultInjector
 from repro.sweep.session import SweepResult, SweepSession
-from repro.sweep.source import CandidateSource, validate_shard
+from repro.sweep.source import validate_shard
 from repro.tensor.operation import TensorOp
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; neither is a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any, length: int | None = None) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and (length is None or len(value) == length)
+        and all(_is_int(item) for item in value)
+    )
+
+
+#: Request field -> (what it must be, check).  Every field a client can send
+#: is type-checked up front, so a malformed request is rejected before it
+#: reserves an engine instead of failing (or being silently coerced) mid-sweep.
+_FIELD_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "kernel": ("a string", lambda v: isinstance(v, str)),
+    "sizes": ("a non-empty list of integers", _is_int_list),
+    "objective": (
+        f"one of {sorted(OBJECTIVES)}",
+        lambda v: isinstance(v, str) and v in OBJECTIVES,
+    ),
+    "pe": (
+        "a list of two positive integers",
+        lambda v: _is_int_list(v, 2) and min(v) > 0,
+    ),
+    "interconnect": ("a string", lambda v: isinstance(v, str)),
+    "bandwidth": (
+        "a positive number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v)
+        and v > 0,
+    ),
+    "max_candidates": (
+        "a non-negative integer or null",
+        lambda v: v is None or (_is_int(v) and v >= 0),
+    ),
+    "allow_packing": ("true or false", lambda v: isinstance(v, bool)),
+    "early_termination": ("true or false", lambda v: isinstance(v, bool)),
+    "shard": (
+        "null or a list of two integers [index, count]",
+        lambda v: v is None or _is_int_list(v, 2),
+    ),
+    "top": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "checkpoint": (
+        "null or a relative path string",
+        lambda v: v is None or isinstance(v, str),
+    ),
+    "resume": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass
@@ -69,7 +129,9 @@ class SweepRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepRequest":
-        known = {f for f in cls.__dataclass_fields__}
+        """A request from its JSON form; a missing, unknown or mistyped field
+        raises :class:`ExplorationError` naming it."""
+        known ={f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ExplorationError(
@@ -77,29 +139,21 @@ class SweepRequest:
             )
         if "kernel" not in data or "sizes" not in data:
             raise ExplorationError("sweep request needs at least 'kernel' and 'sizes'")
-        for field_name in ("sizes", "pe", "shard"):
-            value = data.get(field_name)
-            if value is not None and not isinstance(value, (list, tuple)):
-                # A string like "123" would silently iterate into (1, 2, 3)
-                # and sweep the wrong operation.
+        for name, (expected, valid) in _FIELD_RULES.items():
+            if name in data and not valid(data[name]):
                 raise ExplorationError(
-                    f"sweep request field {field_name!r} must be a list of "
-                    f"integers, got {value!r}"
+                    f"sweep request field {name!r} must be {expected}, "
+                    f"got {data[name]!r}"
                 )
-        checkpoint = data.get("checkpoint")
-        if checkpoint is not None and not isinstance(checkpoint, str):
-            raise ExplorationError(
-                f"sweep request field 'checkpoint' must be a relative path "
-                f"string, got {checkpoint!r}"
-            )
         request = cls(**data)
-        request.sizes = tuple(int(s) for s in request.sizes)
-        request.pe = tuple(int(p) for p in request.pe)
+        request.sizes = tuple(request.sizes)
+        request.pe = tuple(request.pe)
         if request.shard is not None:
             request.shard = validate_shard(tuple(request.shard))
         return request
 
-    def build(self) -> tuple[TensorOp, ArchSpec, CandidateSource]:
+    def build(self) -> tuple[TensorOp, ArchSpec, Iterator[Dataflow]]:
+        """The request's operation, architecture and (lazy) candidate stream."""
         from repro.dse.pruning import pruned_candidates
         from repro.experiments.common import make_arch
         from repro.tensor.kernels import make_kernel
@@ -110,16 +164,13 @@ class SweepRequest:
             interconnect=self.interconnect,
             bandwidth_bits=self.bandwidth,
         )
-        source = CandidateSource(
-            lambda: pruned_candidates(
-                op,
-                pe_dims=self.pe,
-                allow_packing=self.allow_packing,
-                max_candidates=self.max_candidates,
-            ),
-            name=f"pruned[{self.kernel}]",
+        candidates = pruned_candidates(
+            op,
+            pe_dims=self.pe,
+            allow_packing=self.allow_packing,
+            max_candidates=self.max_candidates,
         )
-        return op, arch, source
+        return op, arch, candidates
 
 
 class EngineQuarantinedError(ExplorationError):
@@ -188,8 +239,10 @@ class SweepServer:
         #: networked service surfaces via ``{"cmd": "stats"}``.
         self._requests_submitted = 0
         self._requests_reused = 0
+        #: Sweeps that run at once; ``tenet serve`` admits exactly this many.
+        self.max_workers = max(1, int(max_workers))
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(max_workers)), thread_name_prefix="sweep"
+            max_workers=self.max_workers, thread_name_prefix="sweep"
         )
         self._closed = False
 
@@ -290,24 +343,6 @@ class SweepServer:
 
     # -- request servicing --------------------------------------------------------
 
-    def submit_sweep(
-        self,
-        op: TensorOp,
-        arch: ArchSpec,
-        candidates: CandidateSource | Iterable[Dataflow],
-        *,
-        objective: str = "latency",
-        early_termination: bool = False,
-        shard: tuple[int, int] | None = None,
-    ) -> "Future[SweepResult]":
-        """Queue a sweep of explicit candidates; returns a future result."""
-        if self._closed:
-            raise ExplorationError("sweep server is shut down")
-        warm, _ = self._reserve_engine(op, arch)
-        return self._pool.submit(
-            self._run_sweep, warm, candidates, objective, early_termination, shard
-        )
-
     def submit(self, request: SweepRequest) -> "Future[tuple[SweepResult, bool]]":
         """Queue a :class:`SweepRequest`; resolves to (result, engine_was_warm).
 
@@ -317,26 +352,9 @@ class SweepServer:
         """
         if self._closed:
             raise ExplorationError("sweep server is shut down")
-        op, arch, source = request.build()
+        op, arch, candidates = request.build()
         warm, reused = self._reserve_engine(op, arch)
-        return self._pool.submit(self._run_request, warm, request, source, reused)
-
-    def _run_sweep(self, warm, candidates, objective, early_termination, shard):
-        return self._serve(warm, candidates, objective, early_termination, shard)
-
-    def _run_request(
-        self, warm: "_WarmEngine", request: SweepRequest, source, reused: bool
-    ) -> tuple[SweepResult, bool]:
-        result = self._serve(
-            warm,
-            source,
-            request.objective,
-            request.early_termination,
-            request.shard,
-            checkpoint=request.checkpoint,
-            resume=request.resume,
-        )
-        return result, reused
+        return self._pool.submit(self._run_request, warm, request, candidates, reused)
 
     def _resolve_checkpoint(self, checkpoint: str) -> str:
         """Validate a request's checkpoint name against the server root.
@@ -360,20 +378,18 @@ class SweepServer:
             )
         return str(path)
 
-    def _serve(
+    def _run_request(
         self,
-        warm,
-        candidates,
-        objective,
-        early_termination,
-        shard,
-        *,
-        checkpoint: str | None = None,
-        resume: bool = False,
-    ):
+        warm: _WarmEngine,
+        request: SweepRequest,
+        candidates: Iterator[Dataflow],
+        reused: bool,
+    ) -> tuple[SweepResult, bool]:
         """One sweep on a reserved warm engine (serialised per engine)."""
         checkpoint_path = (
-            self._resolve_checkpoint(checkpoint) if checkpoint is not None else None
+            self._resolve_checkpoint(request.checkpoint)
+            if request.checkpoint is not None
+            else None
         )
         with warm.lock:
             # Chaos hook: a ``kill`` here crashes the process mid-batch (the
@@ -383,14 +399,14 @@ class SweepServer:
             warm.requests_served += 1
             session = SweepSession(
                 warm.engine,
-                objective=objective,
+                objective=request.objective,
                 batch_size=self.batch_size,
-                early_termination=early_termination,
+                early_termination=request.early_termination,
                 checkpoint=checkpoint_path,
-                resume=resume,
+                resume=request.resume,
                 fault_injector=self._faults,
             )
-            return session.run(candidates, shard=shard)
+            return session.run(candidates, shard=request.shard), reused
 
     # -- lifecycle ----------------------------------------------------------------
 

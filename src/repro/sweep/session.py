@@ -1,14 +1,13 @@
 """The streaming sweep session every sweep caller shares.
 
 :class:`SweepSession` owns the one sweep loop in the codebase: it pulls
-candidates lazily from a :class:`repro.sweep.source.CandidateSource` (so
-giant generators are never materialised), deduplicates them structurally,
-drops candidates owned by other shards, skips candidates a resumed checkpoint
-already holds, and drives :meth:`repro.core.engine.EvaluationEngine.
-evaluate_batch` in bounded batches with the running best score threaded
-through — batch boundaries therefore never change an early-termination
-decision, and a resumed sweep makes exactly the pruning decisions the
-uninterrupted sweep would have made.
+candidates lazily from any iterable of dataflows (so giant generators are
+never materialised), deduplicates them structurally, drops candidates owned
+by other shards, skips candidates a resumed checkpoint already holds, and
+drives :meth:`repro.core.engine.EvaluationEngine.evaluate_batch` in bounded
+batches with the running best score threaded through — batch boundaries
+therefore never change an early-termination decision, and a resumed sweep
+makes exactly the pruning decisions the uninterrupted sweep would have made.
 
 Every outcome streams to the attached :class:`repro.sweep.sinks.ResultSink`\\ s
 in candidate order before the next batch starts, so checkpoints are durable
@@ -40,7 +39,7 @@ from repro.sweep.sinks import (
     TopKSink,
     report_record,
 )
-from repro.sweep.source import CandidateSource, signature_shard_index, validate_shard
+from repro.sweep.source import signature_shard_index, validate_shard
 
 Objective = Callable[[PerformanceReport], float]
 
@@ -244,10 +243,9 @@ class SweepSession:
 
     def run(
         self,
-        candidates: CandidateSource | Iterable[Dataflow],
+        candidates: Iterable[Dataflow],
         *,
         shard: tuple[int, int] | None = None,
-        dedupe: bool = True,
     ) -> SweepResult:
         """Stream every candidate through the engine and rank the survivors.
 
@@ -256,23 +254,19 @@ class SweepSession:
         ``TypeError`` in a custom objective, ``KeyboardInterrupt`` —
         propagate to the caller.
 
-        ``shard=(i, n)`` keeps only the candidates whose structural signature
-        hashes into shard ``i`` of ``n`` (see :mod:`repro.sweep.source`); the
-        ``n`` shards partition the deduplicated stream exactly.  With a
-        ``checkpoint`` sink in ``resume`` mode, signatures already on disk are
-        skipped and their recorded scores still seed early termination, so the
-        resumed sweep replays the interrupted sweep's decisions.
-
-        Dedupe and shard filtering run inline here (not through the
-        :class:`CandidateSource` combinators) because the session reports the
-        ``duplicates``/``sharded_out`` counters; both paths share
-        :func:`repro.sweep.source.signature_shard_index`, so the partition
-        semantics cannot drift.
+        ``candidates`` is iterated once.  Structural duplicates (same
+        :func:`~repro.core.engine.dataflow_signature`) are skipped and counted
+        in ``duplicates``.  ``shard=(i, n)`` keeps only the candidates whose
+        signature hashes into shard ``i`` of ``n``
+        (:func:`repro.sweep.source.signature_shard_index`); the ``n`` shards
+        partition the deduplicated stream exactly.  With a ``checkpoint`` sink
+        in ``resume`` mode, signatures already on disk are skipped and their
+        recorded scores still seed early termination, so the resumed sweep
+        replays the interrupted sweep's decisions.
         """
         started = time.perf_counter()
         if shard is not None:
             shard = validate_shard(shard)
-        source = CandidateSource.wrap(candidates)
         result = SweepResult(objective=self.objective_name, shard=shard)
 
         opened: list[ResultSink] = []
@@ -330,13 +324,12 @@ class SweepSession:
 
             pending: list[Dataflow] = []
             seen: set[str] = set()
-            for dataflow in source:
+            for dataflow in candidates:
                 signature = dataflow_signature(dataflow)
-                if dedupe:
-                    if signature in seen:
-                        result.duplicates += 1
-                        continue
-                    seen.add(signature)
+                if signature in seen:
+                    result.duplicates += 1
+                    continue
+                seen.add(signature)
                 if (
                     shard is not None
                     and signature_shard_index(signature, shard[1]) != shard[0]

@@ -10,14 +10,15 @@ finishes, so results are durable (or rankable) long before the sweep ends:
 
 Checkpoint files are also the shard merge format: ``load_ranking`` merges any
 number of checkpoint files (e.g. one per ``--shard i/n`` machine) into the
-ranking a single unsharded sweep would have produced.
+ranking a single unsharded sweep would have produced.  Resume and merge parse
+checkpoints with one function, :func:`read_checkpoint`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -132,8 +133,9 @@ class JsonlCheckpointSink(ResultSink):
     headerless file the resume path must refuse.  ``fsync_every=N`` issues
     ``os.fsync`` after every ``N``-th result record (and on the header and on
     close), bounding what an OS crash — not just a process kill — can lose.
-    A kill mid-record leaves a torn final line; both the resume path here and
-    :func:`load_ranking` drop the fragment and the record is simply re-swept.
+    A kill mid-record leaves a torn final line; :func:`read_checkpoint`, which
+    both the resume path here and :func:`load_ranking` read through, drops the
+    fragment and the record is simply re-swept.
     """
 
     def __init__(
@@ -198,50 +200,30 @@ class JsonlCheckpointSink(ResultSink):
             self._handle = self.path.open("a", encoding="utf-8")
 
     def _load_completed(self, meta: dict) -> dict[str, dict]:
-        completed: dict[str, dict] = {}
-        saw_meta = False
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn final line from a killed run: everything before
-                    # it is intact, so drop the fragment and resume.
-                    continue
-                if record.get("kind") == "meta":
-                    saw_meta = True
-                    # backend (like the device and tuning keys of older
-                    # checkpoints) is deliberately not compared: reports are
-                    # bit-identical across backends, so resuming on another
-                    # backend is legitimate.  A shard or early-termination
-                    # mismatch is not.
-                    for key in ("op", "arch", "objective", "shard",
-                                "early_termination"):
-                        if key in meta and record.get(key) != meta[key]:
-                            raise ExplorationError(
-                                f"checkpoint {self.path} was written for a different "
-                                f"sweep ({key}={record.get(key)!r}, expected "
-                                f"{meta[key]!r}); refusing to resume"
-                            )
-                    continue
-                if record.get("kind") != "result":
-                    # Other kinds, such as the {"kind": "tuning"} lines older
-                    # versions appended, carry no candidate.
-                    continue
-                signature = record.get("signature")
-                if signature:
-                    completed[signature] = record
-        if not saw_meta:
+        headers, records = read_checkpoint(self.path)
+        if not headers:
             # Without a header the sweep identity cannot be validated, and a
             # signature alone does not identify the operation it was swept on.
             raise ExplorationError(
                 f"checkpoint {self.path} has no meta header; it is not a sweep "
                 "checkpoint (or its header was lost) — refusing to resume"
             )
-        return completed
+        for header in headers:
+            # backend (like the device and tuning keys of older checkpoints)
+            # is deliberately not compared: reports are bit-identical across
+            # backends, so resuming on another backend is legitimate.  A
+            # shard or early-termination mismatch is not.
+            for key in ("op", "arch", "objective", "shard", "early_termination"):
+                if key in meta and header.get(key) != meta[key]:
+                    raise ExplorationError(
+                        f"checkpoint {self.path} was written for a different "
+                        f"sweep ({key}={header.get(key)!r}, expected "
+                        f"{meta[key]!r}); refusing to resume"
+                    )
+        # A re-swept candidate's later record wins.
+        return {
+            record["signature"]: record for record in records if record.get("signature")
+        }
 
     def restored_entries(self) -> list[RankEntry]:
         """Rank entries of the fully evaluated candidates already on disk."""
@@ -346,69 +328,81 @@ def clone_checkpoint(source: str | Path, dest: str | Path) -> int:
     return records
 
 
+def read_checkpoint(path: str | Path) -> tuple[list[dict], list[dict]]:
+    """The meta headers and result records of one checkpoint, in file order.
+
+    The one checkpoint parser, shared by resume and merge.  Lines that do not
+    decode to a JSON object are skipped: a kill mid-write leaves a torn final
+    line, and every line before it is intact (the sink flushes line by line).
+    Records of other kinds, such as the ``{"kind": "tuning"}`` lines older
+    versions appended, carry no candidate and are skipped too.  The header
+    must come before the first record — the sink writes it first, atomically —
+    because signatures identify dataflows, not operations: records without a
+    validated header could silently collide with another sweep's.
+    """
+    headers: list[dict] = []
+    records: list[dict] = []
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(record, dict):
+                continue
+            if record.get("kind") == "meta":
+                headers.append(record)
+                continue
+            if not headers:
+                raise ExplorationError(
+                    f"checkpoint {path} has no meta header before its "
+                    "records; it is not a sweep checkpoint"
+                )
+            if record.get("kind") == "result":
+                records.append(record)
+    return headers, records
+
+
 def load_ranking(paths: Sequence[str | Path] | str | Path) -> list[RankEntry]:
     """Merge checkpoint files into one ranking, bit-identical to an unsharded run.
 
     Accepts any number of checkpoint files (shard halves, resumed files); the
     first record wins for a repeated signature.  Only fully evaluated
     candidates rank — pruned and invalid candidates carry no score.  Files
-    whose meta headers disagree on (op, arch, objective) refuse to merge:
-    their scores are incomparable, so a ranking across them would be
-    meaningless (shard and backend may differ freely).
+    whose meta headers disagree on (op, arch, objective, early_termination)
+    refuse to merge: their scores are incomparable, so a ranking across them
+    would be meaningless (shard and backend may differ freely).
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     entries: dict[str, RankEntry] = {}
     identity: tuple | None = None
     for path in paths:
-        saw_meta = False
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn final line from a killed run; every record before
-                    # it is intact (the sink flushes line by line).
-                    continue
-                if record.get("kind") == "meta":
-                    saw_meta = True
-                    # early_termination is identity too: a pruned-mode shard
-                    # is missing candidates a full-mode shard ranks.
-                    this = tuple(
-                        record.get(k)
-                        for k in ("op", "arch", "objective", "early_termination")
-                    )
-                    if identity is None:
-                        identity = this
-                    elif this != identity:
-                        raise ExplorationError(
-                            f"checkpoint {path} belongs to a different sweep "
-                            f"(op/arch/objective/early_termination {this} vs "
-                            f"{identity}); its scores are not comparable — "
-                            "merge only shards of one sweep"
-                        )
-                    continue
-                if not saw_meta:
-                    # Signatures identify dataflows, not operations: without a
-                    # validated header, records from different sweeps would
-                    # silently collide and dedupe into a corrupt ranking.
-                    raise ExplorationError(
-                        f"checkpoint {path} has no meta header before its "
-                        "records; it is not a sweep checkpoint"
-                    )
-                if record.get("kind") != "result" or record.get("status") != "ok":
-                    continue
-                signature = record["signature"]
-                if signature not in entries:
-                    entries[signature] = RankEntry(
-                        signature=signature,
-                        name=record["name"],
-                        score=float(record["score"]),
-                        data=record["report"],
-                    )
+        headers, records = read_checkpoint(path)
+        for header in headers:
+            # early_termination is identity too: a pruned-mode shard is
+            # missing candidates a full-mode shard ranks.
+            this = tuple(
+                header.get(k) for k in ("op", "arch", "objective", "early_termination")
+            )
+            if identity is None:
+                identity = this
+            elif this != identity:
+                raise ExplorationError(
+                    f"checkpoint {path} belongs to a different sweep "
+                    f"(op/arch/objective/early_termination {this} vs "
+                    f"{identity}); its scores are not comparable — "
+                    "merge only shards of one sweep"
+                )
+        for record in records:
+            signature = record["signature"]
+            if record.get("status") == "ok" and signature not in entries:
+                entries[signature] = RankEntry(
+                    signature=signature,
+                    name=record["name"],
+                    score=float(record["score"]),
+                    data=record["report"],
+                )
     return sorted(entries.values(), key=lambda e: e.sort_key)
 
 

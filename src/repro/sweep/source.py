@@ -1,32 +1,20 @@
-"""Composable, lazily-enumerated candidate streams.
-
-A :class:`CandidateSource` wraps a *re-iterable* stream of candidate
-dataflows.  Sources compose without materialising the stream:
-
-* :meth:`CandidateSource.limit` caps the number of candidates,
-* :meth:`CandidateSource.chain` concatenates sources,
-* :meth:`CandidateSource.dedupe` drops structural duplicates
-  (same :func:`repro.core.engine.dataflow_signature`), and
-* :meth:`CandidateSource.shard` keeps the deterministic ``index``-th of
-  ``count`` partitions.
+"""Deterministic shard partitioning of a candidate stream.
 
 Sharding hashes the candidate's *structural signature* with a stable digest
 (:func:`signature_shard_index`), so ``N`` machines enumerating the same space
 partition it with **no coordination**: every candidate lands in exactly one
 shard, on every machine, in every process, across Python versions (unlike the
 built-in ``hash``, which is salted per process).  Because the shard of a
-candidate depends only on its signature, ``dedupe`` and ``shard`` commute:
-structural duplicates always land in the same shard.
+candidate depends only on its signature, structural duplicates always land in
+the same shard, so deduplicating before or after sharding keeps the same
+candidates.  :meth:`repro.sweep.session.SweepSession.run` applies the
+partition; ``--shard i/n`` selectors are parsed and checked here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-from typing import Callable, Iterable, Iterator
 
-from repro.core.dataflow import Dataflow
-from repro.core.engine import dataflow_signature
 from repro.errors import ExplorationError
 
 
@@ -60,74 +48,3 @@ def validate_shard(shard: tuple[int, int]) -> tuple[int, int]:
             f"invalid shard {index}/{count}: need count >= 1 and 0 <= index < count"
         )
     return index, count
-
-
-class CandidateSource:
-    """A named, re-iterable stream of candidate dataflows.
-
-    ``factory`` is called once per iteration, so a source built from a
-    generator *function* can be swept several times (resume, repeated
-    serving requests); a source built from a one-shot generator object can
-    only be swept once.
-    """
-
-    def __init__(self, factory: Callable[[], Iterable[Dataflow]], *, name: str = "candidates"):
-        self._factory = factory
-        self.name = name
-
-    @classmethod
-    def wrap(cls, candidates: "CandidateSource | Iterable[Dataflow]") -> "CandidateSource":
-        """Coerce any iterable of dataflows (or a source) into a source."""
-        if isinstance(candidates, CandidateSource):
-            return candidates
-        if isinstance(candidates, (list, tuple)):
-            return cls(lambda: candidates, name="list")
-        # A one-shot iterator: iterable exactly once, which a single sweep is
-        # fine with; re-running the sweep needs a factory-backed source.
-        return cls(lambda: candidates, name="iterator")
-
-    def __iter__(self) -> Iterator[Dataflow]:
-        return iter(self._factory())
-
-    # -- combinators -----------------------------------------------------------
-
-    def limit(self, count: int) -> "CandidateSource":
-        """At most the first ``count`` candidates of this source."""
-        return CandidateSource(
-            lambda: itertools.islice(self, count), name=f"{self.name}[:{count}]"
-        )
-
-    def chain(self, *others: "CandidateSource | Iterable[Dataflow]") -> "CandidateSource":
-        """This source followed by ``others``, lazily."""
-        sources = [self] + [CandidateSource.wrap(other) for other in others]
-        return CandidateSource(
-            lambda: itertools.chain.from_iterable(sources),
-            name="+".join(source.name for source in sources),
-        )
-
-    def dedupe(self) -> "CandidateSource":
-        """Drop candidates whose structural signature was already seen."""
-
-        def generate() -> Iterator[Dataflow]:
-            seen: set[str] = set()
-            for dataflow in self:
-                signature = dataflow_signature(dataflow)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                yield dataflow
-
-        return CandidateSource(generate, name=f"{self.name}.dedupe")
-
-    def shard(self, index: int, count: int) -> "CandidateSource":
-        """The deterministic ``index``-th of ``count`` signature-hash partitions."""
-        index, count = validate_shard((index, count))
-        if count == 1:
-            return self
-
-        def generate() -> Iterator[Dataflow]:
-            for dataflow in self:
-                if signature_shard_index(dataflow_signature(dataflow), count) == index:
-                    yield dataflow
-
-        return CandidateSource(generate, name=f"{self.name}.shard({index}/{count})")

@@ -12,6 +12,7 @@ from repro.arch import (
     Systolic2D,
     make_interconnect,
 )
+from repro.arch.interconnect import _TOPOLOGIES
 from repro.errors import ArchitectureError
 
 
@@ -102,3 +103,24 @@ class TestFactory:
     def test_degree_ordering(self):
         array = PEArray((4, 4))
         assert Mesh().degree(array) > Systolic2D().degree(array) > Systolic1D().degree(array)
+
+
+class TestPredicateMatchesRelation:
+    """``connected()`` feeds the volume kernels' predecessor table and
+    ``relation()`` is the Definition 3 notation; they must state the same
+    links."""
+
+    @pytest.mark.parametrize("name", sorted(_TOPOLOGIES))
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (8,), (2, 8)])
+    def test_every_pair_agrees(self, name, dims):
+        topology = make_interconnect(name)
+        array = PEArray(dims)
+        relation = topology.relation(array)
+        coords = list(array.coords())
+        disagreements = [
+            (src, dst)
+            for src in coords
+            for dst in coords
+            if src != dst and relation.contains(src, dst) != topology.connected(src, dst)
+        ]
+        assert disagreements == []

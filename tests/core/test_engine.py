@@ -102,15 +102,19 @@ class TestMaterializer:
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         dataflow = small_candidates(op)[0].bind(op)
-        streaming = RelationMaterializer(op)
+        pe_a, tr_a, keys_a, ext_a = RelationMaterializer(op).materialize(
+            dataflow, arch.pe_array, 10**7
+        )
         cached = RelationMaterializer(op, cache=RelationCache())
-        pe_a, tr_a, keys_a, ext_a = streaming.materialize(dataflow, arch.pe_array, 10**7)
-        pe_b, tr_b, keys_b, ext_b = cached.materialize(dataflow, arch.pe_array, 10**7)
+        relations = cached.relations(10**7)
+        pe_b, tr_b = cached.stamps(relations, dataflow, arch.pe_array)
         np.testing.assert_array_equal(pe_a, pe_b)
         np.testing.assert_array_equal(tr_a, tr_b)
-        assert ext_a == ext_b
-        for tensor in keys_a:
-            for ref_a, ref_b in zip(keys_a[tensor], keys_b[tensor]):
+        assert ext_a == {t: rel.extent for t, rel in relations.tensors.items()}
+        assert keys_a.keys() == relations.tensors.keys()
+        for tensor, rel in relations.tensors.items():
+            assert len(keys_a[tensor]) == len(rel.raw_keys)
+            for ref_a, ref_b in zip(keys_a[tensor], rel.raw_keys):
                 np.testing.assert_array_equal(ref_a, ref_b)
 
     def test_cache_is_shared_across_materializers(self):

@@ -238,7 +238,7 @@ class TestFairness:
         gate = asyncio.Event()
         service = harness(
             run_request=gated_run_request(gate, started),
-            max_inflight=1,
+            max_workers=1,
             queue_depth=64,
         )
         pipeliner = service.client()
@@ -280,12 +280,48 @@ class TestFairness:
         assert [record["id"] for record in pipeliner_records] == ["a0", "a1", "a2", "a3"]
         assert single_records[0]["id"] == "b0"
 
+    def test_dispatcher_admits_the_server_worker_count(self, harness):
+        # A server passed in sets the in-flight cap: one worker, one sweep
+        # at a time, whatever the service's own ``max_workers`` default.
+        from repro.sweep import SweepServer
+
+        started = []
+        gate = asyncio.Event()
+
+        def admitted(stats):
+            return stats["in_flight"] + sum(stats["queue_depths"].values())
+
+        with SweepServer(max_workers=1) as server:
+            service = harness(
+                run_request=gated_run_request(gate, started, block_first=3),
+                server=server,
+            )
+            client = service.client()
+            monitor = service.client()
+            try:
+                for index in range(3):
+                    client.submit(
+                        {"kernel": "gemm", "sizes": [8, 8, 8], "top": index, "id": f"w{index}"}
+                    )
+                wait_until(
+                    lambda: admitted(monitor.stats()) == 3, message="three requests accepted"
+                )
+                assert monitor.stats()["in_flight"] == 1
+                assert started == [0]
+                service.call(gate.set)
+                records = client.drain()
+            finally:
+                client.close()
+                monitor.close()
+        assert [record["id"] for record in records] == ["w0", "w1", "w2"]
+        assert started == [0, 1, 2]
+
     def test_queue_depth_limit_returns_structured_overload(self, harness):
         started = []
         gate = asyncio.Event()
         service = harness(
             run_request=gated_run_request(gate, started),
-            max_inflight=1,
+            max_workers=1,
             queue_depth=2,
         )
         client = service.client()
@@ -358,7 +394,7 @@ class TestGracefulDrain:
         gate = asyncio.Event()
         service = harness(
             run_request=gated_run_request(gate, started),
-            max_inflight=1,
+            max_workers=1,
         )
         client = service.client()
         monitor = service.client()
@@ -430,7 +466,7 @@ class TestBackpressureAndTimeouts:
         flood = ["not json"] * 200
 
         async def scenario():
-            service = SweepService(max_inflight=1, queue_depth=1)
+            service = SweepService(max_workers=1, queue_depth=1)
             service.write_backlog = 8
             channel = BlockedWriteChannel(flood)
             try:
@@ -455,7 +491,7 @@ class TestBackpressureAndTimeouts:
         started = []
         gate = asyncio.Event()
         service = harness(
-            run_request=gated_run_request(gate, started), max_inflight=1
+            run_request=gated_run_request(gate, started), max_workers=1
         )
         client = service.client(timeout=0.5)
         try:

@@ -6,9 +6,7 @@ import time
 import pytest
 
 from repro.errors import ExplorationError
-from repro.experiments.common import make_arch
 from repro.sweep import SweepRequest, SweepServer, serve_lines
-from repro.tensor.kernels import gemm
 
 
 def request_line(**overrides):
@@ -38,6 +36,69 @@ class TestSweepRequest:
             SweepRequest.from_dict(
                 {"kernel": "gemm", "sizes": [8, 8, 8], "shard": [2, 2]}
             )
+
+    MISTYPED = [
+        ("max_candidates", "5"),
+        ("max_candidates", -1),
+        ("max_candidates", True),
+        ("top", "x"),
+        ("top", -1),
+        ("pe", [8]),
+        ("pe", [0, 8]),
+        ("pe", [8, 8.5]),
+        ("bandwidth", "fast"),
+        ("bandwidth", 0),
+        ("bandwidth", True),
+        ("interconnect", 5),
+        ("kernel", 5),
+        ("objective", "beauty"),
+        ("early_termination", "no"),
+        ("allow_packing", "false"),
+        ("resume", 1),
+        ("sizes", [8.7, 8, 8]),
+        ("sizes", [True, 8, 8]),
+        ("sizes", []),
+        ("shard", [0.5, 2]),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value", MISTYPED, ids=[f"{f}={v!r}" for f, v in MISTYPED]
+    )
+    def test_mistyped_field_rejected_by_name(self, field, value):
+        # Each of these used to be coerced (truncated sizes, "no" read as
+        # true) or to fail as an untyped Python error mid-sweep.
+        data = {"kernel": "gemm", "sizes": [8, 8, 8], field: value}
+        with pytest.raises(ExplorationError, match=f"field '{field}'"):
+            SweepRequest.from_dict(data)
+
+    def test_well_typed_fields_accepted(self):
+        # Float and integer bandwidths, a null candidate cap and a zero
+        # ``top`` are all valid; the fleet adds shard, checkpoint and resume.
+        request = SweepRequest.from_dict({
+            "kernel": "conv2d", "sizes": [8, 8, 6, 6, 3, 3], "objective": "edp",
+            "pe": [4, 8], "interconnect": "mesh", "bandwidth": 64.0,
+            "max_candidates": None, "allow_packing": False,
+            "early_termination": True, "top": 0, "shard": [1, 2],
+            "checkpoint": "lease-0001.g0.jsonl", "resume": True,
+        })
+        assert request.sizes == (8, 8, 6, 6, 3, 3) and request.pe == (4, 8)
+        assert request.shard == (1, 2)
+        assert SweepRequest.from_dict(
+            {"kernel": "gemm", "sizes": [8, 8, 8], "bandwidth": 128}
+        ).bandwidth == 128
+
+    def test_mistyped_request_is_rejected_before_it_runs(self):
+        # The reply names the field and counts as rejected, not failed: no
+        # engine is reserved and no sweep runs.
+        out = []
+        serve_lines(
+            [request_line(top="x"), '{"cmd": "stats"}'], emit=out.append
+        )
+        reply, stats = (json.loads(line) for line in out)
+        assert reply["error"].startswith("ExplorationError: sweep request field 'top'")
+        assert stats["requests"]["rejected"] == 1
+        assert stats["requests"]["failed"] == 0
+        assert stats["requests"]["submitted"] == 0
 
 
 class TestSweepServer:
@@ -88,23 +149,6 @@ class TestSweepServer:
                 result, _ = future.result()
                 assert result.evaluated
             assert server.num_engines == 2
-
-    def test_submit_sweep_with_explicit_candidates(self):
-        from repro.dse.pruning import pruned_candidates
-
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(8, 8))
-        candidates = list(pruned_candidates(op, max_candidates=4))
-        with SweepServer() as server:
-            result = server.submit_sweep(op, arch, candidates).result()
-            assert len(result.evaluated) == len(candidates)
-            # A request for the same (op, arch) now reports the warm engine.
-            request = SweepRequest.from_dict(
-                {"kernel": "gemm", "sizes": [12, 12, 12], "max_candidates": 4,
-                 "pe": [8, 8]}
-            )
-            _, reused = server.submit(request).result()
-            assert reused
 
     def test_engine_registry_is_lru_bounded(self):
         with SweepServer(max_engines=2) as server:

@@ -1,4 +1,4 @@
-"""Tests for the streaming sweep pipeline: sources, session, sinks."""
+"""Tests for the streaming sweep pipeline: sharding, session, sinks."""
 
 import json
 
@@ -9,8 +9,8 @@ from repro.dse.pruning import pruned_candidates
 from repro.errors import ExplorationError
 from repro.experiments.common import make_arch
 from repro.sweep import (
-    CandidateSource,
     JsonlCheckpointSink,
+    ResultSink,
     SweepSession,
     TopKSink,
     load_ranking,
@@ -26,11 +26,8 @@ def make_op():
 
 
 def make_source(op, count=20):
-    return CandidateSource(
-        lambda: pruned_candidates(
-            op, pe_dims=(4, 4), allow_packing=True, max_candidates=count
-        ),
-        name="pruned",
+    return list(
+        pruned_candidates(op, pe_dims=(4, 4), allow_packing=True, max_candidates=count)
     )
 
 
@@ -45,55 +42,59 @@ def ranking_key(result_or_entries):
     return [(e.signature, e.name, e.score, e.data) for e in entries]
 
 
-class TestCandidateSource:
-    def test_source_is_reiterable(self):
-        op = make_op()
-        source = make_source(op, count=5)
-        assert len(list(source)) == len(list(source)) == 5
+class RecordingSink(ResultSink):
+    """Signatures of every candidate a sweep processed, in stream order."""
 
-    def test_limit_and_chain(self):
-        op = make_op()
-        source = make_source(op, count=6)
-        assert len(list(source.limit(2))) == 2
-        chained = source.limit(2).chain(source.limit(3))
-        assert len(list(chained)) == 5
+    def __init__(self):
+        self.signatures = []
 
-    def test_dedupe_drops_structural_duplicates(self):
-        op = make_op()
-        candidates = list(make_source(op, count=4))
-        source = CandidateSource.wrap(candidates + candidates)
-        assert len(list(source.dedupe())) == 4
+    def emit(self, outcome, score):
+        self.signatures.append(outcome.signature)
 
+
+def swept_signatures(op, candidates, shard):
+    sink = RecordingSink()
+    result = make_session(op, sinks=[sink]).run(candidates, shard=shard)
+    return sink.signatures, result
+
+
+class TestSharding:
     def test_shards_partition_exactly_once(self):
         # Every candidate lands in exactly one shard, for any shard count.
         op = make_op()
         source = make_source(op, count=20)
         full = [dataflow_signature(c) for c in source]
         for count in (2, 3, 5):
-            shards = [
-                [dataflow_signature(c) for c in source.shard(index, count)]
-                for index in range(count)
-            ]
-            merged = [signature for shard in shards for signature in shard]
+            merged = []
+            for index in range(count):
+                signatures, result = swept_signatures(op, source, (index, count))
+                assert result.sharded_out == len(full) - len(signatures)
+                merged.extend(signatures)
             assert sorted(merged) == sorted(full)
             assert len(merged) == len(full)
 
     def test_shard_assignment_is_stable(self):
-        # The shard of a signature is a pure function of the signature text.
+        # The shard of a candidate is a pure function of its signature text,
+        # so a reordered stream keeps the same candidates in each shard.
         op = make_op()
-        for candidate in make_source(op, count=10):
-            signature = dataflow_signature(candidate)
-            assert signature_shard_index(signature, 4) == signature_shard_index(
-                signature, 4
-            )
+        source = make_source(op, count=10)
+        for index in range(4):
+            forward, _ = swept_signatures(op, source, (index, 4))
+            backward, _ = swept_signatures(op, source[::-1], (index, 4))
+            assert sorted(forward) == sorted(backward)
+            assert all(signature_shard_index(s, 4) == index for s in forward)
 
     def test_shard_commutes_with_dedupe(self):
         op = make_op()
-        candidates = list(make_source(op, count=8))
-        source = CandidateSource.wrap(candidates + candidates)
-        a = [dataflow_signature(c) for c in source.dedupe().shard(0, 2)]
-        b = [dataflow_signature(c) for c in source.shard(0, 2).dedupe()]
-        assert a == b
+        candidates = make_source(op, count=8)
+        doubled = [dataflow_signature(c) for c in candidates + candidates]
+        # Shard first, then dedupe, by hand.
+        shard_then_dedupe = list(
+            dict.fromkeys(s for s in doubled if signature_shard_index(s, 2) == 0)
+        )
+        signatures, result = swept_signatures(op, candidates + candidates, (0, 2))
+        assert signatures == shard_then_dedupe
+        assert result.duplicates == len(candidates)
 
     def test_parse_shard(self):
         assert parse_shard("0/2") == (0, 2)
@@ -156,7 +157,7 @@ class TestSweepSession:
         clean = make_session(op).run(source)
 
         # Simulate a killed sweep: only the first 7 candidates were processed.
-        make_session(op, checkpoint=checkpoint).run(source.limit(7))
+        make_session(op, checkpoint=checkpoint).run(source[:7])
         resumed = make_session(op, checkpoint=checkpoint, resume=True).run(source)
         assert resumed.skipped == 7
         assert len(resumed.evaluated) == len(clean.evaluated) - 7
@@ -166,7 +167,7 @@ class TestSweepSession:
         op = make_op()
         source = make_source(op, count=10)
         checkpoint = tmp_path / "sweep.jsonl"
-        make_session(op, checkpoint=str(checkpoint)).run(source.limit(5))
+        make_session(op, checkpoint=str(checkpoint)).run(source[:5])
         # A kill mid-write leaves a truncated, newline-less record at the end.
         with checkpoint.open("a") as handle:
             handle.write('{"kind": "result", "signature": "tr')
@@ -244,7 +245,7 @@ class TestSweepSession:
         op = make_op()
         checkpoint = str(tmp_path / "sweep.jsonl")
         source = make_source(op, count=10)
-        make_session(op, checkpoint=checkpoint).run(source.limit(6))
+        make_session(op, checkpoint=checkpoint).run(source[:6])
         resumed = make_session(op, checkpoint=checkpoint, resume=True).run(source)
         with pytest.raises(ExplorationError, match="result.ranking"):
             resumed.top(3)
@@ -275,7 +276,7 @@ class TestSweepSession:
         clean = make_session(op, early_termination=True, objective="sbw").run(source)
         checkpoint = str(tmp_path / "sweep.jsonl")
         make_session(op, early_termination=True, objective="sbw",
-                     checkpoint=checkpoint).run(source.limit(9))
+                     checkpoint=checkpoint).run(source[:9])
         session = make_session(op, early_termination=True, objective="sbw",
                                checkpoint=checkpoint, resume=True)
         resumed = session.run(source)
@@ -436,7 +437,7 @@ class TestBackendIndependence:
         source = make_source(op)
         clean = make_session(op, backend="interp").run(source)
         checkpoint = str(tmp_path / "sweep.jsonl")
-        make_session(op, backend="interp", checkpoint=checkpoint).run(source.limit(7))
+        make_session(op, backend="interp", checkpoint=checkpoint).run(source[:7])
         resumed = make_session(
             op, backend="fused", checkpoint=checkpoint, resume=True
         ).run(source)
@@ -515,6 +516,21 @@ class TestCheckpointFormat:
             load_ranking(headerless)
         assert ranking_key(load_ranking(good)) == ranking_key(result)
 
+    def test_header_after_records_refused_by_resume_and_merge(self, tmp_path):
+        # Resume and merge read through one parser with one rule: the meta
+        # header must precede the first record (resume used to accept it
+        # anywhere in the file).
+        op = make_op()
+        good = tmp_path / "good.jsonl"
+        make_session(op, checkpoint=str(good)).run(make_source(op, 3))
+        header, *records = good.read_text().splitlines()
+        late = tmp_path / "late.jsonl"
+        late.write_text("\n".join([*records, header]) + "\n")
+        with pytest.raises(ExplorationError, match="no meta header before its records"):
+            make_session(op, checkpoint=str(late), resume=True).run(make_source(op, 3))
+        with pytest.raises(ExplorationError, match="no meta header before its records"):
+            load_ranking(late)
+
     def test_load_ranking_single_path(self, tmp_path):
         op = make_op()
         checkpoint = tmp_path / "sweep.jsonl"
@@ -584,7 +600,7 @@ class TestLegacyCheckpoints:
         source = make_source(op, count=12)
         clean = make_session(op).run(source)
         fresh = tmp_path / "fresh.jsonl"
-        make_session(op, checkpoint=str(fresh)).run(source.limit(5))
+        make_session(op, checkpoint=str(fresh)).run(source[:5])
         legacy = tmp_path / "legacy.jsonl"
         recorded = self.rewrite_in_legacy_format(
             fresh, legacy, backend="bitset", device="torch:cpu"

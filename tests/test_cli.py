@@ -162,6 +162,14 @@ class TestParser:
             parser.parse_args(["--version"])
 
 
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(message), lines[0]
+
+
 class TestInputErrors:
     """Bad sizes or names end in one ``tenet <cmd>: error:`` line, exit 1."""
 
@@ -185,18 +193,83 @@ class TestInputErrors:
          "tenet explore: error: unknown kernel 'nope'; available: "),
         (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--pe", "8"],
          "tenet explore: error: --pe takes exactly two extents (rows cols), got [8]"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+          "--interconnect", "bogus"],
+         "tenet explore: error: unknown interconnect 'bogus'; available: "),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--pe", "0", "8"],
+         "tenet explore: error: PE array dimensions must be positive, got (0, 8)"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--shard", "2/2"],
+         "tenet explore: error: invalid shard 2/2: "),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--shard", "x"],
+         "tenet explore: error: invalid shard selector 'x'"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--resume"],
+         "tenet explore: error: resume=True needs a checkpoint path"),
+        (["serve", "--listen", "bogus"],
+         "tenet serve: error: --listen expects HOST:PORT"),
     ], ids=[
         "analyze-extra-size", "analyze-conv-stride-size", "explore-missing-size",
         "analyze-unknown-kernel", "analyze-unknown-dataflow",
-        "explore-unknown-kernel", "explore-pe-rank",
+        "explore-unknown-kernel", "explore-pe-rank", "explore-unknown-interconnect",
+        "explore-zero-pe", "explore-shard-out-of-range", "explore-shard-garbage",
+        "explore-resume-without-checkpoint", "serve-bad-listen",
     ])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(message), lines[0]
+        assert_one_error_line(capsys, message)
+
+    def test_explore_refuses_existing_checkpoint(self, capsys, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        argv = ["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+                "--max-candidates", "2", "--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        recorded = checkpoint.read_text()
+        assert main(argv) == 1
+        assert_one_error_line(
+            capsys, f"tenet explore: error: checkpoint {checkpoint} already exists"
+        )
+        assert checkpoint.read_text() == recorded
+
+    def test_explore_refuses_to_resume_another_objective(self, capsys, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        argv = ["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+                "--max-candidates", "2", "--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--resume", "--objective", "energy"]) == 1
+        assert_one_error_line(
+            capsys,
+            f"tenet explore: error: checkpoint {checkpoint} was written for a "
+            "different sweep (objective='latency', expected 'energy')",
+        )
+
+    def test_sweep_merge_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["sweep-merge", str(missing)]) == 1
+        assert_one_error_line(
+            capsys, "tenet sweep-merge: error: [Errno 2] No such file or directory"
+        )
+
+    def test_sweep_merge_refuses_two_operations(self, capsys, tmp_path):
+        paths = []
+        for size in ("8", "12"):
+            path = tmp_path / f"gemm{size}.jsonl"
+            assert main(["explore", "--kernel", "gemm", "--sizes", size, "8", "8",
+                         "--max-candidates", "2", "--checkpoint", str(path)]) == 0
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["sweep-merge", *paths]) == 1
+        assert_one_error_line(
+            capsys, f"tenet sweep-merge: error: checkpoint {paths[1]} belongs to a "
+            "different sweep"
+        )
+
+    def test_serve_missing_requests_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["serve", "--requests", str(missing)]) == 1
+        assert_one_error_line(
+            capsys, "tenet serve: error: [Errno 2] No such file or directory"
+        )
 
     def test_fleet_checks_sizes_before_spawning(self, capsys, tmp_path, monkeypatch):
         import repro.sweep.fleet as fleet_module
@@ -278,10 +351,8 @@ class TestShardedExplore:
         assert "resumed" in capsys.readouterr().out
 
     def test_explore_invalid_shard(self, capsys):
-        from repro.errors import ExplorationError
-
-        with pytest.raises(ExplorationError):
-            self._explore("--shard", "2/2")
+        assert self._explore("--shard", "2/2") == 1
+        assert_one_error_line(capsys, "tenet explore: error: invalid shard 2/2")
 
     def test_sweep_merge_empty(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
