@@ -9,10 +9,10 @@ computed:
     group-major sort/adjacency volume kernel.  Every other path is checked
     against it.
 ``fused``
-    The compiled path (:class:`repro.core.backends.fused.FusedBackend`): the
-    batch's deduplicated stamp expressions, lowered to integer coefficient
-    rows, stack into one float64-exact matmul per cached domain chunk, and
-    volumes are counted with shifted comparisons on the candidate's dense
+    The compiled path (:class:`repro.core.backends.fused.FusedBackend`):
+    stamp expressions lower to integer coefficient rows, each distinct row
+    evaluated once, exactly in int64, over the cached domain, and volumes
+    are counted with shifted comparisons on the candidate's dense
     (time rank x PE) stamp grid, one grid per distinct reference of a
     tensor.  Candidates without a grid (non-injective ones, grids past the
     size bound) take ``interp``'s group-major kernel, and temporal

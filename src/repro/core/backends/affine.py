@@ -2,19 +2,19 @@
 
 The interpreted hot path walks every candidate's quasi-affine expression trees
 once per candidate (`AffExpr.evaluate_vec`).  The compiled backend
-(:class:`repro.core.backends.fused.FusedBackend`) compiles the batch instead,
-with the building blocks of this module:
+(:class:`repro.core.backends.fused.FusedBackend`) lowers them instead, with
+the building blocks of this module:
 
 * :func:`lower_expr` turns a quasi-affine expression into one row of an
   integer coefficient matrix over the loop dimensions plus *derived columns*
   (one per distinct ``floor``/``mod``/``abs`` term with an affine argument).
   Expressions with nested quasi terms do not lower and fall back to the
   interpreter, so results stay bit-identical.
-* :class:`CompiledExprSet` / :class:`CompiledEvaluator` evaluate compiled rows
-  with a single ``coeffs @ chunk_matrix.T`` matmul over the cached domain
-  chunk.  The matmul runs in float64 (BLAS); rows whose interval bounds do
-  not fit float64 exactly are evaluated with exact int64 accumulation
-  instead, so the speedup never costs precision.
+* :class:`CompiledExprSet` / :class:`CompiledEvaluator` deduplicate rows
+  across candidates and evaluate each one once, exactly, in int64 over its
+  non-zero columns.  A row that is a single column with coefficient 1 and
+  constant 0 (``k``, ``floor(i/8)``, ``i mod 8``, ...) is that cached
+  column itself; the cached columns are read-only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ import numpy as np
 from repro.errors import SpaceError
 from repro.isl.expr import Abs, AffExpr, FloorDiv, Mod
 
-#: int64 values below this magnitude are represented exactly by float64.
-_FLOAT_EXACT = 1 << 53
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it."""
+    array.flags.writeable = False
+    return array
+
 
 def _evict_lru(cache: OrderedDict, max_entries: int, max_bytes: int, nbytes) -> None:
     """Shared LRU budget: drop oldest entries past a count or byte cap."""
@@ -50,30 +53,6 @@ class DerivedColumn:
     param: int               # divisor / modulus (0 for abs)
     coeffs: tuple[int, ...]  # affine coefficients of the argument over the base dims
     const: int
-
-    def bounds(self, dim_bounds: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        lo = hi = self.const
-        for coeff, (blo, bhi) in zip(self.coeffs, dim_bounds):
-            if coeff >= 0:
-                lo += coeff * blo
-                hi += coeff * bhi
-            else:
-                lo += coeff * bhi
-                hi += coeff * blo
-        if self.kind == "floordiv":
-            return lo // self.param, hi // self.param
-        if self.kind == "mod":
-            if hi - lo + 1 >= self.param:
-                return 0, self.param - 1
-            lo_m, hi_m = lo % self.param, hi % self.param
-            if lo_m <= hi_m:
-                return lo_m, hi_m
-            return 0, self.param - 1
-        if lo >= 0:
-            return lo, hi
-        if hi <= 0:
-            return -hi, -lo
-        return 0, max(-lo, hi)
 
     def evaluate(self, base_columns: Sequence[np.ndarray], length: int) -> np.ndarray:
         total = np.full(length, self.const, dtype=np.int64)
@@ -123,11 +102,11 @@ def lower_expr(
 
 
 class CompiledExprSet:
-    """A batch of stamp expressions sharing one coefficient matrix."""
+    """Stamp expressions lowered to deduplicated coefficient rows over shared
+    derived columns."""
 
-    def __init__(self, dims: Sequence[str], inclusive_bounds: Mapping[str, tuple[int, int]]):
+    def __init__(self, dims: Sequence[str]):
         self.dims = tuple(dims)
-        self.dim_bounds = [inclusive_bounds[dim] for dim in self.dims]
         self.derived: list[DerivedColumn] = []
         self._derived_ids: dict[DerivedColumn, int] = {}
         #: row = (base_coeffs, const, ((derived_index, coeff), ...))
@@ -169,14 +148,16 @@ class CompiledExprSet:
 
 
 class CompiledEvaluator:
-    """Evaluate compiled rows over one cached domain chunk.
+    """Evaluate compiled rows over one cached domain.
 
     The evaluator is long-lived (owned by the backend, shared by every batch
-    against the same cached relations): derived columns and the float column
-    matrix extend incrementally as later batches register new expressions,
-    and evaluated row values are memoised — a row is deterministic for a
-    fixed domain, so repeated single-candidate evaluations and overlapping
-    sweeps pay for each expression once.
+    against the same cached relations): derived columns extend incrementally
+    as later batches register new expressions, and evaluated row values are
+    memoised — a row is deterministic for a fixed domain, so repeated
+    single-candidate evaluations and overlapping sweeps pay for each
+    expression once.  Base columns, derived columns and memoised rows are
+    read-only, so a caller that writes through a returned row raises instead
+    of corrupting the cache.
     """
 
     #: Cap on memoised row values (count and bytes).
@@ -191,40 +172,24 @@ class CompiledEvaluator:
         self.exprs = exprs
         self.domain = domain
         self.length = length
-        self.base = [np.asarray(domain[dim], dtype=np.int64) for dim in exprs.dims]
-        self.derived_cols = [col.evaluate(self.base, length) for col in exprs.derived]
-        self.derived_bounds = [col.bounds(exprs.dim_bounds) for col in exprs.derived]
-        self._matrix: np.ndarray | None = None
+        self.base = [_read_only(np.asarray(domain[dim], dtype=np.int64)) for dim in exprs.dims]
+        self.derived_cols: list[np.ndarray] = []
         self._row_values: OrderedDict[int, np.ndarray] = OrderedDict()
         self._interp_values: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def _sync_derived(self) -> None:
-        """Pick up derived columns registered after this evaluator was built."""
-        if len(self.exprs.derived) > len(self.derived_cols):
-            for column in self.exprs.derived[len(self.derived_cols) :]:
-                self.derived_cols.append(column.evaluate(self.base, self.length))
-                self.derived_bounds.append(column.bounds(self.exprs.dim_bounds))
-            self._matrix = None
+        """Evaluate derived columns registered since the last call."""
+        for column in self.exprs.derived[len(self.derived_cols) :]:
+            self.derived_cols.append(_read_only(column.evaluate(self.base, self.length)))
 
-    def _float_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            columns = self.base + self.derived_cols
-            matrix = np.empty((self.length, len(columns) + 1), dtype=np.float64)
-            for j, column in enumerate(columns):
-                matrix[:, j] = column
-            matrix[:, -1] = 1.0
-            self._matrix = matrix
-        return self._matrix
-
-    def _row_magnitude(self, row_id: int) -> int:
+    def _single_column(self, row_id: int) -> np.ndarray | None:
+        """The cached column a row equals (one term, coefficient 1, constant 0)."""
         base, const, derived = self.exprs.rows[row_id]
-        total = abs(const)
-        for coeff, (lo, hi) in zip(base, self.exprs.dim_bounds):
-            total += abs(coeff) * max(abs(lo), abs(hi))
-        for index, coeff in derived:
-            lo, hi = self.derived_bounds[index]
-            total += abs(coeff) * max(abs(lo), abs(hi))
-        return total
+        terms = [(self.base[j], coeff) for j, coeff in enumerate(base) if coeff]
+        terms += [(self.derived_cols[index], coeff) for index, coeff in derived]
+        if const == 0 and len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        return None
 
     def _evaluate_exact(self, row_id: int) -> np.ndarray:
         base, const, derived = self.exprs.rows[row_id]
@@ -234,55 +199,30 @@ class CompiledEvaluator:
                 total += coeff * column
         for index, coeff in derived:
             total += coeff * self.derived_cols[index]
-        return total
-
-    def _remember_rows(self, results: dict[int, np.ndarray]) -> None:
-        cache = self._row_values
-        for rid, values in results.items():
-            cache[rid] = values
-            cache.move_to_end(rid)
-        _evict_lru(
-            cache, self._ROW_CACHE_ENTRIES, self._ROW_CACHE_BYTES, lambda a: a.nbytes
-        )
+        return _read_only(total)
 
     def evaluate_rows(self, row_ids: Sequence[int]) -> dict[int, np.ndarray]:
-        """Evaluate compiled rows, batching float-exact rows into one matmul.
+        """Evaluate compiled rows exactly in int64.
 
-        Previously evaluated rows come from the memo; only the rest run.
+        A single-column row is returned as that column; the other rows come
+        from the memo or are evaluated once and memoised.
         """
         self._sync_derived()
+        cache = self._row_values
         results: dict[int, np.ndarray] = {}
-        pending: list[int] = []
         for rid in row_ids:
-            cached = self._row_values.get(rid)
-            if cached is not None:
-                self._row_values.move_to_end(rid)
-                results[rid] = cached
-            else:
-                pending.append(rid)
-        if not pending:
-            return results
-        fresh: dict[int, np.ndarray] = {}
-        safe = [rid for rid in pending if self._row_magnitude(rid) < _FLOAT_EXACT]
-        safe_set = set(safe)
-        for rid in pending:
-            if rid not in safe_set:
-                fresh[rid] = self._evaluate_exact(rid)
-        if safe:
-            width = len(self.base) + len(self.derived_cols) + 1
-            coeffs = np.zeros((len(safe), width), dtype=np.float64)
-            for j, rid in enumerate(safe):
-                base, const, derived = self.exprs.rows[rid]
-                coeffs[j, : len(base)] = base
-                for index, coeff in derived:
-                    coeffs[j, len(self.base) + index] += coeff
-                coeffs[j, -1] = const
-            # Row-major result: one contiguous int64 conversion, then row views.
-            values = (coeffs @ self._float_matrix().T).astype(np.int64)
-            for j, rid in enumerate(safe):
-                fresh[rid] = values[j]
-        self._remember_rows(fresh)
-        results.update(fresh)
+            values = self._single_column(rid)
+            if values is None:
+                values = cache.get(rid)
+                if values is None:
+                    values = cache[rid] = self._evaluate_exact(rid)
+                    _evict_lru(
+                        cache, self._ROW_CACHE_ENTRIES, self._ROW_CACHE_BYTES,
+                        lambda a: a.nbytes,
+                    )
+                else:
+                    cache.move_to_end(rid)
+            results[rid] = values
         return results
 
     def evaluate_interp(self, index: int) -> np.ndarray:
@@ -290,8 +230,9 @@ class CompiledEvaluator:
         cache = self._interp_values
         values = cache.get(index)
         if values is None:
-            values = self.exprs.fallback[index].evaluate_vec(self.domain)
-            cache[index] = values
+            values = cache[index] = _read_only(
+                self.exprs.fallback[index].evaluate_vec(self.domain)
+            )
             _evict_lru(
                 cache, self._ROW_CACHE_ENTRIES, self._ROW_CACHE_BYTES,
                 lambda a: a.nbytes,

@@ -3,8 +3,8 @@
 A backend decides *how* the per-candidate hot path of a sweep is computed:
 
 * how the dataflow's space/time stamp columns are evaluated over the cached
-  relation chunks (interpreted expression trees vs compiled coefficient
-  matrices, candidate-by-candidate vs batched), and
+  relations (interpreted expression trees vs compiled coefficient rows
+  memoised across candidates), and
 * which exact membership kernel counts the Table II volumes.
 
 Every backend is *exact*: reports are bit-identical across backends, so the
@@ -27,20 +27,6 @@ from repro.core.volumes import VolumeMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.core.engine import EvaluationEngine, OpRelations
-
-
-class BatchStampProvider:
-    """Per-batch stamp source handed to the engine by ``prepare_batch``.
-
-    ``stamps_for(position)`` returns the ``(pe_lin, t_rank)`` columns of the
-    candidate at ``position`` in the prepared list, raising
-    :class:`repro.errors.DataflowError` for candidates that map instances
-    outside the PE array — the same contract as
-    :meth:`repro.core.engine.RelationMaterializer.stamps`.
-    """
-
-    def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
 
 class EngineBackend:
@@ -74,19 +60,6 @@ class EngineBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate one candidate's (PE, time-rank) columns over cached relations."""
         raise NotImplementedError
-
-    def prepare_batch(
-        self,
-        relations: "OpRelations",
-        dataflows: Sequence[Dataflow],
-        pe_array: PEArray,
-    ) -> BatchStampProvider | None:
-        """Optionally precompute stamps for a whole batch of candidates.
-
-        Returning ``None`` means the engine evaluates candidate by candidate
-        through :meth:`stamps` (the interpreted behaviour).
-        """
-        return None
 
     # -- utilization -------------------------------------------------------------
 

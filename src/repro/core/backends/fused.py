@@ -1,15 +1,15 @@
-"""The compiled backend: stacked stamp matmuls and the stamp-grid volume kernel.
+"""The compiled backend: compiled stamp rows and the stamp-grid volume kernel.
 
 :class:`FusedBackend` is the one compiled evaluation path (``fused``, and
 ``auto``, its alias and the default).  It builds on the kernels of
 :mod:`repro.core.backends.affine` and removes two sources of redundancy from a
-sweep batch:
+sweep:
 
-* **Stacked stamps** — the deduplicated coefficient rows of *every* candidate
-  in the batch stack into one coefficient matrix, and the whole cached domain
-  chunk is evaluated with a single float64-exact BLAS matmul (split only past
-  a memory budget); per-candidate stamp columns are row views of the result.
-  PE columns are memoised per space signature.
+* **Compiled stamps** — each candidate's stamp expressions lower to integer
+  coefficient rows, deduplicated across every candidate the backend sees and
+  evaluated once each, exactly in int64, over the cached domain; a row that
+  is a single column (``k``, ``floor(i/8)``, ``i mod 8``, ...) is that
+  column, with no arithmetic.  PE columns are memoised per space signature.
 * **Stamp grid** — each instance's stamp ``t_rank * num_pes + pe_lin`` indexes
   a dense (time rank x PE) grid, built once per candidate by
   :meth:`FusedBackend.utilization` and handed by the engine to the volume
@@ -39,7 +39,7 @@ import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,32 +49,29 @@ from repro.core.backends.affine import (
     CompiledExprSet,
     _evict_lru,
 )
-from repro.core.backends.base import BatchStampProvider, EngineBackend
+from repro.core.backends.base import EngineBackend
 from repro.core.dataflow import Dataflow
 from repro.core.utilization import UtilizationMetrics
 from repro.core.volumes import VolumeMetrics
 from repro.errors import DataflowError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import OpRelations
-
-#: One fused stamp matmul may produce up to this many result cells before the
-#: provider splits the batch into several stacked evaluations.  The budget
-#: covers a standard sweep batch in one window (a few hundred deduplicated
-#: rows over a paper-scale chunk) while keeping the transient float64 result
-#: and its int64 conversion near ~128 MB each.
-_FUSED_MATMUL_CELLS = 16_000_000
-
 #: Process-wide thread pool for per-tensor volume kernels, the engine's only
 #: in-process concurrency.  The kernels are pure numpy whose heavy operations
 #: (scatters, comparisons, sorts) release the GIL, so one candidate's tensors
 #: run concurrently; ``volume_metrics_many`` uses it for multi-tensor ops of at
-#: least 65,536 instances on a multi-core machine.  Shared and lazy so the
-#: many short-lived engines in tests do not each spawn threads.  Keyed by PID:
-#: a pool inherited across ``fork`` (a caller may fork after a sweep) has no
-#: live threads and would deadlock, so each process builds its own.
+#: least :data:`_VOLUME_POOL_MIN_INSTANCES` instances on a multi-core machine.
+#: Shared and lazy so the many short-lived engines in tests do not each spawn
+#: threads.  Keyed by PID: a pool inherited across ``fork`` (a caller may fork
+#: after a sweep) has no live threads and would deadlock, so each process
+#: builds its own.
 _VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
 _CPU_COUNT = os.cpu_count() or 1
+
+#: Instance count from which a multi-tensor op's volume kernels run on the
+#: pool: of the powers of two measured (2^17 to 2^22, README "More cores"),
+#: the smallest at which the pool won every interleaved pair on conv2d.  On
+#: gemm it won every pair nowhere, and it ties from 2^21 up.
+_VOLUME_POOL_MIN_INSTANCES = 1 << 21
 
 
 def _volume_pool() -> ThreadPoolExecutor | None:
@@ -267,144 +264,11 @@ def grid_volume_metrics(
     )
 
 
-# -- batched stamp provider --------------------------------------------------------
-
-
-_MISSING = object()
-
-
-class _BatchStamps(BatchStampProvider):
-    """Stacked, matmul-batched stamp evaluation for a list of candidates.
-
-    A window covers as many candidates as fit the :data:`_FUSED_MATMUL_CELLS`
-    budget, so a standard sweep batch evaluates every deduplicated compiled
-    row in a single ``coeffs @ chunk.T`` product; per-candidate stamp columns
-    are row views of that one result.
-    """
-
-    def __init__(
-        self,
-        backend: "FusedBackend",
-        relations: "OpRelations",
-        dataflows: Sequence[Dataflow],
-        pe_array: PEArray,
-    ):
-        self.backend = backend
-        self.relations = relations
-        self.pe_array = pe_array
-        self.dataflows = list(dataflows)
-        # The expression set and evaluator are backend-owned and shared across
-        # batches: row values, derived columns and the float matrix persist,
-        # so overlapping sweeps and repeated single-candidate evaluations pay
-        # for each distinct expression once.
-        self.exprs, self._evaluator = backend.compiled_for(relations)
-        self._time_plans: list[list[tuple[str, int]]] = []
-        self._pe_plans: list[list[tuple[str, int]] | None] = []
-        for dataflow in self.dataflows:
-            self._time_plans.append([self.exprs.add(e) for e in dataflow.time_exprs])
-            if backend.pe_signature(dataflow) in backend._pe_memo:
-                self._pe_plans.append(None)
-            else:
-                self._pe_plans.append([self.exprs.add(e) for e in dataflow.pe_exprs])
-        self._values: dict[int, np.ndarray] = {}
-        self._window = (0, 0)
-        self._rows_per_window = max(4, _FUSED_MATMUL_CELLS // max(1, relations.total))
-
-    def _ensure_window(self, position: int) -> None:
-        lo, hi = self._window
-        if lo <= position < hi:
-            return
-        lo = position
-        hi = position
-        row_ids: set[int] = set()
-        while hi < len(self.dataflows) and (
-            hi == lo or len(row_ids) < self._rows_per_window
-        ):
-            for kind, index in self._time_plans[hi]:
-                if kind == "row":
-                    row_ids.add(index)
-            plan = self._pe_plans[hi]
-            if plan is not None and self.backend.pe_signature(self.dataflows[hi]) not in self.backend._pe_memo:
-                row_ids.update(index for kind, index in plan if kind == "row")
-            hi += 1
-        self._values = self._evaluator.evaluate_rows(sorted(row_ids))
-        self._window = (lo, hi)
-
-    def _column(self, kind: str, index: int) -> np.ndarray:
-        if kind == "row":
-            column = self._values.get(index)
-            if column is None:
-                # The current window excluded this row (e.g. a PE signature
-                # memoised when the window was built but evicted since); the
-                # evaluator's row memo keeps the one-off evaluation cheap.
-                column = self._evaluator.evaluate_rows([index])[index]
-            return column
-        self.backend.stats["stamp_fallback_exprs"] += 1
-        return self._evaluator.evaluate_interp(index)
-
-    def _pe_lin(self, position: int) -> np.ndarray:
-        dataflow = self.dataflows[position]
-        signature = self.backend.pe_signature(dataflow)
-        memo = self.backend._pe_memo
-        cached = memo.get(signature, _MISSING)
-        if cached is not _MISSING:
-            memo.move_to_end(signature)
-            if cached is None:
-                raise DataflowError(
-                    f"dataflow {dataflow.name!r} maps instances outside the "
-                    f"{self.pe_array} array"
-                )
-            return cached
-        plan = self._pe_plans[position]
-        if plan is None:  # memoised when the plan was built, evicted since
-            plan = [self.exprs.add(e) for e in dataflow.pe_exprs]
-            self._pe_plans[position] = plan
-            # Force re-evaluation including the new rows (the evaluator picks
-            # up any new derived columns itself).
-            self._window = (0, 0)
-        self._ensure_window(position)
-        pe_lin = np.zeros(self.relations.total, dtype=np.int64)
-        for extent, (kind, index) in zip(self.pe_array.dims, plan):
-            column = self._column(kind, index)
-            if (column < 0).any() or (column >= extent).any():
-                self.backend.remember_pe(signature, None)
-                raise DataflowError(
-                    f"dataflow {dataflow.name!r} maps instances outside the "
-                    f"{self.pe_array} array"
-                )
-            pe_lin = pe_lin * extent + column
-        self.backend.remember_pe(signature, pe_lin)
-        return pe_lin
-
-    def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        from repro.core.engine import _rank_keys
-
-        dataflow = self.dataflows[position]
-        self._ensure_window(position)
-        pe_lin = self._pe_lin(position)
-        bounds = self.relations.inclusive_bounds
-        time_key: np.ndarray | None = None
-        for expr, (kind, index) in zip(dataflow.time_exprs, self._time_plans[position]):
-            lo, hi = expr.bounds(bounds)
-            extent = hi - lo + 1
-            column = self._column(kind, index)
-            if time_key is None:
-                time_key = column - lo  # owned copy; columns stay cached
-            else:
-                time_key *= extent
-                time_key += column
-                if lo:
-                    time_key -= lo
-        if time_key is None:
-            time_key = np.zeros(self.relations.total, dtype=np.int64)
-        return pe_lin, _rank_keys(time_key)
-
-
 # -- the backend -------------------------------------------------------------------
 
 
 class FusedBackend(EngineBackend):
-    """Stacked compiled stamps plus the stamp-grid volume kernel."""
+    """Compiled stamp rows plus the stamp-grid volume kernel."""
 
     name = "fused"
 
@@ -430,7 +294,7 @@ class FusedBackend(EngineBackend):
         cached = self._compiled
         if cached is not None and cached[0] is relations:
             return cached[1], cached[2]
-        exprs = CompiledExprSet(self.loop_dims, relations.inclusive_bounds)
+        exprs = CompiledExprSet(self.loop_dims)
         evaluator = CompiledEvaluator(exprs, relations.domain, relations.total)
         self._compiled = (relations, exprs, evaluator)
         return exprs, evaluator
@@ -445,20 +309,64 @@ class FusedBackend(EngineBackend):
             dataflow._pe_signature = signature
         return signature
 
-    def remember_pe(self, signature: tuple, pe_lin: np.ndarray | None) -> None:
-        memo = self._pe_memo
-        memo[signature] = pe_lin
-        memo.move_to_end(signature)
-        _evict_lru(
-            memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
-            lambda a: a.nbytes if a is not None else 0,
-        )
+    def _column(self, relations, expr) -> np.ndarray:
+        """One stamp expression's values: a compiled row, or the interpreter
+        for expressions that do not lower."""
+        exprs, evaluator = self.compiled_for(relations)
+        kind, index = exprs.add(expr)
+        if kind == "row":
+            return evaluator.evaluate_rows([index])[index]
+        self.stats["stamp_fallback_exprs"] += 1
+        return evaluator.evaluate_interp(index)
 
-    def prepare_batch(self, relations, dataflows, pe_array):
-        return _BatchStamps(self, relations, dataflows, pe_array)
+    def _pe_lin(self, relations, dataflow: Dataflow, pe_array: PEArray) -> np.ndarray:
+        """The candidate's linear PE column, memoised per space signature; a
+        signature that maps instances outside the array is memoised as a
+        failure and raises for every candidate that has it."""
+        signature = self.pe_signature(dataflow)
+        memo = self._pe_memo
+        if signature in memo:
+            pe_lin = memo[signature]
+        else:
+            pe_lin = np.zeros(relations.total, dtype=np.int64)
+            for extent, expr in zip(pe_array.dims, dataflow.pe_exprs):
+                column = self._column(relations, expr)
+                if (column < 0).any() or (column >= extent).any():
+                    pe_lin = None
+                    break
+                pe_lin = pe_lin * extent + column
+            memo[signature] = pe_lin
+            _evict_lru(
+                memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
+                lambda a: a.nbytes if a is not None else 0,
+            )
+        memo.move_to_end(signature)
+        if pe_lin is None:
+            raise DataflowError(
+                f"dataflow {dataflow.name!r} maps instances outside the "
+                f"{pe_array} array"
+            )
+        return pe_lin
 
     def stamps(self, relations, dataflow, pe_array):
-        return _BatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
+        from repro.core.engine import _rank_keys
+
+        pe_lin = self._pe_lin(relations, dataflow, pe_array)
+        bounds = relations.inclusive_bounds
+        time_key: np.ndarray | None = None
+        for expr in dataflow.time_exprs:
+            lo, hi = expr.bounds(bounds)
+            column = self._column(relations, expr)
+            if time_key is None:
+                time_key = column - lo  # owned copy; columns stay cached
+            else:
+                time_key *= hi - lo + 1
+                time_key += column
+                if lo:
+                    time_key -= lo
+        if time_key is None:
+            time_key = np.zeros(relations.total, dtype=np.int64)
+        return pe_lin, _rank_keys(time_key)
 
     def utilization(self, pe_lin, t_rank, num_pes):
         """Utilization read off the stamp grid, which is returned too when
@@ -568,7 +476,7 @@ class FusedBackend(EngineBackend):
             )
 
         pool = _volume_pool() if (
-            len(tensors) > 1 and relations.total >= (1 << 16)
+            len(tensors) > 1 and relations.total >= _VOLUME_POOL_MIN_INSTANCES
         ) else None
         if pool is not None:
             futures = {tensor: pool.submit(volume, tensor) for tensor in tensors}

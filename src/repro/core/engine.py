@@ -12,13 +12,16 @@ that observation into an architectural seam:
   exactly like the original analyzer.  With a :class:`RelationCache` attached
   it materialises the dataflow-independent relations once per
   ``(operation, chunk_size)`` and re-evaluates only the PE/time stamps per
-  candidate.
+  candidate.  Element keys are densified by a presence bitmap rather than a
+  sort, and the cached domain columns are read-only.
 * :class:`RelationCache` is a small LRU keyed by the operation's structural
   signature, so sweeps over many operations can share one cache.
-* :class:`EvaluationEngine` evaluates batches of candidate dataflows through
-  one of two bit-identical backends (the interpreted reference or the fused
-  compiled path), with objective-aware early termination and a report memo
-  keyed by ``(operation, dataflow signature, architecture)``.
+* :class:`EvaluationEngine` evaluates batches of candidate dataflows, one
+  candidate at a time, through one of two bit-identical backends (the
+  interpreted reference or the fused compiled path), with objective-aware
+  early termination and a report memo keyed by ``(operation, dataflow
+  signature, architecture)``.  Its interconnect's predecessor table is
+  shared with every engine over an equal architecture.
 
 An engine evaluates in its calling thread; the fused backend fans one
 candidate's per-tensor volume kernels out over a small thread pool.  Sweeps
@@ -319,17 +322,20 @@ class RelationMaterializer:
             raise ModelError(f"operation {self.op.name} has an empty iteration domain")
 
         domain = {dim: np.concatenate(parts) for dim, parts in domain_parts.items()}
+        for column in domain.values():
+            # Compiled stamp rows hand these out as columns: no caller may
+            # write through one into the cache.
+            column.flags.writeable = False
         tensors: dict[str, TensorRelations] = {}
         for tensor, per_reference in element_parts.items():
             raw = [np.concatenate(parts) for parts in per_reference]
             combined = raw[0] if len(raw) == 1 else np.concatenate(raw)
-            unique_elements = sorted_unique(combined)
-            dense = np.searchsorted(unique_elements, combined)
+            dense = _rank_keys(combined)
             tensors[tensor] = TensorRelations(
                 raw_keys=raw,
                 dense_keys=dense,
                 extent=element_bounds[tensor].extent,
-                footprint=int(unique_elements.size),
+                footprint=int(dense.max()) + 1,
             )
         return OpRelations(
             signature=self._signature,
@@ -469,19 +475,22 @@ class RelationMaterializer:
 def _rank_keys(keys: np.ndarray) -> np.ndarray:
     """Dense lexicographic rank of every key (``searchsorted(unique, keys)``).
 
-    When the key range is comparable to the array length (non-negative keys)
-    a presence bitmap and a cumulative sum replace the sort, which is the
-    common case for time-stamp keys built from tight per-dimension bounds.
+    When the key range is comparable to the array length a presence bitmap
+    over ``[min, max]`` and a cumulative sum replace the sort, which is the
+    common case for time-stamp keys built from tight per-dimension bounds and
+    for mixed-radix element keys.
     """
     if keys.size == 0:
         return keys
-    max_key = int(keys.max())
-    if max_key <= max(4 * keys.size, 1 << 22):
-        presence = np.zeros(max_key + 1, dtype=bool)
-        presence[keys] = True
+    low = int(keys.min())
+    span = int(keys.max()) - low
+    if span <= max(4 * keys.size, 1 << 22):
+        offsets = keys - low if low else keys
+        presence = np.zeros(span + 1, dtype=bool)
+        presence[offsets] = True
         lut = np.cumsum(presence)
         lut -= 1
-        return lut[keys]
+        return lut[offsets]
     unique_keys = sorted_unique(keys)
     return np.searchsorted(unique_keys, keys)
 
@@ -865,7 +874,6 @@ class EvaluationEngine:
         *,
         objective: str | None = None,
         best_score: float | None = None,
-        stamps: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> tuple[PerformanceReport | float, bool]:
         """Memoised evaluation; returns (report-or-lower-bound, memo hit)."""
         key = self._memo_key(dataflow)
@@ -874,9 +882,7 @@ class EvaluationEngine:
             if hit is not None:
                 self.stats["memo_hits"] += 1
                 return hit, True
-        result = self._evaluate(
-            dataflow, objective=objective, best_score=best_score, stamps=stamps
-        )
+        result = self._evaluate(dataflow, objective=objective, best_score=best_score)
         if isinstance(result, PerformanceReport):
             if self.memoize:
                 self._memo[key] = result
@@ -891,14 +897,9 @@ class EvaluationEngine:
         *,
         objective: str | None = None,
         best_score: float | None = None,
-        stamps: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> PerformanceReport | float:
         """Full metric pipeline; returns a lower bound instead of a report when
         the candidate provably cannot beat ``best_score`` under ``objective``.
-
-        ``stamps`` optionally supplies precomputed (PE, time-rank) columns —
-        the compiled backend evaluates whole candidate windows at once and hands
-        each candidate's columns in through here.
         """
         started = time.perf_counter()
         notes: list[str] = []
@@ -931,10 +932,7 @@ class EvaluationEngine:
         mark = now
 
         if relations is not None:
-            if stamps is not None:
-                pe_lin, t_rank = stamps()
-            else:
-                pe_lin, t_rank = self.backend.stamps(relations, bound, self.arch.pe_array)
+            pe_lin, t_rank = self.backend.stamps(relations, bound, self.arch.pe_array)
             element_keys = None
         else:
             self.stats["streaming_path"] += 1
@@ -1114,22 +1112,14 @@ class EvaluationEngine:
         started = time.perf_counter()
         score_fn = OBJECTIVES.get(objective) if objective else None
         outcomes: list[CandidateOutcome] = []
-        provider, provider_slots = self._prepare_batch_stamps(candidates)
         for index, dataflow in enumerate(candidates):
             signature = dataflow_signature(dataflow)
             outcome = CandidateOutcome(index=index, name=dataflow.name, signature=signature)
-            slot = provider_slots.get(index)
-            stamps = (
-                (lambda s=slot: provider.stamps_for(s))
-                if provider is not None and slot is not None
-                else None
-            )
             try:
                 result, outcome.memo_hit = self._evaluate_memo(
                     dataflow,
                     objective=objective if early_termination else None,
                     best_score=best_score if early_termination else None,
-                    stamps=stamps,
                 )
                 if isinstance(result, PerformanceReport):
                     outcome.report = result
@@ -1148,37 +1138,3 @@ class EvaluationEngine:
                     best_score = score
             outcomes.append(outcome)
         return BatchResult(outcomes=outcomes, seconds=time.perf_counter() - started)
-
-    def _prepare_batch_stamps(
-        self, candidates: Sequence[Dataflow]
-    ) -> tuple[object | None, dict[int, int]]:
-        """Hand the batch to the backend for whole-batch stamp evaluation.
-
-        Memoised candidates are excluded, so the backend only compiles and
-        evaluates stamps that will actually be consumed.  Returns the provider
-        (or ``None``) plus a map from batch index to provider slot.  The
-        relation lookup is timed as ``materialise`` and the expression
-        lowering as ``stamps``, like the per-candidate stages.
-        """
-        stage = self.stage_seconds
-        mark = time.perf_counter()
-        try:
-            relations = self.materializer.relations(self.max_instances)
-        except ModelError:
-            relations = None  # per-candidate evaluation reports the error
-        now = time.perf_counter()
-        stage["materialise"] += now - mark
-        if relations is None:
-            return None, {}
-        slots: dict[int, int] = {}
-        pending: list[Dataflow] = []
-        for index, dataflow in enumerate(candidates):
-            if self.memoize and self._memo_key(dataflow) in self._memo:
-                continue
-            slots[index] = len(pending)
-            pending.append(dataflow)
-        provider = None
-        if pending:
-            provider = self.backend.prepare_batch(relations, pending, self.arch.pe_array)
-        stage["stamps"] += time.perf_counter() - now
-        return provider, slots if provider is not None else {}

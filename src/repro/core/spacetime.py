@@ -10,11 +10,14 @@ A spacetime map links spacetime stamps that can exchange (or retain) data:
 
 The analyzer consumes the *neighbour table* produced here: a dense array that
 lists, for every PE, the linear indices of the PEs that can forward data to
-it.
+it.  Tables are built once per process for each (interconnect, PE array
+dims) and shared read-only.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,15 @@ import numpy as np
 from repro.arch.interconnect import Interconnect
 from repro.arch.pe_array import PEArray
 from repro.errors import ModelError
+
+#: Predecessor tables keyed by (interconnect type and fields, PE array dims),
+#: at most ``_TABLES_MAX`` of them.  Building one asks ``connected`` about
+#: every PE pair (1.6 s for a 32x32 mesh), and every new engine needs one.
+_TABLES: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_TABLES_MAX = 64
+#: Held while a table is built: concurrent engine builds of one architecture
+#: build its table once.
+_TABLES_LOCK = threading.Lock()
 
 
 @dataclass
@@ -53,8 +65,23 @@ class SpacetimeMap:
         """``(num_pes, max_in_degree)`` array of predecessor linear indices.
 
         Rows are padded with ``-1``.  Row ``p`` lists every PE that can send
-        data to PE ``p`` through the interconnect.
+        data to PE ``p`` through the interconnect.  The array is read-only and
+        shared by every map over an equal interconnect and equal array dims.
         """
+        interconnect = self.interconnect
+        key = (type(interconnect), tuple(vars(interconnect).items()), self.pe_array.dims)
+        with _TABLES_LOCK:
+            table = _TABLES.get(key)
+            if table is None:
+                table = self._build_predecessor_table()
+                table.flags.writeable = False
+                _TABLES[key] = table
+                while len(_TABLES) > _TABLES_MAX:
+                    _TABLES.popitem(last=False)
+            _TABLES.move_to_end(key)
+        return table
+
+    def _build_predecessor_table(self) -> np.ndarray:
         predecessors = self.interconnect.predecessors(self.pe_array)
         num_pes = self.pe_array.size
         max_degree = max((len(v) for v in predecessors.values()), default=0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +18,18 @@ from repro.isl.enumeration import (
 from repro.isl.expr import AffExpr
 from repro.isl.point import Point, env_from
 from repro.isl.space import Space
+
+
+def _box_enforced(constraint: Constraint) -> bool:
+    """Whether the box of :meth:`IntSet.derived_bounds` alone enforces the
+    constraint: an affine constraint over one variable, except an equality
+    whose constant its coefficient does not divide (that set is empty, and
+    only the constraint itself says so)."""
+    expr = constraint.expr
+    if not expr.is_affine or len(expr.terms) != 1:
+        return False
+    (coeff,) = expr.terms.values()
+    return constraint.kind != EQ or expr.const % coeff == 0
 
 
 class IntSet:
@@ -101,7 +112,7 @@ class IntSet:
         """Box bounds per dimension, combining explicit and derived bounds.
 
         Bounds are derived from constraints whose expression involves a single
-        variable and no floor/mod/abs terms.  Raises
+        variable and no floor/mod/abs terms (see :func:`_box_enforced`).  Raises
         :class:`~repro.errors.UnboundedSetError` if any dimension remains
         unbounded on either side.
         """
@@ -111,22 +122,19 @@ class IntSet:
             lows[dim] = lo
             highs[dim] = hi - 1
         for constraint in self.constraints:
-            expr = constraint.expr
-            if not expr.is_affine or len(expr.terms) != 1:
+            if not _box_enforced(constraint):
                 continue
+            expr = constraint.expr
             (name, coeff), = expr.terms.items()
             if constraint.kind == EQ:
-                if expr.const % coeff == 0:
-                    value = -expr.const // coeff
-                    lows[name] = max(lows.get(name, value), value)
-                    highs[name] = min(highs.get(name, value), value)
-                continue
-            # coeff * name + const >= 0
-            if coeff > 0:
-                bound = math.ceil(-expr.const / coeff)
+                value = -expr.const // coeff
+                lows[name] = max(lows.get(name, value), value)
+                highs[name] = min(highs.get(name, value), value)
+            elif coeff > 0:  # name >= ceil(-const / coeff)
+                bound = -(expr.const // coeff)
                 lows[name] = max(lows.get(name, bound), bound)
-            else:
-                bound = math.floor(expr.const / (-coeff))
+            else:  # name <= floor(const / -coeff)
+                bound = expr.const // -coeff
                 highs[name] = min(highs.get(name, bound), bound)
         bounds: dict[str, tuple[int, int]] = {}
         for dim in self.space.dims:
@@ -173,10 +181,15 @@ class IntSet:
     # -- enumeration ------------------------------------------------------------------
 
     def chunks(self, chunk_size: int = DEFAULT_CHUNK) -> Iterator[dict[str, np.ndarray]]:
-        """Yield the set's points as chunks of per-dimension arrays."""
+        """Yield the set's points as chunks of per-dimension arrays.
+
+        The box of :meth:`derived_bounds` already enforces the single-variable
+        constraints, so only the others filter its points.
+        """
         bounds = self.derived_bounds()
+        residual = [c for c in self.constraints if not _box_enforced(c)]
         for chunk in iter_box_chunks(bounds, self.space.dims, chunk_size):
-            filtered = filter_chunk(chunk, self.constraints)
+            filtered = filter_chunk(chunk, residual)
             if chunk_length(filtered):
                 yield filtered
 

@@ -124,8 +124,11 @@ class TestExprLowering:
             var("i") + 2 * var("j") - var("k"),
             var("i") % 4 + var("j") // 8 - 2,
             (var("k") % 5) * 3 + var("i"),
+            # Past 2^53, where float64 no longer holds every integer.
+            (1 << 50) * var("i") + var("j"),
+            (1 << 52) * (var("k") % 5) - 3 * var("i") + 1,
         ]
-        compiled = CompiledExprSet(op.loop_dims, relations.inclusive_bounds)
+        compiled = CompiledExprSet(op.loop_dims)
         plans = [compiled.add(e) for e in exprs]
         evaluator = CompiledEvaluator(compiled, relations.domain, relations.total)
         values = evaluator.evaluate_rows([i for kind, i in plans if kind == "row"])
@@ -133,10 +136,29 @@ class TestExprLowering:
             assert kind == "row"
             np.testing.assert_array_equal(values[index], expr.evaluate_vec(relations.domain))
 
+    def test_single_column_rows_are_the_cached_columns(self):
+        op = gemm(12, 12, 12)
+        relations = RelationMaterializer(op, cache=RelationCache()).relations(10**6)
+        compiled = CompiledExprSet(op.loop_dims)
+        (_, plain), (_, derived), (_, scaled) = (
+            compiled.add(e) for e in (var("k"), var("i") // 4, 2 * var("k"))
+        )
+        evaluator = CompiledEvaluator(compiled, relations.domain, relations.total)
+        values = evaluator.evaluate_rows([plain, derived, scaled])
+        assert values[plain] is relations.domain["k"]
+        assert values[derived] is evaluator.derived_cols[0]
+        assert not np.shares_memory(values[scaled], relations.domain["k"])
+        for column in (values[plain], values[derived], values[scaled]):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        # Nothing was written: the rows still match the interpreter.
+        np.testing.assert_array_equal(values[derived], relations.domain["i"] // 4)
+        np.testing.assert_array_equal(values[scaled], 2 * relations.domain["k"])
+
     def test_identical_expressions_share_one_row(self):
         op = gemm(8, 8, 8)
         relations = RelationMaterializer(op, cache=RelationCache()).relations(10**6)
-        compiled = CompiledExprSet(op.loop_dims, relations.inclusive_bounds)
+        compiled = CompiledExprSet(op.loop_dims)
         first = compiled.add(var("i") + var("k") // 4)
         second = compiled.add(var("i") + var("k") // 4)
         assert first == second
@@ -166,54 +188,44 @@ class TestBackendStamps:
             np.testing.assert_array_equal(rank_ref, rank_new)
 
     def test_batched_stamps_match_per_candidate(self):
+        # One backend over a batch: candidates share the row memo, and each
+        # one's stamps still equal the interpreter's.
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         candidates = small_candidates(op, count=8)
-        provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
-        for position, candidate in enumerate(candidates):
-            pe_ref, rank_ref = engine.materializer.stamps(
-                relations, candidate.bind(op), arch.pe_array
-            )
-            pe_new, rank_new = provider.stamps_for(position)
+        for candidate in candidates:
+            bound = candidate.bind(op)
+            pe_ref, rank_ref = engine.materializer.stamps(relations, bound, arch.pe_array)
+            pe_new, rank_new = engine.backend.stamps(relations, bound, arch.pe_array)
             np.testing.assert_array_equal(pe_ref, pe_new)
             np.testing.assert_array_equal(rank_ref, rank_new)
-
-    def test_small_windows_still_match(self):
-        op = gemm(8, 8, 8)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        relations = engine.materializer.relations(10**6)
-        candidates = small_candidates(op, count=6)
-        provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
-        provider._rows_per_window = 1  # force window thrash
-        for position, candidate in enumerate(candidates):
-            pe_ref, rank_ref = engine.materializer.stamps(
-                relations, candidate.bind(op), arch.pe_array
-            )
-            pe_new, rank_new = provider.stamps_for(position)
-            np.testing.assert_array_equal(pe_ref, pe_new)
-            np.testing.assert_array_equal(rank_ref, rank_new)
+        _, evaluator = engine.backend.compiled_for(relations)
+        rows = len(evaluator.exprs.rows)
+        assert rows < sum(
+            len(c.pe_exprs) + len(c.time_exprs) for c in candidates
+        )
+        # A second pass registers no new row: every expression is memoised.
+        for candidate in candidates:
+            engine.backend.stamps(relations, candidate.bind(op), arch.pe_array)
+        assert len(evaluator.exprs.rows) == rows
 
     def test_pe_memo_eviction_between_batches_replans(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**6)
-        candidates = small_candidates(op, count=3)
-        warmup = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
-        for position in range(len(candidates)):
-            warmup.stamps_for(position)
-        # The second provider records no PE plans (all signatures memoised);
-        # evicting the memo in between forces the replan path.
-        provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
+        candidates = [c.bind(op) for c in small_candidates(op, count=3)]
+        for candidate in candidates:
+            engine.backend.stamps(relations, candidate, arch.pe_array)
+        # Evicting the PE memo between batches re-evaluates the PE columns.
         engine.backend._pe_memo.clear()
-        for position, candidate in enumerate(candidates):
+        for candidate in candidates:
             pe_ref, rank_ref = engine.materializer.stamps(
-                relations, candidate.bind(op), arch.pe_array
+                relations, candidate, arch.pe_array
             )
-            pe_new, rank_new = provider.stamps_for(position)
+            pe_new, rank_new = engine.backend.stamps(relations, candidate, arch.pe_array)
             np.testing.assert_array_equal(pe_ref, pe_new)
             np.testing.assert_array_equal(rank_ref, rank_new)
 
@@ -224,12 +236,12 @@ class TestBackendStamps:
         relations = engine.materializer.relations(10**7)
         bad = Dataflow.from_exprs("bad", op.domain.space, ["i", "j"], ["k"])
         bad_twin = Dataflow.from_exprs("bad-twin", op.domain.space, ["i", "j"], ["k"])
-        provider = engine.backend.prepare_batch(relations, [bad, bad_twin], arch.pe_array)
         with pytest.raises(DataflowError, match="bad"):
-            provider.stamps_for(0)
+            engine.backend.stamps(relations, bad, arch.pe_array)
         # The failure is memoised per space signature but re-raised per candidate.
+        assert engine.backend._pe_memo[engine.backend.pe_signature(bad)] is None
         with pytest.raises(DataflowError, match="bad-twin"):
-            provider.stamps_for(1)
+            engine.backend.stamps(relations, bad_twin, arch.pe_array)
 
     def test_fallback_exprs_are_counted(self):
         op = gemm(16, 16, 16)
@@ -424,17 +436,6 @@ class TestFusedBackend:
                 reference = TenetAnalyzer(op, candidate, arch).analyze()
                 assert report_dict(reference) == report_dict(report)
 
-    def test_fused_provider_stacks_whole_batch_into_one_window(self):
-        op = gemm(16, 16, 16)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        relations = engine.materializer.relations(10**7)
-        candidates = small_candidates(op, count=12)
-        provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
-        provider._ensure_window(0)
-        # One stacked evaluation covers every candidate of the batch.
-        assert provider._window == (0, len(candidates))
-
     def test_auto_is_an_alias_of_fused(self):
         from repro.core.backends import FusedBackend
 
@@ -449,8 +450,8 @@ class TestVolumeThreadPool:
     """The per-tensor volume threads, the engine's one in-process concurrency.
 
     ``gemm(48, 48, 48)`` has 110,592 instances and 3 tensors, above the
-    65,536-instance threshold at which ``volume_metrics_many`` fans the
-    tensors out over the pool.
+    65,536-instance threshold the test sets for ``volume_metrics_many`` to
+    fan the tensors out over the pool.
     """
 
     INTERCONNECTS = ("2d-systolic", "mesh", "2d-multicast")
@@ -493,6 +494,7 @@ class TestVolumeThreadPool:
             pools.append(pool)
             return pool
 
+        monkeypatch.setattr(fused_module, "_VOLUME_POOL_MIN_INSTANCES", 1 << 16)
         monkeypatch.setattr(fused_module, "_volume_pool", counting_pool)
         threaded = self.sweep(op, "fused", cache)
         candidates = len(self.structured_candidates(op)) * len(self.INTERCONNECTS)

@@ -153,6 +153,67 @@ class TestSpacetimeMapAndAssignment:
         assert table.shape[0] == 9
         assert (table[4] >= 0).sum() == 8  # centre PE has 8 predecessors
 
+    def test_predecessor_table_is_shared_and_read_only(self):
+        from repro.core.engine import EvaluationEngine
+        from repro.experiments.common import make_arch
+
+        engines = [
+            EvaluationEngine(gemm(4, 4, 4), make_arch(pe_dims=(4, 4), interconnect="mesh"))
+            for _ in range(2)
+        ]
+        first, second = (engine._predecessor_table for engine in engines)
+        assert first is second
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 3
+        # The key holds the interconnect's fields, not only its type.
+        near, far = (
+            SpacetimeMap(PEArray((8,)), Multicast1D(reach=reach)).predecessor_table()
+            for reach in (1, 3)
+        )
+        assert (near >= 0).sum() < (far >= 0).sum()
+
+    def test_concurrent_builds_share_one_table(self, monkeypatch):
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.core import spacetime as spacetime_module
+
+        monkeypatch.setattr(spacetime_module, "_TABLES", OrderedDict())
+        tables = []
+        start = threading.Barrier(8)
+
+        def build():
+            start.wait(timeout=10)
+            tables.append(SpacetimeMap(PEArray((12, 12)), Mesh()).predecessor_table())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 8
+        assert all(table is tables[0] for table in tables)
+
+    @pytest.mark.parametrize("name", [
+        "1d-systolic", "2d-systolic", "mesh", "multicast", "2d-multicast",
+        "reduction-tree", "none",
+    ])
+    @pytest.mark.parametrize("dims", [(4, 6), (16,)])
+    def test_cached_predecessor_table_equals_a_fresh_build(self, name, dims):
+        from repro.arch.interconnect import make_interconnect
+
+        spacetime = SpacetimeMap(PEArray(dims), make_interconnect(name))
+        np.testing.assert_array_equal(
+            spacetime.predecessor_table(), spacetime._build_predecessor_table()
+        )
+
     def test_spatial_interval_follows_interconnect(self):
         assert SpacetimeMap(PEArray((2, 2)), Systolic2D()).spatial_interval == 1
         assert SpacetimeMap(PEArray((4,)), Multicast1D()).spatial_interval == 0

@@ -29,7 +29,7 @@ from repro.experiments.common import make_arch
 from repro.dse.pruning import pruned_candidates
 from repro.isl.enumeration import sorted_unique
 from repro.isl.expr import var
-from repro.tensor.kernels import conv2d, gemm
+from repro.tensor.kernels import conv2d, gemm, jacobi2d
 
 
 def report_dict(report):
@@ -45,9 +45,11 @@ def small_candidates(op, pe_dims=(4, 4), count=6):
                                   max_candidates=count))
 
 
+#: Instance threshold the ``volume_pools`` fixture sets for the volume threads.
+THREADED_INSTANCES = 1 << 16
 #: ``gemm(64, 32, 32)`` has 65,536 instances, the least at which the fused
 #: backend's ``volume_metrics_many`` fans a candidate's tensors out over its
-#: volume threads.
+#: volume threads under the ``volume_pools`` fixture.
 THREADED_GEMM = (64, 32, 32)
 
 
@@ -56,11 +58,12 @@ def volume_pools(monkeypatch):
     """Turn the fused backend's volume threads on, on any machine.
 
     The pool is only built where the CPU count is at least 2; raising the
-    module's count runs the threaded path on a single-core runner too.
-    Returns the pools handed to the volume kernels, one per candidate that
-    fanned out.
+    module's count runs the threaded path on a single-core runner too, and
+    lowering its instance threshold runs it on test-sized ops.  Returns the
+    pools handed to the volume kernels, one per candidate that fanned out.
     """
     monkeypatch.setattr(fused_module, "_CPU_COUNT", max(2, fused_module._CPU_COUNT))
+    monkeypatch.setattr(fused_module, "_VOLUME_POOL_MIN_INSTANCES", THREADED_INSTANCES)
     original = fused_module._volume_pool
     pools = []
 
@@ -116,6 +119,21 @@ class TestMaterializer:
             assert len(keys_a[tensor]) == len(rel.raw_keys)
             for ref_a, ref_b in zip(keys_a[tensor], rel.raw_keys):
                 np.testing.assert_array_equal(ref_a, ref_b)
+
+    @pytest.mark.parametrize("make_op", [
+        lambda: gemm(12, 10, 8),
+        lambda: conv2d(4, 4, 6, 6, 3, 3),
+        lambda: jacobi2d(10, 12),
+    ], ids=["gemm", "conv2d", "jacobi2d"])
+    def test_dense_keys_and_footprints_equal_sorted_unique(self, make_op):
+        relations = RelationMaterializer(make_op(), cache=RelationCache()).relations(10**7)
+        for rel in relations.tensors.values():
+            combined = np.concatenate(rel.raw_keys)
+            unique = sorted_unique(combined)
+            np.testing.assert_array_equal(
+                rel.dense_keys, np.searchsorted(unique, combined)
+            )
+            assert rel.footprint == unique.size
 
     def test_cache_is_shared_across_materializers(self):
         op = gemm(8, 8, 8)
@@ -176,8 +194,11 @@ class TestMaterializer:
 class TestFastHelpers:
     def test_rank_keys_matches_searchsorted(self):
         rng = np.random.default_rng(7)
-        for span in (50, 10**7):
-            keys = rng.integers(0, span, size=2000)
+        cases = [np.array([-1, 0, 1]), np.array([-5, -5, -2, -9])]
+        for low, high in ((0, 50), (0, 10**7), (-50, 0), (-30, 30), (-10**7, 10**7),
+                          (10**9, 10**9 + 40)):
+            cases.append(rng.integers(low, high, size=2000))
+        for keys in cases:
             expected = np.searchsorted(sorted_unique(keys), keys)
             np.testing.assert_array_equal(_rank_keys(keys), expected)
 

@@ -98,6 +98,31 @@ class TestEnumeration:
         small_chunks = sum(len(c["i"]) for c in s.chunks(chunk_size=17))
         assert small_chunks == s.count()
 
+    @pytest.mark.parametrize("make_set", [
+        lambda: IntSet.from_sizes("S", ["i", "j"], [5, 7]),
+        lambda: IntSet.from_sizes("S", ["i", "j"], [5, 7]).add_constraints(
+            [Constraint.eq(2 * var("i"), 3)]
+        ),
+        lambda: parse_set("{ S[i, j] : 0 <= i < 6 and 0 <= j < 6 and j <= i }"),
+        lambda: IntSet(
+            Space("S", ["i", "j"]),
+            [Constraint.ge(var("i"), 0), Constraint.lt(var("i"), 9),
+             Constraint.ge(var("j"), -3), Constraint.le(var("j"), 8),
+             Constraint.le(var("j"), var("i"))],
+            bounds={"i": (2, 5), "j": (1, 4)},
+        ),
+    ], ids=["box", "empty-equality", "triangle", "tight-explicit-bounds"])
+    def test_chunks_equal_the_box_filtered_by_every_constraint(self, make_set):
+        # chunks() skips the constraints its box already enforces; its points
+        # must equal a wider box's filtered by every constraint and bound.
+        s = make_set()
+        grids = np.meshgrid(*(np.arange(-5, 15) for _ in s.space.dims), indexing="ij")
+        env = {dim: grid.ravel() for dim, grid in zip(s.space.dims, grids)}
+        keep = s.contains_vec(env)
+        expected = np.stack([env[dim][keep] for dim in s.space.dims], axis=1)
+        for chunk_size in (4, 1 << 20):
+            np.testing.assert_array_equal(s.points_array(chunk_size=chunk_size), expected)
+
     def test_box_size_upper_bounds_count(self):
         s = parse_set("{ S[i, j] : 0 <= i < 6 and 0 <= j < 6 and i + j < 4 }")
         assert s.count() <= s.box_size()
