@@ -4,7 +4,10 @@ A spatial architecture (Section II-A) is a PE array, an interconnection
 network between the PEs, and a memory hierarchy (PE registers, on-chip
 scratchpad, off-chip DRAM).  The classes here describe those pieces and build
 the **interconnection relation** of Definition 3 for the topologies modeled in
-the paper (1D/2D systolic, mesh, multicast, reduction tree).
+the paper (1D/2D systolic, mesh, multicast, reduction tree).  That relation is
+each topology's only statement of its links: the performance model's
+predecessor table and the reference simulator's NoC are both enumerated from
+it (:meth:`Interconnect.links`).
 
 :mod:`repro.arch.repository` provides the "common spatial architecture repo"
 of Figure 2: ready-made specifications resembling TPU, Eyeriss, ShiDianNao,

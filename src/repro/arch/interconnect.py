@@ -1,8 +1,12 @@
 """Interconnection relations between PEs (Definition 3).
 
-Each topology builds the relation ``{ PE[p1] -> PE[p2] : conditions }`` for a
-given PE array and exposes the *predecessor* adjacency used by the
-performance model: for every PE, the set of PEs that can forward data to it.
+Each topology states its links once, as the relation
+``{ PE[p] -> PE[p'] : conditions }`` over a given PE array.  Everything else
+reads that relation: :meth:`Interconnect.links` enumerates its (source,
+destination) pairs, which give both the predecessor lists the reference
+simulator forwards through (:mod:`repro.sim`) and the predecessor table the
+performance model counts spatial reuse with
+(:class:`repro.core.spacetime.SpacetimeMap`).
 
 The paper models three topologies explicitly (Section IV-C)::
 
@@ -20,15 +24,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+import numpy as np
+
 from repro.errors import ArchitectureError
 from repro.isl.constraint import Constraint
-from repro.isl.expr import var
+from repro.isl.expr import AffExpr, var
 from repro.isl.imap import IntMap
-from repro.isl.space import Space
+from repro.isl.iset import IntSet
 from repro.isl.union import UnionMap
 from repro.arch.pe_array import PEArray
 
 Coord = tuple[int, ...]
+#: One array axis as its (source ``p_k``, destination ``p_k'``) variables.
+Axis = tuple[AffExpr, AffExpr]
 
 
 class Interconnect(ABC):
@@ -46,56 +55,67 @@ class Interconnect(ABC):
     hop_distance: int = 1
 
     @abstractmethod
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        """True when PE ``src`` can forward data to PE ``dst`` (src != dst)."""
-
-    @abstractmethod
     def relation(self, array: PEArray) -> UnionMap:
         """The interconnection relation for the given PE array."""
 
-    # -- derived helpers -----------------------------------------------------
+    # -- derived from the relation ---------------------------------------------
+
+    def links(self, array: PEArray) -> tuple[np.ndarray, np.ndarray]:
+        """Every link as ``(sources, destinations)`` row-major linear PE indices.
+
+        The relation's pairs without self-pairs, each pair once even when
+        several pieces hold it, sorted by destination and then source.
+        """
+        size, rank = array.size, array.rank
+        keys = [np.zeros(0, dtype=np.int64)]
+        for piece in self.relation(array).pieces:
+            pairs = piece.pairs_array()
+            sources = np.ravel_multi_index(tuple(pairs[:, :rank].T), array.dims)
+            destinations = np.ravel_multi_index(tuple(pairs[:, rank:].T), array.dims)
+            keys.append(destinations * size + sources)
+        destinations, sources = np.divmod(np.unique(np.concatenate(keys)), size)
+        kept = sources != destinations
+        return sources[kept], destinations[kept]
 
     def predecessors(self, array: PEArray) -> dict[Coord, list[Coord]]:
-        """For every PE, the PEs that can send data *to* it (excluding itself)."""
+        """For every PE, the PEs that can send data *to* it, in row-major order."""
         coords = list(array.coords())
         result: dict[Coord, list[Coord]] = {c: [] for c in coords}
-        for dst in coords:
-            for src in coords:
-                if src != dst and self.connected(src, dst):
-                    result[dst].append(src)
+        sources, destinations = self.links(array)
+        for source, destination in zip(sources.tolist(), destinations.tolist()):
+            result[coords[destination]].append(coords[source])
         return result
-
-    def successors(self, array: PEArray) -> dict[Coord, list[Coord]]:
-        """For every PE, the PEs it can send data to."""
-        coords = list(array.coords())
-        result: dict[Coord, list[Coord]] = {c: [] for c in coords}
-        for src in coords:
-            for dst in coords:
-                if src != dst and self.connected(src, dst):
-                    result[src].append(dst)
-        return result
-
-    def degree(self, array: PEArray) -> float:
-        """Average number of incoming links per PE (a complexity proxy)."""
-        preds = self.predecessors(array)
-        if not preds:
-            return 0.0
-        return sum(len(v) for v in preds.values()) / len(preds)
-
-    def _spaces(self, array: PEArray) -> tuple[Space, Space]:
-        in_space = array.space
-        out_space = in_space.primed()
-        return in_space, out_space
 
     def __str__(self) -> str:
         return self.name
 
 
-def _pad(coords: Coord, rank: int) -> Coord:
-    """Treat 1-D coordinates as (row 0, column) when a 2-D view is needed."""
-    if len(coords) >= rank:
-        return coords
-    return (0,) * (rank - len(coords)) + tuple(coords)
+def _axes(array: PEArray) -> list[Axis]:
+    """The (source, destination) variables of every array axis, outermost first."""
+    return [
+        (var(dim), var(primed))
+        for dim, primed in zip(array.space.dims, array.space.primed().dims)
+    ]
+
+
+def _same(axes: list[Axis]) -> list[Constraint]:
+    """Source and destination agree on every one of ``axes``."""
+    return [Constraint.eq(destination, source) for source, destination in axes]
+
+
+def _relation(array: PEArray, *pieces: list[Constraint]) -> UnionMap:
+    """``{ PE[p] -> PE[p'] : piece }`` for every constraint list, both sides
+    restricted to the array's PEs."""
+    in_space = array.space
+    out_space = in_space.primed()
+    range_ = IntSet.box(
+        out_space, {dim: (0, extent) for dim, extent in zip(out_space.dims, array.dims)}
+    )
+    return UnionMap(
+        IntMap(in_space, out_space, constraints=constraints,
+               domain=array.domain(), range_=range_)
+        for constraints in pieces
+    )
 
 
 @dataclass
@@ -105,26 +125,9 @@ class Systolic1D(Interconnect):
     name: str = "1d-systolic"
     time_interval: int = 1
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        *src_outer, src_last = _pad(src, 2)
-        *dst_outer, dst_last = _pad(dst, 2)
-        return tuple(src_outer) == tuple(dst_outer) and dst_last == src_last + 1
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        last_in = in_space.dims[-1]
-        last_out = out_space.dims[-1]
-        constraints = [
-            Constraint.eq(var(last_out), var(last_in) + 1),
-        ]
-        for dim_in, dim_out in zip(in_space.dims[:-1], out_space.dims[:-1]):
-            constraints.append(Constraint.eq(var(dim_out), var(dim_in)))
-        piece = IntMap(
-            in_space, out_space, constraints=constraints,
-            domain=array.domain(),
-            range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([piece])
+        *outer, (source, destination) = _axes(array)
+        return _relation(array, [Constraint.eq(destination, source + 1), *_same(outer)])
 
 
 @dataclass
@@ -134,28 +137,13 @@ class Systolic2D(Interconnect):
     name: str = "2d-systolic"
     time_interval: int = 1
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        si, sj = _pad(src, 2)[-2:]
-        di, dj = _pad(dst, 2)[-2:]
-        return (di == si and dj == sj + 1) or (di == si + 1 and dj == sj)
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
         if array.rank == 1:
             return Systolic1D().relation(array)
-        i, j = in_space.dims[-2], in_space.dims[-1]
-        oi, oj = out_space.dims[-2], out_space.dims[-1]
-        right = IntMap(
-            in_space, out_space,
-            constraints=[Constraint.eq(var(oi), var(i)), Constraint.eq(var(oj), var(j) + 1)],
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        down = IntMap(
-            in_space, out_space,
-            constraints=[Constraint.eq(var(oi), var(i) + 1), Constraint.eq(var(oj), var(j))],
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([right, down])
+        *_, (i, oi), (j, oj) = _axes(array)
+        right = [Constraint.eq(oi, i), Constraint.eq(oj, j + 1)]
+        down = [Constraint.eq(oi, i + 1), Constraint.eq(oj, j)]
+        return _relation(array, right, down)
 
 
 @dataclass
@@ -165,22 +153,11 @@ class Mesh(Interconnect):
     name: str = "mesh"
     time_interval: int = 1
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        src = _pad(src, 2)
-        dst = _pad(dst, 2)
-        return all(abs(d - s) <= 1 for s, d in zip(src, dst))
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        constraints = []
-        for dim_in, dim_out in zip(in_space.dims, out_space.dims):
-            delta = var(dim_out) - var(dim_in)
-            constraints.append(Constraint.le(delta.abs(), 1))
-        piece = IntMap(
-            in_space, out_space, constraints=constraints,
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([piece])
+        return _relation(array, [
+            Constraint.le((destination - source).abs(), 1)
+            for source, destination in _axes(array)
+        ])
 
 
 @dataclass
@@ -191,23 +168,10 @@ class Multicast1D(Interconnect):
     time_interval: int = 0
     reach: int = 3
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        src = _pad(src, 2)
-        dst = _pad(dst, 2)
-        same_row = src[:-1] == dst[:-1]
-        return same_row and abs(dst[-1] - src[-1]) <= self.reach
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        last_in, last_out = in_space.dims[-1], out_space.dims[-1]
-        constraints = [Constraint.le((var(last_out) - var(last_in)).abs(), self.reach)]
-        for dim_in, dim_out in zip(in_space.dims[:-1], out_space.dims[:-1]):
-            constraints.append(Constraint.eq(var(dim_out), var(dim_in)))
-        piece = IntMap(
-            in_space, out_space, constraints=constraints,
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([piece])
+        *outer, (source, destination) = _axes(array)
+        within_reach = Constraint.le((destination - source).abs(), self.reach)
+        return _relation(array, [within_reach, *_same(outer)])
 
 
 @dataclass
@@ -223,30 +187,13 @@ class Multicast2D(Interconnect):
     time_interval: int = 0
     reach: int = 7
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        src = _pad(src, 2)
-        dst = _pad(dst, 2)
-        same_row = src[:-1] == dst[:-1] and abs(dst[-1] - src[-1]) <= self.reach
-        same_col = src[-1] == dst[-1] and all(
-            abs(a - b) <= self.reach for a, b in zip(src[:-1], dst[:-1])
-        )
-        return same_row or same_col
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        last_in, last_out = in_space.dims[-1], out_space.dims[-1]
-        row_constraints = [Constraint.le((var(last_out) - var(last_in)).abs(), self.reach)]
-        col_constraints = [Constraint.eq(var(last_out), var(last_in))]
-        for dim_in, dim_out in zip(in_space.dims[:-1], out_space.dims[:-1]):
-            row_constraints.append(Constraint.eq(var(dim_out), var(dim_in)))
-            col_constraints.append(Constraint.le((var(dim_out) - var(dim_in)).abs(), self.reach))
-        pieces = [
-            IntMap(in_space, out_space, constraints=row_constraints,
-                   domain=array.domain(), range_=_renamed_domain(array, out_space)),
-            IntMap(in_space, out_space, constraints=col_constraints,
-                   domain=array.domain(), range_=_renamed_domain(array, out_space)),
+        *outer, (source, destination) = _axes(array)
+        row = [Constraint.le((destination - source).abs(), self.reach), *_same(outer)]
+        column = [Constraint.eq(destination, source)] + [
+            Constraint.le((d - s).abs(), self.reach) for s, d in outer
         ]
-        return UnionMap(pieces)
+        return _relation(array, row, column)
 
 
 @dataclass
@@ -267,26 +214,10 @@ class ReductionTree(Interconnect):
         if self.group_size <= 1:
             raise ArchitectureError("reduction-tree group size must exceed 1")
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        src = _pad(src, 2)
-        dst = _pad(dst, 2)
-        if src[:-1] != dst[:-1]:
-            return False
-        return src[-1] // self.group_size == dst[-1] // self.group_size
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        last_in, last_out = in_space.dims[-1], out_space.dims[-1]
-        constraints = [
-            Constraint.eq(var(last_out) // self.group_size, var(last_in) // self.group_size)
-        ]
-        for dim_in, dim_out in zip(in_space.dims[:-1], out_space.dims[:-1]):
-            constraints.append(Constraint.eq(var(dim_out), var(dim_in)))
-        piece = IntMap(
-            in_space, out_space, constraints=constraints,
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([piece])
+        *outer, (source, destination) = _axes(array)
+        same_group = Constraint.eq(destination // self.group_size, source // self.group_size)
+        return _relation(array, [same_group, *_same(outer)])
 
 
 @dataclass
@@ -296,25 +227,10 @@ class NoInterconnect(Interconnect):
     name: str = "none"
     time_interval: int = 1
 
-    def connected(self, src: Coord, dst: Coord) -> bool:
-        return False
-
     def relation(self, array: PEArray) -> UnionMap:
-        in_space, out_space = self._spaces(array)
-        piece = IntMap(
-            in_space, out_space,
-            constraints=[Constraint.eq(var(in_space.dims[0]), var(in_space.dims[0]) + 1)],
-            domain=array.domain(), range_=_renamed_domain(array, out_space),
-        )
-        return UnionMap([piece])
-
-
-def _renamed_domain(array: PEArray, out_space: Space):
-    """The PE domain expressed over the primed (output-side) dimension names."""
-    bounds = {dim: (0, extent) for dim, extent in zip(out_space.dims, array.dims)}
-    from repro.isl.iset import IntSet
-
-    return IntSet.box(out_space, bounds)
+        # An unsatisfiable constraint: the empty relation.
+        (source, _), *_ = _axes(array)
+        return _relation(array, [Constraint.eq(source, source + 1)])
 
 
 _TOPOLOGIES: dict[str, type[Interconnect]] = {

@@ -93,6 +93,17 @@ def _fail(command: str, error: Exception) -> int:
     return 1
 
 
+def _check_counts(args: argparse.Namespace, minimums: dict[str, int]) -> None:
+    """Refuse a count option below its minimum (``serve`` refuses the same
+    request fields)."""
+    for name, minimum in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < minimum:
+            raise ExplorationError(
+                f"--{name.replace('_', '-')} must be at least {minimum}, got {value}"
+            )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         op = make_kernel(args.kernel, args.sizes)
@@ -118,6 +129,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
               f"got {args.pe}", file=sys.stderr)
         return 1
     try:
+        _check_counts(args, {"top": 0, "max_candidates": 0, "batch_size": 1})
         op = make_kernel(args.kernel, args.sizes)
     except (TenetError, KeyError) as error:  # KeyError: unknown kernel
         return _fail("explore", error)
@@ -248,9 +260,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     try:
+        _check_counts(args, {"top": 0})
         ranking = load_ranking(args.checkpoints)
     except (TenetError, OSError) as error:
-        # A missing file, or checkpoints of different sweeps.
+        # A negative --top, a missing file, or checkpoints of different sweeps.
         return _fail("sweep-merge", error)
     if not ranking:
         print("(no evaluated candidates in the given checkpoints)")

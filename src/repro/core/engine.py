@@ -105,15 +105,6 @@ class TensorColumns:
             total *= max(1, hi - lo + 1)
         return total
 
-    def encode(self, coords: np.ndarray) -> np.ndarray:
-        keys = np.zeros(coords.shape[0], dtype=np.int64)
-        scale = 1
-        for column, (lo, hi) in enumerate(self.bounds):
-            extent = max(1, hi - lo + 1)
-            keys += (coords[:, column] - lo) * scale
-            scale *= extent
-        return keys
-
     def encode_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Encode per-coordinate arrays without stacking them first."""
         keys: np.ndarray | None = None
@@ -718,6 +709,101 @@ LOWER_BOUNDS: dict[
 }
 
 
+# -- the metric pipeline's prologue and epilogue (shared with the analyzer) ----------
+
+
+def bind_checked(
+    op: TensorOp, dataflow: Dataflow, arch: ArchSpec, max_instances: int
+) -> Dataflow:
+    """Refuse an operation past the instance cap, then bind the dataflow to
+    it and check its space-stamp rank against the PE array."""
+    box = op.domain.box_size()
+    if box > max_instances:
+        raise ModelError(
+            f"iteration domain has up to {box} instances, above the analyzer cap of "
+            f"{max_instances}; scale the workload (repro.workloads.scaling) or "
+            "raise max_instances"
+        )
+    bound = dataflow.bind(op)
+    bound.check_pe_rank(op, arch.pe_array)
+    return bound
+
+
+def reference_volume_metrics(
+    tensor: str,
+    pe_lin: np.ndarray,
+    t_rank: np.ndarray,
+    per_reference: Sequence[np.ndarray],
+    element_extent: int,
+    spacetime: SpacetimeMap,
+    *,
+    chunk_size: int = 1 << 20,
+) -> VolumeMetrics:
+    """The reference volume kernel over every textual reference of a tensor:
+    the stamp columns repeat once per reference, beside its element keys."""
+    references = len(per_reference)
+    if references == 1:
+        tensor_pe, tensor_rank, elements = pe_lin, t_rank, per_reference[0]
+    else:
+        tensor_pe = np.tile(pe_lin, references)
+        tensor_rank = np.tile(t_rank, references)
+        elements = np.concatenate(per_reference)
+    return compute_volume_metrics(
+        tensor,
+        tensor_pe,
+        tensor_rank,
+        elements,
+        spacetime.predecessor_table(),
+        spacetime.pe_array.size,
+        spatial_interval=spacetime.spatial_interval,
+        temporal_interval=spacetime.temporal_interval,
+        chunk_size=chunk_size,
+        element_extent=element_extent,
+    )
+
+
+def assemble_report(
+    op: TensorOp,
+    arch: ArchSpec,
+    dataflow_name: str,
+    utilization: UtilizationMetrics,
+    volumes: dict[str, VolumeMetrics],
+    notes: list[str],
+    started: float,
+) -> PerformanceReport:
+    """Latency, bandwidth and energy from the volumes, in one report timed
+    from ``started``."""
+    if not utilization.is_injective:
+        notes.append(
+            "dataflow is not injective: some spacetime stamps execute more than one "
+            "instance (the compute delay accounts for the extra cycles)"
+        )
+    latency = compute_latency(
+        utilization, volumes, op.input_tensors, op.output_tensors, arch.memory
+    )
+    bandwidth = compute_bandwidth(volumes, utilization.compute_delay_cycles)
+    energy = compute_energy(
+        utilization.num_instances,
+        volumes,
+        arch.energy,
+        noc_hop_distance=arch.interconnect.hop_distance,
+    )
+    return PerformanceReport(
+        operation=op.name,
+        dataflow=dataflow_name,
+        architecture=arch.name,
+        volumes=volumes,
+        utilization=utilization,
+        latency=latency,
+        bandwidth=bandwidth,
+        energy=energy,
+        word_bits=arch.memory.word_bits,
+        peak_macs_per_cycle=arch.peak_macs_per_cycle,
+        analysis_seconds=time.perf_counter() - started,
+        notes=notes,
+    )
+
+
 # -- batch outcomes -------------------------------------------------------------------
 
 
@@ -786,9 +872,7 @@ class EvaluationEngine:
         arch: ArchSpec,
         *,
         max_instances: int = 32_000_000,
-        chunk_size: int = 1 << 20,
         temporal_interval: int = 1,
-        validate: bool = False,
         cache: RelationCache | None = None,
         memoize: bool = True,
         backend: str = "auto",
@@ -796,11 +880,9 @@ class EvaluationEngine:
         self.op = op
         self.arch = arch
         self.max_instances = int(max_instances)
-        self.chunk_size = int(chunk_size)
         self.temporal_interval = int(temporal_interval)
-        self.should_validate = bool(validate)
         self.cache = cache if cache is not None else RelationCache()
-        self.materializer = RelationMaterializer(op, chunk_size=self.chunk_size, cache=self.cache)
+        self.materializer = RelationMaterializer(op, cache=self.cache)
         self.memoize = bool(memoize)
         self._memo: dict[tuple[str, str, str], PerformanceReport] = {}
         self._memo_prefix = (op_signature(op), arch_signature(arch))
@@ -902,26 +984,7 @@ class EvaluationEngine:
         the candidate provably cannot beat ``best_score`` under ``objective``.
         """
         started = time.perf_counter()
-        notes: list[str] = []
-
-        box = self.op.domain.box_size()
-        if box > self.max_instances:
-            raise ModelError(
-                f"iteration domain has up to {box} instances, above the analyzer cap of "
-                f"{self.max_instances}; scale the workload (repro.workloads.scaling) or "
-                "raise max_instances"
-            )
-
-        bound = dataflow.bind(self.op)
-        bound.check_pe_rank(self.op, self.arch.pe_array)
-        if self.should_validate:
-            validation = bound.validate(self.op, self.arch.pe_array, self.chunk_size)
-            if not validation.is_valid:
-                raise DataflowError(
-                    f"dataflow {bound.name!r} is invalid for {self.op.name}: "
-                    + "; ".join(validation.messages)
-                )
-            notes.extend(validation.messages)
+        bound = bind_checked(self.op, dataflow, self.arch, self.max_instances)
 
         stage = self.stage_seconds
         mark = time.perf_counter()
@@ -951,11 +1014,6 @@ class EvaluationEngine:
         now = time.perf_counter()
         stage["utilization"] += now - mark
         mark = now
-        if not utilization.is_injective:
-            notes.append(
-                "dataflow is not injective: some spacetime stamps execute more than one "
-                "instance (the compute delay accounts for the extra cycles)"
-            )
 
         if objective is not None and best_score is not None:
             bound_fn = LOWER_BOUNDS.get(objective)
@@ -1003,60 +1061,16 @@ class EvaluationEngine:
                 else:
                     per_reference = element_keys[tensor]
                     extent = element_extents[tensor]
-                references = len(per_reference)
-                if references == 1:
-                    tensor_pe, tensor_rank = pe_lin, t_rank
-                    tensor_elements = per_reference[0]
-                else:
-                    tensor_pe = np.tile(pe_lin, references)
-                    tensor_rank = np.tile(t_rank, references)
-                    tensor_elements = np.concatenate(per_reference)
-                metrics = compute_volume_metrics(
-                    tensor,
-                    tensor_pe,
-                    tensor_rank,
-                    tensor_elements,
-                    self._predecessor_table,
-                    num_pes,
-                    spatial_interval=self._spacetime.spatial_interval,
-                    temporal_interval=self.temporal_interval,
-                    chunk_size=self.chunk_size,
-                    element_extent=extent,
+                metrics = reference_volume_metrics(
+                    tensor, pe_lin, t_rank, per_reference, extent, self._spacetime
                 )
             volumes[tensor] = metrics
         now = time.perf_counter()
         stage["volumes"] += now - mark
         mark = now
 
-        latency = compute_latency(
-            utilization,
-            volumes,
-            self.op.input_tensors,
-            self.op.output_tensors,
-            self.arch.memory,
-        )
-        bandwidth = compute_bandwidth(volumes, utilization.compute_delay_cycles)
-        energy = compute_energy(
-            utilization.num_instances,
-            volumes,
-            self.arch.energy,
-            noc_hop_distance=self.arch.interconnect.hop_distance,
-        )
-
-        elapsed = time.perf_counter() - started
-        report = PerformanceReport(
-            operation=self.op.name,
-            dataflow=bound.name,
-            architecture=self.arch.name,
-            volumes=volumes,
-            utilization=utilization,
-            latency=latency,
-            bandwidth=bandwidth,
-            energy=energy,
-            word_bits=self.arch.memory.word_bits,
-            peak_macs_per_cycle=self.arch.peak_macs_per_cycle,
-            analysis_seconds=elapsed,
-            notes=notes,
+        report = assemble_report(
+            self.op, self.arch, bound.name, utilization, volumes, [], started
         )
         stage["rank"] += time.perf_counter() - mark
         return report

@@ -10,8 +10,9 @@ A spacetime map links spacetime stamps that can exchange (or retain) data:
 
 The analyzer consumes the *neighbour table* produced here: a dense array that
 lists, for every PE, the linear indices of the PEs that can forward data to
-it.  Tables are built once per process for each (interconnect, PE array
-dims) and shared read-only.
+it.  It is built from the links of the interconnect's Definition 3 relation
+(:meth:`repro.arch.interconnect.Interconnect.links`), once per process for
+each (interconnect, PE array dims), and shared read-only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from repro.arch.pe_array import PEArray
 from repro.errors import ModelError
 
 #: Predecessor tables keyed by (interconnect type and fields, PE array dims),
-#: at most ``_TABLES_MAX`` of them.  Building one asks ``connected`` about
-#: every PE pair (1.6 s for a 32x32 mesh), and every new engine needs one.
+#: at most ``_TABLES_MAX`` of them.  Building one enumerates the relation over
+#: every PE pair (0.10-0.27 s for a 32x32 array on a 2-CPU machine), and every
+#: new engine needs one.
 _TABLES: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _TABLES_MAX = 64
 #: Held while a table is built: concurrent engine builds of one architecture
@@ -62,7 +64,7 @@ class SpacetimeMap:
     # -- neighbour table -------------------------------------------------------
 
     def predecessor_table(self) -> np.ndarray:
-        """``(num_pes, max_in_degree)`` array of predecessor linear indices.
+        """``(num_pes, max_degree)`` array of predecessor linear indices.
 
         Rows are padded with ``-1``.  Row ``p`` lists every PE that can send
         data to PE ``p`` through the interconnect.  The array is read-only and
@@ -82,19 +84,15 @@ class SpacetimeMap:
         return table
 
     def _build_predecessor_table(self) -> np.ndarray:
-        predecessors = self.interconnect.predecessors(self.pe_array)
+        sources, destinations = self.interconnect.links(self.pe_array)
         num_pes = self.pe_array.size
-        max_degree = max((len(v) for v in predecessors.values()), default=0)
-        table = np.full((num_pes, max(1, max_degree)), -1, dtype=np.int64)
-        for coord, sources in predecessors.items():
-            row = self.pe_array.linear_index(coord)
-            for slot, source in enumerate(sources):
-                table[row, slot] = self.pe_array.linear_index(source)
+        degree = np.bincount(destinations, minlength=num_pes)
+        table = np.full((num_pes, max(1, int(degree.max()))), -1, dtype=np.int64)
+        # Links are sorted by destination: a link's slot is its rank among
+        # its destination's links.
+        first = np.cumsum(degree) - degree
+        table[destinations, np.arange(destinations.size) - first[destinations]] = sources
         return table
-
-    def in_degree(self) -> float:
-        """Average number of predecessors per PE."""
-        return self.interconnect.degree(self.pe_array)
 
     # -- symbolic examples -------------------------------------------------------
 
@@ -106,12 +104,12 @@ class SpacetimeMap:
         maps = [
             f"([PE{list(origin)} | T[{time}]]) -> ([PE{list(origin)} | T[{time + self.temporal_interval}]])"
         ]
-        successors = self.interconnect.successors(self.pe_array)
-        for destination in successors.get(origin, []):
-            maps.append(
-                f"([PE{list(origin)} | T[{time}]]) -> "
-                f"([PE{list(destination)} | T[{time + self.spatial_interval}]])"
-            )
+        for destination, sources in self.interconnect.predecessors(self.pe_array).items():
+            if origin in sources:
+                maps.append(
+                    f"([PE{list(origin)} | T[{time}]]) -> "
+                    f"([PE{list(destination)} | T[{time + self.spatial_interval}]])"
+                )
         return maps
 
     def __str__(self) -> str:

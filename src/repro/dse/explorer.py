@@ -37,7 +37,6 @@ class DesignSpaceExplorer:
         objective: str | Objective = "latency",
         *,
         max_instances: int = 4_000_000,
-        chunk_size: int = 1 << 20,
         cache: RelationCache | None = None,
         backend: str = "auto",
         batch_size: int = 64,
@@ -45,13 +44,11 @@ class DesignSpaceExplorer:
         self.op = op
         self.arch = arch
         self.max_instances = max_instances
-        self.chunk_size = chunk_size
         self.batch_size = int(batch_size)
         self.engine = EvaluationEngine(
             op,
             arch,
             max_instances=max_instances,
-            chunk_size=chunk_size,
             cache=cache,
             backend=backend,
         )

@@ -12,7 +12,11 @@ Coord = tuple[int, ...]
 
 @dataclass
 class NocModel:
-    """Answers "who can forward this operand?" and counts transfers."""
+    """Answers "who can forward this operand?" and counts transfers.
+
+    The predecessors are the links of the interconnect's Definition 3
+    relation, the same links the analyzer's predecessor table holds.
+    """
 
     pe_array: PEArray
     interconnect: Interconnect

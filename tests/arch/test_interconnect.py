@@ -1,10 +1,21 @@
-"""Unit tests for interconnect topologies and their relations."""
+"""Unit tests for interconnect topologies and their relations.
 
+Each topology writes its links once, as its Definition 3 ``relation()``;
+``predecessors()`` and the predecessor table are derived from that relation.
+``connected`` below is the tests' own adjacency oracle: every topology's
+links restated as a plain coordinate predicate, independently of the
+relation, and checked against what the relation yields.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import (
     Mesh,
     Multicast1D,
+    Multicast2D,
     NoInterconnect,
     PEArray,
     ReductionTree,
@@ -13,22 +24,110 @@ from repro.arch import (
     make_interconnect,
 )
 from repro.arch.interconnect import _TOPOLOGIES
+from repro.core.spacetime import SpacetimeMap
 from repro.errors import ArchitectureError
+
+
+# -- the adjacency oracle ------------------------------------------------------------
+
+
+def _pad(coords, rank=2):
+    """Treat 1-D coordinates as (row 0, column) when a 2-D view is needed."""
+    coords = tuple(coords)
+    return (0,) * (rank - len(coords)) + coords
+
+
+def _systolic_1d(topology, src, dst):
+    return src[:-1] == dst[:-1] and dst[-1] == src[-1] + 1
+
+
+def _systolic_2d(topology, src, dst):
+    si, sj = src[-2:]
+    di, dj = dst[-2:]
+    return (di == si and dj == sj + 1) or (di == si + 1 and dj == sj)
+
+
+def _mesh(topology, src, dst):
+    return all(abs(d - s) <= 1 for s, d in zip(src, dst))
+
+
+def _multicast_1d(topology, src, dst):
+    return src[:-1] == dst[:-1] and abs(dst[-1] - src[-1]) <= topology.reach
+
+
+def _multicast_2d(topology, src, dst):
+    same_row = src[:-1] == dst[:-1] and abs(dst[-1] - src[-1]) <= topology.reach
+    same_col = src[-1] == dst[-1] and all(
+        abs(a - b) <= topology.reach for a, b in zip(src[:-1], dst[:-1])
+    )
+    return same_row or same_col
+
+
+def _reduction_tree(topology, src, dst):
+    return (
+        src[:-1] == dst[:-1]
+        and src[-1] // topology.group_size == dst[-1] // topology.group_size
+    )
+
+
+def _no_links(topology, src, dst):
+    return False
+
+
+_ORACLE = {
+    Systolic1D: _systolic_1d,
+    Systolic2D: _systolic_2d,
+    Mesh: _mesh,
+    Multicast1D: _multicast_1d,
+    Multicast2D: _multicast_2d,
+    ReductionTree: _reduction_tree,
+    NoInterconnect: _no_links,
+}
+
+
+def connected(topology, src, dst):
+    """The oracle: True when PE ``src`` can forward data to PE ``dst`` (src != dst)."""
+    return src != dst and _ORACLE[type(topology)](topology, _pad(src), _pad(dst))
+
+
+def oracle_predecessors(topology, array):
+    coords = list(array.coords())
+    return {dst: [src for src in coords if connected(topology, src, dst)] for dst in coords}
+
+
+def oracle_table(topology, array):
+    """The predecessor table the oracle implies: linear indices, ``-1`` padded."""
+    rows = [
+        [array.linear_index(src) for src in sources]
+        for sources in oracle_predecessors(topology, array).values()
+    ]
+    table = np.full((array.size, max(1, *map(len, rows))), -1, dtype=np.int64)
+    for row, sources in enumerate(rows):
+        table[row, : len(sources)] = sources
+    return table
+
+
+def average_degree(topology, array):
+    predecessors = topology.predecessors(array)
+    return sum(map(len, predecessors.values())) / len(predecessors)
+
+
+# -- topologies ----------------------------------------------------------------------
 
 
 class TestSystolic:
     def test_2d_systolic_connectivity(self):
-        topology = Systolic2D()
-        assert topology.connected((1, 1), (1, 2))
-        assert topology.connected((1, 1), (2, 1))
-        assert not topology.connected((1, 1), (2, 2))
-        assert not topology.connected((1, 1), (0, 1))
+        relation = Systolic2D().relation(PEArray((3, 3)))
+        assert relation.contains((1, 1), (1, 2))
+        assert relation.contains((1, 1), (2, 1))
+        assert not relation.contains((1, 1), (2, 2))
+        assert not relation.contains((1, 1), (0, 1))
 
     def test_1d_systolic_only_moves_right(self):
-        topology = Systolic1D()
-        assert topology.connected((0, 0), (0, 1))
-        assert not topology.connected((0, 0), (1, 0))
-        assert not topology.connected((0, 1), (0, 0))
+        relation = Systolic1D().relation(PEArray((2, 2)))
+        assert relation.contains((0, 0), (0, 1))
+        assert not relation.contains((0, 0), (1, 0))
+        assert not relation.contains((0, 1), (0, 0))
 
     def test_predecessors_on_boundary(self):
         array = PEArray((2, 2))
@@ -47,10 +146,10 @@ class TestSystolic:
 
 class TestMesh:
     def test_eight_neighbourhood(self):
-        topology = Mesh()
-        assert topology.connected((1, 1), (2, 2))
-        assert topology.connected((1, 1), (0, 1))
-        assert not topology.connected((1, 1), (3, 1))
+        relation = Mesh().relation(PEArray((4, 4)))
+        assert relation.contains((1, 1), (2, 2))
+        assert relation.contains((1, 1), (0, 1))
+        assert not relation.contains((1, 1), (3, 1))
 
     def test_degree_of_interior_pe(self):
         predecessors = Mesh().predecessors(PEArray((3, 3)))
@@ -62,17 +161,18 @@ class TestMulticastAndTree:
     def test_multicast_same_cycle(self):
         topology = Multicast1D(reach=3)
         assert topology.time_interval == 0
-        assert topology.connected((0,), (3,))
-        assert not topology.connected((0,), (4,))
+        relation = topology.relation(PEArray((8,)))
+        assert relation.contains((0,), (3,))
+        assert not relation.contains((0,), (4,))
 
     def test_multicast_row_restricted(self):
-        topology = Multicast1D(reach=3)
-        assert not topology.connected((0, 0), (1, 1))
+        relation = Multicast1D(reach=3).relation(PEArray((2, 2)))
+        assert not relation.contains((0, 0), (1, 1))
 
     def test_reduction_tree_groups(self):
-        topology = ReductionTree(group_size=4)
-        assert topology.connected((1,), (3,))
-        assert not topology.connected((3,), (4,))
+        relation = ReductionTree(group_size=4).relation(PEArray((8,)))
+        assert relation.contains((1,), (3,))
+        assert not relation.contains((3,), (4,))
 
     def test_reduction_tree_invalid_group(self):
         with pytest.raises(ArchitectureError):
@@ -80,8 +180,9 @@ class TestMulticastAndTree:
 
     def test_no_interconnect(self):
         topology = NoInterconnect()
-        assert not topology.connected((0, 0), (0, 1))
-        assert topology.degree(PEArray((2, 2))) == 0.0
+        array = PEArray((2, 2))
+        assert not topology.relation(array).contains((0, 0), (0, 1))
+        assert (SpacetimeMap(array, topology).predecessor_table() == -1).all()
 
 
 class TestFactory:
@@ -102,25 +203,39 @@ class TestFactory:
 
     def test_degree_ordering(self):
         array = PEArray((4, 4))
-        assert Mesh().degree(array) > Systolic2D().degree(array) > Systolic1D().degree(array)
+        assert (
+            average_degree(Mesh(), array)
+            > average_degree(Systolic2D(), array)
+            > average_degree(Systolic1D(), array)
+        )
 
 
 class TestPredicateMatchesRelation:
-    """``connected()`` feeds the volume kernels' predecessor table and
-    ``relation()`` is the Definition 3 notation; they must state the same
-    links."""
+    """The links derived from ``relation()`` (the Definition 3 notation that
+    feeds the simulator and the volume kernels' predecessor table) are the
+    oracle's, pair for pair and in ascending source order."""
 
     @pytest.mark.parametrize("name", sorted(_TOPOLOGIES))
     @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (8,), (2, 8)])
     def test_every_pair_agrees(self, name, dims):
         topology = make_interconnect(name)
         array = PEArray(dims)
-        relation = topology.relation(array)
-        coords = list(array.coords())
-        disagreements = [
-            (src, dst)
-            for src in coords
-            for dst in coords
-            if src != dst and relation.contains(src, dst) != topology.connected(src, dst)
-        ]
-        assert disagreements == []
+        assert topology.predecessors(array) == oracle_predecessors(topology, array)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 9), min_size=1, max_size=2).map(tuple),
+        topology=st.one_of(
+            st.sampled_from([Systolic1D(), Systolic2D(), Mesh(), NoInterconnect()]),
+            st.builds(Multicast1D, reach=st.integers(1, 7)),
+            st.builds(Multicast2D, reach=st.integers(1, 7)),
+            st.builds(ReductionTree, group_size=st.integers(2, 8)),
+        ),
+    )
+    def test_links_match_the_oracle_on_any_array(self, dims, topology):
+        array = PEArray(dims)
+        assert topology.predecessors(array) == oracle_predecessors(topology, array)
+        table = SpacetimeMap(array, topology)._build_predecessor_table()
+        expected = oracle_table(topology, array)
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)

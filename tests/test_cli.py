@@ -206,12 +206,25 @@ class TestInputErrors:
          "tenet explore: error: resume=True needs a checkpoint path"),
         (["serve", "--listen", "bogus"],
          "tenet serve: error: --listen expects HOST:PORT"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+          "--max-candidates", "-3"],
+         "tenet explore: error: --max-candidates must be at least 0, got -3"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--top", "-1"],
+         "tenet explore: error: --top must be at least 0, got -1"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+          "--batch-size", "-4"],
+         "tenet explore: error: --batch-size must be at least 1, got -4"),
+        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+          "--batch-size", "0"],
+         "tenet explore: error: --batch-size must be at least 1, got 0"),
     ], ids=[
         "analyze-extra-size", "analyze-conv-stride-size", "explore-missing-size",
         "analyze-unknown-kernel", "analyze-unknown-dataflow",
         "explore-unknown-kernel", "explore-pe-rank", "explore-unknown-interconnect",
         "explore-zero-pe", "explore-shard-out-of-range", "explore-shard-garbage",
         "explore-resume-without-checkpoint", "serve-bad-listen",
+        "explore-negative-max-candidates", "explore-negative-top",
+        "explore-negative-batch-size", "explore-zero-batch-size",
     ])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
@@ -248,6 +261,16 @@ class TestInputErrors:
         assert main(["sweep-merge", str(missing)]) == 1
         assert_one_error_line(
             capsys, "tenet sweep-merge: error: [Errno 2] No such file or directory"
+        )
+
+    def test_sweep_merge_refuses_negative_top(self, capsys, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        assert main(["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+                     "--max-candidates", "2", "--checkpoint", str(checkpoint)]) == 0
+        capsys.readouterr()
+        assert main(["sweep-merge", str(checkpoint), "--top", "-1"]) == 1
+        assert_one_error_line(
+            capsys, "tenet sweep-merge: error: --top must be at least 0, got -1"
         )
 
     def test_sweep_merge_refuses_two_operations(self, capsys, tmp_path):
