@@ -373,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--objective", default="latency", choices=sorted(OBJECTIVES),
                          help="ranking objective")
     explore.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES),
-                         help="evaluation backend: fused is the batch-fused compiled "
-                              "path and auto its alias, interp the interpreted "
-                              "reference; reports are bit-identical either way")
+                         help="evaluation backend: fused is the per-axis stamp "
+                              "and stamp-grid path and auto its alias, interp the "
+                              "interpreted reference; reports are bit-identical "
+                              "either way")
     explore.add_argument("--top", type=int, default=5,
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")

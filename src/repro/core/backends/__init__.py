@@ -9,14 +9,16 @@ computed:
     group-major sort/adjacency volume kernel.  Every other path is checked
     against it.
 ``fused``
-    The compiled path (:class:`repro.core.backends.fused.FusedBackend`):
-    stamp expressions lower to integer coefficient rows, each distinct row
-    evaluated once, exactly in int64, over the cached domain, and volumes
-    are counted with shifted comparisons on the candidate's dense
-    (time rank x PE) stamp grid, one grid per distinct reference of a
-    tensor.  Candidates without a grid (non-injective ones, grids past the
-    size bound) take ``interp``'s group-major kernel, and temporal
-    intervals past its window the engine's reference kernel.
+    The fast path (:class:`repro.core.backends.fused.FusedBackend`): on a
+    box domain each stamp expression splits into a constant plus one int64
+    vector per loop axis, and one broadcast sum of those vectors gives every
+    instance's cell in the candidate's dense (time x PE) stamp grid.
+    Volumes are counted with shifted comparisons on that grid, one grid per
+    distinct reference of a tensor.  Expressions that do not split, and
+    domains that are not a box, take ``interp``'s stamps; candidates without
+    a grid (non-injective ones, grids past the size bound) take ``interp``'s
+    group-major kernel, and temporal intervals past its window the engine's
+    reference kernel.
 ``auto``
     An alias of ``fused`` and the default.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.backends.base import EngineBackend, InterpBackend
+from repro.core.backends.base import EngineBackend, InterpBackend, Stamps
 from repro.core.backends.fused import FusedBackend
 from repro.errors import ExplorationError
 
@@ -54,5 +56,6 @@ __all__ = [
     "EngineBackend",
     "FusedBackend",
     "InterpBackend",
+    "Stamps",
     "make_backend",
 ]

@@ -2,9 +2,9 @@
 
 A backend decides *how* the per-candidate hot path of a sweep is computed:
 
-* how the dataflow's space/time stamp columns are evaluated over the cached
-  relations (interpreted expression trees vs compiled coefficient rows
-  memoised across candidates), and
+* how the dataflow's space/time stamps are evaluated over the cached
+  relations (interpreted expression trees, or per-axis vectors summed by
+  broadcasting over a box domain), and
 * which exact membership kernel counts the Table II volumes.
 
 Every backend is *exact*: reports are bit-identical across backends, so the
@@ -16,6 +16,7 @@ and the engine falls back to its reference kernel,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -27,6 +28,16 @@ from repro.core.volumes import VolumeMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.core.engine import EvaluationEngine, OpRelations
+
+
+@dataclass
+class Stamps:
+    """One candidate's stamps: every instance's linear PE index and dense
+    time rank.  A backend may return an object that builds either column
+    only when it is read."""
+
+    pe_lin: np.ndarray
+    t_rank: np.ndarray
 
 
 class EngineBackend:
@@ -57,14 +68,14 @@ class EngineBackend:
         relations: "OpRelations",
         dataflow: Dataflow,
         pe_array: PEArray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate one candidate's (PE, time-rank) columns over cached relations."""
+    ) -> Stamps:
+        """Evaluate one candidate's stamps over cached relations."""
         raise NotImplementedError
 
     # -- utilization -------------------------------------------------------------
 
     def utilization(
-        self, pe_lin: np.ndarray, t_rank: np.ndarray, num_pes: int
+        self, stamps: Stamps, num_pes: int
     ) -> tuple[UtilizationMetrics | None, object | None]:
         """``(metrics, grid)`` over cached relations.
 
@@ -76,7 +87,7 @@ class EngineBackend:
         """
         from repro.core.engine import _utilization_dense
 
-        return _utilization_dense(pe_lin, t_rank, num_pes), None
+        return _utilization_dense(stamps.pe_lin, stamps.t_rank, num_pes), None
 
     # -- volume kernels ---------------------------------------------------------
 
@@ -111,8 +122,7 @@ class EngineBackend:
         self,
         tensors: Sequence[str],
         dataflow: Dataflow,
-        pe_lin: np.ndarray,
-        t_rank: np.ndarray,
+        stamps: Stamps,
         relations: "OpRelations",
         *,
         assume_unique: bool,
@@ -122,15 +132,15 @@ class EngineBackend:
 
         ``grid`` is what :meth:`utilization` returned for the candidate.  The
         default evaluates tensors one by one; backends may override to batch
-        (the compiled backend runs the per-tensor kernels — pure numpy whose
+        (the fused backend runs the per-tensor kernels — pure numpy whose
         heavy ops release the GIL — on a shared thread pool).
         """
         return {
             tensor: self.volume_metrics(
                 tensor,
                 dataflow,
-                pe_lin,
-                t_rank,
+                stamps.pe_lin,
+                stamps.t_rank,
                 relations,
                 assume_unique=assume_unique,
             )
@@ -144,10 +154,10 @@ class InterpBackend(EngineBackend):
     Stamps go through :meth:`RelationMaterializer.stamps` (one
     ``AffExpr.evaluate_vec`` tree walk per expression per candidate) and
     volumes through the group-major sort/adjacency kernel.  This backend is
-    the reference the compiled backend is checked and benchmarked against.
+    the reference the fused backend is checked and benchmarked against.
     """
 
     name = "interp"
 
     def stamps(self, relations, dataflow, pe_array):
-        return self.materializer.stamps(relations, dataflow, pe_array)
+        return Stamps(*self.materializer.stamps(relations, dataflow, pe_array))

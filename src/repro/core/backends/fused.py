@@ -1,15 +1,24 @@
-"""The compiled backend: compiled stamp rows and the stamp-grid volume kernel.
+"""The fused backend: per-axis stamps and the stamp-grid volume kernel.
 
-:class:`FusedBackend` is the one compiled evaluation path (``fused``, and
-``auto``, its alias and the default).  It builds on the kernels of
-:mod:`repro.core.backends.affine` and removes two sources of redundancy from a
-sweep:
+:class:`FusedBackend` is the one fast evaluation path (``fused``, and
+``auto``, its alias and the default).  It removes two sources of redundancy
+from a sweep:
 
-* **Compiled stamps** — each candidate's stamp expressions lower to integer
-  coefficient rows, deduplicated across every candidate the backend sees and
-  evaluated once each, exactly in int64, over the cached domain; a row that
-  is a single column (``k``, ``floor(i/8)``, ``i mod 8``, ...) is that
-  column, with no arithmetic.  PE columns are memoised per space signature.
+* **Per-axis stamps** — on a box domain, a stamp expression whose
+  floor/mod/abs arguments each read one loop variable is a constant plus one
+  int64 vector per loop axis, at most the axis's extent long
+  (:func:`repro.isl.expr.split_axes`).  The PE range check and the time-key
+  bounds are exact Python-int sums of the per-axis extremes.  Each
+  instance's grid cell ``(key - min) * num_pes + pe`` is one broadcast sum
+  of per-axis vectors (:func:`repro.isl.enumeration.box_sum`), and when the
+  candidate is injective and its key dense that cell array *is* the stamp
+  grid: no time-key or rank column is built.  The linear PE column is
+  broadcast only when the live-direction memo or the engine's group-count
+  floors read it.  Candidates whose key is not dense, or whose grid would
+  pass the size bound, broadcast the key and PE columns and rank the keys;
+  a key that would wrap int64 is ranked one time coordinate at a time.
+  Expressions that do not split, and domains that are not a box, take the
+  interpreter's stamps (counted in ``stamp_fallback_exprs``).
 * **Stamp grid** — each instance's stamp ``t_rank * num_pes + pe_lin`` indexes
   a dense (time rank x PE) grid, built once per candidate by
   :meth:`FusedBackend.utilization` and handed by the engine to the volume
@@ -35,25 +44,23 @@ are exact, so reports are bit-identical to ``interp``.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from repro.arch.pe_array import PEArray
-from repro.core.backends.affine import (
-    CompiledEvaluator,
-    CompiledExprSet,
-    _evict_lru,
-)
-from repro.core.backends.base import EngineBackend
+from repro.core.backends.base import EngineBackend, Stamps
 from repro.core.dataflow import Dataflow
 from repro.core.utilization import UtilizationMetrics
 from repro.core.volumes import VolumeMetrics
 from repro.errors import DataflowError
+from repro.isl.enumeration import box_sum
+from repro.isl.expr import AxisSplit, combine_splits, split_axes
 
 #: Process-wide thread pool for per-tensor volume kernels, the engine's only
 #: in-process concurrency.  The kernels are pure numpy whose heavy operations
@@ -90,6 +97,74 @@ def _volume_pool() -> ThreadPoolExecutor | None:
     return _VOLUME_POOL[1]
 
 
+# -- per-axis stamps ---------------------------------------------------------------
+
+
+def _strides(extents: Sequence[int]) -> list[int]:
+    """Row-major strides of a mixed-radix number with these digit extents."""
+    strides = [1] * len(extents)
+    for index in range(len(extents) - 2, -1, -1):
+        strides[index] = strides[index + 1] * extents[index + 1]
+    return strides
+
+
+class SeparableStamps:
+    """One candidate's stamps on a box domain, kept as per-axis vectors.
+
+    The time key is the mixed-radix number of the time coordinates, each
+    less its exact minimum, so it ranges over ``[0, num_keys)``.  ``cell``
+    holds every instance's grid cell ``key * num_pes + pe``, one broadcast
+    sum, when ``num_keys * num_pes`` is within the grid bound, and ``None``
+    otherwise.  ``pe_lin`` and ``t_rank`` are broadcast when first read.
+    """
+
+    def __init__(
+        self,
+        shape: Sequence[int],
+        pe_splits: Sequence[AxisSplit],
+        pe_dims: Sequence[int],
+        time_splits: Sequence[AxisSplit],
+    ):
+        from repro.core.engine import _grid_fits
+
+        self.shape = tuple(shape)
+        num_pes = math.prod(pe_dims)
+        pe_weights = _strides(pe_dims)
+        self._pe = combine_splits(pe_splits, pe_weights, len(shape))
+        self._time = tuple(time_splits)
+        extents = [split.high - split.low + 1 for split in time_splits]
+        self.num_keys = math.prod(extents)
+        self._key_weights = _strides(extents)
+        self.cell: np.ndarray | None = None
+        if _grid_fits(self.num_keys * num_pes, math.prod(shape)):
+            _, vectors = combine_splits(
+                [*time_splits, *pe_splits],
+                [weight * num_pes for weight in self._key_weights] + pe_weights,
+                len(shape),
+            )
+            self.cell = box_sum(self.shape, vectors, self._pe[0])
+
+    @cached_property
+    def pe_lin(self) -> np.ndarray:
+        low, vectors = self._pe
+        return box_sum(self.shape, vectors, low)
+
+    @cached_property
+    def t_rank(self) -> np.ndarray:
+        from repro.core.engine import _rank_keys, time_ranks
+
+        axes = len(self.shape)
+        if self.num_keys < 1 << 63:
+            _, vectors = combine_splits(self._time, self._key_weights, axes)
+            return _rank_keys(box_sum(self.shape, vectors))
+        columns = [
+            box_sum(self.shape, combine_splits([split], [1], axes)[1])
+            for split in self._time
+        ]
+        bounds = [(0, split.high - split.low) for split in self._time]
+        return time_ranks(columns, bounds, math.prod(self.shape))
+
+
 # -- stamp grid --------------------------------------------------------------------
 
 
@@ -98,14 +173,16 @@ class StampGrid:
     """One injective candidate's dense (time rank x PE) stamp grid.
 
     Cell ``t * num_pes + p`` is PE ``p`` at time rank ``t``.  ``stamp`` holds
-    every instance's cell and ``occupied`` marks the cells an instance runs
-    in; injective means at most one instance per cell.
+    every instance's cell, ``occupied`` marks the cells an instance runs in
+    (injective means at most one instance per cell) and ``active`` counts
+    the occupied cells of each rank row.
     """
 
     stamp: np.ndarray
     occupied: np.ndarray
     num_ranks: int
     num_pes: int
+    active: np.ndarray
 
     @property
     def full(self) -> bool:
@@ -113,23 +190,17 @@ class StampGrid:
         return self.stamp.size == self.occupied.size
 
 
-def stamp_grid(pe_lin: np.ndarray, t_rank: np.ndarray, num_pes: int) -> StampGrid | None:
-    """The candidate's stamp grid, or ``None`` when the candidate is not
-    injective or the grid would dwarf the instance count."""
-    from repro.core.engine import _grid_fits
-
-    instances = pe_lin.size
-    if instances == 0:
-        return None
-    num_ranks = int(t_rank.max()) + 1
-    if not _grid_fits(num_ranks * num_pes, instances):
-        return None
-    stamp = t_rank * num_pes + pe_lin
+def stamp_grid(stamp: np.ndarray, num_ranks: int, num_pes: int) -> StampGrid | None:
+    """The grid of a candidate whose instances run in cells ``stamp`` of a
+    ``num_ranks x num_pes`` grid, or ``None`` when two instances share a
+    cell (the candidate is not injective)."""
+    instances = stamp.size
     occupied = np.zeros(num_ranks * num_pes, dtype=bool)
     occupied[stamp] = True
     if np.count_nonzero(occupied) != instances:
         return None
-    return StampGrid(stamp, occupied, num_ranks, num_pes)
+    active = np.count_nonzero(occupied.reshape(num_ranks, num_pes), axis=1)
+    return StampGrid(stamp, occupied, num_ranks, num_pes, active)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,36 +339,21 @@ def grid_volume_metrics(
 
 
 class FusedBackend(EngineBackend):
-    """Compiled stamp rows plus the stamp-grid volume kernel."""
+    """Per-axis stamps plus the stamp-grid volume kernel."""
 
     name = "fused"
 
-    #: Memory caps for the per-engine memos.
-    _PE_MEMO_ENTRIES, _PE_MEMO_BYTES = 64, 256 << 20
     _DIRECTION_MEMO_ENTRIES = 32
 
     def __init__(self, engine):
         super().__init__(engine)
-        self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
         #: Live link directions per (space signature, tensor).
         self._direction_memo: OrderedDict[tuple, tuple[Direction, ...]] = OrderedDict()
-        #: Shared (expression set, evaluator) per cached-relations object.
-        self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
         #: Grid element ids per tensor, for one cached-relations object.
         self._ids: tuple[object, dict[str, tuple[np.ndarray, ...]]] | None = None
         self.directions = link_directions(
             self.predecessor_table, self.num_pes, self.spatial_interval
         )
-
-    def compiled_for(self, relations) -> tuple[CompiledExprSet, CompiledEvaluator]:
-        """The backend-wide compiled expression set for one relations object."""
-        cached = self._compiled
-        if cached is not None and cached[0] is relations:
-            return cached[1], cached[2]
-        exprs = CompiledExprSet(self.loop_dims)
-        evaluator = CompiledEvaluator(exprs, relations.domain, relations.total)
-        self._compiled = (relations, exprs, evaluator)
-        return exprs, evaluator
 
     # -- stamps -----------------------------------------------------------------
 
@@ -309,85 +365,57 @@ class FusedBackend(EngineBackend):
             dataflow._pe_signature = signature
         return signature
 
-    def _column(self, relations, expr) -> np.ndarray:
-        """One stamp expression's values: a compiled row, or the interpreter
-        for expressions that do not lower."""
-        exprs, evaluator = self.compiled_for(relations)
-        kind, index = exprs.add(expr)
-        if kind == "row":
-            return evaluator.evaluate_rows([index])[index]
-        self.stats["stamp_fallback_exprs"] += 1
-        return evaluator.evaluate_interp(index)
-
-    def _pe_lin(self, relations, dataflow: Dataflow, pe_array: PEArray) -> np.ndarray:
-        """The candidate's linear PE column, memoised per space signature; a
-        signature that maps instances outside the array is memoised as a
-        failure and raises for every candidate that has it."""
-        signature = self.pe_signature(dataflow)
-        memo = self._pe_memo
-        if signature in memo:
-            pe_lin = memo[signature]
-        else:
-            pe_lin = np.zeros(relations.total, dtype=np.int64)
-            for extent, expr in zip(pe_array.dims, dataflow.pe_exprs):
-                column = self._column(relations, expr)
-                if (column < 0).any() or (column >= extent).any():
-                    pe_lin = None
-                    break
-                pe_lin = pe_lin * extent + column
-            memo[signature] = pe_lin
-            _evict_lru(
-                memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
-                lambda a: a.nbytes if a is not None else 0,
-            )
-        memo.move_to_end(signature)
-        if pe_lin is None:
-            raise DataflowError(
-                f"dataflow {dataflow.name!r} maps instances outside the "
-                f"{pe_array} array"
-            )
-        return pe_lin
-
     def stamps(self, relations, dataflow, pe_array):
-        from repro.core.engine import _rank_keys
+        """Per-axis stamps on a box domain; the interpreter's otherwise, or
+        when an expression does not split."""
+        exprs = dataflow.pe_exprs + dataflow.time_exprs
+        axes = relations.axes
+        splits = [] if axes is None else [split_axes(e, self.loop_dims, axes) for e in exprs]
+        unsplit = len(exprs) if axes is None else sum(split is None for split in splits)
+        if unsplit:
+            self.stats["stamp_fallback_exprs"] += unsplit
+            return Stamps(*self.materializer.stamps(relations, dataflow, pe_array))
+        rank = len(dataflow.pe_exprs)
+        for extent, split in zip(pe_array.dims, splits[:rank]):
+            if split.low < 0 or split.high >= extent:
+                raise DataflowError(
+                    f"dataflow {dataflow.name!r} maps instances outside the "
+                    f"{pe_array} array"
+                )
+        return SeparableStamps(
+            [axis.size for axis in axes], splits[:rank], pe_array.dims, splits[rank:]
+        )
 
-        pe_lin = self._pe_lin(relations, dataflow, pe_array)
-        bounds = relations.inclusive_bounds
-        time_key: np.ndarray | None = None
-        for expr in dataflow.time_exprs:
-            lo, hi = expr.bounds(bounds)
-            column = self._column(relations, expr)
-            if time_key is None:
-                time_key = column - lo  # owned copy; columns stay cached
-            else:
-                time_key *= hi - lo + 1
-                time_key += column
-                if lo:
-                    time_key -= lo
-        if time_key is None:
-            time_key = np.zeros(relations.total, dtype=np.int64)
-        return pe_lin, _rank_keys(time_key)
-
-    def utilization(self, pe_lin, t_rank, num_pes):
+    def utilization(self, stamps, num_pes):
         """Utilization read off the stamp grid, which is returned too when
         the candidate is injective: every rank is occupied, the compute
         delay is the rank count, and the occupied cells per rank are the
-        active PEs."""
-        from repro.core.engine import _utilization_dense
+        active PEs.
 
-        grid = stamp_grid(pe_lin, t_rank, num_pes)
+        A per-axis candidate's grid cells index its time keys, which are its
+        ranks when every key row holds an instance; otherwise the keys are
+        ranked and the grid rebuilt on the ranks.  A candidate that is not
+        injective on its keys is not injective on its ranks either.
+        """
+        from repro.core.engine import _grid_fits, _utilization_dense
+
+        cell = stamps.cell if isinstance(stamps, SeparableStamps) else None
+        grid = None if cell is None else stamp_grid(cell, stamps.num_keys, num_pes)
+        if cell is None or (grid is not None and not grid.active.all()):
+            t_rank = stamps.t_rank
+            num_ranks = int(t_rank.max()) + 1
+            grid = None
+            if _grid_fits(num_ranks * num_pes, t_rank.size):
+                grid = stamp_grid(t_rank * num_pes + stamps.pe_lin, num_ranks, num_pes)
         if grid is None:
-            return _utilization_dense(pe_lin, t_rank, num_pes), None
-        active = np.count_nonzero(
-            grid.occupied.reshape(grid.num_ranks, num_pes), axis=1
-        )
+            return _utilization_dense(stamps.pe_lin, stamps.t_rank, num_pes), None
         metrics = UtilizationMetrics(
-            num_instances=int(pe_lin.size),
+            num_instances=int(grid.stamp.size),
             num_pes=num_pes,
             num_time_stamps=grid.num_ranks,
-            occupied_stamps=int(pe_lin.size),
+            occupied_stamps=int(grid.stamp.size),
             compute_delay_cycles=grid.num_ranks,
-            max_active_pes=int(active.max()),
+            max_active_pes=int(grid.active.max()),
         )
         return metrics, grid
 
@@ -434,8 +462,7 @@ class FusedBackend(EngineBackend):
         )
 
     def volume_metrics_many(
-        self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
-        grid=None,
+        self, tensors, dataflow, stamps, relations, *, assume_unique, grid=None,
     ):
         """The grid kernel for every tensor of a candidate with a stamp grid;
         without one (non-injective, or past the size bound) the group-major
@@ -452,7 +479,7 @@ class FusedBackend(EngineBackend):
                 live = memo.get(key)
                 if live is None:
                     live = memo[key] = self._live_directions(
-                        pe_lin, ids[tensor], relations.tensors[tensor].footprint
+                        stamps.pe_lin, ids[tensor], relations.tensors[tensor].footprint
                     )
                 memo.move_to_end(key)
                 directions[tensor] = live
@@ -462,7 +489,7 @@ class FusedBackend(EngineBackend):
         def volume(tensor):
             if grid is None:
                 return self.volume_metrics(
-                    tensor, dataflow, pe_lin, t_rank, relations,
+                    tensor, dataflow, stamps.pe_lin, stamps.t_rank, relations,
                     assume_unique=assume_unique,
                 )
             return grid_volume_metrics(

@@ -115,34 +115,6 @@ class Dataflow:
     def time_exprs(self) -> tuple[AffExpr, ...]:
         return self.time_map.out_exprs
 
-    @property
-    def is_affine(self) -> bool:
-        """True when every stamp expression is purely affine (no floor/mod/abs).
-
-        Purely affine dataflows compile to a single coefficient matrix; quasi
-        terms need derived columns or the interpreter (see
-        :mod:`repro.core.backends.affine`).
-        """
-        return all(e.is_affine for e in self.pe_exprs + self.time_exprs)
-
-    def stamp_rows(
-        self, dims: Sequence[str] | None = None
-    ) -> tuple[list[tuple[tuple[int, ...], int] | None], list[tuple[tuple[int, ...], int] | None]]:
-        """Affine coefficient rows of the stamp expressions over ``dims``.
-
-        Introspection/debugging view of the dataflow as an integer matrix:
-        ``(pe_rows, time_rows)`` where each entry is ``(coefficients,
-        constant)`` for a purely affine expression and ``None`` for one with
-        quasi terms.  The compiled backends lower expressions through
-        :meth:`AffExpr.linear_row` directly (handling quasi terms as derived
-        columns); this method mirrors that per-expression view for callers.
-        ``dims`` defaults to the iteration dimensions.
-        """
-        dims = tuple(dims) if dims is not None else self.iteration_dims
-        def row(expr: AffExpr):
-            return expr.linear_row(dims) if expr.is_affine else None
-        return [row(e) for e in self.pe_exprs], [row(e) for e in self.time_exprs]
-
     def bind(self, op: TensorOp) -> "Dataflow":
         """Return a copy whose maps are restricted to the operation's domain."""
         if self.iteration_dims != op.domain.space.dims:
@@ -232,13 +204,12 @@ class Dataflow:
         if rank_mismatch is not None:
             return DataflowValidation(False, 0, 0, 0, 0, [rank_mismatch])
 
-        time_bounds = self.time_bounds(op)
-        time_extents = [hi - lo + 1 for lo, hi in time_bounds]
-        time_lows = [lo for lo, _ in time_bounds]
+        from repro.core.engine import time_ranks
 
         num_instances = 0
         out_of_range = 0
-        stamp_keys: list[np.ndarray] = []
+        pe_parts: list[np.ndarray] = []
+        time_parts: list[np.ndarray] = []
         for chunk in op.domain.chunks(chunk_size):
             length = chunk_length(chunk)
             num_instances += length
@@ -250,16 +221,19 @@ class Dataflow:
             pe_lin = np.zeros(length, dtype=np.int64)
             for axis, extent in enumerate(pe_array.dims):
                 pe_lin = pe_lin * extent + np.clip(pe[:, axis], 0, extent - 1)
-            time_key = np.zeros(length, dtype=np.int64)
-            for axis, extent in enumerate(time_extents):
-                time_key = time_key * extent + (time[:, axis] - time_lows[axis])
-            stamp_keys.append(time_key * pe_array.size + pe_lin)
+            pe_parts.append(pe_lin)
+            time_parts.append(time)
 
         if num_instances == 0:
             return DataflowValidation(False, 0, 0, 0, 0, ["empty iteration domain"])
 
-        all_keys = np.concatenate(stamp_keys)
-        unique_keys, counts = np.unique(all_keys, return_counts=True)
+        # Spacetime stamps are (time stamp, PE) tuples: rank them
+        # lexicographically, which no wide time bound can make wrap.
+        time = np.concatenate(time_parts)
+        columns = [time[:, axis] for axis in range(time.shape[1])]
+        columns.append(np.concatenate(pe_parts))
+        bounds = self.time_bounds(op) + [(0, pe_array.size - 1)]
+        counts = np.bincount(time_ranks(columns, bounds, num_instances))
         max_per_stamp = int(counts.max())
         if out_of_range:
             messages.append(f"{out_of_range} instances map outside the {pe_array} array")
@@ -272,7 +246,7 @@ class Dataflow:
         return DataflowValidation(
             is_valid,
             num_instances,
-            int(unique_keys.size),
+            int(counts.size),
             max_per_stamp,
             out_of_range,
             messages,

@@ -10,18 +10,21 @@ that observation into an architectural seam:
 * :class:`RelationMaterializer` extracts relation materialisation out of the
   analyzer.  Without a cache it streams the iteration domain chunk by chunk,
   exactly like the original analyzer.  With a :class:`RelationCache` attached
-  it materialises the dataflow-independent relations once per
-  ``(operation, chunk_size)`` and re-evaluates only the PE/time stamps per
-  candidate.  Element keys are densified by a presence bitmap rather than a
-  sort, and the cached domain columns are read-only.
+  it materialises the dataflow-independent relations once per operation and
+  re-evaluates only the PE/time stamps per candidate.  On a box domain the
+  domain columns and each reference's element keys are broadcast sums of
+  per-axis vectors; keys are densified by a presence bitmap rather than a
+  sort, and the cached arrays are read-only.
 * :class:`RelationCache` is a small LRU keyed by the operation's structural
   signature, so sweeps over many operations can share one cache.
 * :class:`EvaluationEngine` evaluates batches of candidate dataflows, one
   candidate at a time, through one of two bit-identical backends (the
-  interpreted reference or the fused compiled path), with objective-aware
+  interpreted reference or the fused per-axis path), with objective-aware
   early termination and a report memo keyed by ``(operation, dataflow
   signature, architecture)``.  Its interconnect's predecessor table is
   shared with every engine over an equal architecture.
+* :func:`time_ranks` ranks time stamps lexicographically; it never lets a
+  mixed-radix key wrap int64.
 
 An engine evaluates in its calling thread; the fused backend fans one
 candidate's per-tensor volume kernels out over a small thread pool.  Sweeps
@@ -34,6 +37,7 @@ thin wrapper over the streaming materialiser and the shared metric pipeline.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -44,7 +48,7 @@ import numpy as np
 
 from repro.arch.pe_array import PEArray
 from repro.arch.spec import ArchSpec
-from repro.core.backends import make_backend
+from repro.core.backends import Stamps, make_backend
 from repro.core.bandwidth import compute_bandwidth
 from repro.core.dataflow import Dataflow
 from repro.core.energy_model import compute_energy
@@ -54,7 +58,8 @@ from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import UtilizationMetrics, compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
 from repro.errors import DataflowError, ExplorationError, ModelError, SpaceError
-from repro.isl.enumeration import chunk_length, sorted_unique
+from repro.isl.enumeration import box_sum, chunk_length, sorted_unique
+from repro.isl.expr import combine_splits, split_axes
 from repro.tensor.operation import TensorOp
 
 # -- signatures -------------------------------------------------------------------
@@ -142,7 +147,6 @@ class OpRelations:
     """Everything about an operation's relations that no dataflow can change."""
 
     signature: str
-    chunk_size: int
     total: int
     #: The full iteration domain, one int64 array per loop dimension.
     domain: dict[str, np.ndarray]
@@ -150,16 +154,27 @@ class OpRelations:
     element_bounds: dict[str, TensorColumns]
     #: Inclusive per-dimension bounds, for time/PE expression intervals.
     inclusive_bounds: dict[str, tuple[int, int]]
+    #: Per loop dimension, the values it takes when the domain is a box (the
+    #: domain then lists the box in lexicographic order); ``None`` when other
+    #: constraints filter the box.
+    axes: tuple[np.ndarray, ...] | None
 
     def nbytes(self) -> int:
-        total = sum(a.nbytes for a in self.domain.values())
+        arrays = {id(a): a for a in self.domain.values()}
         for rel in self.tensors.values():
-            total += rel.dense_keys.nbytes + sum(a.nbytes for a in rel.raw_keys)
-        return total
+            # A dense single-reference key array is its own rank.
+            arrays.update((id(a), a) for a in (rel.dense_keys, *rel.raw_keys))
+        return sum(a.nbytes for a in arrays.values())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it."""
+    array.flags.writeable = False
+    return array
 
 
 class RelationCache:
-    """LRU cache of :class:`OpRelations`, keyed by (op signature, chunk size)."""
+    """LRU cache of :class:`OpRelations`, keyed by op signature."""
 
     def __init__(
         self,
@@ -172,14 +187,14 @@ class RelationCache:
         self.max_instances = int(max_instances)
         #: Total byte budget across entries (at least one entry is kept).
         self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple[str, int], OpRelations] = OrderedDict()
+        self._entries: OrderedDict[str, OpRelations] = OrderedDict()
         # Engines of concurrent server threads share one cache; the lock keeps
         # the LRU bookkeeping (move_to_end / eviction scans) coherent.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple[str, int]) -> OpRelations | None:
+    def get(self, key: str) -> OpRelations | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -189,7 +204,7 @@ class RelationCache:
                 self.misses += 1
             return entry
 
-    def put(self, key: tuple[str, int], relations: OpRelations) -> None:
+    def put(self, key: str, relations: OpRelations) -> None:
         with self._lock:
             self._entries[key] = relations
             self._entries.move_to_end(key)
@@ -267,7 +282,7 @@ class RelationMaterializer:
         """Build (or fetch) the cached relations; ``None`` when uncacheable."""
         if self.cache is None:
             return None
-        key = (self._signature, self.chunk_size)
+        key = self._signature
         cached = self.cache.get(key)
         if cached is not None:
             if cached.total > max_instances:
@@ -286,56 +301,64 @@ class RelationMaterializer:
 
     def _build_relations(self, max_instances: int) -> OpRelations | None:
         element_bounds = self.element_bounds()
+        inclusive = self.inclusive_bounds()
         dims = self.op.loop_dims
         domain_parts: dict[str, list[np.ndarray]] = {dim: [] for dim in dims}
-        element_parts: dict[str, list[list[np.ndarray]]] = {
-            tensor: [[] for _ in self.op.accesses_to(tensor)]
-            for tensor in self.op.tensor_names
-        }
         total = 0
-        for chunk in self.op.domain.chunks(self.chunk_size):
-            length = chunk_length(chunk)
-            total += length
+        axes = None
+        if self.op.domain.is_box:
+            # A box's columns are broadcasts of its axes, in the order the
+            # chunks would list them.
+            axes = tuple(
+                _read_only(np.arange(lo, hi + 1, dtype=np.int64))
+                for lo, hi in (inclusive[dim] for dim in dims)
+            )
+            shape = [axis.size for axis in axes]
+            total = math.prod(shape)
             if total > max_instances:
                 return None
-            for dim in dims:
-                domain_parts[dim].append(np.asarray(chunk[dim], dtype=np.int64))
-            for tensor in self.op.tensor_names:
-                columns = element_bounds[tensor]
-                for index, access in enumerate(self.op.accesses_to(tensor)):
-                    coordinate_arrays = [
-                        expr.evaluate_vec(chunk) for expr in access.relation.out_exprs
-                    ]
-                    element_parts[tensor][index].append(
-                        columns.encode_columns(coordinate_arrays)
-                    )
+            for index, dim in enumerate(dims):
+                vectors = [axes[index] if other == index else None for other in range(len(dims))]
+                domain_parts[dim].append(box_sum(shape, vectors))
+        else:
+            for chunk in self.op.domain.chunks(self.chunk_size):
+                total += chunk_length(chunk)
+                if total > max_instances:
+                    return None
+                for dim in dims:
+                    domain_parts[dim].append(np.asarray(chunk[dim], dtype=np.int64))
         if total == 0:
             raise ModelError(f"operation {self.op.name} has an empty iteration domain")
 
-        domain = {dim: np.concatenate(parts) for dim, parts in domain_parts.items()}
-        for column in domain.values():
-            # Compiled stamp rows hand these out as columns: no caller may
-            # write through one into the cache.
-            column.flags.writeable = False
+        # The cache shares these arrays with every engine over the op: none
+        # may be written through.
+        domain = {
+            dim: _read_only(parts[0] if len(parts) == 1 else np.concatenate(parts))
+            for dim, parts in domain_parts.items()
+        }
         tensors: dict[str, TensorRelations] = {}
-        for tensor, per_reference in element_parts.items():
-            raw = [np.concatenate(parts) for parts in per_reference]
+        for tensor in self.op.tensor_names:
+            columns = element_bounds[tensor]
+            raw = [
+                _read_only(_element_keys(access.relation.out_exprs, columns, domain, dims, axes))
+                for access in self.op.accesses_to(tensor)
+            ]
             combined = raw[0] if len(raw) == 1 else np.concatenate(raw)
-            dense = _rank_keys(combined)
+            dense = _read_only(_rank_keys(combined))
             tensors[tensor] = TensorRelations(
                 raw_keys=raw,
                 dense_keys=dense,
-                extent=element_bounds[tensor].extent,
+                extent=columns.extent,
                 footprint=int(dense.max()) + 1,
             )
         return OpRelations(
             signature=self._signature,
-            chunk_size=self.chunk_size,
             total=total,
             domain=domain,
             tensors=tensors,
             element_bounds=element_bounds,
-            inclusive_bounds=self.inclusive_bounds(),
+            inclusive_bounds=inclusive,
+            axes=axes,
         )
 
     # -- stamp evaluation ---------------------------------------------------------
@@ -371,11 +394,8 @@ class RelationMaterializer:
                 self._stamp_memo.popitem(last=False)
 
         time_bounds = [expr.bounds(relations.inclusive_bounds) for expr in dataflow.time_exprs]
-        time_key = np.zeros(length, dtype=np.int64)
-        for (lo, hi), expr in zip(time_bounds, dataflow.time_exprs):
-            extent = hi - lo + 1
-            time_key = time_key * extent + (expr.evaluate_vec(chunk) - lo)
-        return pe_lin, _rank_keys(time_key)
+        columns = [expr.evaluate_vec(chunk) for expr in dataflow.time_exprs]
+        return pe_lin, time_ranks(columns, time_bounds, length)
 
     # -- streaming materialisation ---------------------------------------------------
 
@@ -395,12 +415,13 @@ class RelationMaterializer:
         op = self.op
         pe_dims = pe_array.dims
         time_bounds = dataflow.time_bounds(op)
-        time_extents = [hi - lo + 1 for lo, hi in time_bounds]
-        time_lows = [lo for lo, _ in time_bounds]
+        # One mixed-radix key per chunk, unless it would wrap int64; then
+        # every time column is kept and the stamps are ranked at the end.
+        keyed = _radix_fits(time_bounds)
         element_bounds = self.element_bounds()
 
         pe_parts: list[np.ndarray] = []
-        time_parts: list[np.ndarray] = []
+        time_parts: list[list[np.ndarray]] = []
         element_parts: dict[str, list[list[np.ndarray]]] = {
             tensor: [[] for _ in op.accesses_to(tensor)]
             for tensor in op.tensor_names
@@ -427,10 +448,8 @@ class RelationMaterializer:
                 pe_lin = pe_lin * extent + column
             pe_parts.append(pe_lin)
 
-            time_key = np.zeros(length, dtype=np.int64)
-            for axis, (extent, expr) in enumerate(zip(time_extents, dataflow.time_exprs)):
-                time_key = time_key * extent + (expr.evaluate_vec(chunk) - time_lows[axis])
-            time_parts.append(time_key)
+            stamps = [expr.evaluate_vec(chunk) for expr in dataflow.time_exprs]
+            time_parts.append([_time_key(stamps, time_bounds, length)] if keyed else stamps)
 
             for tensor in op.tensor_names:
                 columns = element_bounds[tensor]
@@ -446,9 +465,12 @@ class RelationMaterializer:
             raise ModelError(f"operation {op.name} has an empty iteration domain")
 
         pe_lin = np.concatenate(pe_parts)
-        time_keys = np.concatenate(time_parts)
-        unique_times = sorted_unique(time_keys)
-        t_rank = np.searchsorted(unique_times, time_keys)
+        time_columns = [np.concatenate(parts) for parts in zip(*time_parts)]
+        if keyed:
+            unique_times = sorted_unique(time_columns[0])
+            t_rank = np.searchsorted(unique_times, time_columns[0])
+        else:
+            t_rank = time_ranks(time_columns, time_bounds, total)
 
         element_keys = {
             tensor: [np.concatenate(parts) for parts in per_reference]
@@ -463,13 +485,41 @@ class RelationMaterializer:
 # -- fast exact helpers ---------------------------------------------------------------
 
 
+def _element_keys(
+    exprs: Sequence,
+    columns: TensorColumns,
+    domain: dict[str, np.ndarray],
+    dims: Sequence[str],
+    axes: tuple[np.ndarray, ...] | None,
+) -> np.ndarray:
+    """One reference's mixed-radix element keys.
+
+    On a box domain whose coordinates all split per axis the keys are one
+    broadcast sum of per-axis vectors; otherwise ``encode_columns`` of the
+    coordinates evaluated over the domain.  Both give the same keys.
+    """
+    if axes is not None and columns.extent < 1 << 63:
+        splits = [split_axes(expr, dims, axes) for expr in exprs]
+        if None not in splits:
+            scales = []
+            scale = 1
+            for lo, hi in columns.bounds:
+                scales.append(scale)
+                scale *= max(1, hi - lo + 1)
+            low, vectors = combine_splits(splits, scales, len(dims))
+            base = sum(s * lo for s, (lo, _) in zip(scales, columns.bounds))
+            return box_sum([axis.size for axis in axes], vectors, low - base)
+    return columns.encode_columns([expr.evaluate_vec(domain) for expr in exprs])
+
+
 def _rank_keys(keys: np.ndarray) -> np.ndarray:
     """Dense lexicographic rank of every key (``searchsorted(unique, keys)``).
 
     When the key range is comparable to the array length a presence bitmap
     over ``[min, max]`` and a cumulative sum replace the sort, which is the
     common case for time-stamp keys built from tight per-dimension bounds and
-    for mixed-radix element keys.
+    for mixed-radix element keys.  Keys that cover their range are their own
+    rank less the minimum (``keys`` itself when that is 0).
     """
     if keys.size == 0:
         return keys
@@ -479,11 +529,50 @@ def _rank_keys(keys: np.ndarray) -> np.ndarray:
         offsets = keys - low if low else keys
         presence = np.zeros(span + 1, dtype=bool)
         presence[offsets] = True
+        if presence.all():
+            return offsets
         lut = np.cumsum(presence)
         lut -= 1
         return lut[offsets]
     unique_keys = sorted_unique(keys)
     return np.searchsorted(unique_keys, keys)
+
+
+def _radix_fits(bounds: Sequence[tuple[int, int]]) -> bool:
+    """Whether the mixed-radix key over inclusive ``bounds`` fits in int64."""
+    return math.prod(hi - lo + 1 for lo, hi in bounds) < 1 << 63
+
+
+def _time_key(
+    columns: Sequence[np.ndarray], bounds: Sequence[tuple[int, int]], length: int
+) -> np.ndarray:
+    """The mixed-radix key of time-stamp ``columns`` over their inclusive
+    ``bounds``, first column most significant; requires :func:`_radix_fits`."""
+    key = np.zeros(length, dtype=np.int64)
+    for column, (lo, hi) in zip(columns, bounds):
+        key = key * (hi - lo + 1) + (column - lo)
+    return key
+
+
+def time_ranks(
+    columns: Sequence[np.ndarray], bounds: Sequence[tuple[int, int]], length: int
+) -> np.ndarray:
+    """Dense lexicographic rank of ``length`` time stamps.
+
+    ``columns`` hold the time-stamp coordinates, each within its inclusive
+    ``bounds``.  The mixed-radix key over those bounds is ranked when the
+    product of the extents fits in int64.  Past that the key would wrap and
+    merge distinct stamps, so the stamps are ranked one coordinate at a time:
+    each step ranks ``rank * width + digit``, which stays below
+    ``length ** 2``.
+    """
+    if _radix_fits(bounds):
+        return _rank_keys(_time_key(columns, bounds, length))
+    rank = np.zeros(length, dtype=np.int64)
+    for column in columns:
+        digits = _rank_keys(column)
+        rank = _rank_keys(rank * (int(digits.max()) + 1) + digits)
+    return rank
 
 
 def _grid_fits(cells: int, instances: int) -> bool:
@@ -860,7 +949,8 @@ class EvaluationEngine:
     shared :class:`RelationCache`), a report memo, and the batched sweep
     logic: objective-aware early termination and the stamp and volume
     kernels of its backend (``interp``, the reference, or ``fused``/``auto``,
-    the compiled path; see :mod:`repro.core.backends`).
+    per-axis stamps and the stamp-grid kernel; see
+    :mod:`repro.core.backends`).
     Reports are bit-identical to
     :meth:`repro.core.analyzer.TenetAnalyzer.analyze` (modulo the wall-clock
     ``analysis_seconds`` field) whichever backend runs.
@@ -905,10 +995,12 @@ class EvaluationEngine:
             # Candidates evaluated without cached relations (op above the
             # cache's max_instances guard): correct but not accelerated.
             "streaming_path": 0,
-            # Per-tensor evaluations on the compiled backend's grid kernel.
+            # Per-tensor evaluations on the fused backend's grid kernel.
             "fused_path": 0,
-            # Stamp expressions the compiled backend handed back to the
-            # interpreter (nested floor/mod/abs terms).
+            # Stamp expressions the fused backend could not split per axis
+            # (a floor/mod/abs argument over several loop variables, or a
+            # domain that is not a box); their candidates' stamps come from
+            # the interpreter.
             "stamp_fallback_exprs": 0,
         }
         #: Wall-clock seconds per pipeline stage, for ``tenet explore
@@ -995,22 +1087,23 @@ class EvaluationEngine:
         mark = now
 
         if relations is not None:
-            pe_lin, t_rank = self.backend.stamps(relations, bound, self.arch.pe_array)
+            stamps = self.backend.stamps(relations, bound, self.arch.pe_array)
             element_keys = None
         else:
             self.stats["streaming_path"] += 1
             pe_lin, t_rank, element_keys, element_extents = self.materializer.materialize(
                 bound, self.arch.pe_array, self.max_instances
             )
+            stamps = Stamps(pe_lin, t_rank)
         now = time.perf_counter()
         stage["stamps"] += now - mark
         mark = now
 
         utilization = grid = None
         if relations is not None:
-            utilization, grid = self.backend.utilization(pe_lin, t_rank, num_pes)
+            utilization, grid = self.backend.utilization(stamps, num_pes)
         if utilization is None:
-            utilization = compute_utilization(pe_lin, t_rank, num_pes)
+            utilization = compute_utilization(stamps.pe_lin, stamps.t_rank, num_pes)
         now = time.perf_counter()
         stage["utilization"] += now - mark
         mark = now
@@ -1027,7 +1120,7 @@ class EvaluationEngine:
                         # floor depends on the candidate's PE assignment, so it
                         # discriminates where the constant per-op footprint
                         # floor cannot.
-                        floors = self._group_count_floors(pe_lin, relations)
+                        floors = self._group_count_floors(stamps.pe_lin, relations)
                     else:
                         floors = {
                             t: rel.footprint for t, rel in relations.tensors.items()
@@ -1041,8 +1134,7 @@ class EvaluationEngine:
             backend_metrics = self.backend.volume_metrics_many(
                 self.op.tensor_names,
                 bound,
-                pe_lin,
-                t_rank,
+                stamps,
                 relations,
                 assume_unique=utilization.is_injective,
                 grid=grid,
@@ -1062,7 +1154,8 @@ class EvaluationEngine:
                     per_reference = element_keys[tensor]
                     extent = element_extents[tensor]
                 metrics = reference_volume_metrics(
-                    tensor, pe_lin, t_rank, per_reference, extent, self._spacetime
+                    tensor, stamps.pe_lin, stamps.t_rank, per_reference, extent,
+                    self._spacetime,
                 )
             volumes[tensor] = metrics
         now = time.perf_counter()

@@ -78,6 +78,26 @@ def iter_box_chunks(
         yield chunk
 
 
+def box_sum(
+    shape: Sequence[int], vectors: Sequence[np.ndarray | None], const: int = 0
+) -> np.ndarray:
+    """``const + sum(vectors[a][x_a])`` at every point of the box of
+    ``shape``, in the lexicographic order of :func:`iter_box_chunks`.
+
+    ``vectors[a]`` holds one value per coordinate of axis ``a`` (``None``
+    adds nothing).  The sum is built from the last axis to the first, so the
+    final ``np.add.outer`` has the longest inner loop; built the other way, a
+    short last axis (a 3x3 filter) makes the largest step the slowest.
+    """
+    result = np.full(1, const, dtype=np.int64)
+    for extent, vector in zip(reversed(shape), reversed(vectors)):
+        if vector is None:
+            result = np.tile(result, extent)
+        else:
+            result = np.add.outer(vector, result).ravel()
+    return result
+
+
 def filter_chunk(
     chunk: dict[str, np.ndarray],
     constraints: Iterable[Constraint],

@@ -185,24 +185,6 @@ class AffExpr:
     def coefficient(self, name: str) -> int:
         return self.terms.get(name, 0)
 
-    def linear_row(self, dims: "Sequence[str]") -> tuple[tuple[int, ...], int]:
-        """Coefficients of the *affine part* over ``dims`` plus the constant.
-
-        This is the introspection hook used by the compiled stamp kernels: an
-        affine expression becomes one row of an integer coefficient matrix.
-        Quasi terms (floor/mod/abs) are not represented here — callers lower
-        them to derived columns or fall back to :meth:`evaluate_vec`.  Raises
-        :class:`SpaceError` when the affine part references a variable outside
-        ``dims``.
-        """
-        known = set(dims)
-        for name in self.terms:
-            if name not in known:
-                raise SpaceError(
-                    f"expression references {name!r} outside the dimensions {tuple(dims)}"
-                )
-        return tuple(self.terms.get(dim, 0) for dim in dims), self.const
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: ExprLike) -> "AffExpr":
@@ -407,6 +389,89 @@ class AffExpr:
 
     def __repr__(self) -> str:
         return f"AffExpr({self})"
+
+
+@dataclass(frozen=True, eq=False)
+class AxisSplit:
+    """An expression over a box domain as a constant plus one function per axis.
+
+    ``vectors[a][x - lo_a]`` is the part that depends on axis ``a`` at value
+    ``x`` (``None`` for an axis the expression does not read), so the
+    expression at a point is ``const`` plus one entry of every vector.
+    Every combination of axis values occurs in a box, so ``low`` and
+    ``high``, the sums of the per-axis extremes, are the expression's exact
+    extremes over it.
+    """
+
+    const: int
+    vectors: tuple[np.ndarray | None, ...]
+    low: int
+    high: int
+
+
+def split_axes(
+    expr: AffExpr, dims: Sequence[str], axes: Sequence[np.ndarray]
+) -> AxisSplit | None:
+    """Split ``expr`` over the box whose dimension ``dims[a]`` takes the
+    values ``axes[a]``.
+
+    A linear term, and a floor/mod/abs term whose argument reads one loop
+    variable (nested or not), depend on one axis each; their vectors are
+    evaluated by :meth:`AffExpr.evaluate_vec` on that axis's values, so the
+    sums equal ``evaluate_vec`` over the box exactly.  Returns ``None`` when
+    a floor/mod/abs argument reads several variables (the term is no sum of
+    per-axis functions), when the expression reads a variable outside
+    ``dims``, or when its extremes leave int64.
+    """
+    index = {dim: axis for axis, dim in enumerate(dims)}
+    vectors: list[np.ndarray | None] = [None] * len(dims)
+
+    def add(name: str, values: np.ndarray) -> None:
+        axis = index[name]
+        vectors[axis] = values if vectors[axis] is None else vectors[axis] + values
+
+    for name, coeff in expr.terms.items():
+        if name not in index:
+            return None
+        add(name, coeff * axes[index[name]])
+    for coeff, term in expr.quasi:
+        names = term.variables()
+        if len(names) != 1:
+            return None
+        (name,) = names
+        if name not in index:
+            return None
+        add(name, coeff * term.evaluate_vec({name: axes[index[name]]}))
+    low = high = expr.const
+    for vector in vectors:
+        if vector is not None:
+            low += int(vector.min())
+            high += int(vector.max())
+    if low < -(1 << 63) or high >= 1 << 63:
+        return None
+    return AxisSplit(expr.const, tuple(vectors), low, high)
+
+
+def combine_splits(
+    splits: Sequence[AxisSplit], weights: Sequence[int], num_axes: int
+) -> tuple[int, list[np.ndarray | None]]:
+    """``sum(weights[e] * splits[e])`` as ``(low, vectors)``.
+
+    ``low`` is ``sum(weights[e] * splits[e].low)``, the sum's minimum for
+    non-negative weights, and each axis's vector is shifted to a minimum of
+    0, so the sum at a point is ``low`` plus one entry of every vector.  No
+    partial sum of those entries exceeds the sum's range, so int64 holds
+    every step whenever it holds ``max - low``.
+    """
+    low = 0
+    vectors: list[np.ndarray | None] = [None] * num_axes
+    for split, weight in zip(splits, weights):
+        low += weight * split.low
+        for axis, vector in enumerate(split.vectors):
+            if vector is not None:
+                term = (vector - vector.min()) * weight
+                vectors[axis] = term if vectors[axis] is None else vectors[axis] + term
+    return low, vectors
 
 
 def var(name: str) -> AffExpr:

@@ -146,6 +146,12 @@ class IntSet:
             bounds[dim] = (lows[dim], highs[dim] + 1)
         return bounds
 
+    @property
+    def is_box(self) -> bool:
+        """Whether the set is the whole box of :meth:`derived_bounds` (no
+        constraint filters its points)."""
+        return all(_box_enforced(constraint) for constraint in self.constraints)
+
     def dim_extent(self, dim: str) -> tuple[int, int]:
         """Half-open bound of one dimension."""
         return self.derived_bounds()[dim]

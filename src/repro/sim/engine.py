@@ -239,14 +239,13 @@ class SpacetimeSimulator:
                     f"{self.arch.pe_array}"
                 )
 
-        time_bounds = self.dataflow.time_bounds(self.op)
-        time_key = np.zeros(instances.shape[0], dtype=np.int64)
-        for axis, (lo, hi) in enumerate(time_bounds):
-            extent = hi - lo + 1
-            time_key = time_key * extent + (time_coords[:, axis] - lo)
-        unique_times = np.unique(time_key)
-        time_ranks = np.searchsorted(unique_times, time_key)
-        return instances, pe_coords, time_ranks
+        # Rank whole time-stamp rows lexicographically: a mixed-radix key
+        # over wide time bounds would wrap int64 and merge distinct steps.
+        if time_coords.shape[1] == 0:
+            time_ranks = np.zeros(instances.shape[0], dtype=np.int64)
+        else:
+            _, time_ranks = np.unique(time_coords, axis=0, return_inverse=True)
+        return instances, pe_coords, time_ranks.reshape(-1)
 
 
 def simulate(op: TensorOp, dataflow: Dataflow, arch: ArchSpec, **kwargs) -> SimulationResult:

@@ -1,7 +1,7 @@
 """Warm-engine sweep serving.
 
 :class:`SweepServer` keeps one warm :class:`~repro.core.engine.EvaluationEngine`
-— materialised relations, compiled stamp expressions, report memo — per
+— materialised relations, element-id grids, report memo — per
 ``(operation, architecture, backend)`` and services queued sweep requests
 concurrently: requests for *different* operations sweep in parallel on a
 thread pool, while requests for the *same* warm engine serialise on a

@@ -9,11 +9,7 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.backends import BACKEND_NAMES, make_backend
-from repro.core.backends.affine import (
-    CompiledExprSet,
-    CompiledEvaluator,
-    lower_expr,
-)
+from repro.core.backends.fused import SeparableStamps
 from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
@@ -22,7 +18,9 @@ from repro.core.engine import (
 from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
 from repro.experiments.common import make_arch
-from repro.isl.expr import var
+from repro.isl.constraint import Constraint
+from repro.isl.enumeration import box_sum
+from repro.isl.expr import split_axes, var
 from repro.isl.imap import IntMap
 from repro.isl.iset import IntSet
 from repro.tensor.access import AccessMode, TensorAccess
@@ -69,100 +67,61 @@ def nested_quasi_dataflow(op, rows=4, cols=4):
     )
 
 
-class TestExprLowering:
-    def test_linear_row_of_affine_expr(self):
-        expr = 2 * var("i") - 3 * var("j") + 7
-        coeffs, const = expr.linear_row(("i", "j", "k"))
-        assert coeffs == (2, -3, 0)
-        assert const == 7
+def triangular_gemm(size):
+    """gemm over ``i <= j``: a constraint the bounding box does not enforce."""
+    base = gemm(size, size, size)
+    triangle = base.domain.add_constraints([Constraint.le(var("i") - var("j"), 0)])
+    return TensorOp("tri-gemm", triangle, base.accesses)
 
-    def test_linear_row_rejects_unknown_variable(self):
-        from repro.errors import SpaceError
 
-        with pytest.raises(SpaceError):
-            (2 * var("x")).linear_row(("i", "j"))
+class TestAxisSplit:
+    @staticmethod
+    def _split(expr, relations, dims=("i", "j", "k")):
+        return split_axes(expr, dims, relations.axes)
 
-    def test_lower_affine(self):
-        base, const, derived = lower_expr(
-            var("i") + 2 * var("k") - 1, ("i", "j", "k")
-        )
-        assert base == (1, 0, 2)
-        assert const == -1
-        assert derived == []
-
-    def test_lower_mod_and_floordiv_to_derived_columns(self):
-        lowered = lower_expr(var("i") % 4 + var("j") // 8, ("i", "j"))
-        assert lowered is not None
-        _, _, derived = lowered
-        kinds = sorted(column.kind for _, column in derived)
-        assert kinds == ["floordiv", "mod"]
-
-    def test_nested_quasi_does_not_lower(self):
-        nested = (var("i") // 4 + var("j")) % 5
-        assert lower_expr(nested, ("i", "j")) is None
-
-    def test_unknown_variable_does_not_lower(self):
-        assert lower_expr(var("x") + var("i"), ("i", "j")) is None
-
-    def test_dataflow_stamp_rows(self):
-        op = gemm(8, 8, 8)
-        dataflow = Dataflow.from_exprs(
-            "d", op.domain.space, ["i mod 4", "j mod 4"], ["k", "i"]
-        )
-        pe_rows, time_rows = dataflow.stamp_rows()
-        assert pe_rows == [None, None]  # mod terms are not plain affine rows
-        assert time_rows == [((0, 0, 1), 0), ((1, 0, 0), 0)]
-        assert not dataflow.is_affine
-        affine = Dataflow.from_exprs("a", op.domain.space, ["i", "j"], ["k"])
-        assert affine.is_affine
-
-    def test_compiled_rows_match_interpreter(self):
+    def test_split_matches_the_interpreter(self):
         op = gemm(12, 12, 12)
-        materializer = RelationMaterializer(op, cache=RelationCache())
-        relations = materializer.relations(10**6)
+        relations = RelationMaterializer(op, cache=RelationCache()).relations(10**6)
+        i, j, k = var("i"), var("j"), var("k")
         exprs = [
-            var("i") + 2 * var("j") - var("k"),
-            var("i") % 4 + var("j") // 8 - 2,
-            (var("k") % 5) * 3 + var("i"),
+            i + 2 * j - k,
+            i % 4 + j // 8 - 2,
+            (k % 5) * 3 + i,
+            (i % 4) // 2 + 7,  # nested, but over one variable
             # Past 2^53, where float64 no longer holds every integer.
-            (1 << 50) * var("i") + var("j"),
-            (1 << 52) * (var("k") % 5) - 3 * var("i") + 1,
+            (1 << 50) * i + j,
+            (1 << 52) * (k % 5) - 3 * i + 1,
         ]
-        compiled = CompiledExprSet(op.loop_dims)
-        plans = [compiled.add(e) for e in exprs]
-        evaluator = CompiledEvaluator(compiled, relations.domain, relations.total)
-        values = evaluator.evaluate_rows([i for kind, i in plans if kind == "row"])
-        for expr, (kind, index) in zip(exprs, plans):
-            assert kind == "row"
-            np.testing.assert_array_equal(values[index], expr.evaluate_vec(relations.domain))
+        shape = [axis.size for axis in relations.axes]
+        for expr in exprs:
+            split = self._split(expr, relations)
+            values = box_sum(shape, split.vectors, split.const)
+            expected = expr.evaluate_vec(relations.domain)
+            np.testing.assert_array_equal(values, expected)
+            # The extremes are exact, not interval bounds.
+            assert (split.low, split.high) == (int(expected.min()), int(expected.max()))
 
-    def test_single_column_rows_are_the_cached_columns(self):
-        op = gemm(12, 12, 12)
-        relations = RelationMaterializer(op, cache=RelationCache()).relations(10**6)
-        compiled = CompiledExprSet(op.loop_dims)
-        (_, plain), (_, derived), (_, scaled) = (
-            compiled.add(e) for e in (var("k"), var("i") // 4, 2 * var("k"))
-        )
-        evaluator = CompiledEvaluator(compiled, relations.domain, relations.total)
-        values = evaluator.evaluate_rows([plain, derived, scaled])
-        assert values[plain] is relations.domain["k"]
-        assert values[derived] is evaluator.derived_cols[0]
-        assert not np.shares_memory(values[scaled], relations.domain["k"])
-        for column in (values[plain], values[derived], values[scaled]):
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 1
-        # Nothing was written: the rows still match the interpreter.
-        np.testing.assert_array_equal(values[derived], relations.domain["i"] // 4)
-        np.testing.assert_array_equal(values[scaled], 2 * relations.domain["k"])
+    def test_unsplittable_expressions(self):
+        relations = RelationMaterializer(
+            gemm(4, 4, 4), cache=RelationCache()
+        ).relations(10**6)
+        i, j, k = var("i"), var("j"), var("k")
+        assert self._split((i + j) % 4, relations) is None
+        assert self._split((i // 4 + j) % 5, relations) is None
+        assert self._split(var("x") + i, relations) is None
+        # Each term fits in int64, their sum does not.
+        assert self._split((1 << 61) * (i + j + k), relations) is None
 
-    def test_identical_expressions_share_one_row(self):
-        op = gemm(8, 8, 8)
-        relations = RelationMaterializer(op, cache=RelationCache()).relations(10**6)
-        compiled = CompiledExprSet(op.loop_dims)
-        first = compiled.add(var("i") + var("k") // 4)
-        second = compiled.add(var("i") + var("k") // 4)
-        assert first == second
-        assert len(compiled.rows) == 1
+    def test_axes_describe_box_domains_only(self):
+        relations = RelationMaterializer(
+            jacobi2d(6, 5), cache=RelationCache()
+        ).relations(10**6)
+        assert [axis.tolist() for axis in relations.axes] == [[1, 2, 3, 4], [1, 2, 3]]
+        triangle = RelationMaterializer(
+            triangular_gemm(4), cache=RelationCache()
+        ).relations(10**6)
+        assert triangle.total == 40
+        assert triangle.axes is None
 
 
 class TestBackendStamps:
@@ -170,7 +129,8 @@ class TestBackendStamps:
         lambda: gemm(16, 16, 16),
         lambda: conv2d(4, 4, 6, 6, 3, 3),
         lambda: jacobi2d(10, 10),
-    ], ids=["gemm", "conv2d", "jacobi2d"])
+        lambda: triangular_gemm(8),
+    ], ids=["gemm", "conv2d", "jacobi2d", "tri-gemm"])
     @pytest.mark.parametrize("backend", ["fused", "auto"])
     def test_stamps_match_interpreter(self, backend, make_op):
         op = make_op()
@@ -183,51 +143,77 @@ class TestBackendStamps:
         for candidate in candidates:
             bound = candidate.bind(op)
             pe_ref, rank_ref = engine.materializer.stamps(relations, bound, arch.pe_array)
-            pe_new, rank_new = engine.backend.stamps(relations, bound, arch.pe_array)
-            np.testing.assert_array_equal(pe_ref, pe_new)
-            np.testing.assert_array_equal(rank_ref, rank_new)
+            stamps = engine.backend.stamps(relations, bound, arch.pe_array)
+            np.testing.assert_array_equal(pe_ref, stamps.pe_lin)
+            np.testing.assert_array_equal(rank_ref, stamps.t_rank)
 
-    def test_batched_stamps_match_per_candidate(self):
-        # One backend over a batch: candidates share the row memo, and each
-        # one's stamps still equal the interpreter's.
+    def test_box_candidates_split_and_others_fall_back(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
-        candidates = small_candidates(op, count=8)
-        for candidate in candidates:
-            bound = candidate.bind(op)
-            pe_ref, rank_ref = engine.materializer.stamps(relations, bound, arch.pe_array)
-            pe_new, rank_new = engine.backend.stamps(relations, bound, arch.pe_array)
-            np.testing.assert_array_equal(pe_ref, pe_new)
-            np.testing.assert_array_equal(rank_ref, rank_new)
-        _, evaluator = engine.backend.compiled_for(relations)
-        rows = len(evaluator.exprs.rows)
-        assert rows < sum(
-            len(c.pe_exprs) + len(c.time_exprs) for c in candidates
+        for candidate in small_candidates(op, count=8):
+            stamps = engine.backend.stamps(relations, candidate.bind(op), arch.pe_array)
+            assert isinstance(stamps, SeparableStamps)
+        assert engine.stats["stamp_fallback_exprs"] == 0
+        # One of the nested candidate's five expressions reads two variables
+        # inside a mod: the interpreter evaluates the candidate.
+        stamps = engine.backend.stamps(
+            relations, nested_quasi_dataflow(op).bind(op), arch.pe_array
         )
-        # A second pass registers no new row: every expression is memoised.
-        for candidate in candidates:
-            engine.backend.stamps(relations, candidate.bind(op), arch.pe_array)
-        assert len(evaluator.exprs.rows) == rows
+        assert not isinstance(stamps, SeparableStamps)
+        assert engine.stats["stamp_fallback_exprs"] == 1
 
-    def test_pe_memo_eviction_between_batches_replans(self):
-        op = gemm(8, 8, 8)
+    def test_non_box_domains_count_every_expression(self):
+        op = triangular_gemm(8)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        relations = engine.materializer.relations(10**6)
-        candidates = [c.bind(op) for c in small_candidates(op, count=3)]
-        for candidate in candidates:
-            engine.backend.stamps(relations, candidate, arch.pe_array)
-        # Evicting the PE memo between batches re-evaluates the PE columns.
-        engine.backend._pe_memo.clear()
-        for candidate in candidates:
-            pe_ref, rank_ref = engine.materializer.stamps(
-                relations, candidate, arch.pe_array
-            )
-            pe_new, rank_new = engine.backend.stamps(relations, candidate, arch.pe_array)
-            np.testing.assert_array_equal(pe_ref, pe_new)
-            np.testing.assert_array_equal(rank_ref, rank_new)
+        candidate = small_candidates(op, count=1)[0]
+        reference = TenetAnalyzer(op, candidate, arch).analyze()
+        assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        assert engine.stats["stamp_fallback_exprs"] == (
+            len(candidate.pe_exprs) + len(candidate.time_exprs)
+        )
+
+    def test_dense_injective_candidates_build_no_rank(self):
+        # The grid's cells are the broadcast key-and-PE cells themselves;
+        # neither the time rank nor the linear PE column is built.
+        op = gemm(16, 16, 16)
+        arch = make_arch(pe_dims=(4, 4), interconnect="none")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        relations = engine.materializer.relations(10**7)
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        candidate = Dataflow.from_exprs(
+            "ij-ijk", op.domain.space, [i % 4, j % 4], [i // 4, j // 4, k]
+        ).bind(op)
+        stamps = engine.backend.stamps(relations, candidate, arch.pe_array)
+        _, grid = engine.backend.utilization(stamps, arch.pe_array.size)
+        assert grid.stamp is stamps.cell
+        assert "t_rank" not in vars(stamps) and "pe_lin" not in vars(stamps)
+
+    @pytest.mark.parametrize("case", ["strided", "past-bound", "non-injective"])
+    def test_keys_without_a_key_grid_are_ranked(self, case):
+        # A strided time stamp leaves key rows empty (the key is not dense),
+        # a serial one passes the grid bound on its keys, and a dropped time
+        # axis collides: each takes the ranked path and matches interp.
+        op = gemm(16, 16, 16)
+        arch = make_arch(pe_dims=(4, 4))
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        time_exprs = {
+            "strided": [2 * k, i // 4, j // 4],
+            "past-bound": [65536 * k, i // 4, j // 4],
+            "non-injective": [i // 4, j // 4],
+        }[case]
+        candidate = Dataflow.from_exprs(case, op.domain.space, [i % 4, j % 4], time_exprs)
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        relations = engine.materializer.relations(10**7)
+        stamps = engine.backend.stamps(relations, candidate.bind(op), arch.pe_array)
+        assert (stamps.cell is None) == (case == "past-bound")
+        reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
+        assert report_dict(reference.evaluate(candidate)) == report_dict(
+            engine.evaluate(candidate)
+        )
+        assert engine.stats["fused_path"] == (0 if case == "non-injective" else 3)
 
     def test_out_of_range_candidate_raises_for_each_candidate(self):
         op = gemm(16, 16, 16)
@@ -238,17 +224,42 @@ class TestBackendStamps:
         bad_twin = Dataflow.from_exprs("bad-twin", op.domain.space, ["i", "j"], ["k"])
         with pytest.raises(DataflowError, match="bad"):
             engine.backend.stamps(relations, bad, arch.pe_array)
-        # The failure is memoised per space signature but re-raised per candidate.
-        assert engine.backend._pe_memo[engine.backend.pe_signature(bad)] is None
         with pytest.raises(DataflowError, match="bad-twin"):
             engine.backend.stamps(relations, bad_twin, arch.pe_array)
 
-    def test_fallback_exprs_are_counted(self):
-        op = gemm(16, 16, 16)
+
+class TestWideTimeStamps:
+    """Time stamps whose mixed-radix key over their bounds passes int64.
+
+    ``(2^31 k, 2^31 j, 2^31 i)`` spans about 2^97 keys and ``(2^40 k, 2^40 i,
+    2^40 j)`` about 2^124; a wrapped key merged distinct stamps (32 and 10
+    time steps instead of 64).  Every path ranks them lexicographically.
+    """
+
+    ORDERS = {31: ["k", "j", "i"], 40: ["k", "i", "j"]}
+
+    @pytest.mark.parametrize("power", sorted(ORDERS))
+    def test_every_path_counts_64_time_steps(self, power):
+        from repro.sim import simulate
+
+        op = gemm(4, 4, 4)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        engine.evaluate(nested_quasi_dataflow(op))
-        assert engine.stats["stamp_fallback_exprs"] > 0
+        order = self.ORDERS[power]
+        scaled = [f"{1 << power}*{dim}" for dim in order]
+        candidate = Dataflow.from_exprs("wide", op.domain.space, ["i", "j"], scaled)
+        unscaled = Dataflow.from_exprs("plain", op.domain.space, ["i", "j"], order)
+        expected = TenetAnalyzer(op, unscaled, arch).analyze()
+        assert expected.utilization.num_time_stamps == 64
+        reports = [TenetAnalyzer(op, candidate, arch, validate=True).analyze()]
+        for backend in BACKEND_NAMES:
+            engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+            reports.append(engine.evaluate(candidate))
+        for report in reports:
+            assert report_dict(report) | {"dataflow": "plain"} == report_dict(expected)
+        validation = candidate.bind(op).validate(op, arch.pe_array)
+        assert validation.num_spacetime_stamps == 64
+        assert validation.is_injective
+        assert simulate(op, candidate, arch).num_time_steps == 64
 
 
 class TestBackendReports:

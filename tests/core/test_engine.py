@@ -21,6 +21,7 @@ from repro.core.engine import (
     _utilization_dense,
     dataflow_signature,
     op_signature,
+    time_ranks,
 )
 from repro.core.utilization import compute_utilization
 from repro.dataflows.catalog import get_dataflow
@@ -30,6 +31,8 @@ from repro.dse.pruning import pruned_candidates
 from repro.isl.enumeration import sorted_unique
 from repro.isl.expr import var
 from repro.tensor.kernels import conv2d, gemm, jacobi2d
+
+from tests.core.test_backends import triangular_gemm
 
 
 def report_dict(report):
@@ -101,8 +104,16 @@ class TestSignatures:
 
 
 class TestMaterializer:
-    def test_cached_materialisation_matches_streaming(self):
-        op = gemm(12, 12, 12)
+    @pytest.mark.parametrize("make_op", [
+        lambda: gemm(12, 12, 12),
+        lambda: conv2d(4, 4, 6, 6, 3, 3),
+        lambda: jacobi2d(10, 12),
+        lambda: triangular_gemm(8),
+    ], ids=["gemm", "conv2d", "jacobi2d", "tri-gemm"])
+    def test_cached_materialisation_matches_streaming(self, make_op):
+        # Box domains build their element keys per axis, the triangle
+        # through the interpreter: both equal the streaming keys.
+        op = make_op()
         arch = make_arch(pe_dims=(4, 4))
         dataflow = small_candidates(op)[0].bind(op)
         pe_a, tr_a, keys_a, ext_a = RelationMaterializer(op).materialize(
@@ -134,6 +145,13 @@ class TestMaterializer:
                 rel.dense_keys, np.searchsorted(unique, combined)
             )
             assert rel.footprint == unique.size
+
+    def test_chunk_size_does_not_key_the_cache(self):
+        cache = RelationCache()
+        first = RelationMaterializer(gemm(8, 8, 8), chunk_size=7, cache=cache)
+        second = RelationMaterializer(gemm(8, 8, 8), cache=cache)
+        assert first.relations(10**6) is second.relations(10**6)
+        assert len(cache) == 1
 
     def test_cache_is_shared_across_materializers(self):
         op = gemm(8, 8, 8)
@@ -198,9 +216,23 @@ class TestFastHelpers:
         for low, high in ((0, 50), (0, 10**7), (-50, 0), (-30, 30), (-10**7, 10**7),
                           (10**9, 10**9 + 40)):
             cases.append(rng.integers(low, high, size=2000))
+        # Keys that cover their range are their own rank.
+        cases += [np.arange(50)[::-1], rng.permutation(1000) - 7]
         for keys in cases:
             expected = np.searchsorted(sorted_unique(keys), keys)
             np.testing.assert_array_equal(_rank_keys(keys), expected)
+
+    @pytest.mark.parametrize("scale", [1, 1 << 40])
+    def test_time_ranks_are_lexicographic(self, scale):
+        # At scale 2^40 the mixed-radix key of three columns needs about
+        # 2^126 values, far past int64; the ranks stay lexicographic.
+        rng = np.random.default_rng(3)
+        columns = [scale * rng.integers(-5, 5, size=500) for _ in range(3)]
+        bounds = [(-5 * scale, 4 * scale)] * 3
+        _, expected = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+        np.testing.assert_array_equal(
+            time_ranks(columns, bounds, 500), expected.reshape(-1)
+        )
 
     def test_utilization_dense_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -570,10 +602,8 @@ class TestGroupCountFloors:
                 report = engine.evaluate(candidate)
             except (ModelError, DataflowError):
                 continue
-            pe_lin, _ = engine.backend.stamps(
-                relations, candidate.bind(op), arch.pe_array
-            )
-            floors = engine._group_count_floors(pe_lin, relations)
+            stamps = engine.backend.stamps(relations, candidate.bind(op), arch.pe_array)
+            floors = engine._group_count_floors(stamps.pe_lin, relations)
             for tensor, floor in floors.items():
                 assert floor <= report.volumes[tensor].unique
                 assert floor >= relations.tensors[tensor].footprint
