@@ -189,7 +189,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         kernel_stats = {
             key: stats[key]
             for key in (
-                "fast_path", "fused_path", "reference_path", "stamp_fallback_exprs"
+                "fast_path", "fused_path", "reference_path", "stamp_fallback_exprs",
+                "grid_cells",
             )
             if stats.get(key)
         }

@@ -12,11 +12,13 @@ computed:
     The fast path (:class:`repro.core.backends.fused.FusedBackend`): on a
     box domain each stamp expression splits into a constant plus one int64
     vector per loop axis, and one broadcast sum of those vectors gives every
-    instance's cell in the candidate's dense (time x PE) stamp grid.
-    Volumes are counted with shifted comparisons on that grid, one grid per
-    distinct reference of a tensor.  Expressions that do not split, and
-    domains that are not a box, take ``interp``'s stamps; candidates without
-    a grid (non-injective ones, grids past the size bound) take ``interp``'s
+    instance's cell in the candidate's dense (time x PE) stamp grid, which
+    spans only the candidate's PE bounding box.  Volumes are counted with
+    shifted comparisons on that grid, one grid per distinct reference of a
+    tensor.  An expression that does not split is evaluated by ``interp``
+    and joins the sum as one column; domains that are not a box take
+    ``interp``'s stamps on the whole array.  Candidates without a grid
+    (non-injective ones, grids past the size bound) take ``interp``'s
     group-major kernel, and temporal intervals past its window the engine's
     reference kernel.
 ``auto``

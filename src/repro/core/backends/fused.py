@@ -1,45 +1,56 @@
-"""The fused backend: per-axis stamps and the stamp-grid volume kernel.
+"""The fused backend: per-axis stamps, PE boxes and the stamp-grid volume kernel.
 
 :class:`FusedBackend` is the one fast evaluation path (``fused``, and
-``auto``, its alias and the default).  It removes two sources of redundancy
+``auto``, its alias and the default).  It removes three sources of redundancy
 from a sweep:
 
 * **Per-axis stamps** — on a box domain, a stamp expression whose
   floor/mod/abs arguments each read one loop variable is a constant plus one
   int64 vector per loop axis, at most the axis's extent long
-  (:func:`repro.isl.expr.split_axes`).  The PE range check and the time-key
-  bounds are exact Python-int sums of the per-axis extremes.  Each
-  instance's grid cell ``(key - min) * num_pes + pe`` is one broadcast sum
-  of per-axis vectors (:func:`repro.isl.enumeration.box_sum`), and when the
-  candidate is injective and its key dense that cell array *is* the stamp
-  grid: no time-key or rank column is built.  The linear PE column is
-  broadcast only when the live-direction memo or the engine's group-count
-  floors read it.  Candidates whose key is not dense, or whose grid would
-  pass the size bound, broadcast the key and PE columns and rank the keys;
-  a key that would wrap int64 is ranked one time coordinate at a time.
-  Expressions that do not split, and domains that are not a box, take the
-  interpreter's stamps (counted in ``stamp_fallback_exprs``).
-* **Stamp grid** — each instance's stamp ``t_rank * num_pes + pe_lin`` indexes
-  a dense (time rank x PE) grid, built once per candidate by
+  (:func:`repro.isl.expr.split_axes`).  An expression that does not split is
+  evaluated by the interpreter over the cached domain columns and joins the
+  sums as one whole-box column (counted in ``stamp_fallback_exprs``).  The
+  PE range check and the time-key bounds are exact Python-int sums of the
+  per-axis extremes (a column's own extremes).  Each instance's grid cell
+  ``(key - min) * box_size + box_pe`` is one broadcast sum of per-axis
+  vectors (:func:`repro.isl.enumeration.box_sum`), and when the candidate
+  is injective and its key dense that cell array *is* the stamp grid: no
+  time-key or rank column is built.  Candidates whose key is not dense, or
+  whose grid would pass the size bound, broadcast the key and PE columns and
+  rank the keys; a key that would wrap int64 is ranked one time coordinate
+  at a time.  Domains that are not a box take the interpreter's stamps for
+  every expression.
+* **PE box** — a candidate's grid, link directions and presence matrix span
+  its PE bounding box, not the array: per PE coordinate, the exact range the
+  range check computes (the whole array on a domain that is not a box).  A
+  PE outside the box runs no instance, so it holds no element to forward
+  and receives none: dropping it changes no count.  Box PEs are numbered
+  row-major within the box, which keeps the array's order among them, so
+  multicast's ``source < pe`` rule carries over.  The whole-array linear PE
+  column is broadcast only where the engine reads it in array terms (the
+  link-free group-count floors and the reference kernel).
+* **Stamp grid** — each instance's stamp ``t_rank * box_size + box_pe``
+  indexes a dense (time rank x box PE) grid, built once per candidate by
   :meth:`FusedBackend.utilization` and handed by the engine to the volume
   kernel.  On an injective candidate every cell holds at most one instance,
   so TENET's intersection of a tensor's data assignment with the spacetime
   map becomes a comparison of grid cells: scatter the tensor's element ids
   onto the grid, one grid per distinct reference, then temporal reuse is the
-  grids against themselves shifted ``temporal_interval * num_pes`` cells,
+  grids against themselves shifted ``temporal_interval * box_size`` cells,
   and spatial reuse one shifted comparison per interconnect *direction* (the
-  links sharing one linear PE offset), masked to the PEs that have the link.
-  A stencil's cross-reference hits are its reuse: ``A[i-1][j]`` at
-  ``(i, j)`` is ``A[i][j]`` at ``(i-1, j)``.  Directions along which no
+  box links sharing one box-linear PE offset), masked to the PEs that have
+  the link.  A stencil's cross-reference hits are its reuse: ``A[i-1][j]``
+  at ``(i, j)`` is ``A[i][j]`` at ``(i-1, j)``.  Directions along which no
   (PE, element) group has a source group are skipped per space signature.
   No sort, no ``searchsorted``, and any ``temporal_interval >= 1``.
 
 Per tensor the kernels chain grid → group-major → the engine's reference
 kernel (:func:`repro.core.volumes.compute_volume_metrics`).  Candidates
 without a grid (non-injective ones and grids past the ``max(8n, 2^22)`` cell
-bound) take the group-major sort/adjacency kernel that ``interp`` uses, and
-temporal intervals past its 8-rank window the reference kernel.  All three
-are exact, so reports are bit-identical to ``interp``.
+bound) take the group-major sort/adjacency kernel that ``interp`` uses, on
+box PEs and the box's links, and temporal intervals past its 8-rank window
+the reference kernel.  All three are exact, so reports are bit-identical to
+``interp``.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ import math
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -108,14 +119,65 @@ def _strides(extents: Sequence[int]) -> list[int]:
     return strides
 
 
+def _broadcast(
+    shape: Sequence[int], splits: Sequence[AxisSplit], weights: Sequence[int], const: int = 0
+) -> np.ndarray:
+    """``const + sum(weights[e] * (splits[e] - splits[e].low))`` at every point
+    of the box of ``shape``: one broadcast sum of the per-axis vectors, plus
+    the whole-box column of every split that has one.  Every term is
+    non-negative, so no partial sum leaves the result's range."""
+    _, vectors = combine_splits(splits, weights, len(shape))
+    values = box_sum(shape, vectors, const)
+    for split, weight in zip(splits, weights):
+        if split.column is not None:
+            values += (split.column - split.low) * weight
+    return values
+
+
+@dataclass(frozen=True)
+class PEBox:
+    """The PEs a candidate can occupy: per array axis, ``extents[a]`` PEs
+    from ``low[a]``.  Box PEs are numbered row-major within the box."""
+
+    low: tuple[int, ...]
+    extents: tuple[int, ...]
+
+    @classmethod
+    def whole(cls, dims: Sequence[int]) -> "PEBox":
+        return cls((0,) * len(dims), tuple(dims))
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.extents)
+
+    def links(self, predecessor_table: np.ndarray, pe_dims: Sequence[int]) -> np.ndarray:
+        """The array's predecessor table restricted to the box, in box PEs.
+
+        Row ``b`` lists the box PEs that can send to box PE ``b``, padded
+        with -1; slot columns that hold no link in the box are dropped.
+        """
+        members = box_sum(self.extents, [
+            np.arange(low, low + extent) * stride
+            for low, extent, stride in zip(self.low, self.extents, _strides(pe_dims))
+        ])
+        # One spare entry, so the table's -1 padding reads -1.
+        inverse = np.full(predecessor_table.shape[0] + 1, -1, dtype=np.int64)
+        inverse[members] = np.arange(members.size)
+        table = inverse[predecessor_table[members]]
+        return table[:, (table >= 0).any(axis=0)]
+
+
 class SeparableStamps:
     """One candidate's stamps on a box domain, kept as per-axis vectors.
 
     The time key is the mixed-radix number of the time coordinates, each
-    less its exact minimum, so it ranges over ``[0, num_keys)``.  ``cell``
-    holds every instance's grid cell ``key * num_pes + pe``, one broadcast
-    sum, when ``num_keys * num_pes`` is within the grid bound, and ``None``
-    otherwise.  ``pe_lin`` and ``t_rank`` are broadcast when first read.
+    less its exact minimum, so it ranges over ``[0, num_keys)``.  ``box`` is
+    the candidate's PE bounding box and ``box_pe`` every instance's PE
+    numbered in it.  ``cell`` holds every instance's grid cell ``key *
+    box.size + box_pe``, one broadcast sum, when ``num_keys * box.size`` is
+    within the grid bound, and ``None`` otherwise.  ``pe_lin`` (the
+    whole-array linear PE), ``box_pe`` and ``t_rank`` are broadcast when
+    first read.
     """
 
     def __init__(
@@ -128,41 +190,57 @@ class SeparableStamps:
         from repro.core.engine import _grid_fits
 
         self.shape = tuple(shape)
-        num_pes = math.prod(pe_dims)
-        pe_weights = _strides(pe_dims)
-        self._pe = combine_splits(pe_splits, pe_weights, len(shape))
+        self._pe = tuple(pe_splits)
+        self._pe_weights = _strides(pe_dims)
+        self.box = PEBox(
+            tuple(split.low for split in pe_splits),
+            tuple(split.high - split.low + 1 for split in pe_splits),
+        )
+        self._box_weights = _strides(self.box.extents)
         self._time = tuple(time_splits)
         extents = [split.high - split.low + 1 for split in time_splits]
         self.num_keys = math.prod(extents)
         self._key_weights = _strides(extents)
         self.cell: np.ndarray | None = None
-        if _grid_fits(self.num_keys * num_pes, math.prod(shape)):
-            _, vectors = combine_splits(
-                [*time_splits, *pe_splits],
-                [weight * num_pes for weight in self._key_weights] + pe_weights,
-                len(shape),
+        size = self.box.size
+        if _grid_fits(self.num_keys * size, math.prod(shape)):
+            self.cell = _broadcast(
+                self.shape,
+                [*self._time, *self._pe],
+                [weight * size for weight in self._key_weights] + self._box_weights,
             )
-            self.cell = box_sum(self.shape, vectors, self._pe[0])
 
     @cached_property
     def pe_lin(self) -> np.ndarray:
-        low, vectors = self._pe
-        return box_sum(self.shape, vectors, low)
+        low = sum(weight * split.low for weight, split in zip(self._pe_weights, self._pe))
+        return _broadcast(self.shape, self._pe, self._pe_weights, low)
+
+    @cached_property
+    def box_pe(self) -> np.ndarray:
+        return _broadcast(self.shape, self._pe, self._box_weights)
 
     @cached_property
     def t_rank(self) -> np.ndarray:
         from repro.core.engine import _rank_keys, time_ranks
 
-        axes = len(self.shape)
         if self.num_keys < 1 << 63:
-            _, vectors = combine_splits(self._time, self._key_weights, axes)
-            return _rank_keys(box_sum(self.shape, vectors))
-        columns = [
-            box_sum(self.shape, combine_splits([split], [1], axes)[1])
-            for split in self._time
-        ]
+            return _rank_keys(_broadcast(self.shape, self._time, self._key_weights))
+        columns = [_broadcast(self.shape, [split], [1]) for split in self._time]
         bounds = [(0, split.high - split.low) for split in self._time]
         return time_ranks(columns, bounds, math.prod(self.shape))
+
+
+@dataclass
+class InterpretedStamps(Stamps):
+    """The interpreter's stamps of a domain that is not a box, on the whole
+    array as their PE box."""
+
+    box: PEBox
+    cell = None
+
+    @property
+    def box_pe(self) -> np.ndarray:
+        return self.pe_lin
 
 
 # -- stamp grid --------------------------------------------------------------------
@@ -170,12 +248,12 @@ class SeparableStamps:
 
 @dataclass
 class StampGrid:
-    """One injective candidate's dense (time rank x PE) stamp grid.
+    """One injective candidate's dense (time rank x box PE) stamp grid.
 
-    Cell ``t * num_pes + p`` is PE ``p`` at time rank ``t``.  ``stamp`` holds
-    every instance's cell, ``occupied`` marks the cells an instance runs in
-    (injective means at most one instance per cell) and ``active`` counts
-    the occupied cells of each rank row.
+    Cell ``t * num_pes + p`` is box PE ``p`` at time rank ``t``.  ``stamp``
+    holds every instance's cell, ``occupied`` marks the cells an instance
+    runs in (injective means at most one instance per cell) and ``active``
+    counts the occupied cells of each rank row.
     """
 
     stamp: np.ndarray
@@ -205,26 +283,32 @@ def stamp_grid(stamp: np.ndarray, num_ranks: int, num_pes: int) -> StampGrid | N
 
 @dataclass(frozen=True, eq=False)
 class Direction:
-    """The interconnect links that share one linear PE offset ``source - pe``."""
+    """The box links that share one box-linear PE offset ``source - pe``."""
 
     offset: int
-    #: Destination PEs that have a link with this offset.
+    #: Destination box PEs that have a link with this offset.
     pes: np.ndarray
-    #: ``pes`` as a per-PE mask, broadcast over the grid's time rows.
+    #: ``pes`` as a per-box-PE mask, broadcast over the grid's time rows.
     mask: np.ndarray
 
 
 def link_directions(
-    predecessor_table: np.ndarray, num_pes: int, spatial_interval: int
+    predecessor_table: np.ndarray,
+    pe_dims: Sequence[int],
+    box: PEBox,
+    spatial_interval: int,
 ) -> list[Direction]:
-    """Group the predecessor table's links by linear PE offset.
+    """Group the links between PEs of ``box`` by box-linear PE offset.
 
-    With a zero spatial interval (same-cycle multicast) only sources below
-    the destination count, as in the reference kernel.
+    The links are the array's predecessor table restricted to the box
+    (:meth:`PEBox.links`).  With a zero spatial interval (same-cycle
+    multicast) only sources below the destination count, as in the
+    reference kernel; box numbering keeps the array's order, so the rule
+    picks the same links.
     """
-    slots = predecessor_table.shape[1]
-    pes = np.repeat(np.arange(num_pes), slots)
-    sources = predecessor_table.ravel()
+    table = box.links(predecessor_table, pe_dims)
+    pes = np.repeat(np.arange(box.size), table.shape[1])
+    sources = table.ravel()
     valid = sources >= 0
     if spatial_interval == 0:
         valid &= sources < pes
@@ -233,7 +317,7 @@ def link_directions(
     directions = []
     for offset in np.unique(offsets):
         dest = pes[offsets == offset]
-        mask = np.zeros(num_pes, dtype=bool)
+        mask = np.zeros(box.size, dtype=bool)
         mask[dest] = True
         directions.append(Direction(int(offset), dest, mask))
     return directions
@@ -258,9 +342,10 @@ def grid_volume_metrics(
     element under any reference, and spatial reuse when, for a direction of
     offset ``o`` its PE has, the cells ``spatial_interval * num_pes - o`` back
     (PE ``pe + o``, ``spatial_interval`` ranks earlier) do.  Both shifts are
-    positive, so slicing drops sources before rank 0.  A pair counts once:
-    a reference's cell is dropped where an earlier reference holds the same
-    element.  Requires an injective candidate; the counts equal the
+    positive, so slicing drops sources before rank 0.  ``num_pes`` is the
+    grid's box PEs and ``directions`` group the box's links.  A pair counts
+    once: a reference's cell is dropped where an earlier reference holds the
+    same element.  Requires an injective candidate; the counts equal the
     reference kernel's.
     """
     num_pes = grid.num_pes
@@ -339,7 +424,7 @@ def grid_volume_metrics(
 
 
 class FusedBackend(EngineBackend):
-    """Per-axis stamps plus the stamp-grid volume kernel."""
+    """Per-axis stamps on PE boxes plus the stamp-grid volume kernel."""
 
     name = "fused"
 
@@ -347,13 +432,12 @@ class FusedBackend(EngineBackend):
 
     def __init__(self, engine):
         super().__init__(engine)
-        #: Live link directions per (space signature, tensor).
+        self.pe_dims = engine.arch.pe_array.dims
+        #: Live link directions per (space signature, tensor); the signature
+        #: fixes the candidate's PE box.
         self._direction_memo: OrderedDict[tuple, tuple[Direction, ...]] = OrderedDict()
         #: Grid element ids per tensor, for one cached-relations object.
         self._ids: tuple[object, dict[str, tuple[np.ndarray, ...]]] | None = None
-        self.directions = link_directions(
-            self.predecessor_table, self.num_pes, self.spatial_interval
-        )
 
     # -- stamps -----------------------------------------------------------------
 
@@ -366,49 +450,72 @@ class FusedBackend(EngineBackend):
         return signature
 
     def stamps(self, relations, dataflow, pe_array):
-        """Per-axis stamps on a box domain; the interpreter's otherwise, or
-        when an expression does not split."""
-        exprs = dataflow.pe_exprs + dataflow.time_exprs
+        """Per-axis stamps and the PE box on a box domain; the interpreter's
+        stamps on the whole array otherwise."""
         axes = relations.axes
-        splits = [] if axes is None else [split_axes(e, self.loop_dims, axes) for e in exprs]
-        unsplit = len(exprs) if axes is None else sum(split is None for split in splits)
-        if unsplit:
-            self.stats["stamp_fallback_exprs"] += unsplit
-            return Stamps(*self.materializer.stamps(relations, dataflow, pe_array))
-        rank = len(dataflow.pe_exprs)
-        for extent, split in zip(pe_array.dims, splits[:rank]):
+        if axes is None:
+            self.stats["stamp_fallback_exprs"] += (
+                len(dataflow.pe_exprs) + len(dataflow.time_exprs)
+            )
+            pe_lin, t_rank = self.materializer.stamps(relations, dataflow, pe_array)
+            return InterpretedStamps(pe_lin, t_rank, PEBox.whole(pe_array.dims))
+        pe_splits = []
+        for extent, expr in zip(pe_array.dims, dataflow.pe_exprs):
+            split = self._split(expr, relations)
             if split.low < 0 or split.high >= extent:
                 raise DataflowError(
                     f"dataflow {dataflow.name!r} maps instances outside the "
                     f"{pe_array} array"
                 )
+            pe_splits.append(split)
+        time_splits = [self._split(expr, relations) for expr in dataflow.time_exprs]
         return SeparableStamps(
-            [axis.size for axis in axes], splits[:rank], pe_array.dims, splits[rank:]
+            [axis.size for axis in axes], pe_splits, pe_array.dims, time_splits
         )
 
+    def _split(self, expr, relations) -> AxisSplit:
+        """``expr`` split per axis, or, when it does not split, its
+        interpreted values over the cached domain as a whole-box column."""
+        split = split_axes(expr, self.loop_dims, relations.axes)
+        if split is None:
+            self.stats["stamp_fallback_exprs"] += 1
+            column = expr.evaluate_vec(relations.domain)
+            split = AxisSplit(
+                0, (None,) * len(relations.axes), int(column.min()), int(column.max()),
+                column,
+            )
+        return split
+
+    def _stamp_grid(self, stamp, num_ranks, num_pes) -> StampGrid | None:
+        self.stats["grid_cells"] += num_ranks * num_pes
+        return stamp_grid(stamp, num_ranks, num_pes)
+
     def utilization(self, stamps, num_pes):
-        """Utilization read off the stamp grid, which is returned too when
-        the candidate is injective: every rank is occupied, the compute
-        delay is the rank count, and the occupied cells per rank are the
-        active PEs.
+        """Utilization read off the stamp grid over the candidate's PE box,
+        which is returned too when the candidate is injective: every rank is
+        occupied, the compute delay is the rank count, and the occupied
+        cells per rank are the active PEs.  ``num_pes`` stays the array's.
 
         A per-axis candidate's grid cells index its time keys, which are its
         ranks when every key row holds an instance; otherwise the keys are
         ranked and the grid rebuilt on the ranks.  A candidate that is not
-        injective on its keys is not injective on its ranks either.
+        injective on its keys is not injective on its ranks either; its
+        histogram spans the box PEs too.
         """
         from repro.core.engine import _grid_fits, _utilization_dense
 
-        cell = stamps.cell if isinstance(stamps, SeparableStamps) else None
-        grid = None if cell is None else stamp_grid(cell, stamps.num_keys, num_pes)
+        size = stamps.box.size
+        cell = stamps.cell
+        grid = None if cell is None else self._stamp_grid(cell, stamps.num_keys, size)
         if cell is None or (grid is not None and not grid.active.all()):
             t_rank = stamps.t_rank
             num_ranks = int(t_rank.max()) + 1
             grid = None
-            if _grid_fits(num_ranks * num_pes, t_rank.size):
-                grid = stamp_grid(t_rank * num_pes + stamps.pe_lin, num_ranks, num_pes)
+            if _grid_fits(num_ranks * size, t_rank.size):
+                grid = self._stamp_grid(t_rank * size + stamps.box_pe, num_ranks, size)
         if grid is None:
-            return _utilization_dense(stamps.pe_lin, stamps.t_rank, num_pes), None
+            metrics = _utilization_dense(stamps.box_pe, stamps.t_rank, size)
+            return (None if metrics is None else replace(metrics, num_pes=num_pes)), None
         metrics = UtilizationMetrics(
             num_instances=int(grid.stamp.size),
             num_pes=num_pes,
@@ -441,20 +548,22 @@ class FusedBackend(EngineBackend):
         self._ids = (relations, ids)
         return ids
 
-    def _live_directions(self, pe_lin, ids, footprint) -> tuple[Direction, ...]:
-        """The directions along which some (PE, element) group has a source
-        group, from a ``num_pes x footprint`` presence matrix over every
-        reference; every direction when that matrix would exceed the grid
-        bound."""
+    @staticmethod
+    def _live_directions(directions, stamps, ids, footprint) -> tuple[Direction, ...]:
+        """The box directions along which some (PE, element) group has a
+        source group, from a ``box PEs x footprint`` presence matrix over
+        every reference; every direction when that matrix would exceed the
+        grid bound."""
         from repro.core.engine import _grid_fits
 
-        directions = self.directions
-        if not directions or not _grid_fits(self.num_pes * footprint, pe_lin.size):
+        size = stamps.box.size
+        if not directions or not _grid_fits(size * footprint, ids[0].size):
             return tuple(directions)
-        presence = np.zeros(self.num_pes * footprint, dtype=bool)
+        box_pe = stamps.box_pe
+        presence = np.zeros(size * footprint, dtype=bool)
         for reference in ids:
-            presence[pe_lin * footprint + reference] = True
-        presence = presence.reshape(self.num_pes, footprint)
+            presence[box_pe * footprint + reference] = True
+        presence = presence.reshape(size, footprint)
         return tuple(
             direction
             for direction in directions
@@ -466,30 +575,44 @@ class FusedBackend(EngineBackend):
     ):
         """The grid kernel for every tensor of a candidate with a stamp grid;
         without one (non-injective, or past the size bound) the group-major
-        kernel, as in ``interp``."""
+        kernel, as in ``interp``, on the box PEs and the box's links."""
+        from repro.core.engine import _grouped_volume_metrics
+
         tensors = list(tensors)
+        box = stamps.box
         directions = {}
         if grid is not None:
             ids = self._element_ids(relations)
             signature = self.pe_signature(dataflow)
             memo = self._direction_memo
+            links = None
             # Memo reads and writes happen serially, before the kernels run.
             for tensor in tensors:
                 key = (signature, tensor)
                 live = memo.get(key)
                 if live is None:
+                    if links is None:
+                        links = link_directions(
+                            self.predecessor_table, self.pe_dims, box,
+                            self.spatial_interval,
+                        )
                     live = memo[key] = self._live_directions(
-                        stamps.pe_lin, ids[tensor], relations.tensors[tensor].footprint
+                        links, stamps, ids[tensor], relations.tensors[tensor].footprint
                     )
                 memo.move_to_end(key)
                 directions[tensor] = live
             while len(memo) > self._DIRECTION_MEMO_ENTRIES:
                 memo.popitem(last=False)
+        else:
+            table = box.links(self.predecessor_table, self.pe_dims)
+            box_pe, t_rank = stamps.box_pe, stamps.t_rank
 
         def volume(tensor):
             if grid is None:
-                return self.volume_metrics(
-                    tensor, dataflow, stamps.pe_lin, stamps.t_rank, relations,
+                return _grouped_volume_metrics(
+                    tensor, box_pe, t_rank, relations.tensors[tensor], table, box.size,
+                    spatial_interval=self.spatial_interval,
+                    temporal_interval=self.temporal_interval,
                     assume_unique=assume_unique,
                 )
             return grid_volume_metrics(

@@ -999,9 +999,11 @@ class EvaluationEngine:
             "fused_path": 0,
             # Stamp expressions the fused backend could not split per axis
             # (a floor/mod/abs argument over several loop variables, or a
-            # domain that is not a box); their candidates' stamps come from
-            # the interpreter.
+            # domain that is not a box); the interpreter evaluates each.
             "stamp_fallback_exprs": 0,
+            # Cells of every stamp grid the fused backend built (rank rows x
+            # the candidate's box PEs), a non-injective candidate's included.
+            "grid_cells": 0,
         }
         #: Wall-clock seconds per pipeline stage, for ``tenet explore
         #: --profile``: where a sweep's time actually goes (stamps vs volume

@@ -401,12 +401,18 @@ class AxisSplit:
     Every combination of axis values occurs in a box, so ``low`` and
     ``high``, the sums of the per-axis extremes, are the expression's exact
     extremes over it.
+
+    An expression that does not split can still stand beside split ones as
+    its ``column``, its value at every point of the box in lexicographic
+    order: ``const`` is then 0, every vector ``None``, and ``low`` and
+    ``high`` are the column's extremes.
     """
 
     const: int
     vectors: tuple[np.ndarray | None, ...]
     low: int
     high: int
+    column: np.ndarray | None = None
 
 
 def split_axes(
@@ -461,7 +467,8 @@ def combine_splits(
     non-negative weights, and each axis's vector is shifted to a minimum of
     0, so the sum at a point is ``low`` plus one entry of every vector.  No
     partial sum of those entries exceeds the sum's range, so int64 holds
-    every step whenever it holds ``max - low``.
+    every step whenever it holds ``max - low``.  A split's ``column`` is
+    left out: the caller adds ``weight * (column - low)`` at every point.
     """
     low = 0
     vectors: list[np.ndarray | None] = [None] * num_axes

@@ -9,12 +9,13 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.backends import BACKEND_NAMES, make_backend
-from repro.core.backends.fused import SeparableStamps
+from repro.core.backends.fused import PEBox, SeparableStamps, link_directions
 from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
 )
+from repro.core.spacetime import SpacetimeMap
 from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
 from repro.experiments.common import make_arch
@@ -157,11 +158,13 @@ class TestBackendStamps:
             assert isinstance(stamps, SeparableStamps)
         assert engine.stats["stamp_fallback_exprs"] == 0
         # One of the nested candidate's five expressions reads two variables
-        # inside a mod: the interpreter evaluates the candidate.
+        # inside a mod: the interpreter evaluates that expression alone, and
+        # the candidate keeps its per-axis stamps and its PE box.
         stamps = engine.backend.stamps(
             relations, nested_quasi_dataflow(op).bind(op), arch.pe_array
         )
-        assert not isinstance(stamps, SeparableStamps)
+        assert isinstance(stamps, SeparableStamps)
+        assert stamps.box == PEBox((0, 0), (4, 4))
         assert engine.stats["stamp_fallback_exprs"] == 1
 
     def test_non_box_domains_count_every_expression(self):
@@ -611,9 +614,13 @@ class TestGridKernel:
     def test_directions_group_links_by_linear_offset(
         self, interconnect, pe_dims, offsets, masks
     ):
+        # The whole array as the box: box offsets are array offsets.
         arch = make_arch(pe_dims=pe_dims, interconnect=interconnect)
         engine = EvaluationEngine(gemm(8, 8, 8), arch, backend="fused")
-        directions = engine.backend.directions
+        directions = link_directions(
+            engine._predecessor_table, pe_dims, PEBox.whole(pe_dims),
+            engine._spacetime.spatial_interval,
+        )
         assert [d.offset for d in directions] == offsets
         assert [int(d.mask.sum()) for d in directions] == masks
         table = engine._predecessor_table
@@ -621,6 +628,98 @@ class TestGridKernel:
             # Every destination PE really has a link from ``pe + offset``.
             for pe in direction.pes:
                 assert pe + direction.offset in table[pe]
+
+    @pytest.mark.parametrize("pe_dims", [(4, 4), (3, 5), (8, 8)])
+    @pytest.mark.parametrize("interconnect, options", [
+        ("1d-systolic", {}), ("2d-systolic", {}), ("mesh", {}),
+        *(("multicast", {"reach": reach}) for reach in range(1, 8)),
+        ("2d-multicast", {}), ("2d-multicast", {"reach": 2}),
+        *(("reduction-tree", {"group_size": size}) for size in (2, 3, 8)),
+        ("none", {}),
+    ])
+    def test_box_directions_match_a_brute_force_oracle(
+        self, pe_dims, interconnect, options
+    ):
+        # Per random box: every (pe, pe + offset) of every direction is an
+        # array link with both ends in the box, every such link lies in
+        # exactly one direction, and at spatial interval 0 only sources
+        # below their destination appear.
+        import itertools
+
+        from tests.arch.test_interconnect import _ORACLE
+
+        arch = make_arch(pe_dims=pe_dims, interconnect=interconnect, **options)
+        topology = arch.interconnect
+        table = SpacetimeMap(arch.pe_array, topology).predecessor_table()
+        interval = topology.time_interval
+        coords = list(itertools.product(*(range(extent) for extent in pe_dims)))
+        links = {
+            (source, destination)
+            for source, destination in itertools.permutations(range(len(coords)), 2)
+            if _ORACLE[type(topology)](topology, coords[source], coords[destination])
+            and (interval > 0 or source < destination)
+        }
+        rng = np.random.default_rng(sum(pe_dims) * 131 + len(interconnect))
+        boxes = [PEBox.whole(pe_dims)]
+        for _ in range(24):
+            low = tuple(int(rng.integers(0, extent)) for extent in pe_dims)
+            boxes.append(PEBox(low, tuple(
+                int(rng.integers(1, extent - start + 1))
+                for start, extent in zip(low, pe_dims)
+            )))
+        straddled = False
+        for box in boxes:
+            members = [
+                int(np.ravel_multi_index(point, pe_dims))
+                for point in itertools.product(*(
+                    range(start, start + extent)
+                    for start, extent in zip(box.low, box.extents)
+                ))
+            ]
+            found = []
+            for direction in link_directions(table, pe_dims, box, interval):
+                assert direction.mask.tolist() == [
+                    pe in direction.pes for pe in range(box.size)
+                ]
+                for pe in direction.pes.tolist():
+                    source = pe + direction.offset
+                    assert 0 <= source < box.size
+                    if interval == 0:
+                        assert source < pe
+                    found.append((members[source], members[pe]))
+            inside = set(members)
+            expected = {
+                link for link in links if link[0] in inside and link[1] in inside
+            }
+            assert sorted(found) == sorted(expected)
+            if interconnect == "reduction-tree":
+                # Some group the box touches has a PE outside it.
+                size, width = topology.group_size, pe_dims[-1]
+                first, last = box.low[-1], box.low[-1] + box.extents[-1]
+                straddled |= any(
+                    group * size < first or min(group * size + size, width) > last
+                    for group in {coords[member][-1] // size for member in members}
+                )
+        assert straddled or interconnect != "reduction-tree"
+
+    def test_sub_array_grid_fits_where_the_array_grid_would_not(self):
+        # 70,000 time ranks x 64 PEs = 4.48M cells, past max(8n, 2^22) =
+        # 4.19M, but the candidate occupies a 2x2 box: 280,000 cells.
+        op = gemm(2, 2, 70000)
+        arch = make_arch(pe_dims=(8, 8), interconnect="2d-systolic")
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        candidate = Dataflow.from_exprs(
+            "deep", op.domain.space, [i % 8, j % 8], [k]
+        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
+        encoded = [
+            json.dumps(report_dict(e.evaluate(candidate)), sort_keys=True).encode()
+            for e in (reference, engine)
+        ]
+        assert encoded[0] == encoded[1]
+        assert engine.stats["fused_path"] == 3
+        assert engine.stats["grid_cells"] == 70000 * 4
 
     def test_dead_directions_are_skipped_per_tensor(self):
         # Space (i % 8, j % 8): A[i, k] is shared along PE rows, B[k, j]

@@ -10,7 +10,10 @@ per-reference grids.  A third family bends the GEMM candidates into each
 case the fused backend's per-axis stamps hand on: a strided time stamp (a
 key that is not dense), a space stamp over two loop variables (an
 expression that does not split), a dropped time axis (not injective) and a
-triangular domain (not a box).
+triangular domain (not a box).  A fourth family occupies a strict sub-array:
+GEMM and conv2d candidates whose space loops are shorter than the PE axes
+they map to (conv2d's 3x3 filter loops), shifted off the array's origin, so
+the fused backend's PE box is neither the whole array nor anchored at 0.
 
 Engines are cached per (kernel, operation size, PE array, interconnect,
 temporal interval, backend): hypothesis re-draws candidates, not warm-up
@@ -31,7 +34,7 @@ from repro.core.dataflow import Dataflow
 from repro.core.engine import EvaluationEngine
 from repro.experiments.common import make_arch
 from repro.isl.expr import var
-from repro.tensor.kernels import gemm, jacobi2d
+from repro.tensor.kernels import conv2d, gemm, jacobi2d
 
 from tests.core.test_backends import report_dict, triangular_gemm
 
@@ -47,6 +50,9 @@ KERNELS = {
     "gemm": lambda size: gemm(size, size, size),
     "jacobi2d": lambda size: jacobi2d(size, size),
     "tri-gemm": triangular_gemm,
+    # Sub-array families: ``size`` is the tuple of loop extents.
+    "gemm-sub": lambda sizes: gemm(*sizes),
+    "conv2d-sub": lambda sizes: conv2d(*sizes),
 }
 
 
@@ -56,7 +62,10 @@ def _engine(
     key = (kernel, size, pe_dims, interconnect, temporal_interval, backend)
     engine = _ENGINES.get(key)
     if engine is None:
-        arch = make_arch(pe_dims=pe_dims, interconnect=interconnect)
+        # ``name/size``: a reduction tree with groups of ``size`` PEs.
+        name, _, group = interconnect.partition("/")
+        options = {"group_size": int(group)} if group else {}
+        arch = make_arch(pe_dims=pe_dims, interconnect=name, **options)
         engine = EvaluationEngine(
             KERNELS[kernel](size), arch, backend=backend,
             temporal_interval=temporal_interval,
@@ -81,16 +90,16 @@ def _assert_byte_identical(kernel, size, pe_dims, interconnect, temporal_interva
     )
 
 
-def _candidate(op, pe_dims, first, second, order, skew, fallback=None):
-    """``first``/``second`` tile the PE rows/columns.  The time stamps are
-    the remaining loop dimensions (GEMM's third, none for Jacobi-2D) and the
-    two block indices, in ``order``, the inner one skewed by the space stamps
-    the bits of ``skew`` select.  ``fallback`` strides the remaining
-    dimension by 2 (``"strided"``), folds ``second`` into the first space
-    stamp (``"non-separable"``) or drops the remaining dimension
-    (``"dropped"``)."""
+def _candidate(op, pe_dims, first, second, order, skew, fallback=None, offsets=(0, 0)):
+    """``first``/``second`` tile the PE rows/columns, shifted by ``offsets``.
+    The time stamps are the remaining loop dimensions (GEMM's third, none
+    for Jacobi-2D) and the two block indices, in ``order``, the inner one
+    skewed by the space stamps the bits of ``skew`` select.  ``fallback``
+    strides the remaining dimension by 2 (``"strided"``), folds ``second``
+    into the first space stamp (``"non-separable"``) or drops the remaining
+    dimension (``"dropped"``)."""
     rows, cols = pe_dims
-    space = [var(first) % rows, var(second) % cols]
+    space = [var(first) % rows + offsets[0], var(second) % cols + offsets[1]]
     if fallback == "non-separable":
         space[0] = (var(first) + var(second)) % rows
     remaining = [var(dim) for dim in op.loop_dims if dim not in (first, second)]
@@ -110,8 +119,8 @@ def _candidate(op, pe_dims, first, second, order, skew, fallback=None):
     return Dataflow.from_exprs(name, op.domain.space, space, time_exprs)
 
 
-axis_pairs = st.sampled_from([("i", "j"), ("i", "k"), ("j", "i"),
-                              ("j", "k"), ("k", "i"), ("k", "j")])
+AXIS_PAIRS = [("i", "j"), ("i", "k"), ("j", "i"), ("j", "k"), ("k", "i"), ("k", "j")]
+axis_pairs = st.sampled_from(AXIS_PAIRS)
 orders = st.permutations(range(3))
 skews = st.integers(min_value=0, max_value=3)
 stencil_axes = st.sampled_from([("i", "j"), ("j", "i")])
@@ -165,4 +174,75 @@ def test_fused_fallbacks_byte_identical_to_interp(
     _assert_byte_identical(
         kernel, size, pe_dims, interconnect, temporal_interval,
         lambda op: _candidate(op, pe_dims, pair[0], pair[1], tuple(order), skew, variant),
+    )
+
+
+SUB_ARRAYS = ((4, 4), (3, 5), (5, 7), (8, 8))
+#: Every other topology links a box the same wherever it sits in these
+#: arrays; groups of 3 PEs are cut differently by boxes at different
+#: corners, so a box anchored at the wrong corner shows.
+SUB_ARRAY_INTERCONNECTS = (*INTERCONNECTS, "reduction-tree/3")
+
+
+@st.composite
+def sub_array_draws(draw, loop_dims, space_pairs, fixed):
+    """A PE array, a pair of space loops shorter than the PE axes they map
+    to, every loop's extent, and space offsets that keep the image inside
+    the array with its low corner off the origin.  ``fixed`` pins some
+    loop extents (conv2d's 3x3 filter)."""
+    first, second = draw(st.sampled_from(space_pairs))
+    pe_dims = draw(st.sampled_from([
+        dims for dims in SUB_ARRAYS
+        if fixed.get(first, 1) < dims[0] and fixed.get(second, 1) < dims[1]
+    ]))
+    extents = {}
+    for dim, bound in ((first, pe_dims[0]), (second, pe_dims[1])):
+        extents[dim] = fixed.get(dim) or draw(st.integers(1, bound - 1))
+    for dim in loop_dims:
+        if dim not in extents:
+            extents[dim] = fixed.get(dim) or draw(st.integers(2, 4))
+    offsets = (
+        draw(st.integers(1, pe_dims[0] - extents[first])),
+        draw(st.integers(0, pe_dims[1] - extents[second])),
+    )
+    sizes = tuple(extents[dim] for dim in loop_dims)
+    return pe_dims, first, second, sizes, offsets
+
+
+@pytest.mark.parametrize("interconnect", SUB_ARRAY_INTERCONNECTS)
+@given(
+    drawn=sub_array_draws(("i", "j", "k"), AXIS_PAIRS, {}),
+    temporal_interval=temporal_intervals, order=orders, skew=skews,
+)
+@settings(max_examples=50, deadline=None)
+def test_fused_sub_array_gemm_byte_identical_to_interp(
+    interconnect, drawn, temporal_interval, order, skew
+):
+    pe_dims, first, second, sizes, offsets = drawn
+    _assert_byte_identical(
+        "gemm-sub", sizes, pe_dims, interconnect, temporal_interval,
+        lambda op: _candidate(
+            op, pe_dims, first, second, tuple(order), skew, offsets=offsets
+        ),
+    )
+
+
+CONV_DIMS = ("k", "c", "ox", "oy", "rx", "ry")
+
+
+@pytest.mark.parametrize("interconnect", SUB_ARRAY_INTERCONNECTS)
+@given(
+    drawn=sub_array_draws(CONV_DIMS, [("rx", "ry"), ("ry", "rx")], {"rx": 3, "ry": 3}),
+    temporal_interval=temporal_intervals, order=st.permutations(range(6)), skew=skews,
+)
+@settings(max_examples=50, deadline=None)
+def test_fused_sub_array_conv2d_byte_identical_to_interp(
+    interconnect, drawn, temporal_interval, order, skew
+):
+    pe_dims, first, second, sizes, offsets = drawn
+    _assert_byte_identical(
+        "conv2d-sub", sizes, pe_dims, interconnect, temporal_interval,
+        lambda op: _candidate(
+            op, pe_dims, first, second, tuple(order), skew, offsets=offsets
+        ),
     )
