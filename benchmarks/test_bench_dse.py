@@ -1,12 +1,10 @@
 """Section VI-B: pruned design-space exploration."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import dse_experiment
 
 
-def test_bench_dse_exploration(benchmark, show):
-    result = run_once(benchmark, dse_experiment.run,
-                      conv_sizes=(16, 16, 7, 7, 3, 3), max_candidates=30)
+def test_bench_dse_exploration(show):
+    result = dse_experiment.run(conv_sizes=(16, 16, 7, 7, 3, 3), max_candidates=30)
     show(result, max_rows=None)
     assert result.headline["paper_pruned_space"] == 25920
     assert result.headline["candidates_evaluated"] >= 20

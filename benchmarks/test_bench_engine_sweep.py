@@ -5,21 +5,21 @@ Four claims are checked on GEMM and conv sweeps:
 * a 100-candidate sweep through :class:`EvaluationEngine` (interp backend,
   relation cache on) is at least 2x faster than 100 independent
   ``TenetAnalyzer`` runs;
-* the fused backend (compiled, batch-stacked stamp matmuls, stamp-grid
-  volume kernel) is at least 4x faster than the interp backend on the same
-  sweep;
+* the fused backend (per-axis stamps, stamp-grid volume kernel) is at least
+  4x faster than the interp backend on the same sweep;
 * it is at least 4x faster on the 320-candidate conv-explore layer too;
 * both backends produce bit-identical performance reports, including
-  dataflows with nested ``mod``/``floordiv`` terms that exercise the compiled
-  backend's interpreter fallback, and wide temporal intervals, which the
+  dataflows with nested ``mod``/``floordiv`` terms, whose stamps the fused
+  backend hands to the interpreter, and wide temporal intervals, which the
   interp backend hands to the reference kernel and the grid kernel takes.
 
-Timings land in the ``--bench-json`` trajectory (see the root conftest).
+Each speed ratio is taken between medians of interleaved rounds
+(:func:`benchmarks.conftest.interleaved_medians`).
 """
 
 import itertools
-import time
 
+from benchmarks.conftest import interleaved_medians
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.engine import EvaluationEngine, RelationCache, dataflow_signature
 from repro.core.dataflow import Dataflow
@@ -35,6 +35,9 @@ NUM_CANDIDATES = 100
 #: (K C OY OX R S), swept over every pruned candidate the CLI would explore.
 CONV_SIZES = (16, 12, 8, 8, 3, 3)
 CONV_CANDIDATES = 320
+#: Interleaved rounds behind each speed ratio's medians.
+ROUNDS = 3
+BACKENDS = ("interp", "fused")
 
 
 def sweep_candidates(op, count=NUM_CANDIDATES, pe_dims=PE_DIMS):
@@ -71,9 +74,10 @@ def sweep_candidates(op, count=NUM_CANDIDATES, pe_dims=PE_DIMS):
 def nested_quasi_candidates(op, count=6, pe_dims=PE_DIMS):
     """Dataflows whose time stamps contain *nested* quasi terms.
 
-    ``(fl(first/rows) + second) mod M`` wraps a floordiv inside a mod, which
-    the stamp compiler cannot lower to derived columns — these candidates
-    exercise the compiled backend's ``evaluate_vec`` interpreter fallback.
+    ``(fl(first/rows) + second) mod M`` wraps a floordiv inside a mod over
+    two loop variables, which does not split per axis — these candidates
+    exercise the fused backend's interpreter fallback
+    (``stamp_fallback_exprs``).
     """
     rows, cols = pe_dims
     dims = list(op.loop_dims)
@@ -99,122 +103,98 @@ def comparable(report):
     return data
 
 
-def reset_memos(engine):
-    """Clear the cross-round report memo so repeated timings stay honest."""
-    engine._memo.clear()
+def warm_engine(op, arch, candidates, backend):
+    """An engine on its own relation cache, warmed on the first candidate, so
+    the timed rounds measure steady-state sweeps, as a production sweep of
+    thousands of candidates against one warm cache does."""
+    engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+    engine.evaluate(candidates[0])
+    return engine
 
 
-def timed_sweep(op, arch, candidates, backend, repeats=2, **engine_kwargs):
-    """Best-of-``repeats`` steady-state sweep time (relation cache warm).
+def resweep(engine, candidates, batches, key):
+    """An :func:`interleaved_medians` side: one full sweep on ``engine``.
 
-    A production sweep evaluates thousands of candidates against one warm
-    cache, so one-time costs (relation materialisation, layout compilation)
-    are amortised: warm the engine, then time full sweeps with the report
-    memo cleared in between and keep the fastest run, exactly like the fig8
-    runtime driver does.
+    The report memo and the counters are cleared first (the counters in
+    place: the backend shares the dict), so every round evaluates every
+    candidate and the counters describe one sweep.  The batch lands in
+    ``batches[key]``.
     """
+
+    def run():
+        engine._memo.clear()
+        engine.stats.update(dict.fromkeys(engine.stats, 0))
+        batches[key] = engine.evaluate_batch(candidates)
+
+    return run
+
+
+def untimed_sweep(op, arch, candidates, backend, **engine_kwargs):
+    """One sweep on a fresh engine; returns ``(batch, engine)``."""
     engine = EvaluationEngine(
         op, arch, cache=RelationCache(), backend=backend, **engine_kwargs
     )
-    engine.evaluate(candidates[0])  # warm the relation cache
-    seconds = float("inf")
-    for _ in range(max(1, repeats)):
-        reset_memos(engine)
-        started = time.perf_counter()
-        batch = engine.evaluate_batch(candidates)
-        seconds = min(seconds, time.perf_counter() - started)
-    return batch, seconds, engine
+    return engine.evaluate_batch(candidates), engine
 
 
-def interleaved_sweeps(op, arch, candidates, backends, rounds=4):
-    """Steady-state sweep times for several backends, interleaved per round.
-
-    Interleaving makes the comparison robust to systemic noise (CPU
-    contention, frequency scaling): a slow phase of the machine inflates
-    every backend's round equally, and the per-backend minimum over rounds
-    discards it.
-    """
-    engines = {}
-    for backend in backends:
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
-        engine.evaluate(candidates[0])  # warm relation cache and layouts
-        engines[backend] = engine
-    batches = {}
-    seconds = {backend: float("inf") for backend in backends}
-    for _ in range(rounds):
-        for backend, engine in engines.items():
-            reset_memos(engine)
-            started = time.perf_counter()
-            batches[backend] = engine.evaluate_batch(candidates)
-            seconds[backend] = min(seconds[backend], time.perf_counter() - started)
-    return batches, seconds, engines
-
-
-def test_bench_engine_sweep(benchmark, bench_record):
+def test_bench_engine_sweep():
     op = gemm(GEMM_SIZE, GEMM_SIZE, GEMM_SIZE)
     arch = make_arch(pe_dims=PE_DIMS, interconnect="2d-systolic")
     candidates = sweep_candidates(op)
     assert len(candidates) == NUM_CANDIDATES
 
-    started = time.perf_counter()
-    baseline = [TenetAnalyzer(op, candidate, arch).analyze() for candidate in candidates]
-    baseline_seconds = time.perf_counter() - started
+    engines = {backend: warm_engine(op, arch, candidates, backend) for backend in BACKENDS}
+    batches = {}
 
-    def sweep():
-        return interleaved_sweeps(op, arch, candidates, ("interp", "fused"))
+    def analyzer():
+        batches["analyzer"] = [
+            TenetAnalyzer(op, candidate, arch).analyze() for candidate in candidates
+        ]
 
-    def ratios(seconds):
-        return (
-            baseline_seconds / seconds["interp"],
-            seconds["interp"] / seconds["fused"],
-        )
-
-    batches, seconds, engines = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    engine_speedup, fused_speedup = ratios(seconds)
-    # The fused backend must clear 4x over interp: the product of the two
-    # 2x bars it used to meet through an intermediate compiled backend.  A
-    # single re-measure guards the ratio against one-off machine hiccups.
-    if fused_speedup < 4.0:
-        batches, seconds, engines = sweep()
-        engine_speedup, fused_speedup = ratios(seconds)
-
-    fused_cps = NUM_CANDIDATES / seconds["fused"]
     print()
-    print(f"independent analyzer runs : {baseline_seconds:.2f} s")
-    print(f"interp engine sweep       : {seconds['interp']:.2f} s ({engine_speedup:.2f}x)")
-    print(f"fused backend sweep       : {seconds['fused']:.2f} s "
-          f"({fused_speedup:.2f}x vs interp, {fused_cps:.0f} cand/s)")
-    print(f"fused stats               : {engines['fused'].stats}")
-    bench_record(
-        "engine_sweep_gemm48x100",
-        analyzer_seconds=round(baseline_seconds, 3),
-        interp_seconds=round(seconds["interp"], 3),
-        fused_seconds=round(seconds["fused"], 3),
-        engine_speedup=round(engine_speedup, 2),
-        fused_speedup_vs_interp=round(fused_speedup, 2),
-        fused_candidates_per_sec=round(fused_cps, 1),
+    seconds = interleaved_medians(
+        {
+            "analyzer": analyzer,
+            **{b: resweep(engines[b], candidates, batches, b) for b in BACKENDS},
+        },
+        ROUNDS,
     )
+    engine_speedup = seconds["analyzer"] / seconds["interp"]
+    fused_speedup = seconds["interp"] / seconds["fused"]
+    print(f"interp engine over analyzer runs : {engine_speedup:.2f}x")
+    print(f"fused over interp                : {fused_speedup:.2f}x "
+          f"({NUM_CANDIDATES / seconds['fused']:.0f} cand/s)")
+    print(f"fused stats                      : {engines['fused'].stats}")
 
     # Bit-identical reports across the analyzer and both backends.
-    for batch in batches.values():
-        reports = batch.reports
+    for backend in BACKENDS:
+        reports = batches[backend].reports
         assert len(reports) == NUM_CANDIDATES
-        for reference, candidate in zip(baseline, reports):
+        for reference, candidate in zip(batches["analyzer"], reports):
             assert comparable(reference) == comparable(candidate)
 
-    assert engines["interp"].stats["fast_path"] > 0
-    assert engines["fused"].stats["fused_path"] > 0
+    # One sweep's kernel paths: every per-tensor evaluation (3 tensors x 100
+    # candidates) takes the grid kernel on fused, and none reaches the
+    # reference kernel on either backend.
+    fused = engines["fused"].stats
+    assert fused["fused_path"] == fused["fast_path"] == 3 * NUM_CANDIDATES
+    assert fused["reference_path"] == 0
+    assert engines["interp"].stats["reference_path"] == 0
 
     assert engine_speedup >= 2.0, (
-        f"engine sweep only {engine_speedup:.2f}x faster than independent runs"
+        f"engine sweep only {engine_speedup:.2f}x faster than independent runs "
+        f"(medians of {ROUNDS} interleaved rounds)"
     )
+    # The fused backend must clear 4x over interp: the product of the two
+    # 2x bars it used to meet through an intermediate compiled backend.
     assert fused_speedup >= 4.0, (
-        f"fused backend only {fused_speedup:.2f}x faster than the interp backend"
+        f"fused backend only {fused_speedup:.2f}x faster than the interp backend "
+        f"(medians of {ROUNDS} interleaved rounds)"
     )
 
 
-def test_bench_conv_sweep(benchmark, bench_record):
-    """Fused against interp on the conv-explore layer, 2 interleaved rounds.
+def test_bench_conv_sweep():
+    """Fused against interp on the conv-explore layer.
 
     Conv boundaries leave ragged (PE, element) groups and empty stamps,
     which the stamp grid covers without padding; the fused backend must
@@ -227,30 +207,16 @@ def test_bench_conv_sweep(benchmark, bench_record):
     ))
     assert len(candidates) == CONV_CANDIDATES
 
-    def sweep():
-        return interleaved_sweeps(op, arch, candidates, ("interp", "fused"), rounds=2)
-
-    batches, seconds, engines = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    fused_speedup = seconds["interp"] / seconds["fused"]
-    # A single re-measure guards the ratio against one-off machine hiccups.
-    if fused_speedup < 4.0:
-        batches, seconds, engines = sweep()
-        fused_speedup = seconds["interp"] / seconds["fused"]
-
-    fused_cps = CONV_CANDIDATES / seconds["fused"]
+    engines = {backend: warm_engine(op, arch, candidates, backend) for backend in BACKENDS}
+    batches = {}
     print()
-    print(f"interp engine sweep : {seconds['interp']:.2f} s")
-    print(f"fused backend sweep : {seconds['fused']:.2f} s "
-          f"({fused_speedup:.2f}x vs interp, {fused_cps:.0f} cand/s)")
-    print(f"fused stats         : {engines['fused'].stats}")
-    bench_record(
-        "engine_sweep_conv2d_incpt3a",
-        candidates=CONV_CANDIDATES,
-        interp_seconds=round(seconds["interp"], 3),
-        fused_seconds=round(seconds["fused"], 3),
-        fused_speedup_vs_interp=round(fused_speedup, 2),
-        fused_candidates_per_sec=round(fused_cps, 1),
+    seconds = interleaved_medians(
+        {b: resweep(engines[b], candidates, batches, b) for b in BACKENDS}, ROUNDS
     )
+    fused_speedup = seconds["interp"] / seconds["fused"]
+    print(f"fused over interp : {fused_speedup:.2f}x "
+          f"({CONV_CANDIDATES / seconds['fused']:.0f} cand/s)")
+    print(f"fused stats       : {engines['fused'].stats}")
 
     reference = batches["interp"].reports
     assert len(reference) == len(batches["fused"].reports) == CONV_CANDIDATES
@@ -259,7 +225,8 @@ def test_bench_conv_sweep(benchmark, bench_record):
     stats = engines["fused"].stats
     assert stats["fused_path"] == stats["fast_path"] and stats["reference_path"] == 0
     assert fused_speedup >= 4.0, (
-        f"fused backend only {fused_speedup:.2f}x faster than interp on conv"
+        f"fused backend only {fused_speedup:.2f}x faster than interp on conv "
+        f"(medians of {ROUNDS} interleaved rounds)"
     )
 
 
@@ -270,8 +237,8 @@ def test_bench_backend_fallback_and_wide_interval():
     # Nested mod/floordiv time stamps: the stamp compiler falls back to the
     # interpreter for those expressions; reports stay bit-identical.
     nested = nested_quasi_candidates(op, pe_dims=(4, 4))
-    interp_batch, _, _ = timed_sweep(op, arch, nested, "interp")
-    fused_batch, _, fused_engine = timed_sweep(op, arch, nested, "fused")
+    interp_batch, _ = untimed_sweep(op, arch, nested, "interp")
+    fused_batch, fused_engine = untimed_sweep(op, arch, nested, "fused")
     assert fused_engine.stats["stamp_fallback_exprs"] > 0
     for reference, candidate in zip(interp_batch.reports, fused_batch.reports):
         assert comparable(reference) == comparable(candidate)
@@ -280,10 +247,10 @@ def test_bench_backend_fallback_and_wide_interval():
     # chains to the reference kernel, the fused grid kernel takes them, and
     # both still agree bit for bit.
     wide = sweep_candidates(op, count=30, pe_dims=(4, 4))
-    interp_batch, _, interp_engine = timed_sweep(
+    interp_batch, interp_engine = untimed_sweep(
         op, arch, wide, "interp", temporal_interval=12
     )
-    fused_batch, _, fused_engine = timed_sweep(
+    fused_batch, fused_engine = untimed_sweep(
         op, arch, wide, "fused", temporal_interval=12
     )
     assert interp_engine.stats["reference_path"] > 0
@@ -294,7 +261,7 @@ def test_bench_backend_fallback_and_wide_interval():
         assert comparable(reference) == comparable(candidate)
 
 
-def test_bench_sbw_objective_prunes(bench_record):
+def test_bench_sbw_objective_prunes():
     """``sbw`` early termination prunes candidates, best rank unchanged.
 
     The footprint bound divides by the candidate's compute delay, so pruning
@@ -316,15 +283,14 @@ def test_bench_sbw_objective_prunes(bench_record):
     pruned = pruned_engine.evaluate_batch(
         candidates, objective="sbw", early_termination=True
     )
-    score = lambda r: (r.scratchpad_bandwidth_bits(), r.dataflow)
+
+    def score(report):
+        return report.scratchpad_bandwidth_bits(), report.dataflow
+
     best_full = min(full.reports, key=score)
     best_pruned = min(pruned.reports, key=score)
     assert comparable(best_full) == comparable(best_pruned)
-    assert len(pruned.pruned) > 0
+    # Pruning is deterministic: the same 49 of the 61 candidates every run.
+    assert len(pruned.pruned) == 49
     assert len(pruned.reports) + len(pruned.pruned) == len(candidates)
     print(f"\nsbw sweep: {len(pruned.pruned)} of {len(candidates)} candidates pruned")
-    bench_record(
-        "sbw_objective_pruning_gemm32",
-        candidates=len(candidates),
-        pruned=len(pruned.pruned),
-    )

@@ -1,11 +1,10 @@
 """Figure 10: per-tensor IBW / SBW across interconnect topologies."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig10_bandwidth
 
 
-def test_bench_fig10_bandwidth(benchmark, show):
-    result = run_once(benchmark, fig10_bandwidth.run)
+def test_bench_fig10_bandwidth(show):
+    result = fig10_bandwidth.run()
     show(result, max_rows=None)
     # Topologies show broadly similar SBW for the same dataflow (regular access patterns),
     # and at least one diagonal-reuse dataflow gains from the mesh.

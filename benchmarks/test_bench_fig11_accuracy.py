@@ -1,11 +1,10 @@
 """Figure 11: latency / PE-utilisation estimation accuracy vs the reference simulator."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig11_accuracy
 
 
-def test_bench_fig11_accuracy(benchmark, show):
-    result = run_once(benchmark, fig11_accuracy.run, max_instances=150_000)
+def test_bench_fig11_accuracy(show):
+    result = fig11_accuracy.run(max_instances=150_000)
     show(result, max_rows=None)
     # The relation-centric analytical model must track the simulator more closely
     # than the polynomial baseline, for both latency and utilisation.

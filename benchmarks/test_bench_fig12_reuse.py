@@ -2,12 +2,11 @@
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig12_reuse
 
 
-def test_bench_fig12_reuse_factors(benchmark, show):
-    result = run_once(benchmark, fig12_reuse.run, max_instances=300_000)
+def test_bench_fig12_reuse_factors(show):
+    result = fig12_reuse.run(max_instances=300_000)
     show(result, max_rows=None)
     outputs = [row for row in result.rows if row["role"] == "output"]
     # The data-centric polynomial never reports output reuse...

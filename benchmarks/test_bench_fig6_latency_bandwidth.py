@@ -1,13 +1,10 @@
 """Figure 6: latency vs scratchpad bandwidth, TENET-only vs data-centric dataflows."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig6_latency_bandwidth
 
 
-def test_bench_fig6_latency_bandwidth(benchmark, show):
-    result = run_once(
-        benchmark,
-        fig6_latency_bandwidth.run,
+def test_bench_fig6_latency_bandwidth(show):
+    result = fig6_latency_bandwidth.run(
         gemm_size=64,
         conv_sizes=(32, 32, 14, 14, 3, 3),
     )

@@ -1,11 +1,10 @@
 """Figure 7: large-scale applications (GoogLeNet, MobileNet, ALS, Transformer)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig7_large_apps
 
 
-def test_bench_fig7_large_apps(benchmark, show):
-    result = run_once(benchmark, fig7_large_apps.run, max_instances=400_000)
+def test_bench_fig7_large_apps(show):
+    result = fig7_large_apps.run(max_instances=400_000)
     show(result, max_rows=None)
     # The relation-centric space contains the data-centric one, so the latency of the
     # best TENET dataflow never exceeds the data-centric best on either DNN.

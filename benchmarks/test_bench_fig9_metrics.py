@@ -1,11 +1,10 @@
 """Figure 9: critical metrics (reuse, utilisation, latency) for the Table III dataflows."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig9_metrics
 
 
-def test_bench_fig9_critical_metrics(benchmark, show):
-    result = run_once(benchmark, fig9_metrics.run)
+def test_bench_fig9_critical_metrics(show):
+    result = fig9_metrics.run()
     show(result, max_rows=None)
     gemm_rows = [row for row in result.rows if row["kernel"] == "gemm"]
     two_dim = [row for row in gemm_rows if row["dataflow"] in

@@ -7,14 +7,11 @@ Three claims are checked on the 100-candidate GEMM sweep family:
   to the unsharded sweep's.
 * **Resume identity** — a sweep killed mid-stream and resumed from its
   checkpoint produces a final ranking bit-identical to an uninterrupted run.
-* **Throughput** — the streaming session's end-to-end candidates/sec lands in
-  the ``--bench-json`` trajectory so the perf history covers the pipeline,
-  and the streaming overhead over a raw ``evaluate_batch`` call stays small.
+* **Streaming overhead** — a session run costs less than 1.5x the raw
+  ``evaluate_batch`` call it drives, on medians of interleaved rounds.
 """
 
-import statistics
-import time
-
+from benchmarks.conftest import interleaved_medians
 from benchmarks.test_bench_engine_sweep import GEMM_SIZE, sweep_candidates
 from repro.core.engine import EvaluationEngine, RelationCache, dataflow_signature
 from repro.experiments.common import make_arch
@@ -37,15 +34,13 @@ def fresh_session(op, arch, checkpoint=None, resume=False, batch_size=25):
     )
 
 
-def test_bench_sweep_pipeline_shard_resume_identity(tmp_path, bench_record):
+def test_bench_sweep_pipeline_shard_resume_identity(tmp_path):
     op = gemm(GEMM_SIZE, GEMM_SIZE, GEMM_SIZE)
     arch = make_arch(pe_dims=(8, 8))
     candidates = sweep_candidates(op, NUM_CANDIDATES)
 
     full_path = tmp_path / "full.jsonl"
-    started = time.perf_counter()
     full = fresh_session(op, arch, checkpoint=str(full_path)).run(candidates)
-    sweep_seconds = time.perf_counter() - started
     assert len(full.evaluated) == NUM_CANDIDATES
 
     # -- shard identity: partition exactly once, merge bit-identically -------
@@ -77,17 +72,8 @@ def test_bench_sweep_pipeline_shard_resume_identity(tmp_path, bench_record):
         (e.signature, e.score, e.data) for e in full.ranking
     ]
 
-    # -- throughput trajectory ------------------------------------------------
-    bench_record(
-        "sweep_pipeline_gemm48",
-        candidates=NUM_CANDIDATES,
-        sweep_seconds=round(sweep_seconds, 4),
-        candidates_per_second=round(full.throughput, 2),
-        batches=full.batches,
-    )
 
-
-def test_bench_sweep_streaming_overhead(bench_record):
+def test_bench_sweep_streaming_overhead():
     # The session's streaming loop (signatures, sinks, ranking) must not cost
     # a meaningful fraction of the raw engine batch it drives.  Raw batches
     # and session runs alternate over OVERHEAD_ROUNDS rounds, each side
@@ -106,30 +92,19 @@ def test_bench_sweep_streaming_overhead(bench_record):
     )
     session.evaluate(candidates[0])
 
-    seconds: dict[str, list[float]] = {"raw": [], "session": []}
     evaluated = []
-    for round_index in range(OVERHEAD_ROUNDS):
-        for side in ("raw", "session") if round_index % 2 == 0 else ("session", "raw"):
-            started = time.perf_counter()
-            if side == "raw":
-                engine.evaluate_batch(candidates)
-            else:
-                evaluated.append(len(session.run(candidates).evaluated))
-            seconds[side].append(time.perf_counter() - started)
-    raw_seconds = statistics.median(seconds["raw"])
-    session_seconds = statistics.median(seconds["session"])
-
-    overhead = session_seconds / raw_seconds if raw_seconds else float("inf")
-    bench_record(
-        "sweep_streaming_overhead_gemm48",
-        raw_batch_seconds=round(raw_seconds, 4),
-        session_seconds=round(session_seconds, 4),
-        overhead_ratio=round(overhead, 3),
-        candidates_per_second=round(NUM_CANDIDATES / session_seconds, 2),
-        rounds=OVERHEAD_ROUNDS,
+    print()
+    seconds = interleaved_medians(
+        {
+            "raw": lambda: engine.evaluate_batch(candidates),
+            "session": lambda: evaluated.append(len(session.run(candidates).evaluated)),
+        },
+        OVERHEAD_ROUNDS,
     )
+    overhead = seconds["session"] / seconds["raw"]
+    print(f"session over raw batch: {overhead:.2f}x")
     assert evaluated == [NUM_CANDIDATES] * OVERHEAD_ROUNDS
     assert overhead < 1.5, (
         f"streaming session is {overhead:.2f}x the raw batch on the same engine "
-        f"(medians of {OVERHEAD_ROUNDS} alternating rounds)"
+        f"(medians of {OVERHEAD_ROUNDS} interleaved rounds)"
     )

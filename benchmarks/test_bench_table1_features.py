@@ -1,10 +1,9 @@
 """Table I: notation capability matrix."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import table1_features
 
 
-def test_bench_table1_features(benchmark, show):
-    result = run_once(benchmark, table1_features.run)
+def test_bench_table1_features(show):
+    result = table1_features.run()
     show(result)
     assert len(result.rows) == 10

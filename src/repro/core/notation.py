@@ -44,9 +44,3 @@ def parse_shorthand_name(name: str) -> tuple[str, tuple[str, ...]]:
         group.strip().upper() for group in match.group("time").split(",") if group.strip()
     )
     return space, time_groups
-
-
-def shorthand_matches(name: str, space: str, time_groups: Sequence[str]) -> bool:
-    """Check whether a shorthand name corresponds to the given groups."""
-    parsed_space, parsed_time = parse_shorthand_name(name)
-    return parsed_space == space.upper() and parsed_time == tuple(g.upper() for g in time_groups)

@@ -2,9 +2,9 @@
 
 Every module exposes a ``run(...)`` function returning an
 :class:`~repro.experiments.common.ExperimentResult` whose rows reproduce the
-corresponding table rows / figure series.  The ``benchmarks/`` directory wraps
-these drivers with pytest-benchmark so the whole evaluation can be regenerated
-with ``pytest benchmarks/ --benchmark-only``.
+corresponding table rows / figure series.  Each test under ``benchmarks/``
+runs one driver, prints its table and asserts the paper's claim, so the whole
+evaluation is regenerated with ``python -m pytest -m slow benchmarks``.
 
 Experiments and their paper artefacts:
 

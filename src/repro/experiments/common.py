@@ -71,16 +71,6 @@ class ExperimentResult:
         return self.table()
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def average(values: Iterable[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -121,11 +111,6 @@ def scaled_layer_op(layer: Layer, max_instances: int):
 #: drivers sweeping several dataflows (or architectures) over the same
 #: operation materialise its relations exactly once.
 _SHARED_RELATION_CACHE = RelationCache(max_entries=8)
-
-
-def shared_relation_cache() -> RelationCache:
-    """The process-wide relation cache used by the experiment drivers."""
-    return _SHARED_RELATION_CACHE
 
 
 def make_engine(op, arch, *, backend: str = "auto", **kwargs) -> EvaluationEngine:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import UnboundedSetError
 from repro.isl.constraint import Constraint
 from repro.isl.enumeration import chunk_length, filter_chunk, iter_box_chunks
 from repro.isl.iset import IntSet
@@ -118,21 +117,3 @@ def _count_by_enumeration(
     for chunk in iter_box_chunks(component_bounds, dims, chunk_size):
         count += chunk_length(filter_chunk(chunk, constraints))
     return count
-
-
-def count_map_pairs(imap, chunk_size: int = 1 << 20) -> int:
-    """Number of (input, output) pairs of a map restricted to its domain.
-
-    For a functional map this is simply the cardinality of the domain.  For a
-    general relation the pairs are enumerated over the product of the domain
-    and range boxes.
-    """
-    from repro.isl.imap import IntMap  # local import to avoid a cycle
-
-    if not isinstance(imap, IntMap):
-        raise TypeError(f"expected an IntMap, got {type(imap)!r}")
-    if imap.is_functional:
-        if imap.domain is None:
-            raise UnboundedSetError("functional map has no domain to count over")
-        return count_points(imap.domain, chunk_size)
-    return imap.count_pairs(chunk_size=chunk_size)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import SpaceError
 from repro.isl.space import Space
@@ -50,8 +50,3 @@ def env_from(space: Space, coords: Sequence[int]) -> dict[str, int]:
     if len(coords) != space.rank:
         raise SpaceError(f"expected {space.rank} coordinates for {space}, got {len(coords)}")
     return {dim: int(value) for dim, value in zip(space.dims, coords)}
-
-
-def env_from_mapping(space: Space, mapping: Mapping[str, int]) -> dict[str, int]:
-    """Restrict a name->value mapping to a space's dimensions (all must be present)."""
-    return {dim: int(mapping[dim]) for dim in space.dims}

@@ -109,10 +109,6 @@ class UnionMap:
             raise SpaceError("empty UnionMap cannot test membership")
         return mask
 
-    def images_chunks(self, env) -> list[dict[str, np.ndarray]]:
-        """Apply every functional piece to an input chunk (one output chunk per piece)."""
-        return [piece.apply_chunk(env) for piece in self.pieces]
-
     def compose(self, other: "IntMap | UnionMap") -> "UnionMap":
         """Compose every piece with ``other`` (or with each of its pieces)."""
         other_pieces = other.pieces if isinstance(other, UnionMap) else [other]

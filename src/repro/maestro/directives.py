@@ -98,11 +98,6 @@ class DataCentricMapping:
         temporal = self.temporal_dims()
         return temporal[-1] if temporal else None
 
-    def mapped_dims(self) -> list[str]:
-        return [
-            d.dim for d in self.directives if isinstance(d, (SpatialMap, TemporalMap))
-        ]
-
     def validate_against(self, dims: Iterable[str]) -> None:
         """Check that every directive references a loop dimension of the operation."""
         known = set(dims)

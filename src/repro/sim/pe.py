@@ -41,7 +41,3 @@ class PERegisterFile:
         self.previous = retained
         self.current = set()
         return dropped
-
-    def reset(self) -> None:
-        self.current.clear()
-        self.previous.clear()

@@ -142,14 +142,6 @@ class TensorOp:
             )
         return TensorOp(self.name, domain, list(self.accesses))
 
-    def instances_array(self) -> np.ndarray:
-        """All loop instances as an ``(N, rank)`` array (for small domains only)."""
-        return self.domain.points_array()
-
-    def instances_chunks(self, chunk_size: int = 1 << 20):
-        """Stream loop instances as chunks of per-dimension arrays."""
-        return self.domain.chunks(chunk_size)
-
     # -- formatting -----------------------------------------------------------------
 
     def describe(self) -> str:

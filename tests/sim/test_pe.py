@@ -1,0 +1,57 @@
+"""Tests for the simulator's per-PE register file."""
+
+from repro.sim import PERegisterFile
+
+A0 = ("A", (0, 0))
+A1 = ("A", (0, 1))
+B0 = ("B", (0, 0))
+
+
+class TestPERegisterFile:
+    def test_touched_element_is_held_only_after_advance(self):
+        registers = PERegisterFile()
+        registers.touch(A0)
+        assert not registers.holds(A0)
+        registers.advance()
+        assert registers.holds(A0)
+
+    def test_holds_only_the_previous_step(self):
+        # Adjacency assumption: an operand survives exactly one time-step.
+        registers = PERegisterFile()
+        registers.touch(A0)
+        registers.advance()
+        registers.touch(B0)
+        registers.advance()
+        assert registers.holds(B0)
+        assert not registers.holds(A0)
+
+    def test_unbounded_register_file_drops_nothing(self):
+        registers = PERegisterFile()
+        for element in (A0, A1, B0):
+            registers.touch(element)
+        assert registers.advance() == 0
+        assert registers.previous == {A0, A1, B0}
+
+    def test_capacity_drops_the_overflow(self):
+        registers = PERegisterFile(capacity_words=1)
+        for element in (A0, A1, B0):
+            registers.touch(element)
+        assert registers.advance() == 2
+        assert len(registers.previous) == 1
+        assert registers.previous <= {A0, A1, B0}
+
+    def test_working_set_at_capacity_drops_nothing(self):
+        registers = PERegisterFile(capacity_words=2)
+        registers.touch(A0)
+        registers.touch(A0)
+        registers.touch(B0)
+        assert registers.advance() == 0
+        assert registers.previous == {A0, B0}
+
+    def test_advance_starts_an_empty_step(self):
+        registers = PERegisterFile()
+        registers.touch(A0)
+        registers.advance()
+        assert registers.current == set()
+        assert registers.advance() == 0
+        assert not registers.holds(A0)
