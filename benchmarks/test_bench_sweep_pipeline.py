@@ -23,12 +23,11 @@ NUM_CANDIDATES = 100
 OVERHEAD_ROUNDS = 5
 
 
-def fresh_session(op, arch, checkpoint=None, resume=False, batch_size=25):
+def fresh_session(op, arch, checkpoint=None, resume=False):
     engine = EvaluationEngine(op, arch, cache=RelationCache(), memoize=False)
     return SweepSession(
         engine,
         objective="latency",
-        batch_size=batch_size,
         checkpoint=checkpoint,
         resume=resume,
     )
@@ -88,7 +87,6 @@ def test_bench_sweep_streaming_overhead():
     session = SweepSession(
         EvaluationEngine(op, arch, cache=RelationCache(), memoize=False),
         objective="latency",
-        batch_size=25,
     )
     session.evaluate(candidates[0])
 

@@ -129,7 +129,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
               f"got {args.pe}", file=sys.stderr)
         return 1
     try:
-        _check_counts(args, {"top": 0, "max_candidates": 0, "batch_size": 1})
+        _check_counts(args, {"top": 0, "max_candidates": 0})
         op = make_kernel(args.kernel, args.sizes)
     except (TenetError, KeyError) as error:  # KeyError: unknown kernel
         return _fail("explore", error)
@@ -146,7 +146,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             objective=args.objective,
             max_instances=args.max_instances,
             backend=args.backend,
-            batch_size=args.batch_size,
         )
         candidates = pruned_candidates(
             op,
@@ -203,7 +202,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "kernel": args.kernel,
             "sizes": list(args.sizes),
             "objective": args.objective,
-            "backend_requested": args.backend,
             "backend": engine.backend_name,
             "stages": {k: round(v, 6) for k, v in engine.profile().items()},
             "stats": dict(engine.stats),
@@ -228,7 +226,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     options = dict(
         backend=args.backend,
-        batch_size=args.batch_size,
         max_workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout=args.request_timeout,
@@ -373,11 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--bandwidth", type=float, default=128.0)
     explore.add_argument("--objective", default="latency", choices=sorted(OBJECTIVES),
                          help="ranking objective")
-    explore.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES),
+    explore.add_argument("--backend", default="fused", choices=list(BACKEND_NAMES),
                          help="evaluation backend: fused is the per-axis stamp "
-                              "and stamp-grid path and auto its alias, interp the "
-                              "interpreted reference; reports are bit-identical "
-                              "either way")
+                              "and stamp-grid path, interp the interpreted "
+                              "reference; reports are bit-identical either way")
     explore.add_argument("--top", type=int, default=5,
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")
@@ -410,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--checkpoint-fsync", type=int, default=0, metavar="N",
                          help="fsync the checkpoint every N result records (0 = "
                               "flush only); bounds what an OS crash can lose")
-    explore.add_argument("--batch-size", type=int, default=64,
-                         help="candidates pulled from the generator per engine batch "
-                              "(also the most work an interrupted checkpoint can lose)")
     explore.set_defaults(handler=_cmd_explore)
 
     serve = subparsers.add_parser(
@@ -436,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request watchdog: a request running longer gets "
                             "a structured 'code: timeout' reply instead of "
                             "hanging its connection (default: no watchdog)")
-    serve.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES))
-    serve.add_argument("--batch-size", type=int, default=64)
+    serve.add_argument("--backend", default="fused", choices=list(BACKEND_NAMES))
     serve.add_argument("--checkpoint-root", default=None, metavar="DIR",
                        help="directory for server-side JSONL sweep checkpoints; "
                             "requests may then name a checkpoint (relative, "

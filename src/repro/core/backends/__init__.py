@@ -20,9 +20,7 @@ computed:
     ``interp``'s stamps on the whole array.  Candidates without a grid
     (non-injective ones, grids past the size bound) take ``interp``'s
     group-major kernel, and temporal intervals past its window the engine's
-    reference kernel.
-``auto``
-    An alias of ``fused`` and the default.
+    reference kernel.  The default.
 """
 
 from __future__ import annotations
@@ -37,17 +35,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import EvaluationEngine
 
 #: Valid values for the ``backend=`` engine/explorer/CLI option.
-BACKEND_NAMES = ("auto", "interp", "fused")
+BACKEND_NAMES = ("interp", "fused")
 
 
 def make_backend(name: str, engine: "EvaluationEngine") -> EngineBackend:
     """Instantiate the backend ``name`` for one engine."""
     if name == "interp":
         return InterpBackend(engine)
-    if name in ("fused", "auto"):
-        backend = FusedBackend(engine)
-        backend.name = name
-        return backend
+    if name == "fused":
+        return FusedBackend(engine)
     raise ExplorationError(
         f"unknown backend {name!r}; available: {', '.join(BACKEND_NAMES)}"
     )

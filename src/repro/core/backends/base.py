@@ -131,9 +131,8 @@ class EngineBackend:
         """Volume metrics for several tensors of one candidate.
 
         ``grid`` is what :meth:`utilization` returned for the candidate.  The
-        default evaluates tensors one by one; backends may override to batch
-        (the fused backend runs the per-tensor kernels — pure numpy whose
-        heavy ops release the GIL — on a shared thread pool).
+        default evaluates tensors one by one; the fused backend overrides it
+        to count every tensor on the candidate's one stamp grid.
         """
         return {
             tensor: self.volume_metrics(

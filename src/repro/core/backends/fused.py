@@ -1,8 +1,7 @@
 """The fused backend: per-axis stamps, PE boxes and the stamp-grid volume kernel.
 
-:class:`FusedBackend` is the one fast evaluation path (``fused``, and
-``auto``, its alias and the default).  It removes three sources of redundancy
-from a sweep:
+:class:`FusedBackend` is the one fast evaluation path (``fused``, the
+default).  It removes three sources of redundancy from a sweep:
 
 * **Per-axis stamps** — on a box domain, a stamp expression whose
   floor/mod/abs arguments each read one loop variable is a constant plus one
@@ -56,9 +55,7 @@ the reference kernel.  All three are exact, so reports are bit-identical to
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -72,41 +69,6 @@ from repro.core.volumes import VolumeMetrics
 from repro.errors import DataflowError
 from repro.isl.enumeration import box_sum
 from repro.isl.expr import AxisSplit, combine_splits, split_axes
-
-#: Process-wide thread pool for per-tensor volume kernels, the engine's only
-#: in-process concurrency.  The kernels are pure numpy whose heavy operations
-#: (scatters, comparisons, sorts) release the GIL, so one candidate's tensors
-#: run concurrently; ``volume_metrics_many`` uses it for multi-tensor ops of at
-#: least :data:`_VOLUME_POOL_MIN_INSTANCES` instances on a multi-core machine.
-#: Shared and lazy so the many short-lived engines in tests do not each spawn
-#: threads.  Keyed by PID: a pool inherited across ``fork`` (a caller may fork
-#: after a sweep) has no live threads and would deadlock, so each process
-#: builds its own.
-_VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
-_CPU_COUNT = os.cpu_count() or 1
-
-#: Instance count from which a multi-tensor op's volume kernels run on the
-#: pool: of the powers of two measured (2^17 to 2^22, README "More cores"),
-#: the smallest at which the pool won every interleaved pair on conv2d.  On
-#: gemm it won every pair nowhere, and it ties from 2^21 up.
-_VOLUME_POOL_MIN_INSTANCES = 1 << 21
-
-
-def _volume_pool() -> ThreadPoolExecutor | None:
-    global _VOLUME_POOL
-    if _CPU_COUNT < 2:
-        return None
-    pid = os.getpid()
-    if _VOLUME_POOL is None or _VOLUME_POOL[0] != pid:
-        _VOLUME_POOL = (
-            pid,
-            ThreadPoolExecutor(
-                max_workers=min(4, _CPU_COUNT),
-                thread_name_prefix="tenet-volume",
-            ),
-        )
-    return _VOLUME_POOL[1]
-
 
 # -- per-axis stamps ---------------------------------------------------------------
 
@@ -578,61 +540,47 @@ class FusedBackend(EngineBackend):
         kernel, as in ``interp``, on the box PEs and the box's links."""
         from repro.core.engine import _grouped_volume_metrics
 
-        tensors = list(tensors)
         box = stamps.box
-        directions = {}
-        if grid is not None:
-            ids = self._element_ids(relations)
-            signature = self.pe_signature(dataflow)
-            memo = self._direction_memo
-            links = None
-            # Memo reads and writes happen serially, before the kernels run.
-            for tensor in tensors:
-                key = (signature, tensor)
-                live = memo.get(key)
-                if live is None:
-                    if links is None:
-                        links = link_directions(
-                            self.predecessor_table, self.pe_dims, box,
-                            self.spatial_interval,
-                        )
-                    live = memo[key] = self._live_directions(
-                        links, stamps, ids[tensor], relations.tensors[tensor].footprint
-                    )
-                memo.move_to_end(key)
-                directions[tensor] = live
-            while len(memo) > self._DIRECTION_MEMO_ENTRIES:
-                memo.popitem(last=False)
-        else:
+        if grid is None:
             table = box.links(self.predecessor_table, self.pe_dims)
-            box_pe, t_rank = stamps.box_pe, stamps.t_rank
-
-        def volume(tensor):
-            if grid is None:
-                return _grouped_volume_metrics(
-                    tensor, box_pe, t_rank, relations.tensors[tensor], table, box.size,
+            return {
+                tensor: _grouped_volume_metrics(
+                    tensor, stamps.box_pe, stamps.t_rank, relations.tensors[tensor],
+                    table, box.size,
                     spatial_interval=self.spatial_interval,
                     temporal_interval=self.temporal_interval,
                     assume_unique=assume_unique,
                 )
-            return grid_volume_metrics(
+                for tensor in tensors
+            }
+        ids = self._element_ids(relations)
+        signature = self.pe_signature(dataflow)
+        memo = self._direction_memo
+        links = None
+        results = {}
+        for tensor in tensors:
+            footprint = relations.tensors[tensor].footprint
+            key = (signature, tensor)
+            live = memo.get(key)
+            if live is None:
+                if links is None:
+                    links = link_directions(
+                        self.predecessor_table, self.pe_dims, box, self.spatial_interval,
+                    )
+                live = memo[key] = self._live_directions(
+                    links, stamps, ids[tensor], footprint
+                )
+            memo.move_to_end(key)
+            results[tensor] = grid_volume_metrics(
                 tensor,
                 grid,
                 ids[tensor],
-                directions[tensor],
+                live,
                 spatial_interval=self.spatial_interval,
                 temporal_interval=self.temporal_interval,
-                footprint=relations.tensors[tensor].footprint,
+                footprint=footprint,
             )
-
-        pool = _volume_pool() if (
-            len(tensors) > 1 and relations.total >= _VOLUME_POOL_MIN_INSTANCES
-        ) else None
-        if pool is not None:
-            futures = {tensor: pool.submit(volume, tensor) for tensor in tensors}
-            results = {tensor: future.result() for tensor, future in futures.items()}
-        else:
-            results = {tensor: volume(tensor) for tensor in tensors}
-        if grid is not None:
-            self.stats["fused_path"] += len(tensors)
+        while len(memo) > self._DIRECTION_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        self.stats["fused_path"] += len(results)
         return results

@@ -8,10 +8,10 @@ only contributes the space-stamp and time-stamp columns.  This module turns
 that observation into an architectural seam:
 
 * :class:`RelationMaterializer` extracts relation materialisation out of the
-  analyzer.  Without a cache it streams the iteration domain chunk by chunk,
-  exactly like the original analyzer.  With a :class:`RelationCache` attached
-  it materialises the dataflow-independent relations once per operation and
-  re-evaluates only the PE/time stamps per candidate.  On a box domain the
+  analyzer.  For the analyzer it streams the iteration domain chunk by chunk.
+  For the engine, over a :class:`RelationCache`, it materialises the
+  dataflow-independent relations once per operation and re-evaluates only
+  the PE/time stamps per candidate.  On a box domain the
   domain columns and each reference's element keys are broadcast sums of
   per-axis vectors; keys are densified by a presence bitmap rather than a
   sort, and the cached arrays are read-only.
@@ -26,8 +26,7 @@ that observation into an architectural seam:
 * :func:`time_ranks` ranks time stamps lexicographically; it never lets a
   mixed-radix key wrap int64.
 
-An engine evaluates in its calling thread; the fused backend fans one
-candidate's per-tensor volume kernels out over a small thread pool.  Sweeps
+An engine evaluates in its calling thread and starts no threads.  Sweeps
 scale across processes with signature-hash shards (``tenet explore --shard``
 or ``tenet fleet``), which merge bit-identically.
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.arch.pe_array import PEArray
 from repro.arch.spec import ArchSpec
-from repro.core.backends import Stamps, make_backend
+from repro.core.backends import make_backend
 from repro.core.bandwidth import compute_bandwidth
 from repro.core.dataflow import Dataflow
 from repro.core.energy_model import compute_energy
@@ -176,15 +175,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class RelationCache:
     """LRU cache of :class:`OpRelations`, keyed by op signature."""
 
-    def __init__(
-        self,
-        max_entries: int = 4,
-        max_instances: int = 8_000_000,
-        max_bytes: int = 1 << 30,
-    ):
+    def __init__(self, max_entries: int = 4, max_bytes: int = 1 << 30):
         self.max_entries = int(max_entries)
-        #: Ops with more instances than this are never cached (memory guard).
-        self.max_instances = int(max_instances)
         #: Total byte budget across entries (at least one entry is kept).
         self.max_bytes = int(max_bytes)
         self._entries: OrderedDict[str, OpRelations] = OrderedDict()
@@ -231,10 +223,10 @@ class RelationMaterializer:
 
     Stateless with respect to dataflows: :meth:`materialize` streams the
     domain for any candidate and returns the ``(pe_lin, t_rank, element_keys,
-    element_extents)`` tuple the analyzer consumes.  When a
-    :class:`RelationCache` is attached, :meth:`relations` builds the
-    dataflow-independent arrays once and :meth:`stamps` evaluates only the
-    stamp columns per candidate.
+    element_extents)`` tuple the analyzer consumes.  Over the attached
+    :class:`RelationCache`, :meth:`relations` builds the dataflow-independent
+    arrays once and :meth:`stamps` evaluates only the stamp columns per
+    candidate.
     """
 
     def __init__(
@@ -278,28 +270,18 @@ class RelationMaterializer:
 
     # -- cached relations --------------------------------------------------------
 
-    def relations(self, max_instances: int) -> OpRelations | None:
-        """Build (or fetch) the cached relations; ``None`` when uncacheable."""
-        if self.cache is None:
-            return None
+    def relations(self, max_instances: int) -> OpRelations:
+        """The operation's relations from the cache, built and cached on a
+        miss; a ``ModelError`` past ``max_instances`` instances."""
         key = self._signature
-        cached = self.cache.get(key)
-        if cached is not None:
-            if cached.total > max_instances:
-                raise ModelError(
-                    f"iteration domain exceeds the analyzer cap of {max_instances} "
-                    "instances; scale the workload first"
-                )
-            return cached
-        box = self.op.domain.box_size()
-        if box > self.cache.max_instances:
-            return None
-        built = self._build_relations(min(max_instances, self.cache.max_instances))
-        if built is not None:
-            self.cache.put(key, built)
-        return built
+        relations = self.cache.get(key)
+        if relations is None:
+            relations = self._build_relations(max_instances)
+            self.cache.put(key, relations)
+        _check_cap(relations.total, max_instances)
+        return relations
 
-    def _build_relations(self, max_instances: int) -> OpRelations | None:
+    def _build_relations(self, max_instances: int) -> OpRelations:
         element_bounds = self.element_bounds()
         inclusive = self.inclusive_bounds()
         dims = self.op.loop_dims
@@ -315,16 +297,14 @@ class RelationMaterializer:
             )
             shape = [axis.size for axis in axes]
             total = math.prod(shape)
-            if total > max_instances:
-                return None
+            _check_cap(total, max_instances)
             for index, dim in enumerate(dims):
                 vectors = [axes[index] if other == index else None for other in range(len(dims))]
                 domain_parts[dim].append(box_sum(shape, vectors))
         else:
             for chunk in self.op.domain.chunks(self.chunk_size):
                 total += chunk_length(chunk)
-                if total > max_instances:
-                    return None
+                _check_cap(total, max_instances)
                 for dim in dims:
                     domain_parts[dim].append(np.asarray(chunk[dim], dtype=np.int64))
         if total == 0:
@@ -409,8 +389,7 @@ class RelationMaterializer:
 
         Streams the domain chunk by chunk without caching it and returns
         ``(pe_lin, t_rank, element_keys, element_extents)``: the analyzer's
-        path, and the engine's when the relations are too large to cache.
-        :meth:`relations` plus :meth:`stamps` produce identical arrays.
+        path.  :meth:`relations` plus :meth:`stamps` produce identical arrays.
         """
         op = self.op
         pe_dims = pe_array.dims
@@ -431,11 +410,7 @@ class RelationMaterializer:
         for chunk in op.domain.chunks(self.chunk_size):
             length = chunk_length(chunk)
             total += length
-            if total > max_instances:
-                raise ModelError(
-                    f"iteration domain exceeds the analyzer cap of {max_instances} "
-                    "instances; scale the workload first"
-                )
+            _check_cap(total, max_instances)
 
             pe_lin = np.zeros(length, dtype=np.int64)
             for extent, expr in zip(pe_dims, dataflow.pe_exprs):
@@ -480,6 +455,14 @@ class RelationMaterializer:
             tensor: columns.extent for tensor, columns in element_bounds.items()
         }
         return pe_lin, t_rank, element_keys, element_extents
+
+
+def _check_cap(total: int, max_instances: int) -> None:
+    if total > max_instances:
+        raise ModelError(
+            f"iteration domain exceeds the analyzer cap of {max_instances} "
+            "instances; scale the workload first"
+        )
 
 
 # -- fast exact helpers ---------------------------------------------------------------
@@ -731,21 +714,21 @@ OBJECTIVES: dict[str, Objective] = {
 
 
 def _latency_lower_bound(
-    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int] | None
+    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int]
 ) -> float:
     # Latency is the max of compute/read/write delays, so compute alone bounds it.
     return float(utilization.compute_delay_cycles)
 
 
 def _energy_lower_bound(
-    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int] | None
+    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int]
 ) -> float:
     # MAC energy is volume-independent and every other term is non-negative.
     return utilization.num_instances * arch.energy.mac_pj
 
 
 def _edp_lower_bound(
-    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int] | None
+    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int]
 ) -> float:
     return _latency_lower_bound(utilization, arch, footprints) * _energy_lower_bound(
         utilization, arch, footprints
@@ -753,27 +736,23 @@ def _edp_lower_bound(
 
 
 def _unique_volume_lower_bound(
-    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int] | None
+    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int]
 ) -> float:
     # Every distinct element must cross the scratchpad boundary at least once,
     # so the per-tensor footprint is a floor on its unique volume.  When the
     # interconnect has no links the engine passes the candidate's distinct
     # (PE, element) group counts instead — a tighter, candidate-dependent
     # floor (each group's first access cannot be reused from anywhere).
-    if not footprints:
-        return float("-inf")
     return float(sum(footprints.values()))
 
 
 def _sbw_lower_bound(
-    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int] | None
+    utilization: UtilizationMetrics, arch: ArchSpec, footprints: dict[str, int]
 ) -> float:
     # SBW = sum(unique volume) * word_bits / max(compute delay, 1); the unique
     # volume is bounded below by the footprint and the compute delay is already
     # exact at this point, so this bound is candidate-dependent: highly parallel
     # candidates (short delay) are pruned once a low-bandwidth one is known.
-    if not footprints:
-        return float("-inf")
     delay = max(float(utilization.compute_delay_cycles), 1.0)
     return sum(footprints.values()) * arch.memory.word_bits / delay
 
@@ -789,7 +768,7 @@ def _sbw_lower_bound(
 #: ``energy``'s bound would be the same for every candidate of an operation
 #: (it can never exceed the best score), so it has no entry.
 LOWER_BOUNDS: dict[
-    str, Callable[[UtilizationMetrics, ArchSpec, dict[str, int] | None], float]
+    str, Callable[[UtilizationMetrics, ArchSpec, dict[str, int]], float]
 ] = {
     "latency": _latency_lower_bound,
     "edp": _edp_lower_bound,
@@ -948,10 +927,11 @@ class EvaluationEngine:
     The engine owns a :class:`RelationMaterializer` (optionally backed by a
     shared :class:`RelationCache`), a report memo, and the batched sweep
     logic: objective-aware early termination and the stamp and volume
-    kernels of its backend (``interp``, the reference, or ``fused``/``auto``,
-    per-axis stamps and the stamp-grid kernel; see
-    :mod:`repro.core.backends`).
-    Reports are bit-identical to
+    kernels of its backend (``interp``, the reference, or ``fused``, the
+    default: per-axis stamps and the stamp-grid kernel; see
+    :mod:`repro.core.backends`).  Every candidate is evaluated over the
+    cached relations of the operation, which holds at most ``max_instances``
+    instances.  Reports are bit-identical to
     :meth:`repro.core.analyzer.TenetAnalyzer.analyze` (modulo the wall-clock
     ``analysis_seconds`` field) whichever backend runs.
     """
@@ -961,11 +941,11 @@ class EvaluationEngine:
         op: TensorOp,
         arch: ArchSpec,
         *,
-        max_instances: int = 32_000_000,
+        max_instances: int = 8_000_000,
         temporal_interval: int = 1,
         cache: RelationCache | None = None,
         memoize: bool = True,
-        backend: str = "auto",
+        backend: str = "fused",
     ):
         self.op = op
         self.arch = arch
@@ -992,9 +972,6 @@ class EvaluationEngine:
             "failures": 0,
             "fast_path": 0,
             "reference_path": 0,
-            # Candidates evaluated without cached relations (op above the
-            # cache's max_instances guard): correct but not accelerated.
-            "streaming_path": 0,
             # Per-tensor evaluations on the fused backend's grid kernel.
             "fused_path": 0,
             # Stamp expressions the fused backend could not split per axis
@@ -1088,22 +1065,12 @@ class EvaluationEngine:
         stage["materialise"] += now - mark
         mark = now
 
-        if relations is not None:
-            stamps = self.backend.stamps(relations, bound, self.arch.pe_array)
-            element_keys = None
-        else:
-            self.stats["streaming_path"] += 1
-            pe_lin, t_rank, element_keys, element_extents = self.materializer.materialize(
-                bound, self.arch.pe_array, self.max_instances
-            )
-            stamps = Stamps(pe_lin, t_rank)
+        stamps = self.backend.stamps(relations, bound, self.arch.pe_array)
         now = time.perf_counter()
         stage["stamps"] += now - mark
         mark = now
 
-        utilization = grid = None
-        if relations is not None:
-            utilization, grid = self.backend.utilization(stamps, num_pes)
+        utilization, grid = self.backend.utilization(stamps, num_pes)
         if utilization is None:
             utilization = compute_utilization(stamps.pe_lin, stamps.t_rank, num_pes)
         now = time.perf_counter()
@@ -1113,50 +1080,38 @@ class EvaluationEngine:
         if objective is not None and best_score is not None:
             bound_fn = LOWER_BOUNDS.get(objective)
             if bound_fn is not None:
-                floors = None
-                if relations is not None:
-                    if not self._has_links and objective in ("unique_volume", "sbw"):
-                        # Without interconnect links the only reuse is temporal
-                        # within one (PE, element) group, so every distinct
-                        # group costs at least one scratchpad transfer.  This
-                        # floor depends on the candidate's PE assignment, so it
-                        # discriminates where the constant per-op footprint
-                        # floor cannot.
-                        floors = self._group_count_floors(stamps.pe_lin, relations)
-                    else:
-                        floors = {
-                            t: rel.footprint for t, rel in relations.tensors.items()
-                        }
+                if not self._has_links and objective in ("unique_volume", "sbw"):
+                    # Without interconnect links the only reuse is temporal
+                    # within one (PE, element) group, so every distinct group
+                    # costs at least one scratchpad transfer.  This floor
+                    # depends on the candidate's PE assignment, so it
+                    # discriminates where the constant per-op footprint floor
+                    # cannot.
+                    floors = self._group_count_floors(stamps.pe_lin, relations)
+                else:
+                    floors = {t: rel.footprint for t, rel in relations.tensors.items()}
                 lower = bound_fn(utilization, self.arch, floors)
                 if lower > best_score:
                     return lower
 
-        backend_metrics: dict[str, VolumeMetrics | None] = {}
-        if relations is not None:
-            backend_metrics = self.backend.volume_metrics_many(
-                self.op.tensor_names,
-                bound,
-                stamps,
-                relations,
-                assume_unique=utilization.is_injective,
-                grid=grid,
-            )
-
+        backend_metrics = self.backend.volume_metrics_many(
+            self.op.tensor_names,
+            bound,
+            stamps,
+            relations,
+            assume_unique=utilization.is_injective,
+            grid=grid,
+        )
         volumes: dict[str, VolumeMetrics] = {}
         for tensor in self.op.tensor_names:
-            metrics = backend_metrics.get(tensor)
+            metrics = backend_metrics[tensor]
             if metrics is not None:
                 self.stats["fast_path"] += 1
             else:
                 self.stats["reference_path"] += 1
-                if relations is not None:
-                    per_reference = relations.tensors[tensor].raw_keys
-                    extent = relations.tensors[tensor].extent
-                else:
-                    per_reference = element_keys[tensor]
-                    extent = element_extents[tensor]
+                rel = relations.tensors[tensor]
                 metrics = reference_volume_metrics(
-                    tensor, stamps.pe_lin, stamps.t_rank, per_reference, extent,
+                    tensor, stamps.pe_lin, stamps.t_rank, rel.raw_keys, rel.extent,
                     self._spacetime,
                 )
             volumes[tensor] = metrics

@@ -38,13 +38,11 @@ class DesignSpaceExplorer:
         *,
         max_instances: int = 4_000_000,
         cache: RelationCache | None = None,
-        backend: str = "auto",
-        batch_size: int = 64,
+        backend: str = "fused",
     ):
         self.op = op
         self.arch = arch
         self.max_instances = max_instances
-        self.batch_size = int(batch_size)
         self.engine = EvaluationEngine(
             op,
             arch,
@@ -69,7 +67,6 @@ class DesignSpaceExplorer:
         return SweepSession(
             self.engine,
             objective=self._objective,
-            batch_size=self.batch_size,
             early_termination=early_termination,
             checkpoint=checkpoint,
             resume=resume,

@@ -113,7 +113,7 @@ def scaled_layer_op(layer: Layer, max_instances: int):
 _SHARED_RELATION_CACHE = RelationCache(max_entries=8)
 
 
-def make_engine(op, arch, *, backend: str = "auto", **kwargs) -> EvaluationEngine:
+def make_engine(op, arch, *, backend: str = "fused", **kwargs) -> EvaluationEngine:
     """Build an :class:`EvaluationEngine` wired to the shared relation cache."""
     kwargs.setdefault("cache", _SHARED_RELATION_CACHE)
     return EvaluationEngine(op, arch, backend=backend, **kwargs)
@@ -124,7 +124,7 @@ def make_session(
     arch,
     *,
     objective="latency",
-    backend: str = "auto",
+    backend: str = "fused",
     session_kwargs: Mapping | None = None,
     **engine_kwargs,
 ) -> SweepSession:

@@ -27,7 +27,7 @@ def run(
     max_candidates: int = 40,
     objective: str = "latency",
     early_termination: bool = False,
-    backend: str = "auto",
+    backend: str = "fused",
     shard: tuple[int, int] | None = None,
     checkpoint: str | None = None,
     resume: bool = False,

@@ -30,7 +30,7 @@ def run(
     gemm_size: int = 32,
     conv_sizes: tuple[int, int, int, int, int, int] = (16, 16, 14, 14, 3, 3),
     repeats: int = 1,
-    backend: str = "auto",
+    backend: str = "fused",
 ) -> ExperimentResult:
     result = ExperimentResult(
         name="fig8-modeling-runtime",

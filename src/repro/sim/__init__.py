@@ -13,8 +13,7 @@ dataflow literally, time-stamp by time-stamp, tracking
 
 The simulator is intentionally independent of the analytical model in
 :mod:`repro.core` — it shares no counting code — so agreement between the two
-is meaningful evidence, and disagreement (e.g. when register capacity is
-constrained) quantifies model error.
+is meaningful evidence, and disagreement quantifies model error.
 """
 
 from repro.sim.engine import SpacetimeSimulator, simulate

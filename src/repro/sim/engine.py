@@ -45,14 +45,12 @@ class SpacetimeSimulator:
         arch: ArchSpec,
         *,
         max_instances: int = 2_000_000,
-        register_capacity_words: int | None = None,
         keep_steps: bool = False,
     ):
         self.op = op
         self.dataflow = dataflow.bind(op)
         self.arch = arch
         self.max_instances = int(max_instances)
-        self.register_capacity_words = register_capacity_words
         self.keep_steps = keep_steps
 
     # -- public API --------------------------------------------------------------
@@ -68,7 +66,7 @@ class SpacetimeSimulator:
         noc = NocModel(pe_array, self.arch.interconnect)
         scratchpad = ScratchpadModel(self.arch.memory.scratchpad_words_per_cycle)
         registers: dict[tuple[int, ...], PERegisterFile] = {
-            coord: PERegisterFile(self.register_capacity_words) for coord in pe_array.coords()
+            coord: PERegisterFile() for coord in pe_array.coords()
         }
 
         input_accesses = [
@@ -83,7 +81,6 @@ class SpacetimeSimulator:
         ]
 
         register_hits = 0
-        register_spills = 0
         total_cycles = 0.0
         compute_cycles = 0.0
         accesses_per_tensor: dict[str, int] = defaultdict(int)
@@ -139,7 +136,7 @@ class SpacetimeSimulator:
             live_outputs = touched_outputs
 
             for register_file in registers.values():
-                register_spills += register_file.advance()
+                register_file.advance()
 
             compute = max(per_pe_instances.values()) if per_pe_instances else 0
             transfer = scratchpad.cycles_for(step_reads + step_writes)
@@ -184,7 +181,6 @@ class SpacetimeSimulator:
             noc_transfers=noc.total_transfers,
             scratchpad_reads=scratchpad.total_reads,
             scratchpad_writes=scratchpad.total_writes,
-            register_spills=register_spills,
             reads_per_tensor=dict(scratchpad.reads_per_tensor),
             writes_per_tensor=dict(scratchpad.writes_per_tensor),
             noc_per_tensor=dict(noc.transfers_per_tensor),

@@ -11,15 +11,11 @@ Element = tuple[str, tuple[int, ...]]
 class PERegisterFile:
     """The operands a PE holds at the end of a time-step.
 
-    The default policy mirrors the analytical model's adjacency assumption: a
-    PE retains everything it touched during the previous time-step.  An
-    optional capacity (in words) models a finite register file; when the
-    working set exceeds it, the overflow is dropped and must be re-fetched,
-    which is one source of divergence between the simulator and the analytical
-    model.
+    The policy mirrors the analytical model's adjacency assumption: a PE
+    retains everything it touched during the previous time-step, and nothing
+    older.
     """
 
-    capacity_words: int | None = None
     current: set[Element] = field(default_factory=set)
     previous: set[Element] = field(default_factory=set)
 
@@ -31,13 +27,7 @@ class PERegisterFile:
         """Record that the PE used this element during the current time-step."""
         self.current.add(element)
 
-    def advance(self) -> int:
-        """Finish the time-step; returns how many words were dropped for capacity."""
-        dropped = 0
-        retained = self.current
-        if self.capacity_words is not None and len(retained) > self.capacity_words:
-            dropped = len(retained) - self.capacity_words
-            retained = set(list(retained)[: self.capacity_words])
-        self.previous = retained
+    def advance(self) -> None:
+        """Finish the time-step: what it touched is held through the next."""
+        self.previous = self.current
         self.current = set()
-        return dropped

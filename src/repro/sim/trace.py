@@ -35,7 +35,6 @@ class SimulationResult:
     noc_transfers: int
     scratchpad_reads: int
     scratchpad_writes: int
-    register_spills: int
     reads_per_tensor: dict[str, int] = field(default_factory=dict)
     writes_per_tensor: dict[str, int] = field(default_factory=dict)
     noc_per_tensor: dict[str, int] = field(default_factory=dict)
@@ -79,7 +78,6 @@ class SimulationResult:
             "noc_transfers": self.noc_transfers,
             "scratchpad_reads": self.scratchpad_reads,
             "scratchpad_writes": self.scratchpad_writes,
-            "register_spills": self.register_spills,
         }
 
     def summary(self) -> str:

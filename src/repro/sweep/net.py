@@ -278,8 +278,7 @@ class SweepService:
         self,
         server: SweepServer | None = None,
         *,
-        backend: str = "auto",
-        batch_size: int = 64,
+        backend: str = "fused",
         max_workers: int = 2,
         queue_depth: int = 64,
         request_timeout: float | None = None,
@@ -290,7 +289,6 @@ class SweepService:
         if server is None:
             server = SweepServer(
                 backend=backend,
-                batch_size=batch_size,
                 max_workers=max_workers,
                 fault_injector=fault_injector,
                 checkpoint_root=checkpoint_root,
@@ -714,8 +712,7 @@ class SweepService:
 def serve_lines(
     lines: Iterable[str],
     *,
-    backend: str = "auto",
-    batch_size: int = 64,
+    backend: str = "fused",
     max_workers: int = 2,
     queue_depth: int = 64,
     request_timeout: float | None = None,
@@ -735,7 +732,6 @@ def serve_lines(
     async def _run() -> int:
         service = SweepService(
             backend=backend,
-            batch_size=batch_size,
             max_workers=max_workers,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
@@ -754,8 +750,7 @@ def run_tcp_server(
     host: str,
     port: int,
     *,
-    backend: str = "auto",
-    batch_size: int = 64,
+    backend: str = "fused",
     max_workers: int = 2,
     queue_depth: int = 64,
     request_timeout: float | None = None,
@@ -770,7 +765,6 @@ def run_tcp_server(
     async def _main() -> int:
         service = SweepService(
             backend=backend,
-            batch_size=batch_size,
             max_workers=max_workers,
             queue_depth=queue_depth,
             request_timeout=request_timeout,

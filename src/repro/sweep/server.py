@@ -201,8 +201,7 @@ class SweepServer:
     def __init__(
         self,
         *,
-        backend: str = "auto",
-        batch_size: int = 64,
+        backend: str = "fused",
         max_workers: int = 2,
         max_instances: int = 4_000_000,
         max_engines: int = 8,
@@ -212,7 +211,6 @@ class SweepServer:
         checkpoint_root: str | Path | None = None,
     ):
         self.backend = backend
-        self.batch_size = int(batch_size)
         self.max_instances = int(max_instances)
         #: Warm engines kept resident; least-recently-used idle engines are
         #: evicted past this, bounding a long-lived server's report memos.
@@ -400,7 +398,6 @@ class SweepServer:
             session = SweepSession(
                 warm.engine,
                 objective=request.objective,
-                batch_size=self.batch_size,
                 early_termination=request.early_termination,
                 checkpoint=checkpoint_path,
                 resume=request.resume,

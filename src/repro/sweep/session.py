@@ -43,6 +43,11 @@ from repro.sweep.source import signature_shard_index, validate_shard
 
 Objective = Callable[[PerformanceReport], float]
 
+#: Candidates per engine batch: also the most work an interrupted checkpoint
+#: can lose.  Outcomes do not depend on it (the running best score is
+#: threaded through the batches).
+BATCH_SIZE = 64
+
 
 def _short_hash(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
@@ -164,7 +169,6 @@ class SweepSession:
         engine: EvaluationEngine,
         *,
         objective: str | Objective = "latency",
-        batch_size: int = 64,
         early_termination: bool = False,
         sinks: Sequence[ResultSink] | None = None,
         checkpoint: str | None = None,
@@ -177,7 +181,6 @@ class SweepSession:
         self.objective_name, self.score, self.objective_key = resolve_objective(
             objective
         )
-        self.batch_size = max(1, int(batch_size))
         self.early_termination = bool(early_termination)
         self.sinks: list[ResultSink] = list(sinks or [])
         #: Bounded-memory ranking: keep only the ``top_k`` best entries in
@@ -340,7 +343,7 @@ class SweepSession:
                     result.skipped += 1
                     continue
                 pending.append(dataflow)
-                if len(pending) >= self.batch_size:
+                if len(pending) >= BATCH_SIZE:
                     flush(pending)
                     pending = []
             flush(pending)

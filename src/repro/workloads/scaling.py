@@ -14,8 +14,7 @@ the metrics of interest representative:
 * every scaled dimension stays a multiple of the PE-array extent it is mapped
   to (when it started as one), so utilisation is unchanged.
 
-Each experiment records the scale factor it applied in its output and in
-``EXPERIMENTS.md``.
+Each experiment records the scale factor it applied in its output.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Tests for the pluggable evaluation backends (repro.core.backends)."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -27,6 +26,13 @@ from repro.isl.iset import IntSet
 from repro.tensor.access import AccessMode, TensorAccess
 from repro.tensor.kernels import conv2d, gemm, jacobi2d
 from repro.tensor.operation import TensorOp
+
+
+#: Every topology ``make_interconnect`` builds, one name each.
+INTERCONNECTS = (
+    "1d-systolic", "2d-systolic", "mesh", "multicast", "2d-multicast",
+    "reduction-tree", "none",
+)
 
 
 def report_dict(report):
@@ -132,7 +138,7 @@ class TestBackendStamps:
         lambda: jacobi2d(10, 10),
         lambda: triangular_gemm(8),
     ], ids=["gemm", "conv2d", "jacobi2d", "tri-gemm"])
-    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    @pytest.mark.parametrize("backend", ["fused"])
     def test_stamps_match_interpreter(self, backend, make_op):
         op = make_op()
         arch = make_arch(pe_dims=(4, 4))
@@ -270,7 +276,7 @@ class TestBackendReports:
         lambda: gemm(16, 16, 16),
         lambda: conv2d(6, 6, 5, 5, 3, 3),
     ], ids=["gemm", "conv2d"])
-    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_backend_reports_equal_analyzer(self, make_op, interconnect, backend):
         op = make_op()
@@ -280,7 +286,7 @@ class TestBackendReports:
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_nested_quasi_reports_equal_analyzer(self, backend, interconnect):
         op = gemm(16, 16, 16)
@@ -290,7 +296,7 @@ class TestBackendReports:
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_non_injective_reports_equal_analyzer(self, backend, interconnect):
         op = gemm(8, 8, 8)
@@ -312,10 +318,9 @@ class TestBackendReports:
             batches[backend] = engine.evaluate_batch(candidates)
         reference = batches["interp"].reports
         assert reference
-        for backend in ("auto", "fused"):
-            assert len(batches[backend].reports) == len(reference)
-            for a, b in zip(reference, batches[backend].reports):
-                assert report_dict(a) == report_dict(b)
+        assert len(batches["fused"].reports) == len(reference)
+        for a, b in zip(reference, batches["fused"].reports):
+            assert report_dict(a) == report_dict(b)
 
 
 class TestLayout:
@@ -398,8 +403,8 @@ class TestFusedBackend:
         assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
         assert engine.stats["reference_path"] == 0
 
-    @pytest.mark.parametrize("backend", ["fused", "auto"])
-    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "2d-multicast"])
+    @pytest.mark.parametrize("backend", ["fused"])
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
     @pytest.mark.parametrize("temporal_interval", [1, 3])
     def test_ragged_conv_layouts_take_the_fused_kernel(
         self, backend, interconnect, temporal_interval
@@ -449,77 +454,6 @@ class TestFusedBackend:
             for candidate, report in zip(candidates, batch.reports):
                 reference = TenetAnalyzer(op, candidate, arch).analyze()
                 assert report_dict(reference) == report_dict(report)
-
-    def test_auto_is_an_alias_of_fused(self):
-        from repro.core.backends import FusedBackend
-
-        op = gemm(8, 8, 8)
-        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="auto")
-        assert type(engine.backend) is FusedBackend
-        assert engine.backend.name == "auto"
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least two CPUs")
-class TestVolumeThreadPool:
-    """The per-tensor volume threads, the engine's one in-process concurrency.
-
-    ``gemm(48, 48, 48)`` has 110,592 instances and 3 tensors, above the
-    65,536-instance threshold the test sets for ``volume_metrics_many`` to
-    fan the tensors out over the pool.
-    """
-
-    INTERCONNECTS = ("2d-systolic", "mesh", "2d-multicast")
-
-    @staticmethod
-    def structured_candidates(op):
-        i, j, k = (var(dim) for dim in op.loop_dims)
-        space = op.domain.space
-        return [
-            Dataflow.from_exprs("ij-ijk", space, [i % 8, j % 8], [i // 8, j // 8, k]),
-            Dataflow.from_exprs(
-                "ij-skew", space, [i % 8, j % 8], [i // 8, j // 8, k + i % 8 + j % 8]
-            ),
-            Dataflow.from_exprs("ik-kji", space, [i % 8, k % 8], [k // 8, j, i // 8]),
-        ]
-
-    def sweep(self, op, backend, cache):
-        reports = []
-        for interconnect in self.INTERCONNECTS:
-            arch = make_arch(pe_dims=(8, 8), interconnect=interconnect)
-            engine = EvaluationEngine(op, arch, cache=cache, backend=backend)
-            batch = engine.evaluate_batch(self.structured_candidates(op))
-            assert not batch.failures
-            reports += [
-                json.dumps(report_dict(report), sort_keys=True)
-                for report in batch.reports
-            ]
-        return reports
-
-    def test_pool_runs_and_reports_match_inline_and_interp(self, monkeypatch):
-        from repro.core.backends import fused as fused_module
-
-        op = gemm(48, 48, 48)
-        cache = RelationCache()
-        original = fused_module._volume_pool
-        pools = []
-
-        def counting_pool():
-            pool = original()
-            pools.append(pool)
-            return pool
-
-        monkeypatch.setattr(fused_module, "_VOLUME_POOL_MIN_INSTANCES", 1 << 16)
-        monkeypatch.setattr(fused_module, "_volume_pool", counting_pool)
-        threaded = self.sweep(op, "fused", cache)
-        candidates = len(self.structured_candidates(op)) * len(self.INTERCONNECTS)
-        assert len(pools) == candidates
-        assert all(pool is not None for pool in pools)
-
-        monkeypatch.setattr(fused_module, "_volume_pool", lambda: None)
-        inline = self.sweep(op, "fused", cache)
-        assert len(threaded) == candidates
-        assert threaded == inline
-        assert threaded == self.sweep(op, "interp", cache)
 
 
 class TestKernelChain:
@@ -780,10 +714,7 @@ class TestGridKernel:
         lambda: jacobi2d(10, 10),
         lambda: transpose_sum(8),
     ], ids=["jacobi2d", "transpose-sum"])
-    @pytest.mark.parametrize("interconnect", [
-        "1d-systolic", "2d-systolic", "mesh", "multicast", "2d-multicast",
-        "reduction-tree", "none",
-    ])
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
     @pytest.mark.parametrize("temporal_interval", [1, 2, 9])
     def test_multi_reference_tensors_take_the_grid_kernel(
         self, make_op, interconnect, temporal_interval
@@ -841,12 +772,12 @@ class TestRegistry:
             EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="gpu")
 
     def test_backend_names_are_interp_and_fused(self):
-        assert BACKEND_NAMES == ("auto", "interp", "fused")
+        assert BACKEND_NAMES == ("interp", "fused")
 
-    @pytest.mark.parametrize("name", ["bitset", "affine"])
+    @pytest.mark.parametrize("name", ["bitset", "affine", "auto"])
     def test_retired_backend_names_rejected(self, name):
         engine = EvaluationEngine(gemm(8, 8, 8), make_arch(pe_dims=(4, 4)))
-        with pytest.raises(ExplorationError, match="available: auto, interp, fused"):
+        with pytest.raises(ExplorationError, match="available: interp, fused"):
             make_backend(name, engine)
 
     def test_backend_names_constructible(self):

@@ -1,9 +1,7 @@
 """Tests for the shared evaluation engine (repro.core.engine)."""
 
 import gc
-import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +9,10 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.backends import BACKEND_NAMES
-from repro.core.backends import fused as fused_module
 from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
-    _grouped_volume_metrics,
     _rank_keys,
     _utilization_dense,
     dataflow_signature,
@@ -46,44 +42,6 @@ def report_dict(report):
 def small_candidates(op, pe_dims=(4, 4), count=6):
     return list(pruned_candidates(op, pe_dims=pe_dims, allow_packing=True,
                                   max_candidates=count))
-
-
-#: Instance threshold the ``volume_pools`` fixture sets for the volume threads.
-THREADED_INSTANCES = 1 << 16
-#: ``gemm(64, 32, 32)`` has 65,536 instances, the least at which the fused
-#: backend's ``volume_metrics_many`` fans a candidate's tensors out over its
-#: volume threads under the ``volume_pools`` fixture.
-THREADED_GEMM = (64, 32, 32)
-
-
-@pytest.fixture
-def volume_pools(monkeypatch):
-    """Turn the fused backend's volume threads on, on any machine.
-
-    The pool is only built where the CPU count is at least 2; raising the
-    module's count runs the threaded path on a single-core runner too, and
-    lowering its instance threshold runs it on test-sized ops.  Returns the
-    pools handed to the volume kernels, one per candidate that fanned out.
-    """
-    monkeypatch.setattr(fused_module, "_CPU_COUNT", max(2, fused_module._CPU_COUNT))
-    monkeypatch.setattr(fused_module, "_VOLUME_POOL_MIN_INSTANCES", THREADED_INSTANCES)
-    original = fused_module._volume_pool
-    pools = []
-
-    def counting_pool():
-        pool = original()
-        pools.append(pool)
-        return pool
-
-    monkeypatch.setattr(fused_module, "_volume_pool", counting_pool)
-    return pools
-
-
-def serial_batch(monkeypatch, engine, candidates):
-    """``engine.evaluate_batch`` with the volume threads off: kernels inline."""
-    with monkeypatch.context() as patch:
-        patch.setattr(fused_module, "_volume_pool", lambda: None)
-        return engine.evaluate_batch(candidates)
 
 
 class TestSignatures:
@@ -201,12 +159,20 @@ class TestMaterializer:
         assert stats["misses"] == 1
         assert stats["hits"] == 2
 
-    def test_oversized_op_is_not_cached(self):
-        op = gemm(16, 16, 16)
-        cache = RelationCache(max_instances=100)
-        materializer = RelationMaterializer(op, cache=cache)
-        assert materializer.relations(10**7) is None
+    @pytest.mark.parametrize("make_op", [
+        lambda: gemm(16, 16, 16),
+        lambda: triangular_gemm(16),
+    ], ids=["gemm", "tri-gemm"])
+    def test_relations_past_the_cap_raise(self, make_op):
+        op = make_op()
+        cache = RelationCache()
+        with pytest.raises(ModelError, match="cap of 100 instances"):
+            RelationMaterializer(op, cache=cache).relations(100)
         assert len(cache) == 0
+        RelationMaterializer(op, cache=cache).relations(10**7)
+        # A cached entry is refused to a caller with a lower cap too.
+        with pytest.raises(ModelError, match="cap of 100 instances"):
+            RelationMaterializer(op, cache=cache).relations(100)
 
 
 class TestFastHelpers:
@@ -312,6 +278,20 @@ class TestEngineReports:
         with pytest.raises(ModelError):
             engine.evaluate(small_candidates(op)[0])
 
+    def test_default_cap_refuses_an_op_before_building_it(self):
+        # 9,000,000 instances, past the default cap: the engine refuses the op
+        # before it materialises anything, so no engine holds more than the
+        # cap in its relation cache.
+        op = gemm(300, 300, 100)
+        cache = RelationCache()
+        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), cache=cache)
+        dataflow = Dataflow.from_exprs(
+            "d", op.domain.space, ["i mod 4", "j mod 4"], ["fl(i/4)", "fl(j/4)", "k"]
+        )
+        with pytest.raises(ModelError, match="above the analyzer cap of 8000000"):
+            engine.evaluate(dataflow)
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
 
 class TestBatchEvaluation:
     def test_batch_preserves_candidate_order(self):
@@ -351,63 +331,6 @@ class TestBatchEvaluation:
         engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)))
         with pytest.raises(ExplorationError):
             engine.evaluate_batch(small_candidates(op, count=2), objective="beauty")
-
-    def test_parallel_matches_serial(self, volume_pools, monkeypatch):
-        # 73,728 instances over three tensors with strided input windows.
-        op = conv2d(16, 8, 8, 8, 3, 3)
-        arch = make_arch(pe_dims=(4, 4))
-        candidates = small_candidates(op, count=4)
-        serial = serial_batch(
-            monkeypatch, EvaluationEngine(op, arch, cache=RelationCache()), candidates
-        )
-        parallel = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
-            candidates
-        )
-        assert len(volume_pools) == len(candidates)
-        assert len(parallel.reports) == len(serial.reports) == len(candidates)
-        for a, b in zip(serial.reports, parallel.reports):
-            assert report_dict(a) == report_dict(b)
-
-    @pytest.mark.parametrize("backend", ["interp", "auto"])
-    def test_parallel_matches_serial_per_backend(self, backend, volume_pools, monkeypatch):
-        # Only the fused kernels ("auto" resolves to fused) fan out; the interp
-        # reference stays inline with the threads on.
-        op = gemm(*THREADED_GEMM)
-        arch = make_arch(pe_dims=(4, 4))
-        candidates = small_candidates(op, count=8)
-        serial = serial_batch(
-            monkeypatch,
-            EvaluationEngine(op, arch, cache=RelationCache(), backend=backend),
-            candidates,
-        )
-        parallel = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend
-        ).evaluate_batch(candidates)
-        assert len(volume_pools) == (0 if backend == "interp" else len(candidates))
-        assert [o.name for o in parallel.outcomes] == [o.name for o in serial.outcomes]
-        assert len(parallel.reports) == len(serial.reports)
-        for a, b in zip(serial.reports, parallel.reports):
-            assert report_dict(a) == report_dict(b)
-
-    def test_parallel_mixes_failures_and_reports_like_serial(
-        self, volume_pools, monkeypatch
-    ):
-        op = gemm(*THREADED_GEMM)
-        arch = make_arch(pe_dims=(4, 4))
-        bad = Dataflow.from_exprs("bad", op.domain.space, ["i", "j"], ["k"])
-        candidates = small_candidates(op, count=5)
-        candidates.insert(2, bad)
-        serial = serial_batch(
-            monkeypatch, EvaluationEngine(op, arch, cache=RelationCache()), candidates
-        )
-        parallel = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
-            candidates
-        )
-        assert [name for name, _ in parallel.failures] == ["bad"]
-        assert serial.failures == parallel.failures
-        assert len(volume_pools) == len(candidates) - 1
-        for a, b in zip(serial.reports, parallel.reports):
-            assert report_dict(a) == report_dict(b)
 
     def test_volume_lower_bounds_are_sound(self):
         # The registered bounds never exceed the true objective score, so
@@ -564,19 +487,6 @@ class TestStageProfile:
         profile["stamps"] = -1
         assert engine.stage_seconds["stamps"] >= 0
 
-    def test_parallel_stage_seconds_aggregate_from_workers(self, volume_pools):
-        # The volume kernels run on the pool threads; their stage is timed
-        # around the fan-out in the calling thread, so it still accumulates.
-        op = gemm(*THREADED_GEMM)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache())
-        candidates = small_candidates(op, count=8)
-        engine.evaluate_batch(candidates)
-        assert len(volume_pools) == len(candidates)
-        profile = engine.profile()
-        assert profile["stamps"] > 0
-        assert profile["volumes"] > 0
-        engine.close()
 
 class TestGroupCountFloors:
     """The candidate-dependent unique-volume floor on link-free interconnects."""
@@ -689,44 +599,6 @@ class TestBatchBestScoreSeed:
         )
         merged = [(o.name, o.pruned, o.error) for o in first.outcomes + second.outcomes]
         assert merged == [(o.name, o.pruned, o.error) for o in one.outcomes]
-
-
-class TestPersistentPool:
-    """The volume thread pool is process-wide and built once per process."""
-
-    def test_parallel_batches_reuse_one_pool(self, volume_pools):
-        op = gemm(*THREADED_GEMM)
-        arch = make_arch(pe_dims=(4, 4))
-        candidates = small_candidates(op, count=8)
-        engine = EvaluationEngine(op, arch, cache=RelationCache())
-        engine.evaluate_batch(candidates[:4])
-        engine.evaluate_batch(candidates[4:])
-        engine.close()
-        # Closing an engine leaves the shared pool running for the next one.
-        other = EvaluationEngine(op, arch, cache=RelationCache())
-        batch = other.evaluate_batch(candidates[:2])
-        assert len(batch.reports) == 2
-        assert len(volume_pools) == len(candidates) + 2
-        assert volume_pools[0] is not None
-        assert all(pool is volume_pools[0] for pool in volume_pools)
-
-    def test_broken_pool_is_rebuilt(self, volume_pools, monkeypatch):
-        # A pool inherited across fork has no live threads and would deadlock
-        # the child: the next batch gets a fresh pool keyed by its own PID.
-        stale = ThreadPoolExecutor(max_workers=1)
-        stale.shutdown()
-        monkeypatch.setattr(fused_module, "_VOLUME_POOL", (os.getppid(), stale))
-        op = gemm(*THREADED_GEMM)
-        arch = make_arch(pe_dims=(4, 4))
-        candidates = small_candidates(op, count=6)
-        batch = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(
-            candidates
-        )
-        assert not batch.failures
-        assert len(batch.reports) == len(candidates)
-        assert len(volume_pools) == len(candidates)
-        assert all(pool is not stale for pool in volume_pools)
-        assert fused_module._VOLUME_POOL[0] == os.getpid()
 
 
 class TestEngineLifecycle:

@@ -162,7 +162,7 @@ class TestExplorer:
         assert pruned.best.latency_cycles == full.best.latency_cycles
         assert len(pruned.evaluated) + len(pruned.pruned) == len(full.evaluated)
 
-    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
     def test_dropped_explorer_frees_its_engine_without_the_cyclic_gc(self, backend):
         # A program that keeps creating explorers must not hold every
         # finished engine (relations, layouts, memos) until the cyclic GC runs.

@@ -166,7 +166,7 @@ class TestSweepServer:
             _, reused = server.submit(request).result()
             assert reused
 
-    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
     def test_evicted_engine_is_freed_without_the_cyclic_gc(self, backend):
         # Eviction bounds a long-lived server's memory only if the closed
         # engine is really released, not parked until the cyclic GC runs.

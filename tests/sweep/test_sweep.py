@@ -8,8 +8,8 @@ from repro.core.engine import EvaluationEngine, RelationCache, dataflow_signatur
 from repro.dse.pruning import pruned_candidates
 from repro.errors import ExplorationError
 from repro.experiments.common import make_arch
+import repro.sweep.session as session_module
 from repro.sweep import (
-    JsonlCheckpointSink,
     ResultSink,
     SweepSession,
     TopKSink,
@@ -31,7 +31,7 @@ def make_source(op, count=20):
     )
 
 
-def make_session(op, arch=None, backend="auto", **kwargs):
+def make_session(op, arch=None, backend="fused", **kwargs):
     arch = arch or make_arch(pe_dims=(4, 4))
     engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
     return SweepSession(engine, **kwargs)
@@ -105,24 +105,27 @@ class TestSharding:
 
 
 class TestSweepSession:
-    def test_streaming_batches_match_single_batch(self):
+    def test_streaming_batches_match_single_batch(self, monkeypatch):
         # Batch size never changes the outcome, only the streaming granularity.
         op = make_op()
         candidates = list(make_source(op, count=12))
-        big = make_session(op, batch_size=1024).run(candidates)
-        small = make_session(op, batch_size=3).run(candidates)
-        assert small.batches > big.batches
+        big = make_session(op).run(candidates)
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 3)
+        small = make_session(op).run(candidates)
+        assert (big.batches, small.batches) == (1, 4)
         assert ranking_key(small) == ranking_key(big)
 
-    def test_early_termination_decisions_survive_batching(self):
+    def test_early_termination_decisions_survive_batching(self, monkeypatch):
         # The running best threads through evaluate_batch calls, so pruning
         # decisions are identical whatever the batch size (serial engine).
         op = make_op()
         candidates = list(make_source(op, count=12))
-        one = make_session(op, batch_size=1024, early_termination=True,
-                           objective="sbw").run(candidates)
-        streamed = make_session(op, batch_size=2, early_termination=True,
-                                objective="sbw").run(candidates)
+        one = make_session(op, early_termination=True, objective="sbw").run(candidates)
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 2)
+        streamed = make_session(op, early_termination=True, objective="sbw").run(
+            candidates
+        )
+        assert streamed.batches > one.batches
         assert sorted(streamed.pruned) == sorted(one.pruned)
         assert ranking_key(streamed) == ranking_key(one)
 
@@ -381,23 +384,27 @@ class TestBackendIndependence:
     a checkpoint resumes, and shards merge, whichever backend wrote them.
     """
 
-    @pytest.mark.parametrize("backend", ["fused", "auto"])
-    def test_rendered_rankings_byte_identical_to_interp(self, tmp_path, backend):
+    @pytest.mark.parametrize("backend", ["fused"])
+    def test_rendered_rankings_byte_identical_to_interp(
+        self, tmp_path, monkeypatch, backend
+    ):
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 8)
         op = make_op()
         rendered = []
         for name in ("interp", backend):
             path = tmp_path / f"{name}.jsonl"
-            make_session(op, backend=name, checkpoint=str(path), batch_size=8).run(
+            make_session(op, backend=name, checkpoint=str(path)).run(
                 make_source(op)
             )
             rendered.append(render_ranking(load_ranking(str(path))).encode())
         assert rendered[0] == rendered[1]
 
-    @pytest.mark.parametrize("backend", ["fused", "auto"])
-    def test_early_termination_prunes_like_interp(self, backend):
+    @pytest.mark.parametrize("backend", ["fused"])
+    def test_early_termination_prunes_like_interp(self, monkeypatch, backend):
         from repro.core import Dataflow
         from repro.isl.expr import var
 
+        monkeypatch.setattr(session_module, "BATCH_SIZE", 8)
         op = make_op()
         # A serial, low-bandwidth candidate first lets the sbw bound prune
         # the highly parallel ones that follow.
@@ -408,8 +415,7 @@ class TestBackendIndependence:
         candidates = [serial] + list(make_source(op))
         results = [
             make_session(
-                op, backend=name, early_termination=True, objective="sbw",
-                batch_size=8,
+                op, backend=name, early_termination=True, objective="sbw"
             ).run(candidates)
             for name in ("interp", backend)
         ]
@@ -612,6 +618,32 @@ class TestLegacyCheckpoints:
         assert ranking_key(resumed) == ranking_key(clean)
         kinds = [json.loads(line)["kind"] for line in legacy.read_text().splitlines()]
         assert kinds.count("result") == len(clean.evaluated)
+
+    def test_auto_backend_checkpoint_resumes_and_merges(self, tmp_path, capsys):
+        # Default sweeps once named the retired ``auto`` alias of ``fused``
+        # in their header; a killed one still resumes, and merges to the
+        # same ranking.
+        from repro.cli import main
+
+        op = make_op()
+        source = make_source(op, count=12)
+        fresh = tmp_path / "fresh.jsonl"
+        make_session(op, checkpoint=str(fresh)).run(source)
+        meta, *results = fresh.read_text().splitlines()
+        header = json.loads(meta)
+        assert header["backend"] == "fused"
+        killed = tmp_path / "auto.jsonl"
+        killed.write_text(
+            "\n".join([json.dumps(dict(header, backend="auto")), *results[:5]]) + "\n"
+        )
+        resumed = make_session(op, checkpoint=str(killed), resume=True).run(source)
+        assert resumed.skipped == 5
+        assert resumed.evaluated_count == len(results) - 5
+        merged = []
+        for path in (fresh, killed):
+            assert main(["sweep-merge", str(path)]) == 0
+            merged.append(capsys.readouterr().out.encode())
+        assert merged[0] == merged[1]
 
     def test_legacy_shard_merges_with_a_fresh_shard(self, tmp_path):
         # A fleet upgraded mid-sweep leaves shards in both formats.

@@ -60,7 +60,7 @@ class TestParser:
         for stage in ("stamps", "volumes"):
             assert stage in output
 
-    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    @pytest.mark.parametrize("backend", ["fused"])
     def test_explore_ranking_matches_interp(self, capsys, backend):
         def ranked_lines(name):
             assert main([
@@ -75,7 +75,7 @@ class TestParser:
         assert len(reference) == 6
         assert ranked_lines(backend) == reference
 
-    @pytest.mark.parametrize("backend", ["affine", "bitset"])
+    @pytest.mark.parametrize("backend", ["affine", "bitset", "auto"])
     def test_explore_retired_backend_is_rejected(self, capsys, backend):
         with pytest.raises(SystemExit) as exit_info:
             main([
@@ -85,7 +85,7 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"invalid choice: '{backend}'" in err
-        for name in ("auto", "interp", "fused"):
+        for name in ("interp", "fused"):
             assert name in err
 
     def test_explore_profile_json_contract(self, tmp_path):
@@ -112,7 +112,11 @@ class TestParser:
         )))
         assert payload["sweep"]["candidates"] == sweep_size
         assert payload["sweep"]["seconds"] > 0
-        assert "jobs" not in payload
+        assert payload["backend"] == "fused"
+        assert set(payload) == {
+            "command", "kernel", "sizes", "objective", "backend", "stages", "stats",
+            "relation_cache", "sweep",
+        }
 
     @pytest.mark.parametrize("argv", [
         ["explore", "--kernel", "gemm", "--sizes", "12", "12", "12", "--jobs", "2"],
@@ -123,6 +127,17 @@ class TestParser:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--kernel", "gemm", "--sizes", "12", "12", "12", "--batch-size", "8"],
+        ["serve", "--batch-size", "8"],
+    ], ids=["explore", "serve"])
+    def test_retired_batch_flag_is_rejected(self, capsys, argv):
+        # The sweep batch is a fixed 64 (repro.sweep.session.BATCH_SIZE).
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-size 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pe", [["8"], ["8", "8", "8"]])
     def test_analyze_rank_mismatch_is_one_error_line(self, capsys, pe):
@@ -211,12 +226,6 @@ class TestInputErrors:
          "tenet explore: error: --max-candidates must be at least 0, got -3"),
         (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8", "--top", "-1"],
          "tenet explore: error: --top must be at least 0, got -1"),
-        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
-          "--batch-size", "-4"],
-         "tenet explore: error: --batch-size must be at least 1, got -4"),
-        (["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
-          "--batch-size", "0"],
-         "tenet explore: error: --batch-size must be at least 1, got 0"),
     ], ids=[
         "analyze-extra-size", "analyze-conv-stride-size", "explore-missing-size",
         "analyze-unknown-kernel", "analyze-unknown-dataflow",
@@ -224,7 +233,6 @@ class TestInputErrors:
         "explore-zero-pe", "explore-shard-out-of-range", "explore-shard-garbage",
         "explore-resume-without-checkpoint", "serve-bad-listen",
         "explore-negative-max-candidates", "explore-negative-top",
-        "explore-negative-batch-size", "explore-zero-batch-size",
     ])
     def test_one_error_line(self, capsys, argv, message):
         assert main(argv) == 1
