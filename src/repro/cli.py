@@ -189,7 +189,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             key: stats[key]
             for key in (
                 "fast_path", "fused_path", "reference_path", "stamp_fallback_exprs",
-                "grid_cells",
+                "grid_cells", "direction_builds",
             )
             if stats.get(key)
         }

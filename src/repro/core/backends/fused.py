@@ -40,8 +40,12 @@ default).  It removes three sources of redundancy from a sweep:
   box links sharing one box-linear PE offset), masked to the PEs that have
   the link.  A stencil's cross-reference hits are its reuse: ``A[i-1][j]``
   at ``(i, j)`` is ``A[i][j]`` at ``(i-1, j)``.  Directions along which no
-  (PE, element) group has a source group are skipped per space signature.
-  No sort, no ``searchsorted``, and any ``temporal_interval >= 1``.
+  (PE, element) group has a source group are skipped.  Which ones are live
+  depends on the architecture, the space signature and the tensor, never on
+  the time stamps, so the live directions are kept with the cached relations
+  (:class:`repro.core.engine.LiveDirectionMemo`) and shared by every engine
+  over the operation.  No sort, no ``searchsorted``, and any
+  ``temporal_interval >= 1``.
 
 Per tensor the kernels chain grid → group-major → the engine's reference
 kernel (:func:`repro.core.volumes.compute_volume_metrics`).  Candidates
@@ -55,7 +59,6 @@ the reference kernel.  All three are exact, so reports are bit-identical to
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -253,6 +256,10 @@ class Direction:
     #: ``pes`` as a per-box-PE mask, broadcast over the grid's time rows.
     mask: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        return self.pes.nbytes + self.mask.nbytes
+
 
 def link_directions(
     predecessor_table: np.ndarray,
@@ -390,14 +397,12 @@ class FusedBackend(EngineBackend):
 
     name = "fused"
 
-    _DIRECTION_MEMO_ENTRIES = 32
-
     def __init__(self, engine):
         super().__init__(engine)
         self.pe_dims = engine.arch.pe_array.dims
-        #: Live link directions per (space signature, tensor); the signature
-        #: fixes the candidate's PE box.
-        self._direction_memo: OrderedDict[tuple, tuple[Direction, ...]] = OrderedDict()
+        #: The architecture's part of a live-direction memo key: what fixes
+        #: the links, besides the PE box that the space signature fixes.
+        self.links_key = (engine._spacetime.table_key, self.spatial_interval)
         #: Grid element ids per tensor, for one cached-relations object.
         self._ids: tuple[object, dict[str, tuple[np.ndarray, ...]]] | None = None
 
@@ -555,22 +560,21 @@ class FusedBackend(EngineBackend):
             }
         ids = self._element_ids(relations)
         signature = self.pe_signature(dataflow)
-        memo = self._direction_memo
+        memo = relations.live_directions
         links = None
         results = {}
         for tensor in tensors:
             footprint = relations.tensors[tensor].footprint
-            key = (signature, tensor)
+            key = (*self.links_key, signature, tensor)
             live = memo.get(key)
             if live is None:
                 if links is None:
                     links = link_directions(
                         self.predecessor_table, self.pe_dims, box, self.spatial_interval,
                     )
-                live = memo[key] = self._live_directions(
-                    links, stamps, ids[tensor], footprint
-                )
-            memo.move_to_end(key)
+                live = self._live_directions(links, stamps, ids[tensor], footprint)
+                memo.put(key, live)
+                self.stats["direction_builds"] += 1
             results[tensor] = grid_volume_metrics(
                 tensor,
                 grid,
@@ -580,7 +584,5 @@ class FusedBackend(EngineBackend):
                 temporal_interval=self.temporal_interval,
                 footprint=footprint,
             )
-        while len(memo) > self._DIRECTION_MEMO_ENTRIES:
-            memo.popitem(last=False)
         self.stats["fused_path"] += len(results)
         return results

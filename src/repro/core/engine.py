@@ -22,7 +22,9 @@ that observation into an architectural seam:
   interpreted reference or the fused per-axis path), with objective-aware
   early termination and a report memo keyed by ``(operation, dataflow
   signature, architecture)``.  Its interconnect's predecessor table is
-  shared with every engine over an equal architecture.
+  shared with every engine over an equal architecture, and the fused
+  backend's live link directions with every engine over the same cached
+  operation (:class:`LiveDirectionMemo`).
 * :func:`time_ranks` ranks time stamps lexicographically; it never lets a
   mixed-radix key wrap int64.
 
@@ -141,6 +143,52 @@ class TensorRelations:
         return len(self.raw_keys)
 
 
+#: Entries one operation's live-direction memo keeps.  One op swept on
+#: several architectures needs one entry per (architecture, space signature,
+#: tensor): 54 for perfbench's gemm-sweep (3 interconnects x 6 x 3).
+_LIVE_DIRECTION_ENTRIES = 256
+
+
+class LiveDirectionMemo:
+    """The fused backend's live link directions for one operation: an LRU of
+    at most :data:`_LIVE_DIRECTION_ENTRIES` tuples of directions, shared by
+    every engine over the operation's cached relations.
+
+    A key is (predecessor-table key, spatial interval, space signature,
+    tensor), and its value a pure function of it, so engines in concurrent
+    threads may at worst build one entry twice.  The lock keeps the LRU
+    bookkeeping coherent.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple | None:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: tuple, value: tuple) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > _LIVE_DIRECTION_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def nbytes(self) -> int:
+        """Bytes of the directions held; entries built from one box's links
+        share their directions, which count once."""
+        with self._lock:
+            directions = {id(d): d for value in self._entries.values() for d in value}
+        return sum(direction.nbytes for direction in directions.values())
+
+
 @dataclass
 class OpRelations:
     """Everything about an operation's relations that no dataflow can change."""
@@ -157,13 +205,16 @@ class OpRelations:
     #: domain then lists the box in lexicographic order); ``None`` when other
     #: constraints filter the box.
     axes: tuple[np.ndarray, ...] | None
+    #: Live link directions per architecture and candidate PE box, built by
+    #: the fused backend and dropped with the cache entry.
+    live_directions: LiveDirectionMemo = field(default_factory=LiveDirectionMemo)
 
     def nbytes(self) -> int:
         arrays = {id(a): a for a in self.domain.values()}
         for rel in self.tensors.values():
             # A dense single-reference key array is its own rank.
             arrays.update((id(a), a) for a in (rel.dense_keys, *rel.raw_keys))
-        return sum(a.nbytes for a in arrays.values())
+        return sum(a.nbytes for a in arrays.values()) + self.live_directions.nbytes()
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -981,6 +1032,9 @@ class EvaluationEngine:
             # Cells of every stamp grid the fused backend built (rank rows x
             # the candidate's box PEs), a non-injective candidate's included.
             "grid_cells": 0,
+            # Live-direction presence matrices the fused backend built: misses
+            # of the memo it shares with every engine over the cached op.
+            "direction_builds": 0,
         }
         #: Wall-clock seconds per pipeline stage, for ``tenet explore
         #: --profile``: where a sweep's time actually goes (stamps vs volume

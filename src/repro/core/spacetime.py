@@ -63,15 +63,21 @@ class SpacetimeMap:
 
     # -- neighbour table -------------------------------------------------------
 
+    @property
+    def table_key(self) -> tuple:
+        """What fixes the predecessor table: the interconnect's type and
+        fields, and the PE array dims.  Maps with equal keys share one table."""
+        interconnect = self.interconnect
+        return (type(interconnect), tuple(vars(interconnect).items()), self.pe_array.dims)
+
     def predecessor_table(self) -> np.ndarray:
         """``(num_pes, max_degree)`` array of predecessor linear indices.
 
         Rows are padded with ``-1``.  Row ``p`` lists every PE that can send
         data to PE ``p`` through the interconnect.  The array is read-only and
-        shared by every map over an equal interconnect and equal array dims.
+        shared by every map over an equal :attr:`table_key`.
         """
-        interconnect = self.interconnect
-        key = (type(interconnect), tuple(vars(interconnect).items()), self.pe_array.dims)
+        key = self.table_key
         with _TABLES_LOCK:
             table = _TABLES.get(key)
             if table is None:

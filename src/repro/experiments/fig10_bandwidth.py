@@ -11,9 +11,8 @@ SBW — on a mesh.
 
 from __future__ import annotations
 
-from repro.core.analyzer import analyze
 from repro.dataflows.catalog import get_entry
-from repro.experiments.common import ExperimentResult, make_arch
+from repro.experiments.common import ExperimentResult, make_arch, make_engine
 from repro.tensor.kernels import conv2d, gemm, jacobi2d, mmc, mttkrp
 
 _TOPOLOGIES = ("2d-systolic", "mesh", "1d-systolic")
@@ -60,7 +59,7 @@ def run(max_instances: int = 4_000_000) -> ExperimentResult:
         sbw_by_topology = {}
         for topology in _TOPOLOGIES:
             arch = make_arch(pe_dims=pe_dims, interconnect=topology)
-            report = analyze(op, dataflow, arch, max_instances=max_instances)
+            report = make_engine(op, arch, max_instances=max_instances).evaluate(dataflow)
             row = dict(
                 kernel=kernel,
                 dataflow=dataflow_name,

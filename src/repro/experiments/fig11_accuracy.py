@@ -15,9 +15,14 @@ data-centric estimate misses the affine packing and reports larger errors.
 
 from __future__ import annotations
 
-from repro.core.analyzer import analyze
 from repro.dataflows.conv2d import oyox_p_shidiannao, ryoy_p_eyeriss
-from repro.experiments.common import ExperimentResult, average, make_arch, scaled_layer_op
+from repro.experiments.common import (
+    ExperimentResult,
+    average,
+    make_arch,
+    make_engine,
+    scaled_layer_op,
+)
 from repro.maestro.directives import DataCentricMapping, SpatialMap, TemporalMap
 from repro.maestro.model import MaestroModel
 from repro.sim.engine import simulate
@@ -85,7 +90,7 @@ def run(max_instances: int = 400_000, bandwidth_bits: float = 256.0) -> Experime
                 mapping = _maestro_mapping_maeri()
 
             golden = simulate(op, dataflow, arch, max_instances=max_instances)
-            tenet = analyze(op, dataflow, arch, max_instances=max_instances)
+            tenet = make_engine(op, arch, max_instances=max_instances).evaluate(dataflow)
             baseline = MaestroModel(
                 num_pes=pe_dims[0] * pe_dims[1], bandwidth_bits_per_cycle=bandwidth_bits
             ).analyze(op, mapping)

@@ -11,9 +11,8 @@ layers show the characteristic drop in input reuse.
 
 from __future__ import annotations
 
-from repro.core.analyzer import analyze
 from repro.dataflows.conv2d import oyox_p_shidiannao, ryoy_p_eyeriss
-from repro.experiments.common import ExperimentResult, make_arch, scaled_layer_op
+from repro.experiments.common import ExperimentResult, make_arch, make_engine, scaled_layer_op
 from repro.maestro.directives import DataCentricMapping, SpatialMap, TemporalMap
 from repro.maestro.model import MaestroModel
 from repro.workloads import alexnet, googlenet, mobilenet, vgg16
@@ -109,7 +108,7 @@ def run(max_instances: int = 600_000, layers_per_network: int | None = None) -> 
             if isinstance(scaled, ConvLayer) and scaled.depthwise:
                 dataflow = _depthwise_fallback(scaled)
                 op = scaled.to_op()
-            report = analyze(op, dataflow, arch, max_instances=max_instances)
+            report = make_engine(op, arch, max_instances=max_instances).evaluate(dataflow)
             baseline = MaestroModel(num_pes=arch.num_pes).analyze(op, mapping)
 
             for tensor in report.volumes:

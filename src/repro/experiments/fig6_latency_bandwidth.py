@@ -17,13 +17,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.arch.memory import MemoryHierarchy
-from repro.core.analyzer import analyze
 from repro.core.latency import compute_latency
 from repro.dataflows.catalog import get_entry
 from repro.experiments.common import (
     ExperimentResult,
     average,
     make_arch,
+    make_engine,
     percent_reduction,
 )
 from repro.tensor.kernels import conv2d, gemm
@@ -56,7 +56,7 @@ def _sweep(op, cases, bandwidths, word_bits: int, max_instances: int, rows, kern
         entry = get_entry(kernel, name)
         dataflow = entry.build()
         arch = make_arch(word_bits=word_bits, **arch_kwargs)
-        report = analyze(op, dataflow, arch, max_instances=max_instances)
+        report = make_engine(op, arch, max_instances=max_instances).evaluate(dataflow)
         reports.append((name, tenet_only, report))
 
     reductions = []

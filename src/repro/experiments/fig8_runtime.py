@@ -51,7 +51,7 @@ def run(
 
     tenet_times = []
     warm_times = []
-    compiled_times = []
+    fused_times = []
     maestro_times = []
     for kernel_label, (op, (catalog_kernel, dataflow_name)) in kernels.items():
         for pe_dims in _PE_SIZES:
@@ -74,7 +74,7 @@ def run(
                 # Warm sweep path: a sweep session whose engine has the
                 # relations cached, report memo disabled so the measurement
                 # covers the real per-candidate evaluation; once on the
-                # interpreted backend, once on the compiled one.
+                # interpreted backend, once on the fused one.
                 session = make_session(op, arch, memoize=False, backend="interp")
                 session.evaluate(dataflow)
                 best_warm = float("inf")
@@ -89,18 +89,18 @@ def run(
                     interconnect=interconnect, seconds=best_warm,
                 )
 
-                compiled = make_session(op, arch, memoize=False, backend=backend)
-                compiled.evaluate(dataflow)
-                best_compiled = float("inf")
+                fused = make_session(op, arch, memoize=False, backend=backend)
+                fused.evaluate(dataflow)
+                best_fused = float("inf")
                 for _ in range(max(repeats, 2)):
                     started = time.perf_counter()
-                    compiled.evaluate(dataflow)
-                    best_compiled = min(best_compiled, time.perf_counter() - started)
-                compiled_times.append(best_compiled)
+                    fused.evaluate(dataflow)
+                    best_fused = min(best_fused, time.perf_counter() - started)
+                fused_times.append(best_fused)
                 result.add_row(
                     kernel=kernel_label, model=f"TENET-{backend}",
                     pe_array=f"{pe_dims[0]}x{pe_dims[1]}",
-                    interconnect=interconnect, seconds=best_compiled,
+                    interconnect=interconnect, seconds=best_fused,
                 )
 
             baseline_model = MaestroModel(num_pes=pe_dims[0] * pe_dims[1])
@@ -117,15 +117,15 @@ def run(
 
     avg_tenet = sum(tenet_times) / len(tenet_times)
     avg_warm = sum(warm_times) / len(warm_times)
-    avg_compiled = sum(compiled_times) / len(compiled_times)
+    avg_fused = sum(fused_times) / len(fused_times)
     avg_maestro = sum(maestro_times) / len(maestro_times)
     result.headline = {
         "avg_tenet_seconds": round(avg_tenet, 4),
         "avg_tenet_cached_seconds": round(avg_warm, 4),
         "cached_speedup": round(avg_tenet / avg_warm, 2) if avg_warm else float("inf"),
-        "avg_tenet_compiled_seconds": round(avg_compiled, 4),
-        "compiled_backend": backend,
-        "compiled_speedup": round(avg_tenet / avg_compiled, 2) if avg_compiled else float("inf"),
+        "avg_tenet_fused_seconds": round(avg_fused, 4),
+        "fused_backend": backend,
+        "fused_speedup": round(avg_tenet / avg_fused, 2) if avg_fused else float("inf"),
         "avg_baseline_seconds": round(avg_maestro, 6),
         "slowdown_factor": round(avg_tenet / avg_maestro, 1) if avg_maestro else float("inf"),
         "paper_reported": "TENET ~1e-1 s, MAESTRO ~1e-2 s per dataflow",

@@ -8,9 +8,8 @@ and average PE utilisation, and latency.
 
 from __future__ import annotations
 
-from repro.core.analyzer import analyze
 from repro.dataflows.catalog import dataflows_for
-from repro.experiments.common import ExperimentResult, make_arch
+from repro.experiments.common import ExperimentResult, make_arch, make_engine
 from repro.tensor.kernels import conv2d, gemm, jacobi2d, mmc, mttkrp
 
 
@@ -39,7 +38,7 @@ def run(scale: float = 1.0, max_instances: int = 4_000_000) -> ExperimentResult:
             dataflow = entry.build()
             interconnect = "2d-systolic" if len(entry.preferred_pe_dims) == 2 else "1d-systolic"
             arch = make_arch(pe_dims=entry.preferred_pe_dims, interconnect=interconnect)
-            report = analyze(op, dataflow, arch, max_instances=max_instances)
+            report = make_engine(op, arch, max_instances=max_instances).evaluate(dataflow)
             row = dict(
                 kernel=kernel,
                 dataflow=entry.name,

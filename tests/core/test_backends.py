@@ -372,7 +372,8 @@ class TestLayout:
             tuple(str(e) for e in c.pe_exprs) for c in candidates
         }
         # One entry per (space signature, tensor), not per candidate.
-        assert len(engine.backend._direction_memo) <= len(distinct_pe_signatures) * 3
+        memo = engine.materializer.relations(engine.max_instances).live_directions
+        assert len(memo) <= len(distinct_pe_signatures) * 3
 
 
 class TestFusedBackend:
@@ -670,8 +671,12 @@ class TestGridKernel:
         assert report_dict(reference) == report_dict(report)
         assert engine.stats["fused_path"] == 3
         signature = engine.backend.pe_signature(candidate)
+        memo = engine.materializer.relations(engine.max_instances).live_directions
         live = {
-            tensor: [d.offset for d in engine.backend._direction_memo[signature, tensor]]
+            tensor: [
+                d.offset
+                for d in memo.get((*engine.backend.links_key, signature, tensor))
+            ]
             for tensor in ("A", "B", "Y")
         }
         assert live["A"] == [-7, -6, -5, -4, -3, -2, -1]
@@ -825,3 +830,158 @@ class TestFusedBaseline:
         fresh = {c.name: report_dict(engine.evaluate(c)) for c in candidates}
         assert json.loads(json.dumps(fresh)) == self._baseline()[case]
         assert engine.stats["fused_path"] > 0
+
+
+class TestSharedLiveDirections:
+    """The fused backend's live-direction memo lives on the cached relations,
+    keyed by architecture, spatial interval, space signature and tensor, and
+    every engine over the operation shares it."""
+
+    @staticmethod
+    def _archs(dims):
+        return [
+            *(make_arch(pe_dims=dims, interconnect=ic) for ic in INTERCONNECTS),
+            *(make_arch(pe_dims=dims, interconnect="multicast", reach=r) for r in (1, 7)),
+            *(
+                make_arch(pe_dims=dims, interconnect="reduction-tree", group_size=g)
+                for g in (2, 3)
+            ),
+        ]
+
+    @staticmethod
+    def _candidates(op, dims):
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        # A 2x3 PE box, inside either array.
+        sub_box = Dataflow.from_exprs(
+            "sub-box", op.domain.space, [i % 2, j % 3], [k, i // 2, j // 3]
+        )
+        return [*small_candidates(op, pe_dims=dims, count=4), sub_box]
+
+    def test_mixed_architectures_match_fresh_engines_and_interp(self):
+        # Spatial intervals 0 (multicast, reduction tree) and 1 share one
+        # cache, on two PE shapes, built in interleaved order.
+        op = gemm(8, 8, 8)
+        plans = []
+        for archs in zip(self._archs((4, 4)), self._archs((2, 8))):
+            for arch in archs:
+                plans.append((arch, self._candidates(op, arch.pe_array.dims)))
+        expected = []
+        for arch, candidates in plans:
+            fresh = EvaluationEngine(op, arch, cache=RelationCache())
+            interp = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
+            reports = [report_dict(fresh.evaluate(c)) for c in candidates]
+            assert reports == [report_dict(interp.evaluate(c)) for c in candidates]
+            expected.append(reports)
+        shared = RelationCache()
+        for _ in range(2):
+            for (arch, candidates), reports in zip(plans, expected):
+                engine = EvaluationEngine(op, arch, cache=shared)
+                assert [report_dict(engine.evaluate(c)) for c in candidates] == reports
+        assert len(shared) == 1
+
+    def test_threads_sweeping_different_interconnects(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.core import engine as engine_module
+
+        # More sweeping threads than cores, a short switch interval, and a
+        # bound below the sweeps' keys: they evict and reorder each other's
+        # entries while another thread counts the memo's bytes.
+        monkeypatch.setattr(engine_module, "_LIVE_DIRECTION_ENTRIES", 4)
+        op = gemm(12, 12, 12)
+        candidates = small_candidates(op, count=8)
+        archs = [
+            make_arch(pe_dims=(4, 4), interconnect=ic)
+            for ic in ("2d-systolic", "2d-multicast", "mesh", "reduction-tree")
+        ]
+        expected = [
+            [report_dict(EvaluationEngine(op, arch, cache=RelationCache()).evaluate(c))
+             for c in candidates]
+            for arch in archs
+        ]
+        cache = RelationCache()
+        relations = EvaluationEngine(op, archs[0], cache=cache).materializer.relations(10**6)
+        rounds = 3
+        results = [[] for _ in archs]
+        errors = []
+        done = threading.Event()
+
+        def sweep(index):
+            try:
+                for _ in range(rounds):
+                    engine = EvaluationEngine(op, archs[index], cache=cache)
+                    results[index].append([report_dict(engine.evaluate(c)) for c in candidates])
+            except BaseException as error:  # noqa: BLE001 - surfaced to the test
+                errors.append(error)
+
+        def count_bytes():
+            try:
+                while not done.wait(0.001):
+                    relations.nbytes()
+            except BaseException as error:  # noqa: BLE001 - surfaced to the test
+                errors.append(error)
+
+        threads = [threading.Thread(target=sweep, args=(index,)) for index in range(len(archs))]
+        counter = threading.Thread(target=count_bytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            counter.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            counter.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [*threads, counter])
+        assert errors == []
+        assert results == [[reports] * rounds for reports in expected]
+        assert len(relations.live_directions) <= 4
+
+    def test_a_second_engine_builds_no_directions(self):
+        op = gemm(12, 12, 12)
+        cache = RelationCache()
+        candidates = small_candidates(op, count=6)
+        first = EvaluationEngine(op, make_arch(pe_dims=(4, 4), interconnect="mesh"), cache=cache)
+        first.evaluate_batch(candidates)
+        assert first.stats["direction_builds"] > 0
+        second = EvaluationEngine(op, make_arch(pe_dims=(4, 4), interconnect="mesh"), cache=cache)
+        second.evaluate_batch(candidates)
+        assert second.stats["direction_builds"] == 0
+        assert second.stats["fused_path"] == first.stats["fused_path"]
+        # Another interconnect has other links: it builds its own.
+        other = EvaluationEngine(
+            op, make_arch(pe_dims=(4, 4), interconnect="2d-multicast"), cache=cache
+        )
+        other.evaluate_batch(candidates)
+        assert other.stats["direction_builds"] == first.stats["direction_builds"]
+
+    def test_memo_bytes_are_counted_and_dropped_with_the_op(self):
+        import gc
+        import weakref
+
+        op = gemm(12, 12, 12)
+        arch = make_arch(pe_dims=(4, 4), interconnect="2d-multicast")
+        cache = RelationCache(max_entries=1)
+        engine = EvaluationEngine(op, arch, cache=cache)
+        relations = engine.materializer.relations(engine.max_instances)
+        arrays = relations.nbytes()
+        candidates = small_candidates(op, count=4)
+        engine.evaluate_batch(candidates)
+        memo = relations.live_directions
+        assert len(memo) > 0 and memo.nbytes() > 0
+        assert relations.nbytes() == arrays + memo.nbytes()
+        # Another op evicts this one, and its memo goes with it.
+        dropped = weakref.ref(memo)
+        other = gemm(8, 8, 8)
+        EvaluationEngine(other, arch, cache=cache).evaluate(small_candidates(other, count=1)[0])
+        builds = engine.stats["direction_builds"]
+        del engine, relations, memo
+        gc.collect()
+        assert dropped() is None
+        rebuilt = EvaluationEngine(op, arch, cache=cache)
+        rebuilt.evaluate_batch(candidates)
+        assert rebuilt.stats["direction_builds"] == builds
