@@ -17,13 +17,16 @@ The paper models three topologies explicitly (Section IV-C)::
 plus a 1-D systolic variant and a reduction tree (MAERI) used in the
 evaluation.  Systolic and mesh links move data one hop per cycle, so their
 reuse *time interval* is 1; multicast links share a wire, so their reuse
-happens in the same cycle (time interval 0) — see Section V-A.
+happens in the same cycle (time interval 0) — see Section V-A.  The interval
+is a class constant of each topology, not a constructor argument: it is part
+of what the topology is.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,10 +49,10 @@ class Interconnect(ABC):
     #: Human-readable topology name (used by the catalog and reports).
     name: str = "abstract"
 
-    #: Cycles a datum needs to traverse one link.  Reuse through the link is
-    #: possible between time-stamps ``t`` and ``t + time_interval``; multicast
-    #: wires have interval 0 (same-cycle reuse).
-    time_interval: int = 1
+    #: Cycles a datum needs to traverse one link, fixed per topology.  Reuse
+    #: through the link is possible between time-stamps ``t`` and ``t +
+    #: time_interval``; multicast wires have interval 0 (same-cycle reuse).
+    time_interval: ClassVar[int] = 1
 
     #: Energy-model hop distance of one link (relative units).
     hop_distance: int = 1
@@ -123,7 +126,7 @@ class Systolic1D(Interconnect):
     """Unidirectional links along the innermost array dimension only."""
 
     name: str = "1d-systolic"
-    time_interval: int = 1
+    time_interval: ClassVar[int] = 1
 
     def relation(self, array: PEArray) -> UnionMap:
         *outer, (source, destination) = _axes(array)
@@ -135,7 +138,7 @@ class Systolic2D(Interconnect):
     """TPU-style 2-D systolic links: right neighbour or down neighbour."""
 
     name: str = "2d-systolic"
-    time_interval: int = 1
+    time_interval: ClassVar[int] = 1
 
     def relation(self, array: PEArray) -> UnionMap:
         if array.rank == 1:
@@ -151,7 +154,7 @@ class Mesh(Interconnect):
     """Mesh NoC: every PE talks to its (up to 8) surrounding neighbours."""
 
     name: str = "mesh"
-    time_interval: int = 1
+    time_interval: ClassVar[int] = 1
 
     def relation(self, array: PEArray) -> UnionMap:
         return _relation(array, [
@@ -165,7 +168,7 @@ class Multicast1D(Interconnect):
     """Multicast wires shared by groups of neighbouring PEs (same-cycle reuse)."""
 
     name: str = "multicast"
-    time_interval: int = 0
+    time_interval: ClassVar[int] = 0
     reach: int = 3
 
     def relation(self, array: PEArray) -> UnionMap:
@@ -184,7 +187,7 @@ class Multicast2D(Interconnect):
     """
 
     name: str = "2d-multicast"
-    time_interval: int = 0
+    time_interval: ClassVar[int] = 0
     reach: int = 7
 
     def relation(self, array: PEArray) -> UnionMap:
@@ -207,7 +210,7 @@ class ReductionTree(Interconnect):
     """
 
     name: str = "reduction-tree"
-    time_interval: int = 0
+    time_interval: ClassVar[int] = 0
     group_size: int = 8
 
     def __post_init__(self):
@@ -225,7 +228,7 @@ class NoInterconnect(Interconnect):
     """No PE-to-PE links: every operand must come from the scratchpad."""
 
     name: str = "none"
-    time_interval: int = 1
+    time_interval: ClassVar[int] = 1
 
     def relation(self, array: PEArray) -> UnionMap:
         # An unsatisfiable constraint: the empty relation.

@@ -85,7 +85,3 @@ class MemoryHierarchy:
     @property
     def scratchpad_words_per_cycle(self) -> float:
         return self.scratchpad.bandwidth_words_per_cycle(self.word_bits)
-
-    @property
-    def dram_words_per_cycle(self) -> float:
-        return self.dram.bandwidth_words_per_cycle(self.word_bits)

@@ -13,7 +13,7 @@ Public entry points:
   energy) and returns a :class:`~repro.core.metrics.PerformanceReport`.
 """
 
-from repro.core.dataflow import Dataflow, DataflowValidation
+from repro.core.dataflow import Dataflow
 from repro.core.assignment import DataAssignment
 from repro.core.spacetime import SpacetimeMap
 from repro.core.volumes import VolumeMetrics
@@ -36,7 +36,6 @@ from repro.core.notation import dataflow_shorthand, parse_shorthand_name
 
 __all__ = [
     "Dataflow",
-    "DataflowValidation",
     "DataAssignment",
     "SpacetimeMap",
     "VolumeMetrics",

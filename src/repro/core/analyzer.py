@@ -26,6 +26,13 @@ relations across candidates and batches their stamp evaluation.  Both run the
 same prologue (:func:`~repro.core.engine.bind_checked`), reference volume
 kernel (:func:`~repro.core.engine.reference_volume_metrics`) and epilogue
 (:func:`~repro.core.engine.assemble_report`), so their reports agree.
+
+Every evaluation checks the dataflow on the way: past the instance cap it
+raises ``ModelError``; a space stamp of the wrong rank
+(:meth:`~repro.core.dataflow.Dataflow.check_pe_rank`) or an instance off the
+PE array raises ``DataflowError``; a stamp that runs several instances is
+allowed, costs the extra compute cycles, and gets a report note
+(``utilization.is_injective`` is False).
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from repro.core.engine import (
 from repro.core.metrics import PerformanceReport
 from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import compute_utilization
-from repro.errors import DataflowError
 from repro.tensor.operation import TensorOp
 
 
@@ -58,18 +64,13 @@ class TenetAnalyzer:
         *,
         max_instances: int = 32_000_000,
         chunk_size: int = 1 << 20,
-        validate: bool = False,
-        temporal_interval: int = 1,
     ):
         self.op = op
         self.dataflow = dataflow
         self.arch = arch
         self.max_instances = int(max_instances)
         self.chunk_size = int(chunk_size)
-        self.should_validate = validate
-        self.spacetime = SpacetimeMap(
-            arch.pe_array, arch.interconnect, temporal_interval=int(temporal_interval)
-        )
+        self.spacetime = SpacetimeMap(arch.pe_array, arch.interconnect)
         self.materializer = RelationMaterializer(op, chunk_size=self.chunk_size)
 
     # -- public API -------------------------------------------------------------
@@ -77,17 +78,7 @@ class TenetAnalyzer:
     def analyze(self) -> PerformanceReport:
         """Run the full analysis and return a :class:`PerformanceReport`."""
         started = time.perf_counter()
-        notes: list[str] = []
         dataflow = bind_checked(self.op, self.dataflow, self.arch, self.max_instances)
-        if self.should_validate:
-            validation = dataflow.validate(self.op, self.arch.pe_array, self.chunk_size)
-            if not validation.is_valid:
-                raise DataflowError(
-                    f"dataflow {dataflow.name!r} is invalid for {self.op.name}: "
-                    + "; ".join(validation.messages)
-                )
-            notes.extend(validation.messages)
-
         pe_lin, t_rank, element_keys, element_extents = self.materializer.materialize(
             dataflow, self.arch.pe_array, self.max_instances
         )
@@ -100,7 +91,7 @@ class TenetAnalyzer:
             for tensor, per_reference in element_keys.items()
         }
         return assemble_report(
-            self.op, self.arch, dataflow.name, utilization, volumes, notes, started
+            self.op, self.arch, dataflow.name, utilization, volumes, [], started
         )
 
 

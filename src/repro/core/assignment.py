@@ -15,12 +15,8 @@ reuse analysis the relation is enumerated by the analyzer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
 
 from repro.core.dataflow import Dataflow
-from repro.isl.imap import IntMap
 from repro.tensor.access import TensorAccess
 from repro.tensor.operation import TensorOp
 
@@ -35,25 +31,6 @@ class DataAssignment:
     @property
     def tensor(self) -> str:
         return self.access.tensor
-
-    # -- symbolic views ---------------------------------------------------------
-
-    def space_assignment(self) -> IntMap:
-        """``{ S[n] -> F[f] }`` composed view keyed by the space-stamp expressions.
-
-        The paper calls this the *space assignment* (e.g. ``{PE[i,j] -> Y[i,j]}``
-        in Figure 3); it is returned as the functional map from loop instances
-        to elements together with the space-stamp expressions for printing.
-        """
-        return self.access.relation
-
-    def element_exprs(self):
-        """Quasi-affine element coordinates as functions of the loop iterators."""
-        return self.access.relation.out_exprs
-
-    def elements_for_chunk(self, chunk: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorised element coordinates accessed by a chunk of loop instances."""
-        return self.access.relation.image_array(chunk)
 
     def is_pe_stationary(self) -> bool:
         """Heuristic: does every PE keep touching the same element over time?

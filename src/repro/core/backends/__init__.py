@@ -19,8 +19,8 @@ computed:
     and joins the sum as one column; domains that are not a box take
     ``interp``'s stamps on the whole array.  Candidates without a grid
     (non-injective ones, grids past the size bound) take ``interp``'s
-    group-major kernel, and temporal intervals past its window the engine's
-    reference kernel.  The default.
+    group-major kernel, and a key layout past int64 the engine's reference
+    kernel.  The default.
 """
 
 from __future__ import annotations

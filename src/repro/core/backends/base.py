@@ -58,7 +58,6 @@ class EngineBackend:
         self.predecessor_table = engine._predecessor_table
         self.num_pes = engine.arch.pe_array.size
         self.spatial_interval = engine._spacetime.spatial_interval
-        self.temporal_interval = engine.temporal_interval
         self.stats = engine.stats
 
     # -- stamp evaluation -------------------------------------------------------
@@ -102,8 +101,8 @@ class EngineBackend:
         assume_unique: bool,
     ) -> VolumeMetrics | None:
         """Exact Table II metrics by the group-major sort/adjacency kernel,
-        or ``None`` (temporal interval past its window, int64 overflow) to
-        use the reference kernel."""
+        or ``None`` (its key layout would overflow int64) to use the
+        reference kernel."""
         from repro.core.engine import _grouped_volume_metrics
 
         return _grouped_volume_metrics(
@@ -114,7 +113,6 @@ class EngineBackend:
             self.predecessor_table,
             self.num_pes,
             spatial_interval=self.spatial_interval,
-            temporal_interval=self.temporal_interval,
             assume_unique=assume_unique,
         )
 

@@ -35,8 +35,8 @@ default).  It removes three sources of redundancy from a sweep:
   so TENET's intersection of a tensor's data assignment with the spacetime
   map becomes a comparison of grid cells: scatter the tensor's element ids
   onto the grid, one grid per distinct reference, then temporal reuse is the
-  grids against themselves shifted ``temporal_interval * box_size`` cells,
-  and spatial reuse one shifted comparison per interconnect *direction* (the
+  grids against themselves shifted one rank row (``box_size`` cells), and
+  spatial reuse one shifted comparison per interconnect *direction* (the
   box links sharing one box-linear PE offset), masked to the PEs that have
   the link.  A stencil's cross-reference hits are its reuse: ``A[i-1][j]``
   at ``(i, j)`` is ``A[i][j]`` at ``(i-1, j)``.  Directions along which no
@@ -44,15 +44,14 @@ default).  It removes three sources of redundancy from a sweep:
   depends on the architecture, the space signature and the tensor, never on
   the time stamps, so the live directions are kept with the cached relations
   (:class:`repro.core.engine.LiveDirectionMemo`) and shared by every engine
-  over the operation.  No sort, no ``searchsorted``, and any
-  ``temporal_interval >= 1``.
+  over the operation.  No sort and no ``searchsorted``.
 
 Per tensor the kernels chain grid → group-major → the engine's reference
 kernel (:func:`repro.core.volumes.compute_volume_metrics`).  Candidates
 without a grid (non-injective ones and grids past the ``max(8n, 2^22)`` cell
 bound) take the group-major sort/adjacency kernel that ``interp`` uses, on
-box PEs and the box's links, and temporal intervals past its 8-rank window
-the reference kernel.  All three are exact, so reports are bit-identical to
+box PEs and the box's links, and a group-major key layout past int64 the
+reference kernel.  All three are exact, so reports are bit-identical to
 ``interp``.
 """
 
@@ -299,19 +298,18 @@ def grid_volume_metrics(
     directions: Sequence[Direction],
     *,
     spatial_interval: int,
-    temporal_interval: int,
     footprint: int,
 ) -> VolumeMetrics:
     """Exact Table II metrics by shifted comparisons on the stamp grid.
 
     ``ids`` holds, per distinct reference, the element each instance touches.
     Scattered onto one grid per reference, with -1 on empty cells, a (stamp,
-    element) pair has temporal reuse when the cells ``temporal_interval *
-    num_pes`` back (same PE, ``temporal_interval`` ranks earlier) hold its
-    element under any reference, and spatial reuse when, for a direction of
-    offset ``o`` its PE has, the cells ``spatial_interval * num_pes - o`` back
-    (PE ``pe + o``, ``spatial_interval`` ranks earlier) do.  Both shifts are
-    positive, so slicing drops sources before rank 0.  ``num_pes`` is the
+    element) pair has temporal reuse when the cells ``num_pes`` back (same
+    PE, one rank earlier) hold its element under any reference, and spatial
+    reuse when, for a direction of offset ``o`` its PE has, the cells
+    ``spatial_interval * num_pes - o`` back (PE ``pe + o``,
+    ``spatial_interval`` ranks earlier) do.  Both shifts are positive, so
+    slicing drops sources before rank 0.  ``num_pes`` is the
     grid's box PEs and ``directions`` group the box's links.  A pair counts
     once: a reference's cell is dropped where an earlier reference holds the
     same element.  Requires an injective candidate; the counts equal the
@@ -356,10 +354,9 @@ def grid_volume_metrics(
         return sum(int(np.count_nonzero(hits)) for hits in reuse)
 
     reuse = [np.zeros(size, dtype=bool) for _ in cells]
-    back = temporal_interval * num_pes
-    if back < size:
+    if num_pes < size:
         for grid_ids, hits in zip(cells, reuse):
-            match(grid_ids, back, hits)
+            match(grid_ids, num_pes, hits)
     temporal_count = count(reuse)
 
     spatial_count = 0
@@ -401,8 +398,9 @@ class FusedBackend(EngineBackend):
         super().__init__(engine)
         self.pe_dims = engine.arch.pe_array.dims
         #: The architecture's part of a live-direction memo key: what fixes
-        #: the links, besides the PE box that the space signature fixes.
-        self.links_key = (engine._spacetime.table_key, self.spatial_interval)
+        #: the links, besides the PE box that the space signature fixes.  The
+        #: interconnect type in it fixes the spatial interval too.
+        self.links_key = engine._spacetime.table_key
         #: Grid element ids per tensor, for one cached-relations object.
         self._ids: tuple[object, dict[str, tuple[np.ndarray, ...]]] | None = None
 
@@ -553,7 +551,6 @@ class FusedBackend(EngineBackend):
                     tensor, stamps.box_pe, stamps.t_rank, relations.tensors[tensor],
                     table, box.size,
                     spatial_interval=self.spatial_interval,
-                    temporal_interval=self.temporal_interval,
                     assume_unique=assume_unique,
                 )
                 for tensor in tensors
@@ -581,7 +578,6 @@ class FusedBackend(EngineBackend):
                 ids[tensor],
                 live,
                 spatial_interval=self.spatial_interval,
-                temporal_interval=self.temporal_interval,
                 footprint=footprint,
             )
         self.stats["fused_path"] += len(results)

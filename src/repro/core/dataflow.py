@@ -14,36 +14,17 @@ notations: skewed stamps such as ``T[i + j + k]`` or packed stamps such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import DataflowError, SpaceError
-from repro.isl.enumeration import chunk_length
 from repro.isl.expr import AffExpr
 from repro.isl.imap import IntMap
 from repro.isl.parser import parse_expr, parse_map
 from repro.isl.space import Space
 from repro.arch.pe_array import PEArray
 from repro.tensor.operation import TensorOp
-
-
-@dataclass
-class DataflowValidation:
-    """Result of checking a dataflow against an operation and a PE array."""
-
-    is_valid: bool
-    num_instances: int
-    num_spacetime_stamps: int
-    max_instances_per_stamp: int
-    out_of_range_instances: int
-    messages: list[str] = field(default_factory=list)
-
-    @property
-    def is_injective(self) -> bool:
-        """True when no two loop instances collide on the same (PE, T) stamp."""
-        return self.max_instances_per_stamp <= 1
 
 
 class Dataflow:
@@ -160,97 +141,18 @@ class Dataflow:
 
     # -- validation -------------------------------------------------------------------
 
-    def _rank_mismatch(self, pe_array: PEArray) -> str | None:
-        if self.pe_rank == pe_array.rank:
-            return None
-        return (
-            f"space-stamp rank {self.pe_rank} does not match PE array rank "
-            f"{pe_array.rank}"
-        )
-
     def check_pe_rank(self, op: TensorOp, pe_array: PEArray) -> None:
         """Raise :class:`DataflowError` unless the space stamp has the array's rank.
 
         Stamp evaluation pairs PE extents with space-stamp expressions axis by
         axis, so a mismatch would silently drop axes.  The analyzer and the
-        engine run this on every evaluation, not only under ``validate``.
+        engine run this on every evaluation.
         """
-        message = self._rank_mismatch(pe_array)
-        if message is not None:
+        if self.pe_rank != pe_array.rank:
             raise DataflowError(
-                f"dataflow {self.name!r} is invalid for {op.name}: {message}"
+                f"dataflow {self.name!r} is invalid for {op.name}: space-stamp rank "
+                f"{self.pe_rank} does not match PE array rank {pe_array.rank}"
             )
-
-    def validate(
-        self,
-        op: TensorOp,
-        pe_array: PEArray,
-        chunk_size: int = 1 << 20,
-    ) -> DataflowValidation:
-        """Check the dataflow against an operation and a PE array.
-
-        Verifies that every instance lands on a physical PE and reports how
-        many instances collide on the same spacetime stamp (a collision means
-        the PE would need more than one MAC per cycle).
-        """
-        messages: list[str] = []
-        if self.iteration_dims != op.domain.space.dims:
-            return DataflowValidation(
-                False, 0, 0, 0, 0,
-                [f"iteration dims {self.iteration_dims} do not match operation "
-                 f"{op.domain.space.dims}"],
-            )
-        rank_mismatch = self._rank_mismatch(pe_array)
-        if rank_mismatch is not None:
-            return DataflowValidation(False, 0, 0, 0, 0, [rank_mismatch])
-
-        from repro.core.engine import time_ranks
-
-        num_instances = 0
-        out_of_range = 0
-        pe_parts: list[np.ndarray] = []
-        time_parts: list[np.ndarray] = []
-        for chunk in op.domain.chunks(chunk_size):
-            length = chunk_length(chunk)
-            num_instances += length
-            pe, time = self.stamps_for_chunk(chunk)
-            in_range = np.ones(length, dtype=bool)
-            for axis, extent in enumerate(pe_array.dims):
-                in_range &= (pe[:, axis] >= 0) & (pe[:, axis] < extent)
-            out_of_range += int((~in_range).sum())
-            pe_lin = np.zeros(length, dtype=np.int64)
-            for axis, extent in enumerate(pe_array.dims):
-                pe_lin = pe_lin * extent + np.clip(pe[:, axis], 0, extent - 1)
-            pe_parts.append(pe_lin)
-            time_parts.append(time)
-
-        if num_instances == 0:
-            return DataflowValidation(False, 0, 0, 0, 0, ["empty iteration domain"])
-
-        # Spacetime stamps are (time stamp, PE) tuples: rank them
-        # lexicographically, which no wide time bound can make wrap.
-        time = np.concatenate(time_parts)
-        columns = [time[:, axis] for axis in range(time.shape[1])]
-        columns.append(np.concatenate(pe_parts))
-        bounds = self.time_bounds(op) + [(0, pe_array.size - 1)]
-        counts = np.bincount(time_ranks(columns, bounds, num_instances))
-        max_per_stamp = int(counts.max())
-        if out_of_range:
-            messages.append(f"{out_of_range} instances map outside the {pe_array} array")
-        if max_per_stamp > 1:
-            messages.append(
-                f"dataflow is not injective: up to {max_per_stamp} instances share one "
-                "spacetime stamp"
-            )
-        is_valid = out_of_range == 0
-        return DataflowValidation(
-            is_valid,
-            num_instances,
-            int(counts.size),
-            max_per_stamp,
-            out_of_range,
-            messages,
-        )
 
     # -- formatting ----------------------------------------------------------------------
 

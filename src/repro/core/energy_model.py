@@ -35,15 +35,6 @@ class EnergyBreakdown:
     def total_pj(self) -> float:
         return self.mac_pj + self.register_pj + self.noc_pj + self.scratchpad_pj + self.dram_pj
 
-    @property
-    def total_uj(self) -> float:
-        return self.total_pj / 1e6
-
-    @property
-    def on_chip_pj(self) -> float:
-        """Energy excluding DRAM traffic."""
-        return self.mac_pj + self.register_pj + self.noc_pj + self.scratchpad_pj
-
     def as_dict(self) -> dict[str, float]:
         return {
             "mac_pj": self.mac_pj,

@@ -90,8 +90,19 @@ def dataflow_signature(dataflow: Dataflow) -> str:
 
 
 def arch_signature(arch: ArchSpec) -> str:
-    """Identity of an architecture for report memoisation."""
-    return f"{arch.describe()}|{arch.energy!r}|{arch.frequency_mhz}"
+    """Identity of an architecture for report memoisation, sweep checkpoints
+    and the server's engine registry.
+
+    ``describe()`` names the interconnect but not its parameters, so they
+    follow it (multicast ``reach``, reduction-tree ``group_size``); a
+    topology without parameters adds nothing.
+    """
+    interconnect = "".join(
+        f"|{key}={value!r}"
+        for key, value in vars(arch.interconnect).items()
+        if key != "name"
+    )
+    return f"{arch.describe()}|{arch.energy!r}|{arch.frequency_mhz}{interconnect}"
 
 
 # -- dataflow-independent relations -------------------------------------------------
@@ -154,9 +165,10 @@ class LiveDirectionMemo:
     at most :data:`_LIVE_DIRECTION_ENTRIES` tuples of directions, shared by
     every engine over the operation's cached relations.
 
-    A key is (predecessor-table key, spatial interval, space signature,
-    tensor), and its value a pure function of it, so engines in concurrent
-    threads may at worst build one entry twice.  The lock keeps the LRU
+    A key is (predecessor-table key, space signature, tensor); the table
+    key's interconnect type also fixes the spatial interval.  A value is a
+    pure function of its key, so engines in concurrent threads may at worst
+    build one entry twice.  The lock keeps the LRU
     bookkeeping coherent.
     """
 
@@ -407,15 +419,7 @@ class RelationMaterializer:
         memo_key = (pe_array.dims, tuple(str(e) for e in dataflow.pe_exprs))
         pe_lin = self._stamp_memo.get(memo_key)
         if pe_lin is None:
-            pe_lin = np.zeros(length, dtype=np.int64)
-            for extent, expr in zip(pe_array.dims, dataflow.pe_exprs):
-                column = expr.evaluate_vec(chunk)
-                if (column < 0).any() or (column >= extent).any():
-                    raise DataflowError(
-                        f"dataflow {dataflow.name!r} maps instances outside the "
-                        f"{pe_array} array"
-                    )
-                pe_lin = pe_lin * extent + column
+            pe_lin = _linear_pe(dataflow, pe_array, chunk, length)
             self._stamp_memo[memo_key] = pe_lin
             max_bytes = 256 << 20
             while len(self._stamp_memo) > 64 or (
@@ -443,7 +447,6 @@ class RelationMaterializer:
         path.  :meth:`relations` plus :meth:`stamps` produce identical arrays.
         """
         op = self.op
-        pe_dims = pe_array.dims
         time_bounds = dataflow.time_bounds(op)
         # One mixed-radix key per chunk, unless it would wrap int64; then
         # every time column is kept and the stamps are ranked at the end.
@@ -463,16 +466,7 @@ class RelationMaterializer:
             total += length
             _check_cap(total, max_instances)
 
-            pe_lin = np.zeros(length, dtype=np.int64)
-            for extent, expr in zip(pe_dims, dataflow.pe_exprs):
-                column = expr.evaluate_vec(chunk)
-                if (column < 0).any() or (column >= extent).any():
-                    raise DataflowError(
-                        f"dataflow {dataflow.name!r} maps instances outside the "
-                        f"{pe_array} array"
-                    )
-                pe_lin = pe_lin * extent + column
-            pe_parts.append(pe_lin)
+            pe_parts.append(_linear_pe(dataflow, pe_array, chunk, length))
 
             stamps = [expr.evaluate_vec(chunk) for expr in dataflow.time_exprs]
             time_parts.append([_time_key(stamps, time_bounds, length)] if keyed else stamps)
@@ -506,6 +500,23 @@ class RelationMaterializer:
             tensor: columns.extent for tensor, columns in element_bounds.items()
         }
         return pe_lin, t_rank, element_keys, element_extents
+
+
+def _linear_pe(
+    dataflow: Dataflow, pe_array: PEArray, chunk: dict[str, np.ndarray], length: int
+) -> np.ndarray:
+    """Each of the ``length`` instances' row-major linear PE index; a
+    ``DataflowError`` when one maps outside the array."""
+    pe_lin = np.zeros(length, dtype=np.int64)
+    for extent, expr in zip(pe_array.dims, dataflow.pe_exprs):
+        column = expr.evaluate_vec(chunk)
+        if (column < 0).any() or (column >= extent).any():
+            raise DataflowError(
+                f"dataflow {dataflow.name!r} maps instances outside the "
+                f"{pe_array} array"
+            )
+        pe_lin = pe_lin * extent + column
+    return pe_lin
 
 
 def _check_cap(total: int, max_instances: int) -> None:
@@ -656,25 +667,22 @@ def _grouped_volume_metrics(
     predecessor_table: np.ndarray,
     num_pes: int,
     spatial_interval: int,
-    temporal_interval: int,
     assume_unique: bool = False,
 ) -> VolumeMetrics | None:
     """Exact Table II metrics via a group-major key layout.
 
     Instead of the stamp-major keys of :func:`compute_volume_metrics`, pairs
     are sorted by ``((pe, element), time-rank)``.  In that layout a temporal
-    predecessor (same PE, same element, ``temporal_interval`` ranks earlier)
-    is at most ``temporal_interval`` positions back in the sorted array, so
-    the dominant membership ``searchsorted`` degenerates to shifted equality
-    tests.  Spatial membership is then only probed for pairs without temporal
-    reuse, which the sweeps' best candidates make a small minority.
+    predecessor (same PE, same element, one rank earlier) is the key one
+    below, and if it exists it is the previous entry of the sorted unique
+    keys, so the dominant membership ``searchsorted`` degenerates to one
+    shifted equality test.  Spatial membership is then only probed for pairs
+    without temporal reuse, which the sweeps' best candidates make a small
+    minority.
 
-    Returns ``None`` when the layout would overflow int64 or the temporal
-    interval is too wide for the adjacency test; callers fall back to the
-    reference implementation.
+    Returns ``None`` when the layout would overflow int64; callers fall back
+    to the reference implementation.
     """
-    if temporal_interval < 1 or temporal_interval > 8:
-        return None
     max_rank = int(t_rank.max()) + 1
     footprint = relations.footprint
     if num_pes * footprint * max_rank >= (1 << 62):
@@ -701,18 +709,12 @@ def _grouped_volume_metrics(
 
     ranks = unique_keys % max_rank
 
-    # Temporal reuse: (pe, element, rank - ti) differs from the key by exactly
-    # ``ti``; any key strictly between shares the group, so it can only occupy
-    # one of the ``ti`` preceding slots of the sorted unique array.
-    ti = temporal_interval
-    target = unique_keys - ti
+    # Temporal reuse: (pe, element, rank - 1) is the key one below, so it
+    # can only be the previous entry of the sorted unique array.  Below a
+    # rank-0 key lies the previous group's last rank, which is no reuse.
     temporal_mask = np.zeros(total, dtype=bool)
-    for back in range(1, ti + 1):
-        np.logical_or(
-            temporal_mask[back:], unique_keys[:-back] == target[back:],
-            out=temporal_mask[back:],
-        )
-    temporal_mask &= ranks >= ti
+    np.equal(unique_keys[:-1], unique_keys[1:] - 1, out=temporal_mask[1:])
+    temporal_mask &= ranks >= 1
     temporal_count = int(temporal_mask.sum())
 
     # Spatial reuse only matters for pairs without temporal reuse (the counts
@@ -875,7 +877,6 @@ def reference_volume_metrics(
         spacetime.predecessor_table(),
         spacetime.pe_array.size,
         spatial_interval=spacetime.spatial_interval,
-        temporal_interval=spacetime.temporal_interval,
         chunk_size=chunk_size,
         element_extent=element_extent,
     )
@@ -993,7 +994,6 @@ class EvaluationEngine:
         arch: ArchSpec,
         *,
         max_instances: int = 8_000_000,
-        temporal_interval: int = 1,
         cache: RelationCache | None = None,
         memoize: bool = True,
         backend: str = "fused",
@@ -1001,15 +1001,12 @@ class EvaluationEngine:
         self.op = op
         self.arch = arch
         self.max_instances = int(max_instances)
-        self.temporal_interval = int(temporal_interval)
         self.cache = cache if cache is not None else RelationCache()
         self.materializer = RelationMaterializer(op, cache=self.cache)
         self.memoize = bool(memoize)
         self._memo: dict[tuple[str, str, str], PerformanceReport] = {}
         self._memo_prefix = (op_signature(op), arch_signature(arch))
-        self._spacetime = SpacetimeMap(
-            arch.pe_array, arch.interconnect, temporal_interval=self.temporal_interval
-        )
+        self._spacetime = SpacetimeMap(arch.pe_array, arch.interconnect)
         self._predecessor_table = self._spacetime.predecessor_table()
         #: Whether any PE can forward data to another.  Without links there is
         #: no spatial reuse, which makes the distinct-(PE, element) group count

@@ -2,11 +2,14 @@
 
 A spacetime map links spacetime stamps that can exchange (or retain) data:
 
-* **temporal** adjacency — same PE, previous time-stamp (data stays in the
-  PE's registers), and
+* **temporal** adjacency — same PE, one time-stamp later (data stays in the
+  PE's registers for one step), and
 * **spatial** adjacency — interconnected PEs separated by the interconnect's
   *time interval*: one time-stamp for store-and-forward links (systolic,
   mesh) and zero for multicast wires, as prescribed in Section V-A.
+
+Both intervals are fixed: the temporal one is 1 and the spatial one a class
+constant of each topology (:attr:`Interconnect.time_interval`).
 
 The analyzer consumes the *neighbour table* produced here: a dense array that
 lists, for every PE, the linear indices of the PEs that can forward data to
@@ -25,7 +28,6 @@ import numpy as np
 
 from repro.arch.interconnect import Interconnect
 from repro.arch.pe_array import PEArray
-from repro.errors import ModelError
 
 #: Predecessor tables keyed by (interconnect type and fields, PE array dims),
 #: at most ``_TABLES_MAX`` of them.  Building one enumerates the relation over
@@ -44,17 +46,6 @@ class SpacetimeMap:
 
     pe_array: PEArray
     interconnect: Interconnect
-
-    #: Time-stamp distance across which register (temporal) reuse happens.
-    temporal_interval: int = 1
-
-    def __post_init__(self):
-        # An interval of 0 would make every access its own temporal source,
-        # and a negative one would take reuse from a later stamp.
-        if self.temporal_interval < 1:
-            raise ModelError(
-                f"temporal interval must be at least 1, got {self.temporal_interval}"
-            )
 
     @property
     def spatial_interval(self) -> int:
@@ -108,7 +99,7 @@ class SpacetimeMap:
             origin = (0,) * self.pe_array.rank
         origin = tuple(origin)
         maps = [
-            f"([PE{list(origin)} | T[{time}]]) -> ([PE{list(origin)} | T[{time + self.temporal_interval}]])"
+            f"([PE{list(origin)} | T[{time}]]) -> ([PE{list(origin)} | T[{time + 1}]])"
         ]
         for destination, sources in self.interconnect.predecessors(self.pe_array).items():
             if origin in sources:

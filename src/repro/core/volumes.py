@@ -55,10 +55,6 @@ class VolumeMetrics:
     def temporal_reuse_fraction(self) -> float:
         return self.temporal_reuse / self.total if self.total else 0.0
 
-    @property
-    def spatial_reuse_fraction(self) -> float:
-        return self.spatial_reuse / self.total if self.total else 0.0
-
     def as_dict(self) -> dict[str, float]:
         return {
             "tensor": self.tensor,
@@ -94,7 +90,6 @@ def compute_volume_metrics(
     predecessor_table: np.ndarray,
     num_pes: int,
     spatial_interval: int,
-    temporal_interval: int = 1,
     chunk_size: int = 1 << 20,
     element_extent: int | None = None,
 ) -> VolumeMetrics:
@@ -112,10 +107,8 @@ def compute_volume_metrics(
         padded (see :class:`repro.core.spacetime.SpacetimeMap`).
     spatial_interval:
         Time-stamp distance for reuse through the interconnect (1 for
-        systolic/mesh links, 0 for multicast wires).
-    temporal_interval:
-        Time-stamp distance for register reuse within one PE (1 in the paper's
-        model).
+        systolic/mesh links, 0 for multicast wires).  Register reuse within
+        one PE is always one time-stamp back (Definition 4).
     element_extent:
         Exclusive upper bound on ``element_keys`` (the mixed-radix extent of
         the element coordinates).  When provided and small enough, the raw
@@ -164,8 +157,8 @@ def compute_volume_metrics(
         pes = stamps % num_pes
         ranks = stamps // num_pes
 
-        # Temporal reuse: same PE, ``temporal_interval`` time-stamps earlier.
-        previous_rank = ranks - temporal_interval
+        # Temporal reuse: same PE, one time-stamp earlier.
+        previous_rank = ranks - 1
         valid = previous_rank >= 0
         candidates = (previous_rank * num_pes + pes) * footprint + elements
         temporal_mask = valid & _membership(assign_keys, candidates)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.arch.spec import ArchSpec
 from repro.core.dataflow import Dataflow
-from repro.errors import ModelError
+from repro.errors import DataflowError, ModelError
 from repro.sim.noc import NocModel
 from repro.sim.pe import PERegisterFile
 from repro.sim.scratchpad import ScratchpadModel
@@ -216,23 +216,30 @@ class SpacetimeSimulator:
         return list(zip(starts.tolist(), stops.tolist()))
 
     def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All instances, their PE coordinates and dense time ranks."""
+        """All instances, their PE coordinates and dense time ranks.
+
+        Refuses what the analyzer refuses, with the same error types: a
+        domain past the cap is a ``ModelError``; a space stamp whose rank is
+        not the array's, or an instance off the array, a ``DataflowError``.
+        """
         box = self.op.domain.box_size()
         if box > self.max_instances:
             raise ModelError(
                 f"simulation of {box} instances exceeds the simulator cap of "
                 f"{self.max_instances}; scale the workload first"
             )
+        pe_array = self.arch.pe_array
+        self.dataflow.check_pe_rank(self.op, pe_array)
         instances = self.op.domain.points_array()
         chunk = {dim: instances[:, i] for i, dim in enumerate(self.op.loop_dims)}
         pe_coords, time_coords = self.dataflow.stamps_for_chunk(chunk)
 
-        for axis, extent in enumerate(self.arch.pe_array.dims):
+        for axis, extent in enumerate(pe_array.dims):
             column = pe_coords[:, axis]
             if (column < 0).any() or (column >= extent).any():
-                raise ModelError(
+                raise DataflowError(
                     f"dataflow {self.dataflow.name!r} maps instances outside "
-                    f"{self.arch.pe_array}"
+                    f"{pe_array}"
                 )
 
         # Rank whole time-stamp rows lexicographically: a mixed-radix key

@@ -9,7 +9,6 @@ from repro.errors import SpaceError
 from repro.isl.enumeration import encode_rows
 from repro.isl.imap import IntMap
 from repro.isl.iset import IntSet
-from repro.isl.union import UnionMap
 from repro.tensor.access import AccessMode, TensorAccess
 
 
@@ -81,10 +80,6 @@ class TensorOp:
         if not found:
             raise SpaceError(f"operation {self.name!r} has no tensor named {tensor!r}")
         return found
-
-    def access_relation(self, tensor: str) -> UnionMap:
-        """The full access relation ``A_{S,F}`` of one tensor (union of references)."""
-        return UnionMap([a.relation for a in self.accesses_to(tensor)])
 
     def access_maps(self, tensor: str) -> list[IntMap]:
         return [a.relation for a in self.accesses_to(tensor)]

@@ -201,6 +201,19 @@ class TestFactory:
         with pytest.raises(ArchitectureError):
             make_interconnect("hypercube")
 
+    @pytest.mark.parametrize("topology, interval", [
+        (Systolic1D, 1), (Systolic2D, 1), (Mesh, 1), (NoInterconnect, 1),
+        (Multicast1D, 0), (Multicast2D, 0), (ReductionTree, 0),
+    ])
+    def test_time_interval_is_a_class_constant(self, topology, interval):
+        # The interval is part of what a topology is: no constructor or
+        # factory argument changes it.
+        assert topology.time_interval == interval
+        with pytest.raises(TypeError):
+            topology(time_interval=1 - interval)
+        with pytest.raises(TypeError):
+            make_interconnect(topology().name, time_interval=1 - interval)
+
     def test_degree_ordering(self):
         array = PEArray((4, 4))
         assert (

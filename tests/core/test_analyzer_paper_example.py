@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import ArchSpec, Mesh, Multicast1D, PEArray, Systolic2D
 from repro.core import Dataflow, TenetAnalyzer, analyze
+from repro.errors import DataflowError
 from repro.tensor import conv1d, gemm
 
 
@@ -95,12 +96,12 @@ class TestFigure1Example:
 
 
 class TestAnalyzerBehaviour:
-    def test_validate_flag_raises_for_out_of_range(self):
+    def test_out_of_range_dataflow_raises(self):
         op = gemm(16, 16, 4)
         dataflow = Dataflow.from_exprs("broken", op, ["i", "j"], ["k"])
         arch = ArchSpec(pe_array=PEArray((8, 8)))
-        with pytest.raises(Exception):
-            TenetAnalyzer(op, dataflow, arch, validate=True).analyze()
+        with pytest.raises(DataflowError, match="outside"):
+            TenetAnalyzer(op, dataflow, arch).analyze()
 
     def test_non_injective_dataflow_gets_note_and_longer_delay(self):
         op = gemm(8, 8, 4)

@@ -259,15 +259,14 @@ class TestWideTimeStamps:
         unscaled = Dataflow.from_exprs("plain", op.domain.space, ["i", "j"], order)
         expected = TenetAnalyzer(op, unscaled, arch).analyze()
         assert expected.utilization.num_time_stamps == 64
-        reports = [TenetAnalyzer(op, candidate, arch, validate=True).analyze()]
+        reports = [TenetAnalyzer(op, candidate, arch).analyze()]
         for backend in BACKEND_NAMES:
             engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
             reports.append(engine.evaluate(candidate))
         for report in reports:
             assert report_dict(report) | {"dataflow": "plain"} == report_dict(expected)
-        validation = candidate.bind(op).validate(op, arch.pe_array)
-        assert validation.num_spacetime_stamps == 64
-        assert validation.is_injective
+            assert report.utilization.occupied_stamps == 64
+            assert report.utilization.is_injective
         assert simulate(op, candidate, arch).num_time_steps == 64
 
 
@@ -406,43 +405,20 @@ class TestFusedBackend:
 
     @pytest.mark.parametrize("backend", ["fused"])
     @pytest.mark.parametrize("interconnect", INTERCONNECTS)
-    @pytest.mark.parametrize("temporal_interval", [1, 3])
-    def test_ragged_conv_layouts_take_the_fused_kernel(
-        self, backend, interconnect, temporal_interval
-    ):
+    def test_ragged_conv_layouts_take_the_fused_kernel(self, backend, interconnect):
         # Conv boundaries leave (PE, element) groups of unequal size and
         # empty stamps; the grid kernel masks the empty cells instead of
         # handing the tensor to another kernel.
         op = conv2d(2, 3, 6, 6, 3, 3)
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend,
-            temporal_interval=temporal_interval,
-        )
-        reference = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="interp",
-            temporal_interval=temporal_interval,
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+        reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
         for candidate in small_candidates(op):
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
         assert engine.stats["reference_path"] == 0
         assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
-
-    def test_fused_wide_interval_stays_on_the_grid_kernel(self):
-        # The grid kernel compares cells ``temporal_interval`` rows apart, so
-        # intervals past the interp kernel's window of 8 need no fallback.
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(4, 4))
-        candidate = small_candidates(op)[0]
-        reference = TenetAnalyzer(op, candidate, arch, temporal_interval=11).analyze()
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="fused", temporal_interval=11
-        )
-        assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
-        assert engine.stats["reference_path"] == 0
 
     def test_fused_batch_matches_analyzer_across_interconnects(self):
         op = gemm(16, 16, 16)
@@ -461,11 +437,12 @@ class TestKernelChain:
     """Each rung of the fused backend's per-tensor kernel chain on its own.
 
     A tensor goes to the stamp-grid kernel; without a grid to the
-    group-major kernel, and past that kernel's temporal-interval window to
-    the engine's reference kernel.  Most tensors stop at the first rung, so
-    the tests below build no stamp grid for any candidate and pick the
-    temporal interval that reaches each later rung: each rung must match
-    the analyzer by itself, not only on the cases that reach it by default.
+    group-major kernel, and when that kernel refuses (its key layout would
+    pass int64) to the engine's reference kernel.  Most tensors stop at the
+    first rung, so the tests below build no stamp grid for any candidate
+    and, for the last rung, make the group-major kernel refuse: each rung
+    must match the analyzer by itself, not only on the cases that reach it
+    by default.
     """
 
     OPS = {
@@ -481,57 +458,23 @@ class TestKernelChain:
         self, rung, interconnect, op_name, monkeypatch
     ):
         import repro.core.backends.fused as fused_module
+        import repro.core.engine as engine_module
 
         monkeypatch.setattr(fused_module, "stamp_grid", lambda *a, **k: None)
-        temporal_interval = 1 if rung == "group-major" else 9
+        if rung == "reference":
+            monkeypatch.setattr(
+                engine_module, "_grouped_volume_metrics", lambda *a, **k: None
+            )
         op = self.OPS[op_name]()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="fused",
-            temporal_interval=temporal_interval,
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         for candidate in small_candidates(op):
-            reference = TenetAnalyzer(
-                op, candidate, arch, temporal_interval=temporal_interval
-            ).analyze()
+            reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         stats = engine.stats
         assert stats["fused_path"] == 0
         if rung == "group-major":
             assert stats["fast_path"] > 0
-            assert stats["reference_path"] == 0
-        else:
-            assert stats["fast_path"] == 0
-            assert stats["reference_path"] > 0
-
-    @pytest.mark.parametrize("temporal_interval", [2, 5, 8, 9, 12])
-    @pytest.mark.parametrize("backend", ["interp", "fused"])
-    def test_temporal_interval_windows_per_backend(
-        self, backend, temporal_interval
-    ):
-        # interp's group-major kernel finds a temporal predecessor at most
-        # ``temporal_interval`` positions back in a group's sorted ranks, so
-        # it takes intervals 1 to 8 and hands wider ones to the reference
-        # kernel.  The fused engine's grid kernel takes every interval.
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend,
-            temporal_interval=temporal_interval,
-        )
-        for candidate in small_candidates(op):
-            reference = TenetAnalyzer(
-                op, candidate, arch, temporal_interval=temporal_interval
-            ).analyze()
-            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        stats = engine.stats
-        if temporal_interval <= 8:
-            assert stats["fast_path"] > 0
-            assert stats["reference_path"] == 0
-            if backend == "fused":
-                assert stats["fused_path"] == stats["fast_path"]
-        elif backend == "fused":
-            assert stats["fused_path"] > 0
             assert stats["reference_path"] == 0
         else:
             assert stats["fast_path"] == 0
@@ -720,54 +663,19 @@ class TestGridKernel:
         lambda: transpose_sum(8),
     ], ids=["jacobi2d", "transpose-sum"])
     @pytest.mark.parametrize("interconnect", INTERCONNECTS)
-    @pytest.mark.parametrize("temporal_interval", [1, 2, 9])
-    def test_multi_reference_tensors_take_the_grid_kernel(
-        self, make_op, interconnect, temporal_interval
-    ):
+    def test_multi_reference_tensors_take_the_grid_kernel(self, make_op, interconnect):
         # One element-id grid per distinct reference: a stencil's reuse is
         # across references (A[i-1][j] at (i, j) is A[i][j] at (i-1, j)),
         # and references that coincide (A[i, j] and A[j, i] on the
         # diagonal) count one pair.
         op = make_op()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="fused",
-            temporal_interval=temporal_interval,
-        )
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         for candidate in small_candidates(op):
-            reference = TenetAnalyzer(
-                op, candidate, arch, temporal_interval=temporal_interval
-            ).analyze()
+            reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         assert engine.stats["fused_path"] == engine.stats["fast_path"] > 0
         assert engine.stats["reference_path"] == 0
-
-
-class TestTemporalIntervalValidation:
-    """A temporal interval below 1 is rejected when the analyzer or engine
-    builds its spacetime map, at construction."""
-
-    @pytest.mark.parametrize("interval", [0, -1])
-    def test_analyzer_rejects_interval_below_one(self, interval):
-        from repro.errors import ModelError
-
-        op = gemm(8, 8, 8)
-        candidate = small_candidates(op, count=1)[0]
-        with pytest.raises(ModelError, match="temporal interval"):
-            TenetAnalyzer(
-                op, candidate, make_arch(pe_dims=(4, 4)), temporal_interval=interval
-            )
-
-    @pytest.mark.parametrize("backend", ["interp", "fused"])
-    @pytest.mark.parametrize("interval", [0, -1])
-    def test_engine_rejects_interval_below_one(self, backend, interval):
-        from repro.errors import ModelError
-
-        with pytest.raises(ModelError, match="temporal interval"):
-            EvaluationEngine(
-                gemm(8, 8, 8), make_arch(pe_dims=(4, 4)), backend=backend,
-                temporal_interval=interval,
-            )
 
 
 class TestRegistry:
@@ -834,7 +742,7 @@ class TestFusedBaseline:
 
 class TestSharedLiveDirections:
     """The fused backend's live-direction memo lives on the cached relations,
-    keyed by architecture, spatial interval, space signature and tensor, and
+    keyed by architecture, space signature and tensor, and
     every engine over the operation shares it."""
 
     @staticmethod

@@ -6,7 +6,7 @@ import pytest
 from repro.arch import Mesh, Multicast1D, PEArray, Systolic2D
 from repro.arch.memory import MemoryHierarchy
 from repro.core import Dataflow, SpacetimeMap
-from repro.core.assignment import DataAssignment, assignments_for
+from repro.core.assignment import assignments_for
 from repro.core.bandwidth import compute_bandwidth
 from repro.core.latency import compute_latency
 from repro.core.utilization import UtilizationMetrics, compute_utilization
@@ -223,6 +223,28 @@ class TestSpacetimeMapAndAssignment:
         maps = spacetime.example_maps(origin=(0, 0), time=0)
         assert any("PE[0, 1]" in text for text in maps)
         assert any("PE[1, 0]" in text for text in maps)
+
+    @pytest.mark.parametrize("name, fed, later", [
+        ("1d-systolic", [(0, 2)], 6),
+        ("2d-systolic", [(0, 2), (1, 1)], 6),
+        ("mesh", [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)], 6),
+        ("multicast", [(0, 0), (0, 2)], 5),
+        ("2d-multicast", [(0, 0), (0, 2), (1, 1)], 5),
+        ("reduction-tree", [(0, 0), (0, 2)], 5),
+        ("none", [], None),
+    ])
+    def test_example_maps_use_both_fixed_intervals(self, name, fed, later):
+        # From PE[0, 1] at T[5] on a 2x3 array: the registers keep data one
+        # stamp, to T[6]; links reach the PEs the origin feeds at T[6] when
+        # they store and forward, and at T[5] when they are wires.
+        from repro.arch.interconnect import make_interconnect
+
+        spacetime = SpacetimeMap(PEArray((2, 3)), make_interconnect(name))
+        origin = "([PE[0, 1] | T[5]]) -> "
+        assert spacetime.example_maps(origin=(0, 1), time=5) == [
+            origin + "([PE[0, 1] | T[6]])",
+            *(origin + f"([PE{list(pe)} | T[{later}]])" for pe in fed),
+        ]
 
     def test_assignment_string_matches_paper_form(self):
         op = gemm(2, 2, 4)

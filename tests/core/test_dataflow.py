@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.arch import PEArray
-from repro.core import Dataflow
+from repro.core import Dataflow, analyze
+from repro.core.backends import BACKEND_NAMES
+from repro.core.engine import EvaluationEngine, RelationCache
 from repro.core.notation import dataflow_shorthand, parse_shorthand_name
 from repro.errors import DataflowError, ParseError
+from repro.experiments.common import make_arch
 from repro.tensor import gemm
 
 
@@ -78,33 +80,57 @@ class TestStampEvaluation:
         assert bound.space_map.domain.count() == op.num_instances()
 
 
+def evaluators(op, arch):
+    """``analyze`` and a fresh engine's ``evaluate`` per backend: every path
+    that evaluates, and so checks, a dataflow."""
+    engines = [
+        EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+        for backend in BACKEND_NAMES
+    ]
+    return [lambda dataflow: analyze(op, dataflow, arch)] + [
+        engine.evaluate for engine in engines
+    ]
+
+
 class TestValidation:
-    def test_valid_injective_dataflow(self, op):
+    """Every evaluation checks the dataflow: the analyzer and both engine
+    backends raise ``DataflowError`` for a dataflow off the array or of the
+    wrong rank, and report a non-injective one."""
+
+    @pytest.fixture()
+    def paths(self, op):
+        return evaluators(op, make_arch(pe_dims=(8, 8)))
+
+    def test_valid_injective_dataflow(self, op, paths):
         dataflow = Dataflow.from_exprs("ok", op, ["i mod 8", "j mod 8"],
                                        ["fl(i/8)", "fl(j/8)", "k"])
-        validation = dataflow.validate(op, PEArray((8, 8)))
-        assert validation.is_valid
-        assert validation.is_injective
-        assert validation.num_spacetime_stamps == op.num_instances()
+        for evaluate in paths:
+            utilization = evaluate(dataflow).utilization
+            assert utilization.is_injective
+            assert utilization.occupied_stamps == op.num_instances()
 
-    def test_out_of_range_detected(self, op):
+    def test_out_of_range_detected(self, op, paths):
         dataflow = Dataflow.from_exprs("broken", op, ["i", "j"], ["k"])
-        validation = dataflow.validate(op, PEArray((8, 8)))
-        assert not validation.is_valid
-        assert validation.out_of_range_instances > 0
+        for evaluate in paths:
+            with pytest.raises(DataflowError, match="outside"):
+                evaluate(dataflow)
 
-    def test_non_injective_detected(self, op):
+    def test_non_injective_detected(self, op, paths):
         dataflow = Dataflow.from_exprs("collide", op, ["i mod 8", "j mod 8"],
                                        ["fl(i/8)", "fl(j/8)"])
-        validation = dataflow.validate(op, PEArray((8, 8)))
-        assert validation.is_valid  # in range, but...
-        assert not validation.is_injective
-        assert validation.max_instances_per_stamp == 8
+        for evaluate in paths:
+            report = evaluate(dataflow)
+            utilization = report.utilization
+            assert not utilization.is_injective
+            # Every PE runs the 8 k-instances of its stamp one after another.
+            assert utilization.compute_delay_cycles == 8 * utilization.num_time_stamps
+            assert any("not injective" in note for note in report.notes)
 
-    def test_rank_mismatch(self, op):
+    def test_rank_mismatch(self, op, paths):
         dataflow = Dataflow.from_exprs("rank", op, ["i"], ["j", "k"])
-        validation = dataflow.validate(op, PEArray((8, 8)))
-        assert not validation.is_valid
+        for evaluate in paths:
+            with pytest.raises(DataflowError, match="rank 1 does not match PE array rank 2"):
+                evaluate(dataflow)
 
 
 class TestNotationHelpers:

@@ -13,13 +13,17 @@ from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
+    TensorRelations,
+    _grouped_volume_metrics,
     _rank_keys,
     _utilization_dense,
     dataflow_signature,
     op_signature,
     time_ranks,
 )
+from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import compute_utilization
+from repro.core.volumes import compute_volume_metrics
 from repro.dataflows.catalog import get_dataflow
 from repro.errors import DataflowError, ExplorationError, ModelError
 from repro.experiments.common import make_arch
@@ -28,7 +32,7 @@ from repro.isl.enumeration import sorted_unique
 from repro.isl.expr import var
 from repro.tensor.kernels import conv2d, gemm, jacobi2d
 
-from tests.core.test_backends import triangular_gemm
+from tests.core.test_backends import INTERCONNECTS, triangular_gemm
 
 
 def report_dict(report):
@@ -210,6 +214,56 @@ class TestFastHelpers:
         assert dense == reference
 
 
+def tensor_relations(elements: np.ndarray) -> TensorRelations:
+    """One single-reference tensor's cached relations over ``elements``."""
+    dense = _rank_keys(elements)
+    return TensorRelations(
+        raw_keys=[elements], dense_keys=dense,
+        extent=int(elements.max()) + 1, footprint=int(dense.max()) + 1,
+    )
+
+
+class TestGroupMajorKernel:
+    """``_grouped_volume_metrics`` on raw assignment arrays.  In its
+    ``((pe, element), rank)`` key layout a temporal predecessor is the key
+    one below, which only the previous sorted key can be; a rank-0 key one
+    above another is the start of a new group, not reuse."""
+
+    def test_a_group_start_after_the_previous_groups_last_rank_is_not_reuse(self):
+        # PE 0 holds element 0 at rank 2 (key 2) and element 1 at rank 0
+        # (key 3): adjacent keys, but nothing stays in a register across them.
+        pe_lin = np.array([0, 0, 1], dtype=np.int64)
+        t_rank = np.array([2, 0, 1], dtype=np.int64)
+        relations = tensor_relations(np.array([0, 1, 1], dtype=np.int64))
+        metrics = _grouped_volume_metrics(
+            "A", pe_lin, t_rank, relations, np.full((2, 1), -1), 2, spatial_interval=1,
+        )
+        assert (metrics.total, metrics.temporal_reuse, metrics.reuse) == (3, 0, 0)
+
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
+    def test_counts_equal_the_reference_kernel(self, interconnect):
+        # Few ranks and elements make adjacent keys across groups common;
+        # stamps shared by several instances (not injective) are allowed.
+        arch = make_arch(pe_dims=(2, 3), interconnect=interconnect)
+        spacetime = SpacetimeMap(arch.pe_array, arch.interconnect)
+        table = spacetime.predecessor_table()
+        rng = np.random.default_rng(len(interconnect))
+        for _ in range(40):
+            size = int(rng.integers(1, 80))
+            pe_lin = rng.integers(0, 6, size=size)
+            t_rank = _rank_keys(rng.integers(0, 5, size=size))
+            relations = tensor_relations(rng.integers(0, 4, size=size))
+            grouped = _grouped_volume_metrics(
+                "A", pe_lin, t_rank, relations, table, 6,
+                spatial_interval=spacetime.spatial_interval,
+            )
+            reference = compute_volume_metrics(
+                "A", pe_lin, t_rank, relations.dense_keys, table, 6,
+                spatial_interval=spacetime.spatial_interval,
+            )
+            assert grouped == reference
+
+
 class TestEngineReports:
     @pytest.mark.parametrize("make_op", [
         lambda: gemm(16, 16, 16),
@@ -236,19 +290,25 @@ class TestEngineReports:
         assert report_dict(uncached) == report_dict(cached)
         assert any("not injective" in note for note in cached.notes)
 
-    def test_grouped_kernel_falls_back_on_wide_temporal_interval(self):
-        # temporal intervals beyond the sort-adjacency window use the reference
-        # kernel on the interp backend; reports still match the analyzer with
-        # the same interval.
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_grouped_kernel_refusal_falls_back_to_reference(self, backend, monkeypatch):
+        # When the group-major kernel refuses (its key layout would pass
+        # int64) the engine's reference kernel counts the tensor; reports
+        # still match the analyzer.  Without a stamp grid the fused backend
+        # reaches the group-major kernel too.
+        import repro.core.backends.fused as fused_module
+        import repro.core.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_grouped_volume_metrics", lambda *a, **k: None)
+        monkeypatch.setattr(fused_module, "stamp_grid", lambda *a, **k: None)
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
-        uncached = TenetAnalyzer(op, candidate, arch, temporal_interval=9).analyze()
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), temporal_interval=9, backend="interp"
-        )
+        uncached = TenetAnalyzer(op, candidate, arch).analyze()
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         assert report_dict(uncached) == report_dict(engine.evaluate(candidate))
         assert engine.stats["reference_path"] > 0
+        assert engine.stats["fast_path"] == 0
 
     def test_memo_hit_returns_identical_report(self):
         op = gemm(8, 8, 8)

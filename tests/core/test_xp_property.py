@@ -2,7 +2,7 @@
 
 Hypothesis draws random GEMM and Jacobi-2D dataflows over uniform-block PE
 windows — space-axis orders, time-stamp orders, skews into the inner time
-stamp — on random PE arrays, interconnects and temporal intervals, and
+stamp — on random PE arrays and interconnects, and
 asserts the fused backend's reports are *byte-identical* (JSON-serialised,
 sorted keys) to the interpreted reference backend's.  Jacobi-2D's input is
 read through five references, so its family exercises the grid kernel's
@@ -16,8 +16,7 @@ they map to (conv2d's 3x3 filter loops), shifted off the array's origin, so
 the fused backend's PE box is neither the whole array nor anchored at 0.
 
 Engines are cached per (kernel, operation size, PE array, interconnect,
-temporal interval, backend): hypothesis re-draws candidates, not warm-up
-work.
+backend): hypothesis re-draws candidates, not warm-up work.
 """
 
 import json
@@ -56,27 +55,22 @@ KERNELS = {
 }
 
 
-def _engine(
-    kernel, size, pe_dims, interconnect, temporal_interval, backend
-) -> EvaluationEngine:
-    key = (kernel, size, pe_dims, interconnect, temporal_interval, backend)
+def _engine(kernel, size, pe_dims, interconnect, backend) -> EvaluationEngine:
+    key = (kernel, size, pe_dims, interconnect, backend)
     engine = _ENGINES.get(key)
     if engine is None:
         # ``name/size``: a reduction tree with groups of ``size`` PEs.
         name, _, group = interconnect.partition("/")
         options = {"group_size": int(group)} if group else {}
         arch = make_arch(pe_dims=pe_dims, interconnect=name, **options)
-        engine = EvaluationEngine(
-            KERNELS[kernel](size), arch, backend=backend,
-            temporal_interval=temporal_interval,
-        )
+        engine = EvaluationEngine(KERNELS[kernel](size), arch, backend=backend)
         _ENGINES[key] = engine
     return engine
 
 
-def _assert_byte_identical(kernel, size, pe_dims, interconnect, temporal_interval, build):
+def _assert_byte_identical(kernel, size, pe_dims, interconnect, build):
     engines = {
-        backend: _engine(kernel, size, pe_dims, interconnect, temporal_interval, backend)
+        backend: _engine(kernel, size, pe_dims, interconnect, backend)
         for backend in ("interp", "fused")
     }
     candidate = build(engines["interp"].op)
@@ -86,7 +80,7 @@ def _assert_byte_identical(kernel, size, pe_dims, interconnect, temporal_interva
     )
     assert encoded == reference, (
         f"fused diverged from interp for {kernel} {candidate.name} on {pe_dims} "
-        f"{interconnect}, temporal interval {temporal_interval}"
+        f"{interconnect}"
     )
 
 
@@ -126,53 +120,48 @@ skews = st.integers(min_value=0, max_value=3)
 stencil_axes = st.sampled_from([("i", "j"), ("j", "i")])
 sizes = st.sampled_from([8, 12])
 pe_arrays = st.sampled_from(PE_ARRAYS)
-temporal_intervals = st.integers(min_value=1, max_value=12)
 
 
 @pytest.mark.parametrize("interconnect", INTERCONNECTS)
-@given(
-    size=sizes, pe_dims=pe_arrays, temporal_interval=temporal_intervals,
-    pair=axis_pairs, order=orders, skew=skews,
-)
+@given(size=sizes, pe_dims=pe_arrays, pair=axis_pairs, order=orders, skew=skews)
 @settings(max_examples=50, deadline=None)
 def test_fused_reports_byte_identical_to_interp(
-    interconnect, size, pe_dims, temporal_interval, pair, order, skew
+    interconnect, size, pe_dims, pair, order, skew
 ):
     _assert_byte_identical(
-        "gemm", size, pe_dims, interconnect, temporal_interval,
+        "gemm", size, pe_dims, interconnect,
         lambda op: _candidate(op, pe_dims, pair[0], pair[1], tuple(order), skew),
     )
 
 
 @pytest.mark.parametrize("interconnect", INTERCONNECTS)
 @given(
-    size=sizes, pe_dims=pe_arrays, temporal_interval=temporal_intervals,
-    axes=stencil_axes, order=st.permutations(range(2)), skew=skews,
+    size=sizes, pe_dims=pe_arrays, axes=stencil_axes,
+    order=st.permutations(range(2)), skew=skews,
 )
 @settings(max_examples=50, deadline=None)
 def test_fused_jacobi2d_reports_byte_identical_to_interp(
-    interconnect, size, pe_dims, temporal_interval, axes, order, skew
+    interconnect, size, pe_dims, axes, order, skew
 ):
     _assert_byte_identical(
-        "jacobi2d", size, pe_dims, interconnect, temporal_interval,
+        "jacobi2d", size, pe_dims, interconnect,
         lambda op: _candidate(op, pe_dims, axes[0], axes[1], tuple(order), skew),
     )
 
 
 @pytest.mark.parametrize("interconnect", INTERCONNECTS)
 @given(
-    size=sizes, pe_dims=pe_arrays, temporal_interval=temporal_intervals,
-    pair=axis_pairs, order=orders, skew=skews,
+    size=sizes, pe_dims=pe_arrays, pair=axis_pairs, order=orders, skew=skews,
     fallback=st.sampled_from(["strided", "non-separable", "dropped", "non-box"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_fused_fallbacks_byte_identical_to_interp(
-    interconnect, size, pe_dims, temporal_interval, pair, order, skew, fallback
+    interconnect, size, pe_dims, pair, order, skew, fallback
 ):
     kernel = "tri-gemm" if fallback == "non-box" else "gemm"
     variant = None if fallback == "non-box" else fallback
     _assert_byte_identical(
-        kernel, size, pe_dims, interconnect, temporal_interval,
+        kernel, size, pe_dims, interconnect,
         lambda op: _candidate(op, pe_dims, pair[0], pair[1], tuple(order), skew, variant),
     )
 
@@ -211,16 +200,13 @@ def sub_array_draws(draw, loop_dims, space_pairs, fixed):
 
 @pytest.mark.parametrize("interconnect", SUB_ARRAY_INTERCONNECTS)
 @given(
-    drawn=sub_array_draws(("i", "j", "k"), AXIS_PAIRS, {}),
-    temporal_interval=temporal_intervals, order=orders, skew=skews,
+    drawn=sub_array_draws(("i", "j", "k"), AXIS_PAIRS, {}), order=orders, skew=skews,
 )
 @settings(max_examples=50, deadline=None)
-def test_fused_sub_array_gemm_byte_identical_to_interp(
-    interconnect, drawn, temporal_interval, order, skew
-):
+def test_fused_sub_array_gemm_byte_identical_to_interp(interconnect, drawn, order, skew):
     pe_dims, first, second, sizes, offsets = drawn
     _assert_byte_identical(
-        "gemm-sub", sizes, pe_dims, interconnect, temporal_interval,
+        "gemm-sub", sizes, pe_dims, interconnect,
         lambda op: _candidate(
             op, pe_dims, first, second, tuple(order), skew, offsets=offsets
         ),
@@ -233,15 +219,13 @@ CONV_DIMS = ("k", "c", "ox", "oy", "rx", "ry")
 @pytest.mark.parametrize("interconnect", SUB_ARRAY_INTERCONNECTS)
 @given(
     drawn=sub_array_draws(CONV_DIMS, [("rx", "ry"), ("ry", "rx")], {"rx": 3, "ry": 3}),
-    temporal_interval=temporal_intervals, order=st.permutations(range(6)), skew=skews,
+    order=st.permutations(range(6)), skew=skews,
 )
 @settings(max_examples=50, deadline=None)
-def test_fused_sub_array_conv2d_byte_identical_to_interp(
-    interconnect, drawn, temporal_interval, order, skew
-):
+def test_fused_sub_array_conv2d_byte_identical_to_interp(interconnect, drawn, order, skew):
     pe_dims, first, second, sizes, offsets = drawn
     _assert_byte_identical(
-        "conv2d-sub", sizes, pe_dims, interconnect, temporal_interval,
+        "conv2d-sub", sizes, pe_dims, interconnect,
         lambda op: _candidate(
             op, pe_dims, first, second, tuple(order), skew, offsets=offsets
         ),

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.arch import PEArray
 from repro.dataflows import all_entries, dataflows_for, get_dataflow, get_entry
+from repro.experiments.common import make_arch
 from repro.tensor import conv2d, gemm, jacobi2d, mmc, mttkrp
+
+from tests.core.test_dataflow import evaluators
 
 OPERATIONS = {
     "gemm": gemm(16, 16, 16),
@@ -48,10 +50,13 @@ class TestCatalogStructure:
 class TestCatalogDataflowsAreValid:
     @pytest.mark.parametrize("entry", all_entries(), ids=lambda e: f"{e.kernel}:{e.name}")
     def test_every_dataflow_is_valid_on_its_preferred_array(self, entry):
+        # In range on its array (no DataflowError) and injective, on the
+        # analyzer and both engine backends.
         op = OPERATIONS[entry.kernel]
         dataflow = entry.build()
-        validation = dataflow.validate(op, PEArray(entry.preferred_pe_dims))
-        assert validation.is_valid, validation.messages
+        for evaluate in evaluators(op, make_arch(pe_dims=entry.preferred_pe_dims)):
+            report = evaluate(dataflow)
+            assert report.utilization.is_injective, report.notes
 
     def test_parameterised_pe_size(self):
         dataflow = get_dataflow("gemm", "(IJ-P | J,IJK-T)", rows=4, cols=4)

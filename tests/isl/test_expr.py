@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpaceError
-from repro.isl.expr import AffExpr, const, var, vars_
+from repro.isl.expr import const, var, vars_
 
 
 class TestConstruction:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.experiments.common import make_arch
 from repro.maestro import (
     Cluster,
     DataCentricMapping,
@@ -13,6 +14,8 @@ from repro.maestro import (
     mapping_to_dataflow,
 )
 from repro.tensor import conv1d, conv2d, gemm
+
+from tests.core.test_dataflow import evaluators
 
 
 @pytest.fixture()
@@ -107,11 +110,12 @@ class TestConversion:
         assert time[-2:] == (3, 4)
 
     def test_mapping_to_dataflow_validates(self, gemm_mapping):
-        from repro.arch import PEArray
-
+        # In range on the 64-PE array (no DataflowError) and injective, on
+        # the analyzer and both engine backends.
         op = gemm(16, 16, 16)
         dataflow = mapping_to_dataflow(gemm_mapping, op, pe_dims=(64,))
-        assert dataflow.validate(op, PEArray((64,))).is_valid
+        for evaluate in evaluators(op, make_arch(pe_dims=(64,))):
+            assert evaluate(dataflow).utilization.is_injective
 
     def test_cluster_mapping_rejected(self):
         op = conv2d(8, 8, 7, 7, 3, 3)

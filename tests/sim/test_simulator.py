@@ -1,7 +1,9 @@
 """Tests for the reference spacetime simulator and its agreement with the analyzer."""
 
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +15,13 @@ import repro
 from repro.arch import ArchSpec, Mesh, PEArray, Systolic2D
 from repro.core import Dataflow, analyze
 from repro.dataflows import get_dataflow
-from repro.errors import ModelError
+from repro.dse.pruning import pruned_candidates
+from repro.errors import DataflowError, ModelError
+from repro.experiments.common import make_arch
 from repro.sim import SpacetimeSimulator, simulate
-from repro.tensor import conv2d, gemm
+from repro.tensor import conv2d, gemm, jacobi2d, mmc, mttkrp
+
+from tests.core.test_backends import INTERCONNECTS
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +151,89 @@ class TestEngineSimulatorCrossValidation:
             assert report.volumes[tensor].unique == sim.reads_per_tensor[tensor], tensor
         assert report.utilization.num_instances == sim.num_instances
         assert report.utilization.num_time_stamps == sim.num_time_steps
+
+
+class TestErrorParity:
+    """The simulator refuses what the analyzer and both engine backends
+    refuse, with the same error type."""
+
+    CASES = {
+        # A 2-D space stamp on a 1-D array, a 1-D one on a 2-D array, and
+        # stamps past the array's extent: a DataflowError everywhere.
+        "2d-stamp-on-1d-array": (["i", "j"], (16,), None, DataflowError),
+        "1d-stamp-on-2d-array": (["i"], (4, 4), None, DataflowError),
+        "out-of-range": (["i", "j"], (2, 2), None, DataflowError),
+        # The instance cap: a ModelError everywhere.
+        "past-the-cap": (["i", "j"], (4, 4), 32, ModelError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_evaluator_raises_the_same_type(self, case):
+        from repro.core.backends import BACKEND_NAMES
+        from repro.core.engine import EvaluationEngine, RelationCache
+
+        space, pe_dims, cap, error = self.CASES[case]
+        op = gemm(4, 4, 4)
+        dataflow = Dataflow.from_exprs(case, op, space, ["k"])
+        arch = ArchSpec(pe_array=PEArray(pe_dims), interconnect=Systolic2D())
+        limit = {} if cap is None else {"max_instances": cap}
+        evaluators = {
+            "analyzer": lambda: analyze(op, dataflow, arch, **limit),
+            "simulate": lambda: simulate(op, dataflow, arch, **limit),
+        }
+        for backend in BACKEND_NAMES:
+            engine = EvaluationEngine(
+                op, arch, cache=RelationCache(), backend=backend, **limit
+            )
+            evaluators[backend] = lambda engine=engine: engine.evaluate(dataflow)
+        for name, evaluate in evaluators.items():
+            with pytest.raises(Exception) as raised:
+                evaluate()
+            assert type(raised.value) is error, (name, raised.value)
+
+
+#: Small ops of the five kernels, for the oracle comparisons.
+ORACLE_KERNELS = {
+    "gemm": lambda: gemm(6, 6, 6),
+    "conv2d": lambda: conv2d(3, 3, 4, 4, 2, 2),
+    "mttkrp": lambda: mttkrp(3, 3, 3, 3),
+    "mmc": lambda: mmc(3, 3, 3, 3),
+    "jacobi2d": lambda: jacobi2d(6, 6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_sample(kernel, count=4, seed=2):
+    """A kernel's op and ``count`` of its pruned 2x3-array candidates
+    (packing allowed), drawn with a fixed seed."""
+    op = ORACLE_KERNELS[kernel]()
+    candidates = list(pruned_candidates(op, (2, 3), allow_packing=True))
+    return op, random.Random(seed).sample(candidates, min(count, len(candidates)))
+
+
+class TestOracleAgreement:
+    """Where the analyzer's spacetime map and the simulator's execution
+    already agree.  Both keep an operand in a PE's registers for exactly one
+    time step: the analyzer's temporal adjacency is fixed at one stamp, and
+    ``PERegisterFile`` holds what a step touched through the next step.
+    Reads, writes and NoC transfers are not compared here: the two sides
+    still count them by different rules."""
+
+    @pytest.mark.parametrize("interconnect", INTERCONNECTS)
+    @pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
+    def test_register_hits_equal_input_temporal_reuse(self, kernel, interconnect):
+        op, candidates = oracle_sample(kernel)
+        arch = make_arch(pe_dims=(2, 3), interconnect=interconnect)
+        compared = 0
+        for dataflow in candidates:
+            try:
+                report = analyze(op, dataflow, arch)
+            except (DataflowError, ModelError):
+                continue
+            temporal = sum(report.volumes[t].temporal_reuse for t in op.input_tensors)
+            assert simulate(op, dataflow, arch).register_hits == temporal, dataflow.name
+            compared += 1
+        assert compared > 0
 
 
 #: Simulates gemm(16, 16, 16) ``(IJ-P | J,IJK-T)`` on an 8x8 2d-systolic array

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.core.engine import EvaluationEngine, RelationCache, dataflow_signature
+from repro.core.engine import (
+    EvaluationEngine,
+    RelationCache,
+    arch_signature,
+    dataflow_signature,
+)
 from repro.dse.pruning import pruned_candidates
 from repro.errors import ExplorationError
 from repro.experiments.common import make_arch
@@ -230,6 +235,46 @@ class TestSweepSession:
             make_session(op, checkpoint=checkpoint, resume=True).run(
                 make_source(op, 6), shard=(1, 2)
             )
+
+    @pytest.mark.parametrize("interconnect, first, second", [
+        ("reduction-tree", {"group_size": 2}, {"group_size": 8}),
+        ("multicast", {"reach": 1}, {"reach": 3}),
+        ("2d-multicast", {"reach": 1}, {"reach": 7}),
+    ])
+    def test_resume_and_merge_refuse_other_interconnect_parameters(
+        self, tmp_path, interconnect, first, second
+    ):
+        # The same topology with another reach or group size links other
+        # PEs, so its checkpoint belongs to another sweep.  With groups of 2
+        # and 8 PEs, resuming one from the other skipped every candidate and
+        # kept scores that a fresh sweep does not give.
+        op = gemm(8, 8, 8)
+        source = list(pruned_candidates(op, pe_dims=(4, 4), max_candidates=24))
+        archs = [
+            make_arch(pe_dims=(4, 4), interconnect=interconnect, **options)
+            for options in (first, second)
+        ]
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for arch, path in zip(archs, paths):
+            make_session(
+                op, arch, objective="unique_volume", checkpoint=str(path)
+            ).run(source)
+        with pytest.raises(ExplorationError, match="different sweep"):
+            make_session(
+                op, archs[1], objective="unique_volume", checkpoint=str(paths[0]),
+                resume=True,
+            ).run(source)
+        with pytest.raises(ExplorationError, match="not comparable"):
+            load_ranking(paths)
+
+    @pytest.mark.parametrize("interconnect", ["1d-systolic", "2d-systolic", "mesh", "none"])
+    def test_topologies_without_parameters_keep_their_arch_signature(self, interconnect):
+        # Their checkpoints, written before the interconnect parameters
+        # joined the signature, still resume.
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        assert arch_signature(arch) == (
+            f"{arch.describe()}|{arch.energy!r}|{arch.frequency_mhz}"
+        )
 
     def test_existing_checkpoint_refused_without_resume(self, tmp_path):
         # Re-running without --resume must not silently truncate hours of

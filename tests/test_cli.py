@@ -295,6 +295,31 @@ class TestInputErrors:
             "different sweep"
         )
 
+    def test_sweep_merge_refuses_two_reduction_tree_group_sizes(self, capsys, tmp_path):
+        # The CLI builds default topologies, so the checkpoints come from
+        # the library; their headers differ only in the tree's group size.
+        from repro.core.engine import EvaluationEngine
+        from repro.dse.pruning import pruned_candidates
+        from repro.experiments.common import make_arch
+        from repro.sweep import SweepSession
+        from repro.tensor.kernels import gemm
+
+        op = gemm(8, 8, 8)
+        paths = []
+        for group_size in (2, 8):
+            path = str(tmp_path / f"group{group_size}.jsonl")
+            arch = make_arch(pe_dims=(4, 4), interconnect="reduction-tree",
+                             group_size=group_size)
+            SweepSession(EvaluationEngine(op, arch), checkpoint=path).run(
+                pruned_candidates(op, pe_dims=(4, 4), max_candidates=4)
+            )
+            paths.append(path)
+        assert main(["sweep-merge", *paths]) == 1
+        assert_one_error_line(
+            capsys, f"tenet sweep-merge: error: checkpoint {paths[1]} belongs to a "
+            "different sweep"
+        )
+
     def test_serve_missing_requests_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.jsonl"
         assert main(["serve", "--requests", str(missing)]) == 1
