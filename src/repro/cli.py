@@ -301,7 +301,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             replicas=args.replicas,
             attach=attach,
-            replica_args=[a for a in args.replica_args if a != "--"],
+            replica_args=args.replica_args,
             lease_timeout=args.lease_timeout,
             heartbeat_interval=args.heartbeat_interval,
             max_consecutive_failures=args.max_failures,
@@ -483,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="consecutive lease or heartbeat failures before a "
                             "replica is evicted")
     fleet.add_argument("--replica-args", nargs=argparse.REMAINDER, default=[],
-                       help="remaining arguments are passed to each spawned "
-                            "'tenet serve' (e.g. -- --workers 4)")
+                       help="every argument after this flag goes to each "
+                            "spawned 'tenet serve', so it comes last (e.g. "
+                            "--replica-args --workers 4)")
     fleet.set_defaults(handler=_cmd_fleet)
 
     merge = subparsers.add_parser(

@@ -41,6 +41,17 @@ Replica health
     :class:`FleetError` — the checkpoints on disk make the whole fleet run
     resumable by a later one.
 
+Start-up and teardown
+    Every spawned replica launches on its own thread at once, and each
+    replica's worker starts taking leases as soon as that replica announces
+    its address (attached replicas start at once), so the first replica
+    sweeps while the others still import.  A launch still in flight counts
+    as a live replica.  A replica that fails to launch fails the run, as
+    does any exception a worker, launch or monitor thread raises; either
+    way the coordinator waits for the launches in flight, then sends
+    SIGTERM to every spawned replica before waiting for any of them, so no
+    replica outlives :meth:`FleetCoordinator.run`.
+
 ``tenet fleet --replicas N --shards M`` wraps this in a CLI; ``--attach
 host:port,...`` drives externally managed replicas instead (they must share
 the coordinator's checkpoint directory via ``--checkpoint-root``).
@@ -48,6 +59,7 @@ the coordinator's checkpoint directory via ``--checkpoint-root``).
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -135,7 +147,9 @@ def launch_replica(
     injector via the :data:`~repro.sweep.faults.FAULTS_ENV` environment
     variable (any plan inherited from this process's environment is dropped
     either way, so replicas never pick up faults by accident);
-    ``stderr_sink`` receives every stderr line as it arrives.
+    ``stderr_sink`` receives every stderr line as it arrives.  A replica that
+    exits, or stays silent past ``announce_timeout``, raises
+    :class:`FleetError` naming its exit code and its last stderr line.
     """
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
@@ -156,35 +170,52 @@ def launch_replica(
         text=True,
     )
     address: dict[str, tuple[str, int]] = {}
+    last_line = [""]
     announced = threading.Event()
 
     def pump() -> None:
         assert process.stderr is not None
-        for line in process.stderr:
-            if stderr_sink is not None:
-                stderr_sink(line)
-            if "bound" not in address:
-                parsed = parse_announce(line)
-                if parsed is not None:
-                    address["bound"] = parsed
-                    announced.set()
+        # Closed at EOF, when the replica exits: nothing else reads the pipe.
+        with process.stderr:
+            for line in process.stderr:
+                if stderr_sink is not None:
+                    stderr_sink(line)
+                if line.strip():
+                    last_line[0] = line.strip()
+                if "bound" not in address:
+                    parsed = parse_announce(line)
+                    if parsed is not None:
+                        address["bound"] = parsed
+                        announced.set()
         announced.set()
 
     threading.Thread(target=pump, daemon=True).start()
     if not announced.wait(announce_timeout) or "bound" not in address:
+        # The pump also sets the event at EOF: the replica is exiting, and a
+        # SIGKILL cannot change an exit code the process has already set.
+        exited = announced.is_set()
         process.kill()
-        process.wait(30)
-        raise FleetError("replica never announced its listen address")
+        code = process.wait(30)
+        why = f"exited with code {code}" if exited else f"silent for {announce_timeout:g} s"
+        said = f": {last_line[0]}" if last_line[0] else ""
+        raise FleetError(f"replica never announced its listen address ({why}){said}")
     host, port = address["bound"]
     return process, host, port
 
 
-def stop_replica(process: subprocess.Popen) -> None:
-    """SIGTERM (graceful drain) then SIGKILL a spawned replica."""
-    if process.poll() is None:
+def stop_replica(*processes: subprocess.Popen) -> None:
+    """SIGTERM (graceful drain) every live replica, then wait for each.
+
+    Every signal goes out before the first wait, so the replicas drain side
+    by side; one still running 60 s after its SIGTERM gets SIGKILL.
+    """
+    live = [process for process in processes if process.poll() is None]
+    for process in live:
         process.terminate()
+    deadline = time.monotonic() + 60
+    for process in live:
         try:
-            process.wait(60)
+            process.wait(max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(30)
@@ -272,6 +303,18 @@ class FleetCoordinator:
                 "a fleet needs at least one replica: spawn some (replicas=N) "
                 "or attach running ones (attach=[(host, port), ...])"
             )
+        periods = {"lease timeout": lease_timeout, "heartbeat timeout": heartbeat_timeout}
+        if heartbeat_interval is not None and heartbeat_interval > 0:
+            periods["heartbeat interval"] = heartbeat_interval
+        for name, seconds in periods.items():
+            # Checked before any spawn: in a fleet thread, a socket or a wait
+            # raises on a negative, infinite or NaN period, and a zero one
+            # fails every request.  NaN fails the chained comparison too.
+            if not 0 < seconds < math.inf:
+                raise FleetError(
+                    f"the {name} must be a positive, finite number of seconds, "
+                    f"got {seconds}"
+                )
         for reserved in RESERVED_FIELDS:
             if reserved in request:
                 raise FleetError(
@@ -309,12 +352,17 @@ class FleetCoordinator:
             lease.files.append(lease.checkpoint)
         self.steals = 0
         self.evictions = 0
-        self._replicas: list[ReplicaInfo] = []
+        #: One fixed slot per replica (spawned, then attached); a spawned
+        #: replica's slot stays ``None`` until it announces.
+        self._replicas: list[ReplicaInfo | None] = []
+        #: Spawned replicas whose launch has not returned yet.
+        self._launching = 0
         self._queue: deque[Lease] = deque(self.leases)
         self._cond = threading.Condition()
         self._completed = 0
         self._done = False
-        self._fatal: str | None = None
+        #: The run's first fatal error, raised by :meth:`run` after teardown.
+        self._fatal: BaseException | None = None
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -396,13 +444,60 @@ class FleetCoordinator:
                 client.abort()
             except Exception:  # noqa: BLE001 - eviction must never fail
                 pass
-        if all(r.evicted for r in self._replicas) and self._completed < len(self.leases):
+        registered = [r for r in self._replicas if r is not None]
+        # A launch still in flight is a replica yet to come, not a lost one.
+        if (
+            not self._launching
+            and all(r.evicted for r in registered)
+            and self._completed < len(self.leases)
+        ):
             remaining = len(self.leases) - self._completed
-            self._fatal = (
-                f"all {len(self._replicas)} replica(s) evicted with "
-                f"{remaining} lease(s) unfinished (last eviction: {reason}); "
-                "the lease checkpoints on disk are resumable by a new fleet"
+            self._fail_locked(
+                FleetError(
+                    f"all {len(registered)} replica(s) evicted with "
+                    f"{remaining} lease(s) unfinished (last eviction: {reason}); "
+                    "the lease checkpoints on disk are resumable by a new fleet"
+                )
             )
+
+    def _fail_locked(self, error: BaseException) -> None:
+        """Record the run's first fatal error and wake everyone (condition held)."""
+        if self._fatal is None:
+            self._fatal = error
+        self._cond.notify_all()
+
+    def _guarded(self, body: Callable[..., None], *args: Any) -> None:
+        """Thread target: whatever ``body`` raises fails the run, and
+        :meth:`run` re-raises it after the teardown."""
+        try:
+            body(*args)
+        except BaseException as error:  # noqa: BLE001 - re-raised by run()
+            with self._cond:
+                self._fail_locked(error)
+
+    def _replica_thread(self, slot: int) -> None:
+        """Launch a spawned replica into its slot, then run its worker."""
+        replica = self._replicas[slot]
+        if replica is None:
+            try:
+                # Looked up on the module at call time: tests and traced
+                # benchmark runs patch ``repro.sweep.fleet.launch_replica``.
+                process, host, port = launch_replica(
+                    checkpoint_root=self.checkpoint_dir, args=self.replica_args
+                )
+            except BaseException as error:  # noqa: BLE001 - re-raised by run()
+                with self._cond:
+                    self._launching -= 1
+                    self._fail_locked(error)
+                return
+            replica = ReplicaInfo(
+                name=f"replica-{slot}", host=host, port=port, process=process
+            )
+            with self._cond:
+                self._launching -= 1
+                self._replicas[slot] = replica
+                self._cond.notify_all()
+        self._worker(replica)
 
     def _worker(self, replica: ReplicaInfo) -> None:
         """One replica's dispatch loop: lease, sweep, complete-or-steal."""
@@ -410,7 +505,7 @@ class FleetCoordinator:
             with self._cond:
                 lease = None
                 while lease is None:
-                    if self._done or self._fatal or replica.evicted:
+                    if self._done or self._fatal is not None or replica.evicted:
                         return
                     if self._queue:
                         lease = self._queue.popleft()
@@ -445,7 +540,9 @@ class FleetCoordinator:
         """Health loop: process liveness + stats-poll heartbeats."""
         assert self.heartbeat_interval is not None
         while not stop.wait(self.heartbeat_interval):
-            for replica in self._replicas:
+            with self._cond:
+                replicas = [r for r in self._replicas if r is not None]
+            for replica in replicas:
                 if replica.evicted or stop.is_set():
                     continue
                 if replica.process is not None and replica.process.poll() is not None:
@@ -483,74 +580,73 @@ class FleetCoordinator:
     def run(self) -> FleetResult:
         """Spawn/attach replicas, drive every lease to completion, merge.
 
-        Raises :class:`FleetError` when every replica is evicted with leases
-        outstanding; everything durably recorded stays on disk, so re-running
-        the same fleet resumes instead of restarting.
+        Spawned replicas launch at once, and each one takes leases from its
+        own announce (attached ones from the start).  Raises
+        :class:`FleetError` when a replica fails to launch or every replica
+        is evicted with leases outstanding, and re-raises whatever else a
+        fleet thread raised; everything durably recorded stays on disk, so
+        re-running the same fleet resumes instead of restarting.  No spawned
+        replica outlives the call.
         """
         started = time.perf_counter()
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        spawned: list[subprocess.Popen] = []
-        self._replicas = []
-        try:
-            for number in range(self.replicas):
-                process, host, port = launch_replica(
-                    checkpoint_root=self.checkpoint_dir,
-                    args=self.replica_args,
-                )
-                spawned.append(process)
-                self._replicas.append(
-                    ReplicaInfo(
-                        name=f"replica-{number}", host=host, port=port, process=process
-                    )
-                )
-            for number, (host, port) in enumerate(self.attach):
-                self._replicas.append(
-                    ReplicaInfo(
-                        name=f"attached-{number}", host=host, port=int(port)
-                    )
-                )
-            workers = [
+        self._replicas = [None] * self.replicas
+        self._replicas += [
+            ReplicaInfo(name=f"attached-{number}", host=host, port=int(port))
+            for number, (host, port) in enumerate(self.attach)
+        ]
+        self._launching = self.replicas
+        stop_monitor = threading.Event()
+        threads = [
+            threading.Thread(
+                target=self._guarded,
+                args=(self._replica_thread, slot),
+                name="fleet-" + (replica.name if replica else f"replica-{slot}"),
+            )
+            for slot, replica in enumerate(self._replicas)
+        ]
+        if self.heartbeat_interval is not None:
+            threads.append(
                 threading.Thread(
-                    target=self._worker, args=(replica,), name=f"fleet-{replica.name}"
+                    target=self._guarded,
+                    args=(self._monitor, stop_monitor),
+                    name="fleet-monitor",
                 )
-                for replica in self._replicas
-            ]
-            stop_monitor = threading.Event()
-            monitor = None
-            if self.heartbeat_interval is not None:
-                monitor = threading.Thread(
-                    target=self._monitor, args=(stop_monitor,), name="fleet-monitor"
-                )
-                monitor.start()
-            for worker in workers:
-                worker.start()
-            try:
-                with self._cond:
-                    while not self._done and self._fatal is None:
-                        self._cond.wait(0.5)
-            finally:
-                with self._cond:
-                    # Wake every worker so they observe done/fatal and exit.
-                    if not self._done and self._fatal is None:
-                        self._fatal = "fleet interrupted"
-                    self._cond.notify_all()
-                stop_monitor.set()
-                for replica in self._replicas:
-                    client = replica.active_client
-                    if client is not None:
-                        try:
-                            client.abort()
-                        except Exception:  # noqa: BLE001 - teardown
-                            pass
-                for worker in workers:
-                    worker.join(60)
-                if monitor is not None:
-                    monitor.join(60)
+            )
+        for thread in threads:
+            thread.start()
+        try:
+            with self._cond:
+                while not self._done and self._fatal is None:
+                    self._cond.wait(0.5)
         finally:
-            for process in spawned:
-                stop_replica(process)
+            with self._cond:
+                # Wake every thread so they observe done/fatal and exit.
+                if not self._done:
+                    self._fail_locked(FleetError("fleet interrupted"))
+                self._cond.notify_all()
+                registered = [r for r in self._replicas if r is not None]
+            stop_monitor.set()
+            for replica in registered:
+                client = replica.active_client
+                if client is not None:
+                    try:
+                        client.abort()
+                    except Exception:  # noqa: BLE001 - teardown
+                        pass
+            with self._cond:
+                # A launch in flight ends at its announce, its exit or its own
+                # announce timeout; a replica it started is stopped below.
+                while self._launching:
+                    self._cond.wait()
+                spawned = [
+                    r.process for r in self._replicas if r is not None and r.process is not None
+                ]
+            for thread in threads:
+                thread.join(60)
+            stop_replica(*spawned)
         if self._fatal is not None:
-            raise FleetError(self._fatal)
+            raise self._fatal
         merge_files = [
             path
             for lease in self.leases
@@ -560,7 +656,7 @@ class FleetCoordinator:
         ranking = load_ranking(merge_files) if merge_files else []
         return FleetResult(
             leases=self.leases,
-            replicas=self._replicas,
+            replicas=[r for r in self._replicas if r is not None],
             steals=self.steals,
             evictions=self.evictions,
             seconds=time.perf_counter() - started,

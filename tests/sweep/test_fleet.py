@@ -8,7 +8,9 @@ merge bit-identically to the unsharded single-node run.
 """
 
 import json
+import math
 import socket
+import sys
 import threading
 import time
 
@@ -232,6 +234,26 @@ def test_coordinator_validates_inputs(tmp_path):
             shards=2,
             checkpoint_dir=tmp_path,
             attach=[("h", 1)],
+        )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"lease_timeout": 0},
+        {"lease_timeout": -1},
+        {"lease_timeout": math.inf},
+        {"lease_timeout": math.nan},
+        {"heartbeat_timeout": 0},
+        {"heartbeat_interval": math.inf},
+    ],
+)
+def test_coordinator_refuses_unusable_timeouts(tmp_path, options):
+    # Each of these used to reach a socket or a wait in a fleet thread; a
+    # non-positive heartbeat interval still just disables the monitor.
+    with pytest.raises(FleetError, match="positive, finite number of seconds"):
+        FleetCoordinator(
+            dict(REQUEST), shards=2, checkpoint_dir=tmp_path, attach=[("h", 1)], **options
         )
 
 
@@ -525,7 +547,274 @@ def test_fleet_ranking_merges_all_generations(tmp_path):
     )
 
 
+# -- start-up and teardown with fake spawned replicas ----------------------------------
+
+
+class FakeProcess:
+    """The part of ``subprocess.Popen`` the coordinator uses on a replica."""
+
+    def __init__(self):
+        self.returncode = None
+        self.calls = []
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self):
+        self.calls.append("terminate")
+        self.returncode = -15
+
+    def wait(self, timeout=None):
+        self.calls.append("wait")
+        return self.returncode
+
+
+class FakeLaunches:
+    """``launch_replica`` stand-in: in-process replicas behind fake processes.
+
+    The coordinator launches each spawned replica on its own
+    ``fleet-replica-N`` thread, so a launch reads its replica's name from the
+    thread name (or, called from any other thread, numbers replicas in call
+    order) and uses it as the host.  ``before_announce[name]`` runs
+    before that launch returns, to hold it back or make it fail;
+    ``lease_errors[name]`` is raised by that replica's lease requests.
+    ``log`` records announces and answered leases in order, and
+    :meth:`event` waits on them, so no test depends on timing.
+    """
+
+    def __init__(self, workdir):
+        self.workdir = workdir
+        self.before_announce = {}
+        self.lease_errors = {}
+        self.servers = {}
+        self.processes = {}
+        self.log = []
+        self._events = {}
+        self._lock = threading.Lock()
+
+    def event(self, kind, name):
+        """Set once ``(kind, name)`` is logged: ``"announce"`` or ``"lease"``."""
+        with self._lock:
+            return self._events.setdefault((kind, name), threading.Event())
+
+    def record(self, kind, name):
+        self.log.append((kind, name))
+        self.event(kind, name).set()
+
+    def __call__(self, *, checkpoint_root=None, args=()):
+        name = threading.current_thread().name.removeprefix("fleet-")
+        if not name.startswith("replica-"):
+            name = f"replica-{len(self.processes)}"
+        hook = self.before_announce.get(name)
+        if hook is not None:
+            hook()
+        self.servers[name] = SweepServer(checkpoint_root=checkpoint_root)
+        self.processes[name] = FakeProcess()
+        self.record("announce", name)
+        return self.processes[name], name, 0
+
+    def attach(self, name):
+        """Start an attached replica whose host is ``name``."""
+        self.servers[name] = SweepServer(checkpoint_root=self.workdir)
+        return name, 0
+
+    def client(self, host, port, timeout):
+        return LoggedClient(self, host)
+
+    def fleet(self, *, replicas, attach=(), shards=4, **options):
+        return FleetCoordinator(
+            dict(REQUEST),
+            shards=shards,
+            checkpoint_dir=self.workdir,
+            replicas=replicas,
+            attach=[self.attach(name) for name in attach],
+            heartbeat_interval=0,
+            client_factory=self.client,
+            **options,
+        )
+
+
+class LoggedClient(LocalServerClient):
+    """A fake replica's client: raises its scripted lease error, or logs the
+    answered lease."""
+
+    def __init__(self, launches, name):
+        super().__init__(launches.servers[name])
+        self._launches = launches
+        self._name = name
+
+    def request(self, payload):
+        if payload.get("cmd") == "stats":
+            return super().request(payload)
+        error = self._launches.lease_errors.get(self._name)
+        if error is not None:
+            raise error
+        record = super().request(payload)
+        self._launches.record("lease", self._name)
+        return record
+
+
+@pytest.fixture
+def launches(tmp_path, monkeypatch):
+    workdir = tmp_path / "fleet"
+    workdir.mkdir()
+    fake = FakeLaunches(workdir)
+    monkeypatch.setattr("repro.sweep.fleet.launch_replica", fake)
+    yield fake
+    for server in fake.servers.values():
+        server.shutdown()
+
+
+def fleet_threads():
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("fleet-")]
+
+
+#: How long a held launch waits for its cue before it gives up; only a
+#: coordinator that never gives the cue (one that starts no worker before
+#: every replica is up) ever waits this long.
+CUE_SECONDS = 10
+
+
+def test_first_replica_sweeps_while_the_next_launches(launches, tmp_path):
+    first_lease = launches.event("lease", "replica-0")
+    launches.before_announce["replica-1"] = lambda: first_lease.wait(CUE_SECONDS)
+    result = launches.fleet(replicas=2).run()
+    log = launches.log
+    assert log.index(("lease", "replica-0")) < log.index(("announce", "replica-1"))
+    assert all(lease.state == "done" for lease in result.leases)
+    assert render_ranking(result.ranking) == fleet_reference(tmp_path)
+
+
+def test_attached_replicas_sweep_while_spawned_ones_launch(launches, tmp_path):
+    first_lease = launches.event("lease", "attached-0")
+    launches.before_announce["replica-0"] = lambda: first_lease.wait(CUE_SECONDS)
+    result = launches.fleet(replicas=1, attach=["attached-0"]).run()
+    log = launches.log
+    assert log.index(("lease", "attached-0")) < log.index(("announce", "replica-0"))
+    assert render_ranking(result.ranking) == fleet_reference(tmp_path)
+
+
+def test_result_lists_replicas_in_slot_order(launches):
+    # Announces run backwards: replica-2, then replica-1, then replica-0.
+    launches.before_announce["replica-0"] = lambda: launches.event(
+        "announce", "replica-1"
+    ).wait(CUE_SECONDS)
+    launches.before_announce["replica-1"] = lambda: launches.event(
+        "announce", "replica-2"
+    ).wait(CUE_SECONDS)
+    result = launches.fleet(replicas=3, attach=["attached-0"]).run()
+    announced = [name for kind, name in launches.log if kind == "announce"]
+    assert announced == ["replica-2", "replica-1", "replica-0"]
+    names = ["replica-0", "replica-1", "replica-2", "attached-0"]
+    assert [replica.name for replica in result.replicas] == names
+    # Each slot holds its own launch (the fake's host is the replica's name).
+    assert [replica.host for replica in result.replicas] == names
+
+
+def test_launch_in_flight_counts_as_live(launches, tmp_path, monkeypatch):
+    launches.lease_errors["replica-0"] = ExplorationError("injected: replica down")
+    coordinator = launches.fleet(replicas=2, max_consecutive_failures=1)
+    evicted = threading.Event()
+    evict = coordinator._evict_locked
+
+    def evict_and_signal(replica, reason):
+        evict(replica, reason)
+        evicted.set()
+
+    monkeypatch.setattr(coordinator, "_evict_locked", evict_and_signal)
+    cued = []
+    launches.before_announce["replica-1"] = lambda: cued.append(evicted.wait(CUE_SECONDS))
+    # replica-0 is evicted while replica-1 is still launching: not "all
+    # replicas evicted", since replica-1 is on its way.
+    result = coordinator.run()
+    assert cued == [True]
+    assert result.evictions == 1 and result.steals >= 1
+    assert [replica.evicted for replica in result.replicas] == [True, False]
+    assert all(lease.replica == "replica-1" for lease in result.leases)
+    assert render_ranking(result.ranking) == fleet_reference(tmp_path)
+
+
+def test_many_replicas_launch_at_once_without_losing_one(launches, tmp_path):
+    # More replicas than cores and a tiny switch interval, so slot
+    # registration, lease hand-off and teardown interleave as much as they
+    # can; a lost update would leave a slot empty, a lease undone, a
+    # replica unstopped or the run waiting forever.
+    names = [f"replica-{n}" for n in range(8)] + ["attached-0", "attached-1"]
+    coordinator = launches.fleet(replicas=8, attach=names[8:], shards=16)
+    outcome = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watchdog = threading.Thread(
+            target=lambda: outcome.append(coordinator.run()), daemon=True
+        )
+        watchdog.start()
+        watchdog.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not watchdog.is_alive(), "run() hung"
+    (result,) = outcome
+    assert [replica.name for replica in result.replicas] == names
+    assert [replica.host for replica in result.replicas] == names
+    assert sum(replica.leases_completed for replica in result.replicas) == 16
+    assert sorted(launches.processes) == sorted(names[:8])
+    assert all(p.calls == ["terminate", "wait"] for p in launches.processes.values())
+    assert fleet_threads() == []
+    assert render_ranking(result.ranking) == fleet_reference(tmp_path)
+
+
+def test_failed_launch_fails_the_run_and_stops_every_replica(launches):
+    first_lease = launches.event("lease", "replica-0")
+
+    def fail_after_first_lease():
+        first_lease.wait(CUE_SECONDS)
+        raise FleetError("injected: replica-1 never announced")
+
+    launches.before_announce["replica-1"] = fail_after_first_lease
+    with pytest.raises(FleetError, match="injected: replica-1"):
+        launches.fleet(replicas=2).run()
+    assert list(launches.processes) == ["replica-0"]
+    assert launches.processes["replica-0"].calls == ["terminate", "wait"]
+    assert fleet_threads() == []
+    # What replica-0 swept stays on disk for a resuming fleet.
+    assert any(path.stat().st_size for path in launches.workdir.glob("lease-*.jsonl"))
+
+
+def test_crashed_worker_fails_the_run_instead_of_hanging(launches):
+    # A client error that is not an ExplorationError (a socket refusing a
+    # timeout raises ValueError) used to kill the worker thread and leave
+    # run() waiting for its lease forever.
+    crash = ValueError("injected: Timeout value out of range")
+    launches.lease_errors["replica-0"] = crash
+    coordinator = launches.fleet(replicas=1)
+    outcome = []
+
+    def drive():
+        try:
+            coordinator.run()
+        except BaseException as error:  # noqa: BLE001 - inspected below
+            outcome.append(error)
+
+    watchdog = threading.Thread(target=drive, daemon=True)
+    watchdog.start()
+    watchdog.join(60)
+    assert not watchdog.is_alive(), "run() hung on a crashed worker"
+    # Re-raised as it was, not swallowed or converted.
+    assert outcome == [crash]
+    assert launches.processes["replica-0"].calls == ["terminate", "wait"]
+    assert fleet_threads() == []
+
+
 # -- real subprocess replica -----------------------------------------------------------
+
+
+def test_replica_that_dies_before_announcing_reports_why():
+    # The replica's own argparse error and exit code, not just "never announced".
+    with pytest.raises(
+        FleetError,
+        match=r"\(exited with code 2\): tenet: error: unrecognized arguments: --bogus$",
+    ):
+        launch_replica(args=["--bogus"])
 
 
 @pytest.mark.slow

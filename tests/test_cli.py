@@ -348,6 +348,55 @@ class TestInputErrors:
             f"tenet fleet: error: {self.GEMM_SIZES}; got [8, 8]"
         ]
 
+    @pytest.mark.parametrize("seconds", ["0", "-1"])
+    def test_fleet_refuses_a_lease_timeout_before_spawning(
+        self, capsys, tmp_path, monkeypatch, seconds
+    ):
+        # -1 used to crash the worker thread in socket.create_connection and
+        # hang the fleet; 0 failed every lease as "unreachable".
+        spawned = []
+        monkeypatch.setattr(
+            "repro.sweep.fleet.launch_replica", lambda **kwargs: spawned.append(kwargs)
+        )
+        code = main([
+            "fleet", "--kernel", "gemm", "--sizes", "8", "8", "8", "--replicas", "1",
+            "--checkpoint-dir", str(tmp_path / "fleet"), "--lease-timeout", seconds,
+        ])
+        assert code == 1
+        assert spawned == []
+        assert_one_error_line(
+            capsys, "tenet fleet: error: the lease timeout must be a positive, "
+            f"finite number of seconds, got {float(seconds)}"
+        )
+
+    def test_fleet_passes_documented_replica_args_unchanged(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import re
+
+        from repro.sweep import FleetError
+
+        with pytest.raises(SystemExit):
+            main(["fleet", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        forms = re.findall(r"e\.g\. (--replica-args [^)]*)\)", help_text)
+        assert forms, "the --replica-args help shows no example"
+        for form in forms:
+            launched = []
+
+            def launch_replica(**kwargs):
+                launched.append(kwargs["args"])
+                raise FleetError("launch recorded")
+
+            monkeypatch.setattr("repro.sweep.fleet.launch_replica", launch_replica)
+            code = main([
+                "fleet", "--kernel", "gemm", "--sizes", "8", "8", "8", "--replicas", "1",
+                "--checkpoint-dir", str(tmp_path / "fleet"), *form.split(),
+            ])
+            assert code == 1
+            assert launched == [form.split()[1:]]
+            assert_one_error_line(capsys, "tenet fleet: error: launch recorded")
+
     def test_serve_replies_with_the_size_error(self, capsys, tmp_path):
         import json
 
