@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ArchitectureError
 from repro.isl.constraint import Constraint
+from repro.isl.enumeration import sorted_unique
 from repro.isl.expr import AffExpr, var
 from repro.isl.imap import IntMap
 from repro.isl.iset import IntSet
@@ -76,7 +77,7 @@ class Interconnect(ABC):
             sources = np.ravel_multi_index(tuple(pairs[:, :rank].T), array.dims)
             destinations = np.ravel_multi_index(tuple(pairs[:, rank:].T), array.dims)
             keys.append(destinations * size + sources)
-        destinations, sources = np.divmod(np.unique(np.concatenate(keys)), size)
+        destinations, sources = np.divmod(sorted_unique(np.concatenate(keys)), size)
         kept = sources != destinations
         return sources[kept], destinations[kept]
 

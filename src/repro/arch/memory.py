@@ -79,9 +79,5 @@ class MemoryHierarchy:
     # -- derived quantities --------------------------------------------------------
 
     @property
-    def scratchpad_words(self) -> int:
-        return (self.scratchpad.size_bytes * 8) // self.word_bits
-
-    @property
     def scratchpad_words_per_cycle(self) -> float:
         return self.scratchpad.bandwidth_words_per_cycle(self.word_bits)

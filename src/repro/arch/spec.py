@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.arch.energy import EnergyTable
-from repro.arch.interconnect import Interconnect, Systolic2D
+from repro.arch.interconnect import Interconnect, Systolic2D, make_interconnect
 from repro.arch.memory import MemoryHierarchy
 from repro.arch.pe_array import PEArray
 
@@ -65,3 +66,23 @@ class ArchSpec:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+def make_arch(
+    pe_dims: Sequence[int] = (8, 8),
+    interconnect: str = "2d-systolic",
+    bandwidth_bits: float = 128.0,
+    word_bits: int = 16,
+    name: str | None = None,
+    **interconnect_kwargs,
+) -> ArchSpec:
+    """Build an architecture from compact parameters: PE array extents, an
+    interconnect name (:func:`~repro.arch.interconnect.make_interconnect`)
+    and the scratchpad bandwidth in bits per cycle."""
+    pe_array = PEArray(tuple(pe_dims))
+    network = make_interconnect(interconnect, **interconnect_kwargs)
+    memory = MemoryHierarchy.default(
+        scratchpad_bandwidth_bits=bandwidth_bits, word_bits=word_bits
+    )
+    label = name or f"{'x'.join(str(d) for d in pe_dims)}-{network.name}"
+    return ArchSpec(pe_array=pe_array, interconnect=network, memory=memory, name=label)

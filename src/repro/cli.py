@@ -19,65 +19,51 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from functools import partial
 from typing import Callable, Sequence
 
 from repro._version import __version__
-from repro.core.analyzer import analyze
+from repro.arch.spec import make_arch
 from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import OBJECTIVES
-from repro.dataflows.catalog import all_entries, get_dataflow
 from repro.errors import ExplorationError, TenetError
-from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.pruning import pruned_candidates
-from repro.experiments import (
-    design_space_size,
-    dse_experiment,
-    fig1_reuse_example,
-    fig6_latency_bandwidth,
-    fig7_large_apps,
-    fig8_runtime,
-    fig9_metrics,
-    fig10_bandwidth,
-    fig11_accuracy,
-    fig12_reuse,
-    table1_features,
-    table3_notations,
-)
-from repro.experiments.common import make_arch
-from repro.sweep import (
-    FleetCoordinator,
-    format_announce,
-    iter_lines,
-    load_ranking,
-    parse_attach,
-    parse_listen,
-    parse_shard,
-    render_ranking,
-    run_tcp_server,
-    serve_lines,
-)
+from repro.dse.pruning import pruned_candidates  # perfbench's tracer wraps this name
 from repro.sweep import faults as sweep_faults
 from repro.tensor.kernels import make_kernel
 
+# The parser and the explore path need the names above.  Every other layer
+# is imported by the handler that runs it, so a command loads only its own:
+# ``explore`` and ``serve`` never load the figure drivers, the simulator,
+# MAESTRO or the workload tables.
+
+
+def _run_driver(module: str) -> object:
+    """Import the driver ``repro.experiments.<module>`` and run it."""
+    return importlib.import_module(f"repro.experiments.{module}").run()
+
+
 EXPERIMENTS: dict[str, Callable[[], object]] = {
-    "table1": table1_features.run,
-    "fig1": fig1_reuse_example.run,
-    "design-space": design_space_size.run,
-    "table3": table3_notations.run,
-    "fig6": fig6_latency_bandwidth.run,
-    "fig7": fig7_large_apps.run,
-    "fig8": fig8_runtime.run,
-    "fig9": fig9_metrics.run,
-    "fig10": fig10_bandwidth.run,
-    "fig11": fig11_accuracy.run,
-    "fig12": fig12_reuse.run,
-    "dse": dse_experiment.run,
+    "table1": partial(_run_driver, "table1_features"),
+    "fig1": partial(_run_driver, "fig1_reuse_example"),
+    "design-space": partial(_run_driver, "design_space_size"),
+    "table3": partial(_run_driver, "table3_notations"),
+    "fig6": partial(_run_driver, "fig6_latency_bandwidth"),
+    "fig7": partial(_run_driver, "fig7_large_apps"),
+    "fig8": partial(_run_driver, "fig8_runtime"),
+    "fig9": partial(_run_driver, "fig9_metrics"),
+    "fig10": partial(_run_driver, "fig10_bandwidth"),
+    "fig11": partial(_run_driver, "fig11_accuracy"),
+    "fig12": partial(_run_driver, "fig12_reuse"),
+    "dse": partial(_run_driver, "dse_experiment"),
 }
 
 
 def _cmd_catalog(_: argparse.Namespace) -> int:
+    from repro.dataflows.catalog import all_entries
+
     for entry in all_entries():
         marker = "data-centric ok" if entry.data_centric_expressible else "TENET-only"
         pe = "x".join(str(d) for d in entry.preferred_pe_dims)
@@ -105,6 +91,9 @@ def _check_counts(args: argparse.Namespace, minimums: dict[str, int]) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.core.analyzer import analyze
+    from repro.dataflows.catalog import get_dataflow
+
     try:
         op = make_kernel(args.kernel, args.sizes)
         dataflow = get_dataflow(args.kernel, args.dataflow)
@@ -124,6 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.dse.explorer import DesignSpaceExplorer
+    from repro.sweep.source import parse_shard
+
     if len(args.pe) != 2:
         print("tenet explore: error: --pe takes exactly two extents (rows cols), "
               f"got {args.pe}", file=sys.stderr)
@@ -224,6 +216,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.sweep.net import (
+        format_announce,
+        iter_lines,
+        parse_listen,
+        run_tcp_server,
+        serve_lines,
+    )
+
     options = dict(
         backend=args.backend,
         max_workers=args.workers,
@@ -257,6 +257,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
+    from repro.sweep.sinks import load_ranking, render_ranking
+
     try:
         _check_counts(args, {"top": 0})
         ranking = load_ranking(args.checkpoints)
@@ -271,6 +273,8 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.sweep.fleet import FleetCoordinator, parse_attach
+
     if len(args.pe) != 2:
         print("tenet fleet: error: --pe takes exactly two extents (rows cols), "
               f"got {args.pe}", file=sys.stderr)

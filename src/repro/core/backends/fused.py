@@ -69,7 +69,7 @@ from repro.core.dataflow import Dataflow
 from repro.core.utilization import UtilizationMetrics
 from repro.core.volumes import VolumeMetrics
 from repro.errors import DataflowError
-from repro.isl.enumeration import box_sum
+from repro.isl.enumeration import box_sum, sorted_unique
 from repro.isl.expr import AxisSplit, combine_splits, split_axes
 
 # -- per-axis stamps ---------------------------------------------------------------
@@ -283,7 +283,7 @@ def link_directions(
     pes = pes[valid]
     offsets = sources[valid] - pes
     directions = []
-    for offset in np.unique(offsets):
+    for offset in sorted_unique(offsets):
         dest = pes[offsets == offset]
         mask = np.zeros(box.size, dtype=bool)
         mask[dest] = True

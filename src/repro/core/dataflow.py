@@ -132,13 +132,6 @@ class Dataflow:
         }
         return [expr.bounds(inclusive) for expr in self.time_exprs]
 
-    def pe_bounds(self, op: TensorOp) -> list[tuple[int, int]]:
-        """Inclusive interval of every space-stamp dimension over the operation's domain."""
-        inclusive = {
-            dim: (lo, hi - 1) for dim, (lo, hi) in op.domain.derived_bounds().items()
-        }
-        return [expr.bounds(inclusive) for expr in self.pe_exprs]
-
     # -- validation -------------------------------------------------------------------
 
     def check_pe_rank(self, op: TensorOp, pe_array: PEArray) -> None:

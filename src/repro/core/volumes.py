@@ -51,10 +51,6 @@ class VolumeMetrics:
             return float(self.total) if self.total else 1.0
         return self.total / self.unique
 
-    @property
-    def temporal_reuse_fraction(self) -> float:
-        return self.temporal_reuse / self.total if self.total else 0.0
-
     def as_dict(self) -> dict[str, float]:
         return {
             "tensor": self.tensor,

@@ -17,8 +17,7 @@ from repro.arch.spec import ArchSpec
 from repro.core.dataflow import Dataflow
 from repro.core.engine import EvaluationEngine, RelationCache
 from repro.core.metrics import PerformanceReport
-from repro.sweep import SweepResult, SweepSession
-from repro.sweep.session import resolve_objective
+from repro.sweep.session import SweepResult, SweepSession, resolve_objective
 from repro.tensor.operation import TensorOp
 
 Objective = Callable[[PerformanceReport], float]

@@ -5,12 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.arch.interconnect import make_interconnect
-from repro.arch.memory import MemoryHierarchy
-from repro.arch.pe_array import PEArray
-from repro.arch.spec import ArchSpec
+from repro.arch.spec import make_arch  # noqa: F401 - the drivers' and tests' import name
 from repro.core.engine import EvaluationEngine, RelationCache
-from repro.sweep import SweepSession
+from repro.sweep.session import SweepSession
 from repro.workloads.dnn import Layer
 from repro.workloads.scaling import scale_layer
 
@@ -81,24 +78,6 @@ def percent_reduction(baseline: float, improved: float) -> float:
     if baseline <= 0:
         return 0.0
     return (baseline - improved) / baseline * 100.0
-
-
-def make_arch(
-    pe_dims: Sequence[int] = (8, 8),
-    interconnect: str = "2d-systolic",
-    bandwidth_bits: float = 128.0,
-    word_bits: int = 16,
-    name: str | None = None,
-    **interconnect_kwargs,
-) -> ArchSpec:
-    """Build an architecture from compact experiment parameters."""
-    pe_array = PEArray(tuple(pe_dims))
-    network = make_interconnect(interconnect, **interconnect_kwargs)
-    memory = MemoryHierarchy.default(
-        scratchpad_bandwidth_bits=bandwidth_bits, word_bits=word_bits
-    )
-    label = name or f"{'x'.join(str(d) for d in pe_dims)}-{network.name}"
-    return ArchSpec(pe_array=pe_array, interconnect=network, memory=memory, name=label)
 
 
 def scaled_layer_op(layer: Layer, max_instances: int):

@@ -37,80 +37,58 @@ job:
   points threaded through every layer above, so recovery is provable.
 """
 
-from repro.sweep.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedDisconnect,
-    InjectedFault,
-)
-from repro.sweep.fleet import (
-    FleetCoordinator,
-    FleetError,
-    FleetResult,
-    launch_replica,
-    parse_attach,
-)
-from repro.sweep.source import parse_shard, signature_shard_index, validate_shard
-from repro.sweep.sinks import (
-    JsonlCheckpointSink,
-    RankEntry,
-    ResultSink,
-    TopKSink,
-    clone_checkpoint,
-    load_ranking,
-    render_ranking,
-    report_record,
-)
-from repro.sweep.session import SweepResult, SweepSession
-from repro.sweep.server import EngineQuarantinedError, SweepRequest, SweepServer
-from repro.sweep.net import (
-    RequestTimeout,
-    SweepService,
-    format_announce,
-    iter_lines,
-    parse_announce,
-    parse_listen,
-    run_tcp_server,
-    serve_lines,
-)
-from repro.sweep.client import PipelineBrokenError, SweepClient
+import importlib
+from typing import Any
 
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjector",
-    "InjectedFault",
-    "InjectedDisconnect",
-    "PipelineBrokenError",
-    "EngineQuarantinedError",
-    "RequestTimeout",
-    "signature_shard_index",
-    "parse_shard",
-    "validate_shard",
-    "ResultSink",
-    "TopKSink",
-    "JsonlCheckpointSink",
-    "RankEntry",
-    "clone_checkpoint",
-    "load_ranking",
-    "render_ranking",
-    "report_record",
-    "FleetCoordinator",
-    "FleetError",
-    "FleetResult",
-    "launch_replica",
-    "parse_attach",
-    "SweepSession",
-    "SweepResult",
-    "SweepRequest",
-    "SweepServer",
-    "SweepService",
-    "SweepClient",
-    "serve_lines",
-    "run_tcp_server",
-    "iter_lines",
-    "parse_listen",
-    "format_announce",
-    "parse_announce",
-]
+#: Each public name and the submodule that defines it.  A name is imported
+#: on first use (PEP 562), so ``import repro.sweep.session`` or
+#: ``repro.sweep.faults`` loads neither the TCP service, the client, the
+#: fleet nor ``asyncio``.
+_EXPORTS = {
+    "FaultPlan": "faults",
+    "FaultSpec": "faults",
+    "FaultInjector": "faults",
+    "InjectedFault": "faults",
+    "InjectedDisconnect": "faults",
+    "PipelineBrokenError": "client",
+    "SweepClient": "client",
+    "EngineQuarantinedError": "server",
+    "SweepRequest": "server",
+    "SweepServer": "server",
+    "RequestTimeout": "net",
+    "SweepService": "net",
+    "serve_lines": "net",
+    "run_tcp_server": "net",
+    "iter_lines": "net",
+    "parse_listen": "net",
+    "format_announce": "net",
+    "parse_announce": "net",
+    "signature_shard_index": "source",
+    "parse_shard": "source",
+    "validate_shard": "source",
+    "ResultSink": "sinks",
+    "TopKSink": "sinks",
+    "JsonlCheckpointSink": "sinks",
+    "RankEntry": "sinks",
+    "clone_checkpoint": "sinks",
+    "load_ranking": "sinks",
+    "render_ranking": "sinks",
+    "report_record": "sinks",
+    "FleetCoordinator": "fleet",
+    "FleetError": "fleet",
+    "FleetResult": "fleet",
+    "launch_replica": "fleet",
+    "parse_attach": "fleet",
+    "SweepSession": "session",
+    "SweepResult": "session",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -53,7 +53,6 @@ how the chaos smoke arms a real ``tenet serve`` subprocess.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import random
@@ -256,6 +255,10 @@ class FaultInjector:
 
     async def apply_async(self, site: str) -> FaultSpec | None:
         """:meth:`apply` for asyncio sites (delays do not block the loop)."""
+        # Only the event loop's sites get here; a process without one never
+        # imports asyncio.
+        import asyncio
+
         specs = self.fire(site)
         for spec in specs:
             if spec.kind == "delay":

@@ -146,9 +146,10 @@ def launch_replica(
     ``(process, host, port)``.  ``fault_plan`` arms the replica's fault
     injector via the :data:`~repro.sweep.faults.FAULTS_ENV` environment
     variable (any plan inherited from this process's environment is dropped
-    either way, so replicas never pick up faults by accident);
-    ``stderr_sink`` receives every stderr line as it arrives.  A replica that
-    exits, or stays silent past ``announce_timeout``, raises
+    either way, so replicas never pick up faults by accident).  The replica
+    runs with ``OPENBLAS_NUM_THREADS=1`` unless this process's environment
+    sets it.  ``stderr_sink`` receives every stderr line as it arrives.  A
+    replica that exits, or stays silent past ``announce_timeout``, raises
     :class:`FleetError` naming its exit code and its last stderr line.
     """
     env = dict(os.environ)
@@ -158,6 +159,9 @@ def launch_replica(
     env.pop(FAULTS_ENV, None)
     if fault_plan is not None:
         env[FAULTS_ENV] = fault_plan.to_json()
+    # Nothing in a replica calls BLAS, and starting OpenBLAS's thread pool
+    # costs every spawn; a caller's own setting wins.
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     command = [sys.executable, "-m", "repro.cli", "serve", "--listen", "127.0.0.1:0"]
     if checkpoint_root is not None:
         command += ["--checkpoint-root", str(checkpoint_root)]

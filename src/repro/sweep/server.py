@@ -31,7 +31,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.arch.spec import ArchSpec
+from repro.arch.spec import ArchSpec, make_arch
 from repro.core.dataflow import Dataflow
 from repro.core.engine import (
     OBJECTIVES,
@@ -40,11 +40,13 @@ from repro.core.engine import (
     arch_signature,
     op_signature,
 )
+from repro.dse import pruning
 from repro.errors import ExplorationError
 from repro.sweep import faults as fault_hooks
 from repro.sweep.faults import FaultInjector
 from repro.sweep.session import SweepResult, SweepSession
 from repro.sweep.source import validate_shard
+from repro.tensor.kernels import make_kernel
 from repro.tensor.operation import TensorOp
 
 
@@ -154,17 +156,15 @@ class SweepRequest:
 
     def build(self) -> tuple[TensorOp, ArchSpec, Iterator[Dataflow]]:
         """The request's operation, architecture and (lazy) candidate stream."""
-        from repro.dse.pruning import pruned_candidates
-        from repro.experiments.common import make_arch
-        from repro.tensor.kernels import make_kernel
-
         op = make_kernel(self.kernel, list(self.sizes))
         arch = make_arch(
             pe_dims=self.pe,
             interconnect=self.interconnect,
             bandwidth_bits=self.bandwidth,
         )
-        candidates = pruned_candidates(
+        # Looked up at call time, so a wrapper installed on the module (the
+        # benchmark's tracer) sees served requests too.
+        candidates = pruning.pruned_candidates(
             op,
             pe_dims=self.pe,
             allow_packing=self.allow_packing,

@@ -20,7 +20,6 @@ class TestVolumeMetricsDataclass:
                                footprint=8)
         assert volume.unique == 8
         assert volume.reuse_factor == 2.0
-        assert volume.temporal_reuse_fraction == pytest.approx(0.125)
 
     def test_fully_reused_tensor(self):
         volume = VolumeMetrics("Y", total=10, reuse=10, temporal_reuse=10, spatial_reuse=0,

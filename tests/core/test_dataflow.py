@@ -67,12 +67,6 @@ class TestStampEvaluation:
         assert lo == 0
         assert hi == 7 + 7 + 7
 
-    def test_pe_bounds(self, op):
-        dataflow = Dataflow.from_exprs("skew", op, ["i mod 8", "j"], ["k"])
-        bounds = dataflow.pe_bounds(op)
-        assert bounds[0] == (0, 7)
-        assert bounds[1] == (0, 15)
-
     def test_bind_restricts_domain(self, op):
         dataflow = Dataflow.from_exprs("x", op, ["i"], ["j", "k"])
         bound = dataflow.bind(op)

@@ -10,6 +10,7 @@ merge bit-identically to the unsharded single-node run.
 import json
 import math
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -815,6 +816,27 @@ def test_replica_that_dies_before_announcing_reports_why():
         match=r"\(exited with code 2\): tenet: error: unrecognized arguments: --bogus$",
     ):
         launch_replica(args=["--bogus"])
+
+
+@pytest.mark.parametrize("inherited, expected", [(None, "1"), ("3", "3")])
+def test_replica_runs_without_a_blas_thread_pool(monkeypatch, inherited, expected):
+    # One BLAS thread unless the caller's environment chose a count.
+    if inherited is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", inherited)
+    environments = []
+    popen = subprocess.Popen
+
+    def spawn(command, **kwargs):
+        environments.append(kwargs["env"])
+        return popen(command, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spawn)
+    with pytest.raises(FleetError, match="exited with code 2"):
+        launch_replica(args=["--bogus"])
+    (environment,) = environments
+    assert environment["OPENBLAS_NUM_THREADS"] == expected
 
 
 @pytest.mark.slow

@@ -47,6 +47,16 @@ def ranking_key(result_or_entries):
     return [(e.signature, e.name, e.score, e.data) for e in entries]
 
 
+def test_public_names_resolve_on_first_use():
+    # The package imports a name's module when the name is first read.
+    import repro.sweep as sweep
+
+    for name in sweep.__all__:
+        assert getattr(sweep, name).__module__.startswith("repro.sweep."), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sweep.no_such_name
+
+
 class RecordingSink(ResultSink):
     """Signatures of every candidate a sweep processed, in stream order."""
 

@@ -1,7 +1,15 @@
 """Tests for the command-line interface."""
 
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import EXPERIMENTS, build_parser, main
 
 
@@ -170,6 +178,29 @@ class TestParser:
     def test_every_registered_experiment_is_callable(self):
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
+
+    def test_every_registered_experiment_names_a_driver(self):
+        # Drivers are imported when run, so a misspelt module would only
+        # fail on its first run.
+        for name, runner in EXPERIMENTS.items():
+            (module,) = runner.args
+            assert importlib.util.find_spec(f"repro.experiments.{module}"), name
+
+    def test_explore_calls_the_cli_module_generator(self, capsys, monkeypatch):
+        # perfbench's tracer wraps ``repro.cli.pruned_candidates``; explore
+        # must call the generator through that name.
+        original = repro.cli.pruned_candidates
+        calls = []
+
+        def traced(*args, **kwargs):
+            calls.append(kwargs["max_candidates"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "pruned_candidates", traced)
+        assert main(["explore", "--kernel", "gemm", "--sizes", "8", "8", "8",
+                     "--max-candidates", "2"]) == 0
+        assert "engine: 2 evaluated" in capsys.readouterr().out
+        assert calls == [2]
 
     def test_parser_version(self):
         parser = build_parser()
@@ -496,3 +527,83 @@ class TestServeCommand:
         assert record["relation_cache"]["misses"] == 0
         assert record["requests"]["submitted"] == 0
         assert record["requests"]["failed"] == 0
+
+
+# -- which modules a command loads -----------------------------------------------
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Runs ``main(argv)`` for each JSON argv list on the command line and, after
+#: each, prints the loaded modules on a ``modules:`` line; a first ``numpy:``
+#: line says whether a bare ``import numpy`` loads ``numpy.ma``.
+_REPORT_MODULES = """
+import json, sys
+import numpy
+print("numpy:", json.dumps("numpy.ma" in sys.modules))
+from repro.cli import main
+for argv in sys.argv[1:]:
+    assert main(json.loads(argv)) == 0
+    print("modules:", json.dumps(sorted(sys.modules)))
+"""
+
+_DRIVER_LAYERS = (
+    "repro.experiments", "repro.sim", "repro.maestro", "repro.workloads",
+)
+
+
+def _loaded_modules(*argvs):
+    """``(numpy.ma with numpy alone, [modules after each argv])`` of one
+    fresh interpreter that runs every ``argvs`` entry in turn."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *map(json.dumps, argvs)],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    reports = {"numpy:": [], "modules:": []}
+    for line in completed.stdout.splitlines():
+        tag, _, payload = line.partition(" ")
+        if tag in reports:
+            reports[tag].append(json.loads(payload))
+    (numpy_loads_ma,) = reports["numpy:"]
+    return numpy_loads_ma, [set(modules) for modules in reports["modules:"]]
+
+
+def _under(modules, packages):
+    return sorted(
+        name for name in modules
+        if any(name == package or name.startswith(package + ".") for package in packages)
+    )
+
+
+class TestImportSet:
+    """A command loads its own layers only (module names, not timings)."""
+
+    def test_explore_loads_no_driver_fleet_service_or_asyncio(self, tmp_path):
+        numpy_loads_ma, (modules,) = _loaded_modules(
+            ["explore", "--kernel", "conv2d", "--sizes", "8", "8", "6", "6", "3", "3",
+             "--max-candidates", "1", "--checkpoint", str(tmp_path / "probe.jsonl")],
+        )
+        assert "repro.dse.explorer" in modules
+        assert _under(modules, (
+            *_DRIVER_LAYERS, "repro.sweep.fleet", "repro.sweep.net",
+            "repro.sweep.server", "repro.sweep.client", "asyncio",
+        )) == []
+        if not numpy_loads_ma:
+            # numpy 2's np.unique imports numpy.ma on its first call.
+            assert "numpy.ma" not in modules
+
+    def test_serve_loads_no_driver_fleet_or_client(self, tmp_path):
+        nothing = tmp_path / "nothing.jsonl"
+        nothing.write_text("")
+        one = tmp_path / "one.jsonl"
+        one.write_text(json.dumps({"kernel": "gemm", "sizes": [8, 8, 8],
+                                   "max_candidates": 2}) + "\n")
+        _, (idle, served) = _loaded_modules(
+            ["serve", "--requests", str(nothing)], ["serve", "--requests", str(one)],
+        )
+        # What a request builds is imported before the first one arrives.
+        assert {"repro.dse.pruning", "repro.tensor.kernels"} <= idle
+        assert _under(served, (
+            *_DRIVER_LAYERS, "repro.sweep.fleet", "repro.sweep.client",
+        )) == []
